@@ -16,7 +16,8 @@ condition ``t_{k+1}^2 - m*t_{k+1} <= t_k^2`` while staying nondecreasing:
 :func:`certify` measures the quadratic slack, the per-step growth against the
 bound :func:`phi_m`, and the empirical linear-growth ratio ``min_k t_k/k``.
 For the closed-form rules the slack is evaluated in exact rational arithmetic
-(floating-point cancellation at large k would otherwise swamp it); the
+(floating-point cancellation at large k would otherwise swamp it) at the two
+endpoints of the index range, since it is affine in k; the
 Nesterov recurrence has no rational closed form, so its slack is measured in
 floating point and judged relative to ``t_{k+1}^2``.
 """
@@ -183,9 +184,11 @@ class CertReport:
 def certify(rule: InertialRule, K: int) -> CertReport:
     """Check the rule's certified properties over indices 1..K.
 
-    Raises :class:`CertificationError` naming the first violating index if the
+    Raises :class:`CertificationError` naming a violating index if the
     sequence decreases, breaks the quadratic condition, or outgrows the step
-    bound. The quadratic slack is exact for the closed-form rules; for the
+    bound: the first one, except for the closed-form rules' quadratic
+    condition and the step bound, which name the index of the largest slack
+    or step. The quadratic slack is exact for the closed-form rules; for the
     Nesterov recurrence it is measured in floating point and allowed rounding
     noise relative to ``t_{k+1}^2``.
     """
@@ -213,17 +216,16 @@ def certify(rule: InertialRule, K: int) -> CertReport:
             raise CertificationError("t_{k+1}^2 - m*t_{k+1} <= t_k^2", int(bad[0]) + 1)
         max_slack = float(slack.max())
     else:
+        # t_k is affine in k, so the slack is too: its maximum over 1..K sits
+        # at an endpoint (k=1 on ties, the first index attaining it).
         m_exact = Fraction(rule.m)
-        max_slack_exact = None
-        worst_k = 1
-        t_prev = _exact_t(rule, 1)
-        for k in range(1, K + 1):
-            t_next = _exact_t(rule, k + 1)
-            s = t_next * t_next - m_exact * t_next - t_prev * t_prev
-            if max_slack_exact is None or s > max_slack_exact:
-                max_slack_exact = s
-                worst_k = k
-            t_prev = t_next
+
+        def exact_slack(k: int) -> Fraction:
+            t_k, t_next = _exact_t(rule, k), _exact_t(rule, k + 1)
+            return t_next * t_next - m_exact * t_next - t_k * t_k
+
+        first, last = exact_slack(1), exact_slack(K)
+        worst_k, max_slack_exact = (K, last) if last > first else (1, first)
         if max_slack_exact > 0:
             raise CertificationError("t_{k+1}^2 - m*t_{k+1} <= t_k^2", worst_k)
         max_slack = float(max_slack_exact)

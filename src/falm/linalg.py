@@ -1,9 +1,12 @@
-"""Vector primitives, matrix-free linear operators, and an SPD system solver.
+"""Vector primitives, linear operators, and an SPD system solver.
 
 Vectors are plain 1-d float64 numpy arrays. Operators are wrapped in
 :class:`LinearMap`, which carries a forward and an adjoint procedure so the
-solver never needs an explicit matrix; dense construction helpers are provided
-for the desk-scale problems this package targets.
+solver works matrix-free; dense construction helpers are provided for the
+desk-scale problems this package targets. When a map keeps its dense matrix,
+:func:`spectral_factor` gives the systems ``shift*Id + scale*A*A`` a closed-form
+solution for every shift and scale; matrix-free maps are solved by conjugate
+gradients.
 """
 
 from __future__ import annotations
@@ -155,17 +158,45 @@ def op_norm_sq(a_map: LinearMap, tol: float = 1e-6, max_iter: int = 1000,
                           iterations=it, converged=converged)
 
 
+def spectral_factor(matrix: Array) -> tuple[Array, Array]:
+    """Thin SVD factor ``(Vt, S^2)`` of a dense p-by-n matrix ``A = U S Vt``.
+
+    ``Vt`` is min(p, n)-by-n with orthonormal rows and ``S^2`` holds the
+    squared singular values in nonincreasing order, so ``S^2[0]`` is
+    ``||A||^2`` up to the SVD's rounding. Both arrays are read-only.
+    """
+    _, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float), full_matrices=False)
+    s2 = s * s
+    vt.flags.writeable = False
+    s2.flags.writeable = False
+    return vt, s2
+
+
 @dataclass(frozen=True)
 class SpdSystem:
     """The operator ``shift*Id + scale*A*A`` (symmetric positive definite).
 
     ``shift`` must be positive and ``scale`` nonnegative. With ``a_map=None``
-    or ``scale=0`` the system is a pure scaling of the identity.
+    or ``scale=0`` the system is a pure scaling of the identity. ``factor``
+    optionally carries :func:`spectral_factor` of the map's matrix.
     """
 
     shift: float
     scale: float
     a_map: LinearMap | None = None
+    factor: tuple[Array, Array] | None = None
+
+    def spectral_solve(self, rhs: Array) -> Array:
+        """Closed-form ``M^{-1} rhs`` from ``factor`` (Woodbury identity).
+
+        With ``A*A = V S^2 Vt``: ``x = rhs/shift + V[(shift + scale*S^2)^{-1}
+        - 1/shift] Vt rhs``; directions outside the row space of ``Vt`` see
+        only the shift.
+        """
+        vt, s2 = self.factor
+        inv_shift = 1.0 / self.shift
+        gain = 1.0 / (self.shift + self.scale * s2) - inv_shift
+        return inv_shift * rhs + vt.T @ (gain * (vt @ rhs))
 
     def apply(self, v: Array) -> Array:
         out = self.shift * v
@@ -183,13 +214,17 @@ class CgResult:
 
 def solve_spd(system: SpdSystem, rhs: Array, warm: Array | None = None,
               tol: float = 1e-12, max_iter: int | None = None) -> CgResult:
-    """Solve ``M x = rhs`` by conjugate gradients, warm-started at ``warm``.
+    """Solve ``M x = rhs``, returning once ``||M x - rhs|| <= tol * max(1, ||rhs||)``.
 
-    Terminates once the true residual satisfies
-    ``||M x - rhs|| <= tol * max(1, ||rhs||)``; the recurrence residual is
-    cross-checked against a freshly computed one before success is declared,
-    so the contract holds even when the recurrence drifts near machine
-    precision. Raises :class:`SpdSolveError` when ``max_iter`` is exhausted.
+    The start point is the closed-form :meth:`SpdSystem.spectral_solve` when
+    the system carries a spectral factor (``warm`` is then ignored), else
+    ``warm`` (zero when None). The true residual of the start point is checked
+    first; if it misses the target, conjugate gradients iterate from there.
+    The recurrence residual is cross-checked against a freshly computed one
+    before success is declared, so the contract holds even when the recurrence
+    drifts near machine precision. ``iterations`` counts CG iterations only,
+    so an accepted spectral start reports 0. Raises :class:`SpdSolveError`
+    when ``max_iter`` is exhausted.
     """
     if system.shift <= 0 or system.scale < 0:
         raise ValueError("solve_spd requires shift > 0 and scale >= 0")
@@ -206,7 +241,12 @@ def solve_spd(system: SpdSystem, rhs: Array, warm: Array | None = None,
         residual = float(np.linalg.norm(rhs - system.shift * x))
         return CgResult(x=x, iterations=0, residual=residual)
 
-    x = np.zeros(n) if warm is None else np.array(warm, dtype=float)
+    if system.factor is not None:
+        x = system.spectral_solve(rhs)
+    elif warm is None:
+        x = np.zeros(n)
+    else:
+        x = np.array(warm, dtype=float)
     r = rhs - system.apply(x)
     r_norm = float(np.linalg.norm(r))
     if r_norm <= target:

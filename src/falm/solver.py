@@ -4,15 +4,19 @@ Each iteration extrapolates the primal and dual iterates with the momentum
 ratio ``(t_k - 1)/t_{k+1}``, solves a strongly convex quadratic subproblem for
 the next primal point, and takes a proximal-style dual step against an
 extrapolated primal combination. The subproblem is solved exactly (to the
-requested conjugate-gradient tolerance) via its normal system
+requested residual tolerance ``cg_tol``) via its normal system
 
     ((1/sigma) Id + (s_{k+1}/gamma) A*A) x = rhs,
 
 because the convergence analysis this package verifies assumes the exact
 argmin; an approximate proximal step would void the recorded invariants. The
-system matrix changes every iteration (the coupling weight ``s_{k+1}`` grows),
-so no factorization is cached; the solve is warm-started from the previous
-iterate instead.
+system matrix changes only through the scalar ``s_{k+1}/gamma``. When the
+constraint map carries a dense nonzero matrix, :func:`validate` computes one
+thin SVD of it, and every step solves the system in closed form from that
+factor (two products with ``Vt``), falling back to conjugate-gradient
+refinement only if the residual check fails. The same factor gives ``||A||^2``
+to rounding. Matrix-free maps are solved by conjugate gradients warm-started at
+the current iterate, and ``||A||^2`` is estimated by power iteration.
 
 Admissibility of the parameters::
 
@@ -37,10 +41,16 @@ import numpy as np
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
 from .inertial import InertialRule, phi_m, t_value
-from .linalg import Array, SpdSystem, as_vector, op_norm_sq, solve_spd
+from .linalg import (Array, SpdSystem, as_vector, op_norm_sq, solve_spd,
+                     spectral_factor)
 from .problem import Problem, kkt_residuals
 
 SIGMA_CONDITION = "σ ≤ γ/(L + γβ‖A‖²)"
+
+# Relative error allowance of a computed squared singular value, per dimension
+# of the matrix: LAPACK's SVD returns the exact singular values of a matrix
+# that lies within a small multiple of dimension * eps * ||A|| of the input.
+SVD_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass
@@ -84,14 +94,19 @@ class ValidatedConfig:
     cg_tol: float
     cg_max_iter: int | None
     record_every: int
+    spectral: tuple[Array, Array] | None = field(repr=False, compare=False)
 
 
 def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None,
              require_convergence_certified: bool = False) -> ValidatedConfig:
     """Check every admissibility condition and resolve defaulted parameters.
 
-    ``a_norm_sq`` overrides the power-iteration estimate of ``||A||^2`` when
-    the caller knows it exactly. Each violated condition raises a
+    When the constraint map carries a dense nonzero matrix, its spectral
+    factor is computed once and kept as ``spectral``; ``||A||^2`` is then its
+    top squared singular value, raised by a relative ``SVD_ROUNDING`` margin
+    per matrix dimension so that it bounds the true value despite the SVD's
+    rounding. Otherwise ``||A||^2`` is the power-iteration estimate. An
+    explicit ``a_norm_sq`` overrides both. Each violated condition raises a
     :class:`ValidationError` naming the inequality. When
     ``require_convergence_certified`` is set and the configuration only meets
     the non-strict conditions, a warning lists what is missing for iterate
@@ -121,8 +136,14 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
                                   f"coupling weight nonpositive; need gamma > "
                                   f"{1.0 - 1.0 / (rule.alpha - 1.0)}")
 
+    a_mat = prob.a_map.matrix
+    spectral = (spectral_factor(a_mat)
+                if a_mat is not None and np.any(a_mat) else None)
     if a_norm_sq is None:
-        a_norm_sq = op_norm_sq(prob.a_map).value
+        if spectral is not None:
+            a_norm_sq = float(spectral[1][0]) * (1.0 + SVD_ROUNDING * max(a_mat.shape))
+        else:
+            a_norm_sq = op_norm_sq(prob.a_map).value
     lip = prob.objective.lipschitz
     sigma_bound = gamma / (lip + gamma * params.beta * a_norm_sq)
     sigma = params.sigma if params.sigma is not None else 0.99 * sigma_bound
@@ -165,7 +186,7 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
                            convergence_certified=certified,
                            max_iter=params.max_iter, kkt_tol=params.kkt_tol,
                            cg_tol=params.cg_tol, cg_max_iter=params.cg_max_iter,
-                           record_every=params.record_every)
+                           record_every=params.record_every, spectral=spectral)
 
 
 @dataclass
@@ -179,7 +200,6 @@ class IterateState:
     lam_prev: Array
     t_k: float
     t_next: float
-    x_warm: Array
 
 
 def initial_state(rule: InertialRule, x_init: Array, lam_init: Array) -> IterateState:
@@ -188,7 +208,7 @@ def initial_state(rule: InertialRule, x_init: Array, lam_init: Array) -> Iterate
     lam = np.array(lam_init, dtype=float)
     return IterateState(k=1, x_k=x, x_prev=x.copy(), lam_k=lam,
                         lam_prev=lam.copy(), t_k=t_value(rule, 1),
-                        t_next=t_value(rule, 2), x_warm=x.copy())
+                        t_next=t_value(rule, 2))
 
 
 @dataclass
@@ -210,10 +230,11 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     """Advance the recurrence from index k to k+1.
 
     The primal update solves the subproblem's stationarity system exactly (to
-    the configured conjugate-gradient tolerance), warm-started at the previous
-    solution. When the operator is zero the subproblem collapses to the plain
-    accelerated gradient step ``y_k - sigma * grad f(y_k)``, which is taken
-    directly. Inner-solve failures raise :class:`StepError` carrying the
+    the configured residual tolerance): in closed form from ``cfg.spectral``
+    when the map is dense, else by conjugate gradients warm-started at the
+    current iterate. When the operator is zero the subproblem collapses to the
+    plain accelerated gradient step ``y_k - sigma * grad f(y_k)``, which is
+    taken directly. Inner-solve failures raise :class:`StepError` carrying the
     iteration index.
     """
     g = cfg.gamma
@@ -240,9 +261,10 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
                - a.adjoint(nu) / g + (s_next / g) * a.adjoint(eta))
         if not np.all(np.isfinite(rhs)):
             raise StepError(st.k, "subproblem right-hand side is not finite")
-        system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a)
+        system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a,
+                           factor=cfg.spectral)
         try:
-            sol = solve_spd(system, rhs, warm=st.x_warm, tol=cfg.cg_tol,
+            sol = solve_spd(system, rhs, warm=st.x_k, tol=cfg.cg_tol,
                             max_iter=cfg.cg_max_iter)
         except SpdSolveError as exc:
             raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
@@ -259,7 +281,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
                       z_next_gamma=z_next, cg_iters=cg_iters)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
                              lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
-                             t_next=t_value(cfg.rule, st.k + 2), x_warm=x_next)
+                             t_next=t_value(cfg.rule, st.k + 2))
     return new_state, trace
 
 

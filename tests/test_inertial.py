@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,3 +167,46 @@ def test_t_values_matches_t_value():
     for rule in ALL_RULES:
         ts = t_values(rule, 50)
         assert all(ts[k - 1] == t_value(rule, k) for k in range(1, 51))
+
+
+def _loop_slack(rule, K):
+    """Exact max of t_{k+1}^2 - m*t_{k+1} - t_k^2 over k = 1..K by enumeration,
+    with the first index attaining it."""
+    if rule.kind == "constant":
+        def t(k):
+            return Fraction(1)
+    else:
+        d = 1 / (Fraction(rule.alpha) - 1)
+        offset = 1 if rule.kind == "chambolle_dossal" else 0
+
+        def t(k):
+            return offset + (k - 1) * d
+    m = Fraction(rule.m)
+    best, worst_k = None, 1
+    for k in range(1, K + 1):
+        slack = t(k + 1) ** 2 - m * t(k + 1) - t(k) ** 2
+        if best is None or slack > best:
+            best, worst_k = slack, k
+    return best, worst_k
+
+
+@pytest.mark.parametrize("kind", ["chambolle_dossal", "attouch_cabot", "constant"])
+def test_certify_closed_form_slack_matches_enumeration(kind):
+    alphas = [None] if kind == "constant" else [3.0, 4.0, 7.5, 10.0]
+    for alpha in alphas:
+        certified = 1.0 if alpha is None else 2.0 / (alpha - 1.0)
+        step = 0.0 if alpha is None else 1.0 / (alpha - 1.0)
+        for m in sorted({certified, 0.9 * certified, 0.97 * certified,
+                         min(1.0, 1.2 * certified), 0.3}):
+            if phi_m(m) < step:
+                continue  # the step bound fails before the slack is checked
+            rule = InertialRule(kind=kind, alpha=alpha, m=m)
+            for K in (2, 3, 17, 400):
+                expected, worst_k = _loop_slack(rule, K)
+                if expected > 0:
+                    with pytest.raises(CertificationError) as err:
+                        certify(rule, K)
+                    assert err.value.condition == "t_{k+1}^2 - m*t_{k+1} <= t_k^2"
+                    assert err.value.index == worst_k
+                else:
+                    assert certify(rule, K).max_slack == float(expected)

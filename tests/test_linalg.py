@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from falm.errors import DimensionMismatch, NonFiniteError, SpdSolveError
 from falm.linalg import (SpdSystem, as_vector, dense_map, dot, op_norm_sq,
-                         row_selection, scaled_identity, solve_spd, zero_map)
+                         row_selection, scaled_identity, solve_spd,
+                         spectral_factor, zero_map)
 
 
 def test_dot_direct():
@@ -187,3 +188,59 @@ def test_solve_spd_iteration_budget_error():
     with pytest.raises(SpdSolveError) as err:
         solve_spd(system, rng.standard_normal(12), tol=1e-14, max_iter=1)
     assert err.value.residual > 0
+
+
+def _cholesky_solve(m, rhs):
+    chol = np.linalg.cholesky(m)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+
+def test_spectral_factor_shapes_and_norm():
+    rng = np.random.default_rng(29)
+    for p, n in [(7, 4), (4, 9), (5, 5)]:
+        a = rng.standard_normal((p, n))
+        vt, s2 = spectral_factor(a)
+        assert vt.shape == (min(p, n), n) and s2.shape == (min(p, n),)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(min(p, n)), atol=1e-14)
+        assert np.all(np.diff(s2) <= 0.0)
+        np.testing.assert_allclose(vt.T @ (s2[:, None] * vt), a.T @ a, atol=1e-12)
+        assert s2[0] == pytest.approx(np.linalg.eigvalsh(a.T @ a)[-1], rel=1e-13)
+        assert not vt.flags.writeable and not s2.flags.writeable
+
+
+@pytest.mark.parametrize("p, n, rank", [(4, 9, 4), (9, 4, 4), (6, 12, 3), (12, 6, 2)])
+def test_spectral_solve_matches_cholesky_oracle(p, n, rank):
+    # Rank-deficient maps leave directions that only the shift acts on.
+    rng = np.random.default_rng(100 * p + rank)
+    a = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
+    a_map = dense_map(a)
+    factor = spectral_factor(a)
+    assert np.sum(factor[1] > 1e-12 * factor[1][0]) == rank
+    for _ in range(20):
+        shift = float(10.0 ** rng.uniform(-1, 2))
+        scale = float(10.0 ** rng.uniform(-2, 2))
+        rhs = rng.standard_normal(n)
+        system = SpdSystem(shift=shift, scale=scale, a_map=a_map, factor=factor)
+        x_ref = _cholesky_solve(shift * np.eye(n) + scale * (a.T @ a), rhs)
+        np.testing.assert_allclose(system.spectral_solve(rhs), x_ref,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(x_ref))
+        sol = solve_spd(system, rhs, warm=rng.standard_normal(n), tol=1e-12)
+        assert sol.residual <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+        np.testing.assert_allclose(sol.x, x_ref, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(x_ref))
+
+
+def test_solve_spd_refines_inexact_spectral_start():
+    # A factor of a nearby matrix gives a start that misses the target;
+    # conjugate gradients take over and the residual contract still holds.
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 10))
+    system = SpdSystem(shift=2.0, scale=3.0, a_map=dense_map(a),
+                       factor=spectral_factor(a + 1e-3 * rng.standard_normal((5, 10))))
+    rhs = rng.standard_normal(10)
+    sol = solve_spd(system, rhs, tol=1e-12)
+    assert sol.iterations > 0
+    resid = np.linalg.norm(rhs - system.apply(sol.x))
+    assert resid <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+    x_ref = _cholesky_solve(2.0 * np.eye(10) + 3.0 * (a.T @ a), rhs)
+    np.testing.assert_allclose(sol.x, x_ref, atol=1e-10)

@@ -1,13 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
 from falm.benchgen import GenSpec, generate
+from falm.cli import load_experiment
 from falm.errors import StepError, ValidationError
 from falm.inertial import attouch_cabot, chambolle_dossal, constant, nesterov, t_value
-from falm.linalg import dense_map
+from falm.linalg import LinearMap, dense_map
 from falm.oracle import kkt_solve
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
 from falm.solver import (SolverParams, initial_state, run, step, validate)
+
+
+def _matrix_free(prob):
+    """The same problem with its operator wrapped forward/adjoint only."""
+    a = prob.a_map
+    return Problem(objective=prob.objective,
+                   a_map=LinearMap(forward=a.forward, adjoint=a.adjoint, dims=a.dims),
+                   b=prob.b)
 
 
 def _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev, t_k, t_k1):
@@ -77,6 +88,39 @@ def test_validate_warns_when_certification_requested(small_instance):
     with pytest.warns(UserWarning, match="β > 0"):
         cfg = validate(prob, params, require_convergence_certified=True)
     assert not cfg.convergence_certified
+
+
+def _near_degenerate_problem():
+    """10x50 operator whose two largest singular values are 1 and 0.9999."""
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    v, _ = np.linalg.qr(rng.standard_normal((50, 10)))
+    s = np.concatenate(([1.0, 0.9999], np.linspace(0.5, 0.1, 8)))
+    a = (u * s) @ v.T
+    return Problem(objective=quadratic_objective(np.eye(50), np.zeros(50)),
+                   a_map=dense_map(a), b=np.zeros(10))
+
+
+def test_validate_dense_norm_bounds_true_norm():
+    # Power iteration stops early below ||A||^2 = 1 on this operator; the
+    # spectral factor's value must keep sigma_bound on the safe side.
+    prob = _near_degenerate_problem()
+    cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0)))
+    lip = prob.objective.lipschitz
+    assert cfg.sigma_bound <= cfg.gamma / (lip + cfg.gamma * cfg.beta * 1.0)
+    assert cfg.a_norm_sq >= 1.0
+
+
+def test_validate_explicit_norm_wins_and_zero_map_has_no_factor(small_instance):
+    prob, _ = small_instance
+    cfg = validate(prob, SolverParams(rule=nesterov()), a_norm_sq=7.5)
+    assert cfg.a_norm_sq == 7.5
+    assert cfg.spectral is not None
+    free = validate(_matrix_free(prob), SolverParams(rule=nesterov()))
+    assert free.spectral is None
+    zero, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
+    cfg0 = validate(zero, SolverParams(rule=nesterov()))
+    assert cfg0.spectral is None and cfg0.a_norm_sq == 0.0
 
 
 def test_validate_defaults(small_instance):
@@ -244,7 +288,9 @@ def test_run_observer_sees_records(small_instance):
 
 
 def test_run_inner_solve_failure_is_partial(small_instance):
-    prob, _ = small_instance
+    # The dense spectral solve meets any tolerance without iterating, so the
+    # failure is provoked on the matrix-free conjugate-gradient path.
+    prob = _matrix_free(small_instance[0])
     params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=50,
                           cg_tol=1e-14, cg_max_iter=1)
     res = run(prob, params)
@@ -274,3 +320,28 @@ def test_coupling_weight_formula(small_instance):
         st, trace = step(prob, cfg, st)
         expected = (cfg.rho / cfg.gamma) * t_next * (t_next - 1.0 + cfg.gamma)
         assert trace.s_next == pytest.approx(expected, rel=1e-15)
+
+
+def test_run_dense_matches_matrix_free(small_instance):
+    prob, _ = small_instance
+    params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=2000,
+                          record_every=100)
+    cfg = validate(prob, params)
+    free_prob = _matrix_free(prob)
+    free_cfg = validate(free_prob, params, a_norm_sq=cfg.a_norm_sq)
+    dense = run(prob, params, cfg=cfg)
+    free = run(free_prob, params, cfg=free_cfg)
+    assert all(rec.cg_iters == 0 for rec in dense.records)
+    assert any(rec.cg_iters > 0 for rec in free.records)
+    np.testing.assert_allclose(dense.x, free.x, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dense.lam, free.lam, rtol=0, atol=1e-8)
+
+
+def test_run_shipped_cd4_needs_no_cg_iterations():
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = load_experiment(os.path.join(here, "configs", "qp_cd.json"))
+    spec = next(spec for spec in config.runs if spec.label == "cd4")
+    res = run(config.problem, spec.params)
+    assert res.reason == "iteration budget"
+    assert len(res.records) > 100
+    assert all(rec.cg_iters == 0 for rec in res.records)
