@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dense_map, zero_map
-from .oracle import QpInstance
+from .oracle import QpInstance, qp_from_problem
 from .problem import Problem, least_squares_objective, quadratic_objective
 
 GEN_KINDS = ("random_qp", "constrained_least_squares", "unconstrained")
@@ -114,8 +114,12 @@ class GenSpec:
 
 
 def spec_from_json(doc: dict) -> GenSpec:
-    return GenSpec(kind=doc["kind"], n=int(doc["n"]), p=int(doc["p"]),
-                   seed=int(doc["seed"]), cond=float(doc.get("cond", 1.0)))
+    """Parse a generator spec; a field of the wrong type raises ``ValueError``."""
+    try:
+        return GenSpec(kind=doc["kind"], n=int(doc["n"]), p=int(doc["p"]),
+                       seed=int(doc["seed"]), cond=float(doc.get("cond", 1.0)))
+    except (TypeError, OverflowError):
+        raise ValueError(f"malformed generator spec {doc!r}") from None
 
 
 def spec_to_json(spec: GenSpec) -> dict:
@@ -182,28 +186,23 @@ def generate(spec: GenSpec) -> tuple[Problem, QpInstance | None]:
         tilt = rng.normals(spec.n)
         a, b, x_anchor = _constraints(spec, rng)
         c = -(q @ x_anchor) + TILT * DATA_SCALE * tilt
-        lip = lipschitz_of("quadratic", q)
-        prob = Problem(objective=quadratic_objective(q, c, lipschitz=lip),
-                       a_map=dense_map(a), b=b)
-        return prob, QpInstance(q_mat=q, c=c, a_mat=a, b=b)
-
-    if spec.kind == "constrained_least_squares":
+        objective = quadratic_objective(q, c, lipschitz=lipschitz_of("quadratic", q))
+        a_map = dense_map(a)
+    elif spec.kind == "constrained_least_squares":
         # Singular values are square roots of the target Gram eigenvalues.
         gram_eigs = spec.cond ** rng.uniforms(spec.n)
         m = _orthogonal_conjugate(np.sqrt(gram_eigs), rng)
         tilt = rng.normals(spec.n)
         a, b, x_anchor = _constraints(spec, rng)
         d = m @ x_anchor + TILT * DATA_SCALE * tilt
-        lip = lipschitz_of("least_squares", m)
-        prob = Problem(objective=least_squares_objective(m, d, lipschitz=lip),
-                       a_map=dense_map(a), b=b)
-        q = m.T @ m
-        return prob, QpInstance(q_mat=(q + q.T) / 2.0, c=-(m.T @ d), a_mat=a, b=b)
-
-    eigs = spec.cond ** rng.uniforms(spec.n)
-    q = _orthogonal_conjugate(eigs, rng)
-    c = rng.normals(spec.n)
-    lip = lipschitz_of("quadratic", q)
-    prob = Problem(objective=quadratic_objective(q, c, lipschitz=lip),
-                   a_map=zero_map(spec.n, spec.p), b=np.zeros(spec.p))
-    return prob, None
+        objective = least_squares_objective(m, d,
+                                            lipschitz=lipschitz_of("least_squares", m))
+        a_map = dense_map(a)
+    else:
+        eigs = spec.cond ** rng.uniforms(spec.n)
+        q = _orthogonal_conjugate(eigs, rng)
+        c = rng.normals(spec.n)
+        objective = quadratic_objective(q, c, lipschitz=lipschitz_of("quadratic", q))
+        a_map, b = zero_map(spec.n, spec.p), np.zeros(spec.p)
+    prob = Problem(objective=objective, a_map=a_map, b=b)
+    return prob, qp_from_problem(prob)

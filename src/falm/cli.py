@@ -42,8 +42,15 @@ allows per-step increases up to ``tol * max(1, first value)``, starting at the
 optional index "from_k"; floating-point noise means a strict ``tol = 0`` will
 fail on any real run, so keep the 1e-9 scale.
 
-The environment variable ``FALM_THREADS`` caps how many runs execute in
-parallel (default 1). Output files are written atomically per run.
+Before any run starts, both documents are checked for shape (objects,
+lists, string labels, numeric fields, known metrics and check kinds, check
+labels that name a run) and every selected run's parameters are checked for
+admissibility. Runs then execute one after another in config order. Output
+files are written atomically per run.
+
+Exit codes: 0 when every run completes (and, for ``ratecheck``, every check
+passes); 1 when a rate check fails or a run fails; 2 for a bad config or
+thresholds document or an inadmissible parameter, reported as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -52,29 +59,31 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import solver
 from .benchgen import generate, spec_from_json
 from .diagnostics import RunRecord, rate_fit
 from .errors import ValidationError
 from .inertial import certify, rule_from_spec
-from .oracle import OracleError, QpInstance, kkt_solve
+from .oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
 from .problem import Problem, problem_from_json
 from .solver import RunResult, SolverParams, run
 
 CSV_HEADER = "k,t_k,gap,feas,obj_err,kkt_grad,kkt_feas,energy,cg_iters"
 DEFAULT_WINDOW = (100, 10000)
 SLOPE_FIELDS = ("gap", "feas", "obj_err")
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+CHECK_KINDS = ("slope", "monotone")
+CHECK_NUMBERS = ("max_slope", "min_slope", "min_r2", "tol", "from_k")
 
 
 @dataclass
 class RunSpec:
     label: str
     params: SolverParams
-    rule_doc: dict
 
 
 @dataclass
@@ -86,61 +95,104 @@ class ExperimentConfig:
     output_dir: str
 
 
-def _params_from_doc(doc: dict) -> SolverParams:
-    rule = rule_from_spec(doc["rule"])
-    return SolverParams(rule=rule,
-                        gamma=doc.get("gamma"),
-                        sigma=doc.get("sigma"),
-                        rho=doc.get("rho"),
-                        beta=float(doc.get("beta", 1.0)),
-                        max_iter=int(doc.get("max_iter", 1000)),
-                        kkt_tol=doc.get("kkt_tol"),
-                        cg_tol=float(doc.get("cg_tol", 1e-12)),
-                        record_every=int(doc.get("record_every", 1)))
+def _number(doc: dict, key: str, where: str, conv=float, default=None):
+    """``doc[key]`` parsed by ``conv``; ``default`` when absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: {key!r} must be a number, got {value!r}") from None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _params_from_doc(doc: dict, where: str) -> SolverParams:
+    if not isinstance(doc.get("rule"), dict):
+        raise ValueError(f"{where}: 'rule' must be an object")
+
+    def num(key, conv=float, default=None):
+        return _number(doc, key, where, conv, default)
+
+    return SolverParams(rule=rule_from_spec(doc["rule"]),
+                        gamma=num("gamma"),
+                        sigma=num("sigma"),
+                        rho=num("rho"),
+                        beta=num("beta", default=1.0),
+                        max_iter=num("max_iter", int, 1000),
+                        kkt_tol=num("kkt_tol"),
+                        cg_tol=num("cg_tol", default=1e-12),
+                        record_every=num("record_every", int, 1))
 
 
 def load_experiment(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     prob_doc = doc["problem"]
-    qp = None
+    if not isinstance(prob_doc, dict):
+        raise ValueError("'problem' must be an object")
     if "kind" in prob_doc:
         prob, qp = generate(spec_from_json(prob_doc))
     else:
         prob = problem_from_json(prob_doc)
-        qp = _qp_from_problem(prob)
+        qp = qp_from_problem(prob)
+    runs_doc = doc.get("runs", [])
+    if not isinstance(runs_doc, list):
+        raise ValueError("'runs' must be a list")
     runs = []
-    labels = set()
-    for entry in doc.get("runs", []):
+    for entry in runs_doc:
+        if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)):
+            raise ValueError(f"each run must be an object with a string 'label', "
+                             f"got {entry!r}")
         label = entry["label"]
-        if label in labels:
+        if not label or set(label) & set("/\\\0"):
+            raise ValueError(f"run label {label!r} must be a non-empty file name")
+        if any(spec.label == label for spec in runs):
             raise ValueError(f"duplicate run label {label!r}")
-        labels.add(label)
-        runs.append(RunSpec(label=label, params=_params_from_doc(entry),
-                            rule_doc=entry["rule"]))
+        runs.append(RunSpec(label=label,
+                            params=_params_from_doc(entry, f"run {label!r}")))
     out_dir = doc.get("output_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ValueError("'output_dir' must be a string")
     return ExperimentConfig(problem=prob, qp=qp, problem_doc=prob_doc,
                             runs=runs, output_dir=out_dir)
 
 
-def _qp_from_problem(prob: Problem) -> QpInstance | None:
-    """Recover a QP oracle from an inline dense problem when possible."""
-    if prob.objective.data is None or prob.a_map.matrix is None:
-        return None
-    kind, m1, v1 = prob.objective.data
-    a = prob.a_map.matrix
-    if not np.any(a) or np.linalg.matrix_rank(a) < prob.p:
-        return None
-    try:
-        if kind == "quadratic":
-            return QpInstance(q_mat=m1, c=v1, a_mat=a, b=prob.b)
-        if kind == "least_squares":
-            q = m1.T @ m1
-            return QpInstance(q_mat=(q + q.T) / 2.0, c=-(m1.T @ v1), a_mat=a,
-                              b=prob.b)
-    except ValueError:
-        return None
-    return None
+def _check_window(win, where: str) -> None:
+    if not (isinstance(win, (list, tuple)) and len(win) == 2
+            and all(isinstance(k, int) and not isinstance(k, bool) for k in win)):
+        raise ValueError(f"{where}: 'window' must be two integers, got {win!r}")
+
+
+def load_thresholds(path: str, labels: list[str]) -> dict:
+    """Read a thresholds document and check its shape against the run labels."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("thresholds document must be a JSON object")
+    _check_window(doc.get("window", DEFAULT_WINDOW), "thresholds")
+    checks = doc.get("checks", [])
+    if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
+        raise ValueError("'checks' must be a list of objects")
+    for check in checks:
+        where = f"check {check!r}"
+        if check.get("metric") not in RECORD_FIELDS:
+            raise ValueError(f"{where}: 'metric' must be one of {list(RECORD_FIELDS)}")
+        if "label" in check and check["label"] not in labels:
+            raise ValueError(f"{where}: no run labeled {check['label']!r}")
+        if check.get("kind", "slope") not in CHECK_KINDS:
+            raise ValueError(f"{where}: 'kind' must be one of {list(CHECK_KINDS)}")
+        if "window" in check:
+            _check_window(check["window"], where)
+        for key in CHECK_NUMBERS:
+            if key in check and not _is_number(check[key]):
+                raise ValueError(f"{where}: {key!r} must be a number")
+    return doc
 
 
 def _fmt(value) -> str:
@@ -167,32 +219,59 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _execute(config: ExperimentConfig, labels=None) -> dict[str, RunResult]:
+def _execute(command: str, config_path: str, labels_filter: str | None = None,
+             thresholds_path: str | None = None) -> int:
+    """The one path of every subcommand: load, check, execute, report.
+
+    Whatever can reject a document or a run's parameters happens before the
+    first run starts and exits 2. The selected runs then execute in config
+    order and the command's writer reports them; a failed run exits 1.
+    """
+    try:
+        config = load_experiment(config_path)
+        specs = config.runs
+        if labels_filter:
+            labels = [s for s in labels_filter.split(",") if s]
+            unknown = set(labels) - {spec.label for spec in config.runs}
+            if unknown:
+                raise ValueError(f"unknown run labels {sorted(unknown)}")
+            specs = [spec for spec in config.runs if spec.label in labels]
+        if command == "compare" and len(config.runs) < 2:
+            raise ValueError("compare needs at least 2 runs")
+        if not config.runs:
+            raise ValueError("config declares no runs")
+        thresholds = (None if thresholds_path is None else
+                      load_thresholds(thresholds_path, [s.label for s in config.runs]))
+        # solver.validate is looked up at call time, like run and kkt_solve,
+        # so a wrapper installed on the solver module sees these calls.
+        cfgs = [solver.validate(config.problem, spec.params) for spec in specs]
+        os.makedirs(config.output_dir, exist_ok=True)
+    except (ValidationError, ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     saddle = None
     if config.qp is not None:
         try:
             saddle = kkt_solve(config.qp)
         except OracleError:
             saddle = None
-    selected = [r for r in config.runs if labels is None or r.label in labels]
-    threads = max(1, int(os.environ.get("FALM_THREADS", "1")))
-
-    def one(spec: RunSpec) -> tuple[str, RunResult]:
-        return spec.label, run(config.problem, spec.params, saddle=saddle)
-
-    if threads == 1 or len(selected) <= 1:
-        results = dict(one(s) for s in selected)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(one, selected))
-    return results
+    results = {spec.label: run(config.problem, spec.params, saddle=saddle, cfg=cfg)
+               for spec, cfg in zip(specs, cfgs)}
+    code = _WRITERS[command](config, results, thresholds)
+    failed = [label for label, res in results.items() if res.error is not None]
+    if failed:
+        print(f"error: runs failed: {failed}", file=sys.stderr)
+        return 1
+    return code
 
 
-def _slopes(records, window) -> dict:
+def _slopes(records) -> dict:
+    """Rate fits of ``SLOPE_FIELDS`` from ``DEFAULT_WINDOW[0]`` to the last record."""
+    k_last = max(r.k for r in records)
     out = {}
     for fld in SLOPE_FIELDS:
         try:
-            out[fld] = rate_fit(records, fld, window[0], window[1]).to_dict()
+            out[fld] = rate_fit(records, fld, DEFAULT_WINDOW[0], k_last).to_dict()
         except ValueError as exc:
             out[fld] = {"error": str(exc)}
     return out
@@ -205,14 +284,13 @@ def _summary(config: ExperimentConfig, results: dict[str, RunResult]) -> dict:
             continue
         res = results[spec.label]
         last = res.records[-1]
-        window = (DEFAULT_WINDOW[0], max(r.k for r in res.records))
         cert = certify(spec.params.rule, max(2, min(10000, spec.params.max_iter)))
         runs_doc[spec.label] = {
             "iterations": res.iterations,
             "reason": res.reason,
             "final_kkt_grad": last.kkt_grad,
             "final_kkt_feas": last.kkt_feas,
-            "slopes": _slopes(res.records, window),
+            "slopes": _slopes(res.records),
             "rule_certify": cert.to_dict(),
         }
         if res.error is not None:
@@ -221,24 +299,7 @@ def _summary(config: ExperimentConfig, results: dict[str, RunResult]) -> dict:
             "runs": runs_doc}
 
 
-def cmd_run(config_path: str, labels_filter: str | None = None) -> int:
-    try:
-        config = load_experiment(config_path)
-        labels = None
-        if labels_filter:
-            labels = [s for s in labels_filter.split(",") if s]
-            unknown = set(labels) - {r.label for r in config.runs}
-            if unknown:
-                print(f"error: unknown run labels {sorted(unknown)}", file=sys.stderr)
-                return 2
-        if not config.runs:
-            print("error: config declares no runs", file=sys.stderr)
-            return 2
-        results = _execute(config, labels)
-    except (ValidationError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    os.makedirs(config.output_dir, exist_ok=True)
+def _write_run(config: ExperimentConfig, results: dict[str, RunResult], _) -> int:
     for label, res in results.items():
         rows = [CSV_HEADER] + [_record_row(r) for r in res.records]
         _write_atomic(os.path.join(config.output_dir, f"{label}.csv"),
@@ -246,44 +307,27 @@ def cmd_run(config_path: str, labels_filter: str | None = None) -> int:
     summary = _summary(config, results)
     _write_atomic(os.path.join(config.output_dir, "summary.json"),
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    failed = [label for label, res in results.items() if res.error is not None]
-    if failed:
-        print(f"error: runs failed: {failed}", file=sys.stderr)
-        return 1
     print(f"wrote {len(results)} run(s) to {config.output_dir}")
     return 0
 
 
-def cmd_compare(config_path: str) -> int:
-    try:
-        config = load_experiment(config_path)
-        if len(config.runs) < 2:
-            print("error: compare needs at least 2 runs", file=sys.stderr)
-            return 2
-        results = _execute(config)
-    except (ValidationError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    os.makedirs(config.output_dir, exist_ok=True)
+def _write_compare(config: ExperimentConfig, results: dict[str, RunResult], _) -> int:
     rows = ["label," + CSV_HEADER]
-    for spec in config.runs:
-        res = results[spec.label]
-        rows.extend(_record_row(r, spec.label) for r in res.records)
+    for label, res in results.items():
+        rows.extend(_record_row(r, label) for r in res.records)
     _write_atomic(os.path.join(config.output_dir, "comparison.csv"),
                   "\n".join(rows) + "\n")
 
     md = ["| label | gap slope | feas slope | obj_err slope | gap r2 |",
           "|---|---|---|---|---|"]
-    for spec in config.runs:
-        res = results[spec.label]
-        window = (DEFAULT_WINDOW[0], max(r.k for r in res.records))
-        slopes = _slopes(res.records, window)
+    for label, res in results.items():
+        slopes = _slopes(res.records)
 
         def cell(fld, key="slope"):
             doc = slopes[fld]
             return f"{doc[key]:.3f}" if key in doc else "n/a"
 
-        md.append(f"| {spec.label} | {cell('gap')} | {cell('feas')} | "
+        md.append(f"| {label} | {cell('gap')} | {cell('feas')} | "
                   f"{cell('obj_err')} | {cell('gap', 'r2')} |")
     _write_atomic(os.path.join(config.output_dir, "comparison.md"),
                   "\n".join(md) + "\n")
@@ -320,43 +364,26 @@ def _check_monotone(check: dict, records) -> dict:
     return {"ok": True}
 
 
-def cmd_ratecheck(config_path: str, thresholds_path: str) -> int:
-    try:
-        config = load_experiment(config_path)
-        with open(thresholds_path, encoding="utf-8") as fh:
-            thresholds = json.load(fh)
-        if not config.runs:
-            print("error: config declares no runs", file=sys.stderr)
-            return 2
-        results = _execute(config)
-    except (ValidationError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _write_ratecheck(config: ExperimentConfig, results: dict[str, RunResult],
+                     thresholds: dict) -> int:
     window = tuple(thresholds.get("window", DEFAULT_WINDOW))
     report = []
     first_violation = None
     for check in thresholds.get("checks", []):
-        targets = ([check["label"]] if "label" in check
-                   else [r.label for r in config.runs])
+        targets = [check["label"]] if "label" in check else list(results)
         for label in targets:
-            if label not in results:
-                continue
             records = results[label].records
             try:
                 if check.get("kind", "slope") == "slope":
                     outcome = _check_slope(check, records, window)
-                elif check["kind"] == "monotone":
-                    outcome = _check_monotone(check, records)
                 else:
-                    outcome = {"ok": False, "error": f"unknown check kind "
-                                                      f"{check['kind']!r}"}
+                    outcome = _check_monotone(check, records)
             except ValueError as exc:
                 outcome = {"ok": False, "error": str(exc)}
             entry = {"check": check, "label": label, **outcome}
             report.append(entry)
             if not outcome["ok"] and first_violation is None:
                 first_violation = entry
-    os.makedirs(config.output_dir, exist_ok=True)
     _write_atomic(os.path.join(config.output_dir, "ratecheck.json"),
                   json.dumps({"ok": first_violation is None, "results": report},
                              indent=2, sort_keys=True) + "\n")
@@ -367,6 +394,22 @@ def cmd_ratecheck(config_path: str, thresholds_path: str) -> int:
         return 1
     print(f"ratecheck passed ({len(report)} checks)")
     return 0
+
+
+_WRITERS = {"run": _write_run, "compare": _write_compare,
+            "ratecheck": _write_ratecheck}
+
+
+def cmd_run(config_path: str, labels_filter: str | None = None) -> int:
+    return _execute("run", config_path, labels_filter=labels_filter)
+
+
+def cmd_compare(config_path: str) -> int:
+    return _execute("compare", config_path)
+
+
+def cmd_ratecheck(config_path: str, thresholds_path: str) -> int:
+    return _execute("ratecheck", config_path, thresholds_path=thresholds_path)
 
 
 def main(argv=None) -> None:

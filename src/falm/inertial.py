@@ -58,14 +58,19 @@ def nesterov() -> InertialRule:
     return InertialRule(kind="nesterov", m=1.0)
 
 
+def _alpha_rule(kind: str, alpha: float) -> InertialRule:
+    alpha = float(alpha)
+    if not alpha >= 3.0:  # also keeps the margin 2/(alpha - 1) finite
+        raise ValueError(f"{kind} requires alpha >= 3, got {alpha}")
+    return InertialRule(kind=kind, alpha=alpha, m=2.0 / (alpha - 1.0))
+
+
 def chambolle_dossal(alpha: float) -> InertialRule:
-    return InertialRule(kind="chambolle_dossal", alpha=float(alpha),
-                        m=2.0 / (float(alpha) - 1.0))
+    return _alpha_rule("chambolle_dossal", alpha)
 
 
 def attouch_cabot(alpha: float) -> InertialRule:
-    return InertialRule(kind="attouch_cabot", alpha=float(alpha),
-                        m=2.0 / (float(alpha) - 1.0))
+    return _alpha_rule("attouch_cabot", alpha)
 
 
 def constant(m: float = 1.0) -> InertialRule:
@@ -73,26 +78,23 @@ def constant(m: float = 1.0) -> InertialRule:
 
 
 def rule_from_spec(doc: dict) -> InertialRule:
-    """Build a rule from its CLI wire format ``{"rule": ..., "alpha": ...}``."""
+    """Build a rule from its CLI wire format ``{"rule": ..., "alpha": ...}``.
+
+    An unknown rule or a parameter that is not a number raises ``ValueError``.
+    """
     kind = doc["rule"]
-    if kind == "nesterov":
-        return nesterov()
-    if kind == "chambolle_dossal":
-        return chambolle_dossal(doc["alpha"])
-    if kind == "attouch_cabot":
-        return attouch_cabot(doc["alpha"])
-    if kind == "constant":
-        return constant(doc.get("m", 1.0))
+    try:
+        if kind == "nesterov":
+            return nesterov()
+        if kind == "chambolle_dossal":
+            return chambolle_dossal(doc["alpha"])
+        if kind == "attouch_cabot":
+            return attouch_cabot(doc["alpha"])
+        if kind == "constant":
+            return constant(doc.get("m", 1.0))
+    except (TypeError, OverflowError):
+        raise ValueError(f"rule parameters must be numbers, got {doc!r}") from None
     raise ValueError(f"unknown rule {kind!r}; expected one of {RULE_KINDS}")
-
-
-def rule_to_spec(rule: InertialRule) -> dict:
-    doc: dict = {"rule": rule.kind}
-    if rule.alpha is not None:
-        doc["alpha"] = rule.alpha
-    if rule.kind == "constant":
-        doc["m"] = rule.m
-    return doc
 
 
 # Nesterov values are defined by a recurrence, so they are memoized. The cache

@@ -62,9 +62,6 @@ class LinearMap:
     dims: tuple[int, int]
     matrix: Array | None = None
 
-    def __call__(self, x: Array) -> Array:
-        return self.forward(x)
-
 
 def dense_map(a) -> LinearMap:
     """Wrap a dense p-by-n matrix as a LinearMap (forward is ``a @ x``)."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import FalmError
 from .linalg import Array, as_vector
-from .problem import Problem, lagrangian
+from .problem import OBJECTIVE_KINDS, Problem, lagrangian
 
 
 class OracleError(FalmError, RuntimeError):
@@ -57,6 +57,31 @@ class QpInstance:
     @property
     def p(self) -> int:
         return self.b.size
+
+
+def qp_from_problem(prob: Problem) -> QpInstance | None:
+    """The QP of a problem with a dense objective and a dense nonzero map.
+
+    A least-squares objective ``0.5||M x - d||^2`` becomes ``Q = (M'M +
+    (M'M)')/2`` and ``c = -M'd``. Returns None when the objective or the map
+    keeps no dense data, the map is zero, or :class:`QpInstance` rejects the
+    data (for example ``A`` without full row rank).
+    """
+    if prob.objective.data is None or prob.a_map.matrix is None:
+        return None
+    kind, mat, vec = prob.objective.data
+    a = prob.a_map.matrix
+    if kind not in OBJECTIVE_KINDS or not np.any(a):
+        return None
+    if kind == "least_squares":
+        gram = mat.T @ mat
+        gram = gram + gram.T
+        gram /= 2.0  # in place: one n-by-n temporary fewer than (G + G')/2
+        mat, vec = gram, -(mat.T @ vec)
+    try:
+        return QpInstance(q_mat=mat, c=vec, a_mat=a, b=prob.b)
+    except ValueError:
+        return None
 
 
 def kkt_solve(qp: QpInstance) -> tuple[Array, Array]:

@@ -30,7 +30,7 @@ class Objective:
     ``lipschitz`` bounds the gradient's Lipschitz constant and must be
     positive. ``data`` optionally keeps the dense description (kind plus
     matrices) used for serialization; matrix-free objectives leave it None.
-    Oracles must be reentrant: Problem instances are shared across threads.
+    Oracles must be reentrant: callers may share a Problem across threads.
     """
 
     value: Callable[[Array], float]
@@ -187,22 +187,30 @@ def problem_to_json(prob: Problem) -> dict:
 
 
 def problem_from_json(doc: dict) -> Problem:
-    """Rebuild a Problem from the JSON schema produced by :func:`problem_to_json`."""
-    n = int(doc["n"])
-    p = int(doc["p"])
-    a = np.array(doc["A"], dtype=float).reshape(p, n)
-    b = np.array(doc["b"], dtype=float)
-    obj_doc = doc["objective"]
-    kind = obj_doc["kind"]
-    if kind == "quadratic":
-        q = np.array(obj_doc["Q"], dtype=float).reshape(n, n)
-        objective = quadratic_objective(q, np.array(obj_doc["c"], dtype=float))
-    elif kind == "least_squares":
-        m_flat = np.array(obj_doc["M"], dtype=float)
-        rows = m_flat.size // n
-        objective = least_squares_objective(m_flat.reshape(rows, n),
-                                            np.array(obj_doc["d"], dtype=float))
-    else:
-        raise ValueError(f"unknown objective kind {kind!r}; "
-                         f"expected one of {OBJECTIVE_KINDS}")
+    """Rebuild a Problem from the JSON schema produced by :func:`problem_to_json`.
+
+    A field of the wrong type raises ``ValueError``; a missing one ``KeyError``.
+    """
+    try:
+        n = int(doc["n"])
+        p = int(doc["p"])
+        if n < 1 or p < 1:
+            raise ValueError(f"dimensions must be positive, got n={n}, p={p}")
+        a = np.array(doc["A"], dtype=float).reshape(p, n)
+        b = np.array(doc["b"], dtype=float)
+        obj_doc = doc["objective"]
+        kind = obj_doc["kind"]
+        if kind == "quadratic":
+            q = np.array(obj_doc["Q"], dtype=float).reshape(n, n)
+            objective = quadratic_objective(q, np.array(obj_doc["c"], dtype=float))
+        elif kind == "least_squares":
+            m_flat = np.array(obj_doc["M"], dtype=float)
+            rows = m_flat.size // n
+            objective = least_squares_objective(m_flat.reshape(rows, n),
+                                                np.array(obj_doc["d"], dtype=float))
+        else:
+            raise ValueError(f"unknown objective kind {kind!r}; "
+                             f"expected one of {OBJECTIVE_KINDS}")
+    except (TypeError, OverflowError):
+        raise ValueError(f"malformed problem document {doc!r}") from None
     return Problem(objective=objective, a_map=dense_map(a), b=b)

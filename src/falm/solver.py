@@ -40,7 +40,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
-from .inertial import InertialRule, phi_m, t_value
+from .inertial import InertialRule, t_value
 from .linalg import (Array, SpdSystem, as_vector, op_norm_sq, solve_spd,
                      spectral_factor)
 from .problem import Problem, kkt_residuals
@@ -87,7 +87,6 @@ class ValidatedConfig:
     beta: float
     a_norm_sq: float
     sigma_bound: float
-    phi: float
     convergence_certified: bool
     max_iter: int
     kkt_tol: float | None
@@ -106,11 +105,11 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
     top squared singular value, raised by a relative ``SVD_ROUNDING`` margin
     per matrix dimension so that it bounds the true value despite the SVD's
     rounding. Otherwise ``||A||^2`` is the power-iteration estimate. An
-    explicit ``a_norm_sq`` overrides both. Each violated condition raises a
-    :class:`ValidationError` naming the inequality. When
-    ``require_convergence_certified`` is set and the configuration only meets
-    the non-strict conditions, a warning lists what is missing for iterate
-    convergence.
+    explicit ``a_norm_sq`` overrides both and must be positive and finite.
+    Each violated condition raises a :class:`ValidationError` naming the
+    inequality. When ``require_convergence_certified`` is set and the
+    configuration only meets the non-strict conditions, a warning lists what
+    is missing for iterate convergence.
     """
     rule = params.rule
     m = rule.m
@@ -144,6 +143,9 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
             a_norm_sq = float(spectral[1][0]) * (1.0 + SVD_ROUNDING * max(a_mat.shape))
         else:
             a_norm_sq = op_norm_sq(prob.a_map).value
+    elif not (a_norm_sq > 0 and np.isfinite(a_norm_sq)):
+        raise ValidationError("‖A‖² > 0", f"explicit a_norm_sq={a_norm_sq} must be "
+                                          f"positive and finite")
     lip = prob.objective.lipschitz
     sigma_bound = gamma / (lip + gamma * params.beta * a_norm_sq)
     sigma = params.sigma if params.sigma is not None else 0.99 * sigma_bound
@@ -182,7 +184,7 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
 
     return ValidatedConfig(rule=rule, m=m, gamma=gamma, sigma=sigma, rho=rho,
                            beta=params.beta, a_norm_sq=a_norm_sq,
-                           sigma_bound=sigma_bound, phi=phi_m(m),
+                           sigma_bound=sigma_bound,
                            convergence_certified=certified,
                            max_iter=params.max_iter, kkt_tol=params.kkt_tol,
                            cg_tol=params.cg_tol, cg_max_iter=params.cg_max_iter,

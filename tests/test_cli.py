@@ -1,10 +1,14 @@
 import json
 import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from falm import cli
 from falm.cli import (CSV_HEADER, _check_monotone, _fmt, cmd_compare,
                       cmd_ratecheck, cmd_run, main)
 from falm.diagnostics import RunRecord
@@ -239,3 +243,167 @@ def test_shipped_config_round(tmp_path, monkeypatch):
     energies = [float(r[idx]) for r in rows]
     tol = 1e-9 * max(1.0, energies[0])
     assert all(b <= a + tol for a, b in zip(energies, energies[1:]))
+
+
+def test_run_subset_writes_same_bytes(tmp_path):
+    # a run's records do not depend on which other runs the config holds
+    cfg = _small_config(tmp_path)
+    assert cmd_run(cfg) == 0
+    full = {label: (tmp_path / "out" / f"{label}.csv").read_bytes()
+            for label in ("cd4", "baseline")}
+    for label, data in full.items():
+        shutil.rmtree(tmp_path / "out")
+        assert cmd_run(cfg, labels_filter=label) == 0
+        assert (tmp_path / "out" / f"{label}.csv").read_bytes() == data
+
+
+def test_failed_run_exits_1_in_every_command(tmp_path, capsys):
+    # a residual target below rounding makes the inner solve fail at k=1
+    runs = [{"label": "a", "rule": {"rule": "nesterov"}, "max_iter": 20,
+             "cg_tol": 1e-300},
+            {"label": "b", "rule": {"rule": "constant"}, "max_iter": 20}]
+    cfg = _small_config(tmp_path, runs=runs)
+    thresholds = _write(tmp_path / "thresholds.json", {"checks": []})
+    for command in (lambda: cmd_run(cfg), lambda: cmd_compare(cfg),
+                    lambda: cmd_ratecheck(cfg, thresholds)):
+        assert command() == 1
+        assert "runs failed: ['a']" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["runs"]["a"]["reason"] == "inner solve failure"
+
+
+def test_run_checks_every_run_before_the_first_starts(tmp_path, capsys,
+                                                      monkeypatch):
+    started = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: started.append(args))
+    runs = [{"label": "good", "rule": {"rule": "nesterov"}, "max_iter": 5},
+            {"label": "bad", "rule": {"rule": "nesterov"}, "sigma": 10.0,
+             "max_iter": 5}]
+    cfg = _small_config(tmp_path, runs=runs)
+    assert cmd_run(cfg) == 2
+    assert "σ ≤ γ/(L + γβ‖A‖²)" in capsys.readouterr().err
+    assert started == [] and not (tmp_path / "out").exists()
+
+
+def _tiny_runs():
+    return [{"label": "cd4", "rule": {"rule": "chambolle_dossal", "alpha": 4.0},
+             "beta": 1.0, "max_iter": 20, "record_every": 5}]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.update(problem=5),
+    lambda doc: doc.update(runs=[5]),
+    lambda doc: doc["runs"][0].update(gamma="0.5"),  # float("0.5") < m = 2/3
+    lambda doc: doc["runs"][0].update(label="a/b"),
+], ids=["problem_not_object", "run_not_object", "gamma_string", "label_not_file_name"])
+def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
+    cfg = _small_config(tmp_path, runs=_tiny_runs())
+    doc = json.loads(Path(cfg).read_text())
+    mutate(doc)
+    _write(tmp_path / "config.json", doc)
+    assert cmd_run(cfg) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_GOOD_CHECK = {"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1.8}
+
+
+@pytest.mark.parametrize("thresholds", [
+    [1, 2],
+    {"checks": [5]},
+    {"window": 5, "checks": [_GOOD_CHECK]},
+    {"checks": [{"kind": "slope", "label": "cd4", "max_slope": -1.8}]},
+    {"checks": [{**_GOOD_CHECK, "metric": "nope"}]},
+    {"checks": [{**_GOOD_CHECK, "label": "cd5"}]},
+    {"checks": [{**_GOOD_CHECK, "kind": "steep"}]},
+], ids=["not_object", "check_not_object", "window_not_pair", "no_metric",
+        "unknown_metric", "unknown_label", "unknown_kind"])
+def test_bad_thresholds_document_exits_2(tmp_path, capsys, thresholds):
+    cfg = _small_config(tmp_path, runs=_tiny_runs())
+    path = _write(tmp_path / "thresholds.json", thresholds)
+    assert cmd_ratecheck(cfg, path) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ratecheck.json").exists()
+
+
+_FUZZ_CONFIG = {
+    "problem": {"kind": "random_qp", "n": 8, "p": 3, "seed": 42, "cond": 10.0},
+    "output_dir": "OUT",
+    "runs": [{"label": "cd4", "rule": {"rule": "chambolle_dossal", "alpha": 4.0},
+              "beta": 1.0, "gamma": 0.9, "max_iter": 20, "record_every": 5},
+             {"label": "base", "rule": {"rule": "constant", "m": 1.0},
+              "max_iter": 12, "kkt_tol": 1e-3}],
+}
+_FUZZ_INLINE = {
+    "problem": {"n": 2, "p": 1, "A": [1.0, 1.0], "b": [2.0],
+                "objective": {"kind": "least_squares", "M": [1.0, 0.0, 0.0, 2.0],
+                              "d": [0.5, 1.0]}},
+    "output_dir": "OUT",
+    "runs": [{"label": "cd4", "rule": {"rule": "attouch_cabot", "alpha": 4.0},
+              "sigma": 0.01, "rho": 0.01, "max_iter": 20}],
+}
+_FUZZ_THRESHOLDS = {
+    "window": [1, 20],
+    "checks": [{"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1.0,
+                "min_slope": -9.0, "min_r2": 0.5, "window": [2, 20]},
+               {"kind": "monotone", "metric": "energy", "tol": 1e-9, "from_k": 2}],
+}
+# One value of each JSON type; a node is only replaced by a value of another type.
+_FUZZ_VALUES = [None, True, 3, "x", [1], {"a": 1}]
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_FUZZ_CASES = [(name, path, value)
+               for name, base in (("config", _FUZZ_CONFIG), ("inline", _FUZZ_INLINE),
+                                  ("thresholds", _FUZZ_THRESHOLDS))
+               for path in _node_paths(base)
+               for value in _FUZZ_VALUES
+               if _json_type(value) != _json_type(_node(base, path))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_FUZZ_CASES))
+def test_malformed_documents_never_raise(case):
+    name, path, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        base = _FUZZ_INLINE if name == "inline" else _FUZZ_CONFIG
+        config = base if name == "thresholds" else _replaced(base, path, value)
+        if isinstance(config, dict) and config.get("output_dir") == "OUT":
+            config = {**config, "output_dir": os.path.join(tmp, "out")}
+        thresholds = (_replaced(_FUZZ_THRESHOLDS, path, value)
+                      if name == "thresholds" else _FUZZ_THRESHOLDS)
+        cfg = _write(Path(tmp) / "config.json", config)
+        thr = _write(Path(tmp) / "thresholds.json", thresholds)
+        if name != "thresholds":
+            assert cmd_run(cfg) in (0, 1, 2)
+        assert cmd_ratecheck(cfg, thr) in (0, 1, 2)

@@ -45,6 +45,9 @@ def test_t_value_rejects_bad_index():
 def test_rule_constructor_validation():
     with pytest.raises(ValueError):
         chambolle_dossal(2.5)
+    for alpha in (1.0, float("nan")):  # 1.0 used to divide by zero
+        with pytest.raises(ValueError, match="alpha >= 3"):
+            attouch_cabot(alpha)
     with pytest.raises(ValueError):
         constant(0.0)
     with pytest.raises(ValueError):
@@ -57,6 +60,9 @@ def test_rule_from_spec_wire_format():
     assert rule.m == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
         rule_from_spec({"rule": "fista"})
+    for alpha in (None, [4.0]):
+        with pytest.raises(ValueError, match="must be numbers"):
+            rule_from_spec({"rule": "chambolle_dossal", "alpha": alpha})
 
 
 def test_phi_m_at_one():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from falm.linalg import dense_map
-from falm.oracle import OracleError, QpInstance, kkt_solve, verify_saddle
-from falm.problem import Problem, quadratic_objective
+from falm.linalg import LinearMap, dense_map, zero_map
+from falm.oracle import (OracleError, QpInstance, kkt_solve, qp_from_problem,
+                         verify_saddle)
+from falm.problem import Problem, least_squares_objective, quadratic_objective
 
 
 def test_kkt_solve_hand_instance():
@@ -63,6 +64,33 @@ def test_qp_instance_validation():
     with pytest.raises(ValueError, match="row rank"):
         QpInstance(q_mat=np.eye(2), c=np.zeros(2),
                    a_mat=np.array([[1.0, 1.0], [2.0, 2.0]]), b=np.ones(2))
+
+
+def test_qp_from_problem_least_squares_arithmetic():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((7, 4))
+    d = rng.standard_normal(7)
+    a = rng.standard_normal((2, 4))
+    prob = Problem(objective=least_squares_objective(m, d), a_map=dense_map(a),
+                   b=rng.standard_normal(2))
+    qp = qp_from_problem(prob)
+    gram = m.T @ m
+    assert np.array_equal(qp.q_mat, (gram + gram.T) / 2.0)
+    assert np.array_equal(qp.c, -(m.T @ d))
+    assert np.array_equal(qp.a_mat, a) and np.array_equal(qp.b, prob.b)
+
+
+def test_qp_from_problem_declines_without_full_rank_dense_map(tiny_qp):
+    assert qp_from_problem(tiny_qp) is not None
+    obj = tiny_qp.objective
+    rank_deficient = Problem(objective=obj, b=np.ones(2),
+                             a_map=dense_map([[1.0, 1.0], [2.0, 2.0]]))
+    zero = Problem(objective=obj, a_map=zero_map(2, 1), b=np.zeros(1))
+    a = tiny_qp.a_map
+    free = Problem(objective=obj, b=tiny_qp.b,
+                   a_map=LinearMap(forward=a.forward, adjoint=a.adjoint, dims=a.dims))
+    for prob in (rank_deficient, zero, free):
+        assert qp_from_problem(prob) is None
 
 
 def _problem_of(qp):

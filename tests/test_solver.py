@@ -123,6 +123,16 @@ def test_validate_explicit_norm_wins_and_zero_map_has_no_factor(small_instance):
     assert cfg0.spectral is None and cfg0.a_norm_sq == 0.0
 
 
+@pytest.mark.parametrize("a_norm_sq", [0.0, -1.0, float("inf"), float("nan")])
+def test_validate_rejects_nonpositive_explicit_norm(small_instance, a_norm_sq):
+    # An explicit 0 would send every step down the zero-operator shortcut and
+    # drop the constraint terms; a negative value raises sigma_bound.
+    prob, _ = small_instance
+    with pytest.raises(ValidationError) as err:
+        validate(prob, SolverParams(rule=nesterov()), a_norm_sq=a_norm_sq)
+    assert err.value.condition == "‖A‖² > 0"
+
+
 def test_validate_defaults(small_instance):
     prob, _ = small_instance
     cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0), beta=1.0))
