@@ -14,7 +14,8 @@ from .linalg import (CgResult, LinearMap, OpNormEstimate, SpdSystem, as_vector,
 from .oracle import OracleError, QpInstance, SaddleReport, kkt_solve, verify_saddle
 from .problem import (Objective, Problem, aug_lagrangian, grad_check,
                       kkt_residuals, lagrangian, least_squares_objective,
-                      problem_from_json, problem_to_json, quadratic_objective)
+                      problem_from_json, problem_to_json, quadratic_objective,
+                      value_and_residual)
 from .solver import (IterateState, RunResult, SolverParams, StepTrace,
                      ValidatedConfig, initial_state, run, step, validate)
 

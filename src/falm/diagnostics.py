@@ -73,32 +73,41 @@ class IterateSnapshot:
     lam: Array
 
 
-def gap(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array) -> float:
-    """Primal-dual gap ``L(x, lam*) - L(x*, lam)``; nonnegative at saddle points."""
-    return lagrangian(prob, x, lam_star) - lagrangian(prob, x_star, lam)
+def gap(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array, *,
+        at_x: tuple[float, Array] | None = None,
+        at_star: tuple[float, Array] | None = None) -> float:
+    """Primal-dual gap ``L(x, lam*) - L(x*, lam)``; nonnegative at saddle points.
+
+    ``at_x`` and ``at_star`` may supply :func:`~falm.problem.value_and_residual`
+    of ``x`` and ``x_star`` when the caller already has them.
+    """
+    return (lagrangian(prob, x, lam_star, at=at_x)
+            - lagrangian(prob, x_star, lam, at=at_star))
 
 
 def energy(prob: Problem, metric: Metric, params, x_k: Array, x_prev: Array,
            lam_k: Array, lam_prev: Array, t_k: float, x_star: Array,
-           lam_star: Array) -> float:
+           lam_star: Array, *, at_x: tuple[float, Array] | None = None,
+           at_star: tuple[float, Array] | None = None) -> float:
     """Energy of the iterate pair ``(x_k, x_prev, lam_k, lam_prev)`` at index k.
 
     ``params`` must expose ``gamma``, ``rho`` and ``beta`` (a validated solver
     config does). The reference ``(x_star, lam_star)`` must be a saddle point
-    for the monotonicity and bound properties to hold.
+    for the monotonicity and bound properties to hold. ``at_x`` and
+    ``at_star`` are as in :func:`gap`, at ``x_k`` and ``x_star``.
     """
     g = params.gamma
     rho = params.rho
     beta = params.beta
-    gap_beta = (aug_lagrangian(prob, x_k, lam_star, beta)
-                - aug_lagrangian(prob, x_star, lam_k, beta))
+    gap_beta = (aug_lagrangian(prob, x_k, lam_star, beta, at=at_x)
+                - aug_lagrangian(prob, x_star, lam_k, beta, at=at_star))
     z = g * x_k + (t_k - 1.0) * (x_k - x_prev)
-    nu = g * lam_k + (t_k - 1.0) * (lam_k - lam_prev)
+    d_nu = g * lam_k + (t_k - 1.0) * (lam_k - lam_prev) - g * lam_star
     d_lam = lam_k - lam_star
     d_lam_prev = lam_k - lam_prev
     return (t_k * (t_k - 1.0 + g) * gap_beta
             + 0.5 * q_norm_sq(metric, z - g * x_star)
-            + 0.5 / rho * float(np.dot(nu - g * lam_star, nu - g * lam_star))
+            + 0.5 / rho * float(np.dot(d_nu, d_nu))
             + 0.5 * g * (1.0 - g) * q_norm_sq(metric, x_k - x_star)
             + 0.5 * g * (1.0 - g) / rho * float(np.dot(d_lam, d_lam))
             + 0.5 * (1.0 - g) / rho * (t_k - 1.0) * float(np.dot(d_lam_prev, d_lam_prev)))

@@ -11,6 +11,7 @@ gradients.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -36,6 +37,16 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> Array:
     return v
 
 
+def all_finite(v: Array) -> bool:
+    """True when every entry of ``v`` is finite.
+
+    A finite sum proves it without a temporary; the entrywise test decides the
+    rest (a sum of finite entries may overflow). numpy warns when the sum
+    overflows or meets infinities of both signs.
+    """
+    return math.isfinite(float(v.sum())) or bool(np.isfinite(v).all())
+
+
 def dot(u: Array, v: Array) -> float:
     """Euclidean inner product; raises on mismatched dimensions."""
     if u.shape != v.shape:
@@ -44,7 +55,8 @@ def dot(u: Array, v: Array) -> float:
 
 
 def norm(u: Array) -> float:
-    return float(np.linalg.norm(u))
+    """Euclidean norm of a 1-d array, bitwise equal to ``np.linalg.norm(u)``."""
+    return math.sqrt(u.dot(u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,12 +213,25 @@ class SpdSystem:
             out = out + self.scale * self.a_map.adjoint(self.a_map.forward(v))
         return out
 
+    def residual(self, x: Array, rhs: Array) -> tuple[Array, Array]:
+        """``(rhs - M x, A x)`` for a system with a map and nonzero scale;
+        the first entry is bitwise equal to ``rhs - apply(x)``."""
+        ax = self.a_map.forward(x)
+        return rhs - (self.shift * x + self.scale * self.a_map.adjoint(ax)), ax
+
 
 @dataclass(frozen=True)
 class CgResult:
+    """Solution ``x`` of :func:`solve_spd` and its true residual norm.
+
+    ``ax`` is the image ``A x`` computed by the final residual check, bitwise
+    equal to ``a_map.forward(x)``; None when the system is a pure scaling.
+    """
+
     x: Array
     iterations: int
     residual: float
+    ax: Array | None = None
 
 
 def solve_spd(system: SpdSystem, rhs: Array, warm: Array | None = None,
@@ -220,7 +245,8 @@ def solve_spd(system: SpdSystem, rhs: Array, warm: Array | None = None,
     The recurrence residual is cross-checked against a freshly computed one
     before success is declared, so the contract holds even when the recurrence
     drifts near machine precision. ``iterations`` counts CG iterations only,
-    so an accepted spectral start reports 0. Raises :class:`SpdSolveError`
+    so an accepted spectral start reports 0; ``ax`` hands on the image of the
+    returned ``x`` that this final check computed. Raises :class:`SpdSolveError`
     when ``max_iter`` is exhausted.
     """
     if system.shift <= 0 or system.scale < 0:
@@ -230,12 +256,12 @@ def solve_spd(system: SpdSystem, rhs: Array, warm: Array | None = None,
     n = rhs.size
     if max_iter is None:
         max_iter = 10 * n + 50
-    target = tol * max(1.0, float(np.linalg.norm(rhs)))
+    target = tol * max(1.0, norm(rhs))
 
     if system.scale == 0.0 or system.a_map is None:
         # Pure scaled identity: closed form, no iteration needed.
         x = rhs / system.shift
-        residual = float(np.linalg.norm(rhs - system.shift * x))
+        residual = norm(rhs - system.shift * x)
         return CgResult(x=x, iterations=0, residual=residual)
 
     if system.factor is not None:
@@ -244,38 +270,38 @@ def solve_spd(system: SpdSystem, rhs: Array, warm: Array | None = None,
         x = np.zeros(n)
     else:
         x = np.array(warm, dtype=float)
-    r = rhs - system.apply(x)
-    r_norm = float(np.linalg.norm(r))
+    r, ax = system.residual(x, rhs)
+    r_norm = norm(r)
     if r_norm <= target:
-        return CgResult(x=x, iterations=0, residual=r_norm)
+        return CgResult(x=x, iterations=0, residual=r_norm, ax=ax)
     p = r.copy()
-    rs = float(np.dot(r, r))
+    rs = float(r.dot(r))
     for it in range(1, max_iter + 1):
         ap = system.apply(p)
-        denom = float(np.dot(p, ap))
+        denom = float(p.dot(ap))
         if denom <= 0.0:
             raise SpdSolveError("conjugate gradients met a non-positive curvature "
                                 "direction; system is not positive definite",
-                                residual=float(np.sqrt(rs)), iterations=it)
+                                residual=math.sqrt(rs), iterations=it)
         alpha = rs / denom
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(np.dot(r, r))
-        if np.sqrt(rs_new) <= target:
-            true_r = rhs - system.apply(x)
-            true_norm = float(np.linalg.norm(true_r))
+        rs_new = float(r.dot(r))
+        if math.sqrt(rs_new) <= target:
+            true_r, ax = system.residual(x, rhs)
+            true_norm = norm(true_r)
             if true_norm <= target:
-                return CgResult(x=x, iterations=it, residual=true_norm)
+                return CgResult(x=x, iterations=it, residual=true_norm, ax=ax)
             # Recurrence residual drifted; restart from the true one.
             r = true_r
-            rs_new = float(np.dot(r, r))
+            rs_new = float(r.dot(r))
             p = r.copy()
             rs = rs_new
             continue
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
-    final = float(np.linalg.norm(rhs - system.apply(x)))
+    final = norm(rhs - system.apply(x))
     raise SpdSolveError(f"conjugate gradients exceeded {max_iter} iterations "
                         f"(residual {final:.3e}, target {target:.3e})",
                         residual=final, iterations=max_iter)

@@ -116,31 +116,48 @@ def _check_dims(prob: Problem, x: Array, lam: Array) -> None:
         raise DimensionMismatch(f"multiplier has dimension {lam.size}, expected {prob.p}")
 
 
-def lagrangian(prob: Problem, x: Array, lam: Array) -> float:
-    """``f(x) + <lam, A x - b>``."""
+def value_and_residual(prob: Problem, x: Array) -> tuple[float, Array]:
+    """``(f(x), A x - b)``, the two evaluations every Lagrangian at ``x`` needs."""
+    return prob.objective.value(x), prob.a_map.forward(x) - prob.b
+
+
+def lagrangian(prob: Problem, x: Array, lam: Array, *,
+               at: tuple[float, Array] | None = None) -> float:
+    """``f(x) + <lam, A x - b>``.
+
+    ``at`` may supply :func:`value_and_residual` of ``x`` when the caller
+    already has it; the result is the same to the bit.
+    """
     _check_dims(prob, x, lam)
-    return prob.objective.value(x) + float(np.dot(lam, prob.a_map.forward(x) - prob.b))
+    fx, residual = at if at is not None else value_and_residual(prob, x)
+    return fx + float(np.dot(lam, residual))
 
 
-def aug_lagrangian(prob: Problem, x: Array, lam: Array, beta: float) -> float:
-    """Lagrangian plus the quadratic constraint penalty ``(beta/2)||A x - b||^2``."""
+def aug_lagrangian(prob: Problem, x: Array, lam: Array, beta: float, *,
+                   at: tuple[float, Array] | None = None) -> float:
+    """Lagrangian plus the quadratic constraint penalty ``(beta/2)||A x - b||^2``.
+
+    ``at`` is as in :func:`lagrangian`.
+    """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     _check_dims(prob, x, lam)
-    residual = prob.a_map.forward(x) - prob.b
-    return (prob.objective.value(x) + float(np.dot(lam, residual))
+    fx, residual = at if at is not None else value_and_residual(prob, x)
+    return (fx + float(np.dot(lam, residual))
             + 0.5 * beta * float(np.dot(residual, residual)))
 
 
-def kkt_residuals(prob: Problem, x: Array, lam: Array) -> tuple[float, float]:
+def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
+                  residual: Array | None = None) -> tuple[float, float]:
     """Norms of the stationarity and feasibility equations.
 
     Returns ``(||grad f(x) + A* lam||, ||A x - b||)``; both vanish exactly at
-    a primal-dual solution.
+    a primal-dual solution. ``residual`` may supply ``A x - b`` when the
+    caller already has it.
     """
     _check_dims(prob, x, lam)
     grad_res = prob.objective.gradient(x) + prob.a_map.adjoint(lam)
-    feas_res = prob.a_map.forward(x) - prob.b
+    feas_res = residual if residual is not None else prob.a_map.forward(x) - prob.b
     return norm(grad_res), norm(feas_res)
 
 

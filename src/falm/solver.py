@@ -18,6 +18,17 @@ refinement only if the residual check fails. The same factor gives ``||A||^2``
 to rounding. Matrix-free maps are solved by conjugate gradients warm-started at
 the current iterate, and ``||A||^2`` is estimated by power iteration.
 
+Oracle budget. A dense step applies the map 7 times (``A y``, the three
+adjoints of the right-hand side, ``A`` and ``A*`` in the inner solve's residual
+check, and ``A z``) and the gradient once; ``A x_k`` is the image the previous
+step's residual check computed. Conjugate gradients add ``A*A`` per iteration.
+A record applies the map 3 times (``A* lam`` and, when ``beta != 0``, the two
+energy seminorms), the gradient once and the objective value once; ``f`` and
+``A x - b`` at the reference saddle point are evaluated once per run. So a
+user-supplied map or objective is called fewer times than in earlier versions
+(8 applies per dense step, 5 objective values per record), while every record
+still equals, bit for bit, what the public diagnostics return for its iterates.
+
 Admissibility of the parameters::
 
     0 < m <= gamma <= 1      and      0 < sigma <= gamma / (L + gamma*beta*||A||^2)
@@ -41,9 +52,9 @@ import numpy as np
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
 from .inertial import InertialRule, t_value
-from .linalg import (Array, SpdSystem, as_vector, op_norm_sq, solve_spd,
-                     spectral_factor)
-from .problem import Problem, kkt_residuals
+from .linalg import (Array, SpdSystem, all_finite, as_vector, op_norm_sq,
+                     solve_spd, spectral_factor)
+from .problem import Problem, kkt_residuals, value_and_residual
 
 SIGMA_CONDITION = "σ ≤ γ/(L + γβ‖A‖²)"
 
@@ -193,7 +204,12 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
 
 @dataclass
 class IterateState:
-    """Full recurrence state at index k (two primal and two dual iterates)."""
+    """Full recurrence state at index k (two primal and two dual iterates).
+
+    ``ax_k`` caches the image of ``x_k``: when set it is bitwise equal to
+    ``a_map.forward(x_k)``, and None means unknown (the initial state and the
+    zero-operator shortcut). A state whose ``x_k`` is replaced must drop it.
+    """
 
     k: int
     x_k: Array
@@ -202,6 +218,7 @@ class IterateState:
     lam_prev: Array
     t_k: float
     t_next: float
+    ax_k: Array | None = None
 
 
 def initial_state(rule: InertialRule, x_init: Array, lam_init: Array) -> IterateState:
@@ -236,7 +253,9 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     when the map is dense, else by conjugate gradients warm-started at the
     current iterate. When the operator is zero the subproblem collapses to the
     plain accelerated gradient step ``y_k - sigma * grad f(y_k)``, which is
-    taken directly. Inner-solve failures raise :class:`StepError` carrying the
+    taken directly. ``A x_k`` is read from ``st.ax_k`` when cached, and the new
+    state caches the image of ``x_{k+1}`` that the inner solve's residual check
+    computed. Inner-solve failures raise :class:`StepError` carrying the
     iteration index.
     """
     g = cfg.gamma
@@ -246,7 +265,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     y = st.x_k + momentum * (st.x_k - st.x_prev)
     mu = st.lam_k + momentum * (st.lam_k - st.lam_prev)
     a = prob.a_map
-    ax = a.forward(st.x_k)
+    ax = st.ax_k if st.ax_k is not None else a.forward(st.x_k)
     eta = ax + (g / (t_k1 - 1.0 + g)) * (prob.b - ax)
     nu = g * st.lam_k + (t_k - 1.0) * (st.lam_k - st.lam_prev)
     s_next = (cfg.rho / g) * t_k1 * (t_k1 - 1.0 + g)
@@ -257,11 +276,12 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
         # minimizer is the accelerated gradient step itself.
         x_next = y - cfg.sigma * grad_y
         cg_iters = 0
+        ax_next = None
     else:
         ay = a.forward(y)
         rhs = (y / cfg.sigma - grad_y - cfg.beta * a.adjoint(ay - prob.b)
                - a.adjoint(nu) / g + (s_next / g) * a.adjoint(eta))
-        if not np.all(np.isfinite(rhs)):
+        if not all_finite(rhs):
             raise StepError(st.k, "subproblem right-hand side is not finite")
         system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a,
                            factor=cfg.spectral)
@@ -272,10 +292,11 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
             raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
         x_next = sol.x
         cg_iters = sol.iterations
+        ax_next = sol.ax
 
     z_next = g * x_next + (t_k1 - 1.0) * (x_next - st.x_k)
     lam_next = mu + (cfg.rho / g) * (a.forward(z_next) - g * prob.b)
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(lam_next))):
+    if not (all_finite(x_next) and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
 
     trace = StepTrace(y_k=y, x_next=x_next, mu_k=mu, nu_k_gamma=nu,
@@ -283,7 +304,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
                       z_next_gamma=z_next, cg_iters=cg_iters)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
                              lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
-                             t_next=t_value(cfg.rule, st.k + 2))
+                             t_next=t_value(cfg.rule, st.k + 2), ax_k=ax_next)
     return new_state, trace
 
 
@@ -324,28 +345,38 @@ def run(prob: Problem, params: SolverParams, x_init: Array | None = None,
     lam0 = np.zeros(prob.p) if lam_init is None else as_vector(lam_init, prob.p,
                                                                "lam_init")
     st = initial_state(cfg.rule, x0, lam0)
+    st.ax_k = prob.a_map.forward(st.x_k)
     metric = diagnostics.Metric(q_shift=1.0 / cfg.sigma, q_beta=cfg.beta,
                                 a_map=prob.a_map)
     if saddle is not None:
         x_star = as_vector(saddle[0], prob.n, "x_star")
         lam_star = as_vector(saddle[1], prob.p, "lam_star")
-        f_star = prob.objective.value(x_star)
+        at_star = value_and_residual(prob, x_star)
     records: list[diagnostics.RunRecord] = []
     snapshots: list[diagnostics.IterateSnapshot] = []
     snap_every = snapshot_every if snapshot_every is not None else cfg.record_every
 
-    def emit(state: IterateState, cg_iters: int,
-             kkt: tuple[float, float] | None) -> None:
+    def feas_residual(state: IterateState) -> Array:
+        ax = state.ax_k if state.ax_k is not None else prob.a_map.forward(state.x_k)
+        return ax - prob.b
+
+    def emit(state: IterateState, cg_iters: int, res: Array | None = None,
+             kkt: tuple[float, float] | None = None) -> None:
+        if res is None:
+            res = feas_residual(state)
         if kkt is None:
-            kkt = kkt_residuals(prob, state.x_k, state.lam_k)
+            kkt = kkt_residuals(prob, state.x_k, state.lam_k, residual=res)
         feas = kkt[1]
         if saddle is not None:
-            gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, x_star, lam_star)
-            obj_err = abs(prob.objective.value(state.x_k) - f_star)
+            at_x = (prob.objective.value(state.x_k), res)
+            gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, x_star, lam_star,
+                                      at_x=at_x, at_star=at_star)
+            obj_err = abs(at_x[0] - at_star[0])
             energy_val = diagnostics.energy(prob, metric, cfg, state.x_k,
                                             state.x_prev, state.lam_k,
                                             state.lam_prev, state.t_k,
-                                            x_star, lam_star)
+                                            x_star, lam_star,
+                                            at_x=at_x, at_star=at_star)
         else:
             gap_val = obj_err = energy_val = None
         rec = diagnostics.RunRecord(k=state.k, t_k=state.t_k, gap=gap_val,
@@ -360,7 +391,7 @@ def run(prob: Problem, params: SolverParams, x_init: Array | None = None,
         snapshots.append(diagnostics.IterateSnapshot(
             k=state.k, t_k=state.t_k, x=state.x_k.copy(), lam=state.lam_k.copy()))
 
-    emit(st, 0, None)
+    emit(st, 0)
     if keep_snapshots:
         snapshot(st)
     reason = "iteration budget"
@@ -377,13 +408,14 @@ def run(prob: Problem, params: SolverParams, x_init: Array | None = None,
         k = st.k
         is_last = i == cfg.max_iter - 1
         due = (k % cfg.record_every == 0) or is_last
-        kkt = None
+        res = kkt = None
         if cfg.kkt_tol is not None or due:
-            kkt = kkt_residuals(prob, st.x_k, st.lam_k)
+            res = feas_residual(st)
+            kkt = kkt_residuals(prob, st.x_k, st.lam_k, residual=res)
         stop = (cfg.kkt_tol is not None and kkt[0] <= cfg.kkt_tol
                 and kkt[1] <= cfg.kkt_tol)
         if due or stop:
-            emit(st, trace.cg_iters, kkt)
+            emit(st, trace.cg_iters, res, kkt)
             last_recorded = k
         if keep_snapshots and ((k % snap_every == 0) or is_last or stop):
             snapshot(st)
@@ -392,7 +424,7 @@ def run(prob: Problem, params: SolverParams, x_init: Array | None = None,
             reason = "kkt tolerance"
             break
     if last_recorded != st.k:
-        emit(st, 0, None)
+        emit(st, 0)
     if keep_snapshots and last_snapped != st.k:
         snapshot(st)
     return RunResult(x=st.x_k.copy(), lam=st.lam_k.copy(), iterations=st.k - 1,

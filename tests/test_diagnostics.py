@@ -8,7 +8,8 @@ from falm.errors import DimensionMismatch
 from falm.inertial import chambolle_dossal, nesterov
 from falm.linalg import dense_map, zero_map
 from falm.oracle import kkt_solve
-from falm.problem import aug_lagrangian
+from falm.problem import (aug_lagrangian, kkt_residuals, lagrangian,
+                          value_and_residual)
 from falm.solver import SolverParams, initial_state, run, step, validate
 
 
@@ -118,6 +119,25 @@ def test_energy_matches_independent_reimplementation(small_instance):
                 + 0.5 * g * (1.0 - g) / rho * dl @ dl
                 + 0.5 * (1.0 - g) / rho * (t - 1.0) * dls @ dls)
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_precomputed_evaluations_change_no_bit(small_instance):
+    prob, cfg, metric, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
+    at_star = value_and_residual(prob, x_star)
+    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    for _ in range(5):
+        st, _ = step(prob, cfg, st)
+        at_x = value_and_residual(prob, st.x_k)
+        assert lagrangian(prob, st.x_k, lam_star, at=at_x) == lagrangian(prob, st.x_k, lam_star)
+        assert (aug_lagrangian(prob, st.x_k, st.lam_k, 0.7, at=at_x)
+                == aug_lagrangian(prob, st.x_k, st.lam_k, 0.7))
+        assert (kkt_residuals(prob, st.x_k, st.lam_k, residual=at_x[1])
+                == kkt_residuals(prob, st.x_k, st.lam_k))
+        assert (gap(prob, st.x_k, st.lam_k, x_star, lam_star, at_x=at_x, at_star=at_star)
+                == gap(prob, st.x_k, st.lam_k, x_star, lam_star))
+        args = (prob, metric, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
+                st.t_k, x_star, lam_star)
+        assert energy(*args, at_x=at_x, at_star=at_star) == energy(*args)
 
 
 def test_summability_witnesses(small_instance):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from falm.errors import DimensionMismatch, NonFiniteError, SpdSolveError
-from falm.linalg import (SpdSystem, as_vector, dense_map, dot, op_norm_sq,
-                         row_selection, scaled_identity, solve_spd,
-                         spectral_factor, zero_map)
+from falm.linalg import (LinearMap, SpdSystem, all_finite, as_vector, dense_map,
+                         dot, op_norm_sq, row_selection, scaled_identity,
+                         solve_spd, spectral_factor, zero_map)
 
 
 def test_dot_direct():
@@ -230,17 +230,64 @@ def test_spectral_solve_matches_cholesky_oracle(p, n, rank):
                                    atol=1e-12 * np.linalg.norm(x_ref))
 
 
-def test_solve_spd_refines_inexact_spectral_start():
-    # A factor of a nearby matrix gives a start that misses the target;
-    # conjugate gradients take over and the residual contract still holds.
+def _inexact_spectral_system():
+    """A system whose factor belongs to a nearby matrix, plus its matrix and rhs."""
     rng = np.random.default_rng(8)
     a = rng.standard_normal((5, 10))
     system = SpdSystem(shift=2.0, scale=3.0, a_map=dense_map(a),
                        factor=spectral_factor(a + 1e-3 * rng.standard_normal((5, 10))))
-    rhs = rng.standard_normal(10)
+    return a, system, rng.standard_normal(10)
+
+
+def test_solve_spd_refines_inexact_spectral_start():
+    # A factor of a nearby matrix gives a start that misses the target;
+    # conjugate gradients take over and the residual contract still holds.
+    a, system, rhs = _inexact_spectral_system()
     sol = solve_spd(system, rhs, tol=1e-12)
     assert sol.iterations > 0
     resid = np.linalg.norm(rhs - system.apply(sol.x))
     assert resid <= 1e-12 * max(1.0, np.linalg.norm(rhs))
     x_ref = _cholesky_solve(2.0 * np.eye(10) + 3.0 * (a.T @ a), rhs)
     np.testing.assert_allclose(sol.x, x_ref, atol=1e-10)
+
+
+def _exact_spectral_system():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((4, 9))
+    return SpdSystem(shift=1.5, scale=0.7, a_map=dense_map(a),
+                     factor=spectral_factor(a)), rng.standard_normal(9)
+
+
+def _matrix_free_system():
+    rng = np.random.default_rng(19)
+    a = dense_map(rng.standard_normal((4, 9)))
+    free = LinearMap(forward=a.forward, adjoint=a.adjoint, dims=a.dims)
+    return SpdSystem(shift=1.5, scale=0.7, a_map=free), rng.standard_normal(9)
+
+
+@pytest.mark.parametrize("path, make, cg", [
+    ("accepted spectral start", _exact_spectral_system, False),
+    ("refined spectral start", lambda: _inexact_spectral_system()[1:], True),
+    ("matrix-free", _matrix_free_system, True),
+])
+def test_solve_spd_returns_exact_image(path, make, cg):
+    system, rhs = make()
+    sol = solve_spd(system, rhs, tol=1e-12)
+    assert (sol.iterations > 0) == cg, path
+    assert sol.ax.tobytes() == system.a_map.forward(sol.x).tobytes()
+
+
+def test_solve_spd_scaled_identity_has_no_image():
+    sol = solve_spd(SpdSystem(shift=2.0, scale=0.0), np.ones(3))
+    assert sol.ax is None
+
+
+def test_all_finite_keeps_its_meaning():
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = np.array([1e308, 1e308, -1e308])
+        assert not np.isfinite(big.sum())  # the sum overflows, the entries do not
+        assert all_finite(big)
+        for bad in ([np.inf, -np.inf], [np.nan], [1.0, np.inf]):
+            assert not all_finite(np.array(bad)), bad
+    assert all_finite(np.arange(5.0))
+    assert all_finite(np.zeros(0))

@@ -5,9 +5,10 @@ import pytest
 
 from falm.benchgen import GenSpec, generate
 from falm.cli import load_experiment
+from falm.diagnostics import Metric, energy, gap
 from falm.errors import StepError, ValidationError
 from falm.inertial import attouch_cabot, chambolle_dossal, constant, nesterov, t_value
-from falm.linalg import LinearMap, dense_map
+from falm.linalg import LinearMap, dense_map, zero_map
 from falm.oracle import kkt_solve
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
 from falm.solver import (SolverParams, initial_state, run, step, validate)
@@ -317,8 +318,20 @@ def test_step_rejects_nonfinite_iterates(small_instance):
                   a_map=prob.a_map, b=prob.b)
     cfg = validate(bad, SolverParams(rule=nesterov()), a_norm_sq=1.0)
     st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
-    with pytest.raises(StepError):
+    with pytest.raises(StepError, match="right-hand side is not finite"):
         step(bad, cfg, st)
+
+
+def test_step_rejects_nonfinite_gradient_step():
+    # The zero-operator shortcut has no right-hand side; the iterate check fires.
+    blown = Problem(objective=Objective(value=lambda x: 0.0,
+                                        gradient=lambda x: np.full(3, np.nan),
+                                        lipschitz=1.0),
+                    a_map=zero_map(3, 1), b=np.zeros(1))
+    cfg = validate(blown, SolverParams(rule=nesterov()))
+    st = initial_state(cfg.rule, np.zeros(3), np.zeros(1))
+    with pytest.raises(StepError, match="iterate left the finite range"):
+        step(blown, cfg, st)
 
 
 def test_coupling_weight_formula(small_instance):
@@ -355,3 +368,76 @@ def test_run_shipped_cd4_needs_no_cg_iterations():
     assert res.reason == "iteration budget"
     assert len(res.records) > 100
     assert all(rec.cg_iters == 0 for rec in res.records)
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["dense", "matrix_free"])
+def test_step_caches_exact_image(small_instance, free):
+    prob = _matrix_free(small_instance[0]) if free else small_instance[0]
+    params = SolverParams(rule=chambolle_dossal(4.0))
+    cfg = validate(prob, params, a_norm_sq=validate(small_instance[0], params).a_norm_sq)
+    st = initial_state(cfg.rule, np.ones(prob.n), np.zeros(prob.p))
+    assert st.ax_k is None
+    for _ in range(5):
+        st, _ = step(prob, cfg, st)
+        assert st.ax_k.tobytes() == prob.a_map.forward(st.x_k).tobytes()
+
+
+def test_step_zero_operator_leaves_image_unknown():
+    prob, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
+    cfg = validate(prob, SolverParams(rule=nesterov()))
+    st, _ = step(prob, cfg, initial_state(cfg.rule, np.ones(6), np.zeros(2)))
+    assert st.ax_k is None
+
+
+@pytest.fixture(scope="module")
+def shipped_instance():
+    """The 50x10 instance of configs/qp_cd.json and its KKT saddle point."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = load_experiment(os.path.join(here, "configs", "qp_cd.json"))
+    return config.problem, kkt_solve(config.qp)
+
+
+def _assert_records_are_public_diagnostics(prob, cfg, res, saddle):
+    """Every record equals the public diagnostics of its snapshot, bit for bit."""
+    x_star, lam_star = saddle
+    f_star = prob.objective.value(x_star)
+    metric = Metric(q_shift=1.0 / cfg.sigma, q_beta=cfg.beta, a_map=prob.a_map)
+    assert [snap.k for snap in res.snapshots] == [rec.k for rec in res.records]
+    prev = res.snapshots[0]
+    for rec, snap in zip(res.records, res.snapshots):
+        grad_res, feas_res = kkt_residuals(prob, snap.x, snap.lam)
+        assert (rec.kkt_grad, rec.kkt_feas, rec.feas) == (grad_res, feas_res, feas_res)
+        assert rec.gap == gap(prob, snap.x, snap.lam, x_star, lam_star)
+        assert rec.obj_err == abs(prob.objective.value(snap.x) - f_star)
+        assert rec.energy == energy(prob, metric, cfg, snap.x, prev.x, snap.lam,
+                                    prev.lam, snap.t_k, x_star, lam_star)
+        prev = snap
+
+
+@pytest.mark.parametrize("rule", [constant(), nesterov(), chambolle_dossal(3.0),
+                                  chambolle_dossal(4.0), attouch_cabot(4.0)],
+                         ids=lambda rule: rule.kind + str(rule.alpha or ""))
+def test_records_equal_public_diagnostics(shipped_instance, rule):
+    prob, saddle = shipped_instance
+    params = SolverParams(rule=rule, max_iter=300, record_every=1)
+    cfg = validate(prob, params)
+    res = run(prob, params, saddle=saddle, keep_snapshots=True, cfg=cfg)
+    assert len(res.records) == 301
+    _assert_records_are_public_diagnostics(prob, cfg, res, saddle)
+
+
+def test_records_equal_public_diagnostics_matrix_free_and_kkt_tol(shipped_instance):
+    prob, saddle = shipped_instance
+    free = _matrix_free(prob)
+    params = SolverParams(rule=chambolle_dossal(4.0), beta=0.5, max_iter=300,
+                          record_every=1)
+    cfg = validate(free, params, a_norm_sq=validate(prob, params).a_norm_sq)
+    res = run(free, params, saddle=saddle, keep_snapshots=True, cfg=cfg)
+    assert any(rec.cg_iters > 0 for rec in res.records)
+    _assert_records_are_public_diagnostics(free, cfg, res, saddle)
+
+    params = SolverParams(rule=nesterov(), max_iter=5000, kkt_tol=1e-4, record_every=1)
+    cfg = validate(prob, params)
+    res = run(prob, params, saddle=saddle, keep_snapshots=True, cfg=cfg)
+    assert res.reason == "kkt tolerance"
+    _assert_records_are_public_diagnostics(prob, cfg, res, saddle)
