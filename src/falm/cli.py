@@ -230,12 +230,14 @@ def _execute(command: str, config_path: str, labels_filter: str | None = None,
     try:
         config = load_experiment(config_path)
         specs = config.runs
-        if labels_filter:
+        if labels_filter is not None:
             labels = [s for s in labels_filter.split(",") if s]
             unknown = set(labels) - {spec.label for spec in config.runs}
             if unknown:
                 raise ValueError(f"unknown run labels {sorted(unknown)}")
             specs = [spec for spec in config.runs if spec.label in labels]
+            if not specs:
+                raise ValueError(f"--runs {labels_filter!r} selects no run")
         if command == "compare" and len(config.runs) < 2:
             raise ValueError("compare needs at least 2 runs")
         if not config.runs:

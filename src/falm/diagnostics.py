@@ -49,7 +49,8 @@ class RunRecord:
     """One diagnostics row of a solver run.
 
     ``gap``, ``obj_err`` and ``energy`` need a reference saddle point and are
-    None when the run had no oracle attached.
+    None when the run had no oracle attached. ``kkt_feas`` equals ``feas``
+    (both are ``||A x_k - b||``); it is kept so the CSV schema stays fixed.
     """
 
     k: int

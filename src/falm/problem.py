@@ -148,15 +148,18 @@ def aug_lagrangian(prob: Problem, x: Array, lam: Array, beta: float, *,
 
 
 def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
-                  residual: Array | None = None) -> tuple[float, float]:
+                  residual: Array | None = None,
+                  adjoint: Array | None = None) -> tuple[float, float]:
     """Norms of the stationarity and feasibility equations.
 
     Returns ``(||grad f(x) + A* lam||, ||A x - b||)``; both vanish exactly at
-    a primal-dual solution. ``residual`` may supply ``A x - b`` when the
-    caller already has it.
+    a primal-dual solution. ``residual`` may supply ``A x - b`` and
+    ``adjoint`` may supply ``A* lam`` when the caller already has them; the
+    result is the same to the bit.
     """
     _check_dims(prob, x, lam)
-    grad_res = prob.objective.gradient(x) + prob.a_map.adjoint(lam)
+    adj = adjoint if adjoint is not None else prob.a_map.adjoint(lam)
+    grad_res = prob.objective.gradient(x) + adj
     feas_res = residual if residual is not None else prob.a_map.forward(x) - prob.b
     return norm(grad_res), norm(feas_res)
 

@@ -29,6 +29,18 @@ user-supplied map or objective is called fewer times than in earlier versions
 (8 applies per dense step, 5 objective values per record), while every record
 still equals, bit for bit, what the public diagnostics return for its iterates.
 
+Stop-test budget. With ``kkt_tol`` set, an iteration that emits no record
+first compares ``||A x_{k+1} - b||``, free from the cached image, with the
+tolerance. Only if it passes does it apply ``A*`` to ``lam_{k+1}`` and bound the
+stationarity residual below by ``||grad f(y_k) + A* lam_{k+1}|| -
+L||x_{k+1} - y_k||`` less a margin of ``STOP_MARGIN`` (1e-6) times
+``||grad f(y_k)|| + ||A* lam_{k+1}|| + L(||x_{k+1}|| + ||y_k||)``. Only if that
+bound does not exceed the tolerance does it evaluate the exact residuals
+(one more gradient), so the run stops at the same index with the same bits as
+an exact test at every iteration. The bound relies on the objective's
+``lipschitz`` being a true bound, which the admissibility of sigma already
+requires; a too-small L can only delay a stop, never cause an early one.
+
 Admissibility of the parameters::
 
     0 < m <= gamma <= 1      and      0 < sigma <= gamma / (L + gamma*beta*||A||^2)
@@ -52,7 +64,7 @@ import numpy as np
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
 from .inertial import InertialRule, t_value
-from .linalg import (Array, SpdSystem, all_finite, as_vector, op_norm_sq,
+from .linalg import (Array, SpdSystem, all_finite, as_vector, norm, op_norm_sq,
                      solve_spd, spectral_factor)
 from .problem import Problem, kkt_residuals, value_and_residual
 
@@ -62,6 +74,12 @@ SIGMA_CONDITION = "σ ≤ γ/(L + γβ‖A‖²)"
 # of the matrix: LAPACK's SVD returns the exact singular values of a matrix
 # that lies within a small multiple of dimension * eps * ||A|| of the input.
 SVD_ROUNDING = 4.0 * float(np.finfo(float).eps)
+
+# Relative rounding allowance of the lower bound that lets ``run`` skip the
+# exact KKT stop test. An affine gradient evaluated at v is off by a few
+# dimension * eps * (L||v|| + ||grad f(v)||); this covers that, for both
+# gradients, and the norms' rounding, by many orders of magnitude.
+STOP_MARGIN = 1e-6
 
 
 @dataclass
@@ -243,6 +261,7 @@ class StepTrace:
     s_next: float
     z_next_gamma: Array
     cg_iters: int
+    grad_y: Array
 
 
 def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[IterateState, StepTrace]:
@@ -301,11 +320,38 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
 
     trace = StepTrace(y_k=y, x_next=x_next, mu_k=mu, nu_k_gamma=nu,
                       lam_next=lam_next, eta_k=eta, s_next=s_next,
-                      z_next_gamma=z_next, cg_iters=cg_iters)
+                      z_next_gamma=z_next, cg_iters=cg_iters, grad_y=grad_y)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
                              lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
                              t_next=t_value(cfg.rule, st.k + 2), ax_k=ax_next)
     return new_state, trace
+
+
+def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
+                          trace: StepTrace, residual: Array) -> tuple[float, float] | None:
+    """:func:`kkt_residuals` of ``st``, or None when a bound rules out both
+    being within ``kkt_tol``.
+
+    ``residual`` is ``A x_{k+1} - b``; its norm is the feasibility value the
+    exact test compares, so a larger one rules the stop out at no cost.
+    Otherwise the stationarity residual is bounded below from the step's
+    ``grad f(y_k)``: ``||grad f(x) + A* lam|| >= ||grad f(y) + A* lam|| -
+    L||x - y||`` for a gradient with Lipschitz constant L, less a
+    ``STOP_MARGIN`` allowance for the rounding of both gradients, the adjoint
+    and the norms.
+    """
+    tol = cfg.kkt_tol
+    if norm(residual) > tol:
+        return None
+    adj = prob.a_map.adjoint(st.lam_k)
+    grad_y = trace.grad_y
+    lip = prob.objective.lipschitz
+    margin = STOP_MARGIN * (norm(grad_y) + norm(adj)
+                            + lip * (norm(st.x_k) + norm(trace.y_k)))
+    lower = norm(grad_y + adj) - lip * norm(st.x_k - trace.y_k) - margin
+    if lower > tol:
+        return None
+    return kkt_residuals(prob, st.x_k, st.lam_k, residual=residual, adjoint=adj)
 
 
 @dataclass
@@ -409,11 +455,14 @@ def run(prob: Problem, params: SolverParams, x_init: Array | None = None,
         is_last = i == cfg.max_iter - 1
         due = (k % cfg.record_every == 0) or is_last
         res = kkt = None
-        if cfg.kkt_tol is not None or due:
+        if due:
             res = feas_residual(st)
             kkt = kkt_residuals(prob, st.x_k, st.lam_k, residual=res)
-        stop = (cfg.kkt_tol is not None and kkt[0] <= cfg.kkt_tol
-                and kkt[1] <= cfg.kkt_tol)
+        elif cfg.kkt_tol is not None:
+            res = feas_residual(st)
+            kkt = _kkt_unless_ruled_out(prob, cfg, st, trace, res)
+        stop = (cfg.kkt_tol is not None and kkt is not None
+                and kkt[0] <= cfg.kkt_tol and kkt[1] <= cfg.kkt_tol)
         if due or stop:
             emit(st, trace.cg_iters, res, kkt)
             last_recorded = k

@@ -90,6 +90,16 @@ def test_run_unknown_label(tmp_path, capsys):
     assert "unknown run labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", [",", ""])
+def test_run_filter_selecting_no_run_exits_2(tmp_path, capsys, labels):
+    cfg = _small_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--runs", labels])
+    assert exc.value.code == 2
+    assert "selects no run" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_invalid_sigma(tmp_path, capsys):
     runs = [{"label": "bad", "rule": {"rule": "nesterov"}, "beta": 1.0,
              "sigma": 10.0, "max_iter": 10, "record_every": 1}]

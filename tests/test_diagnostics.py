@@ -131,7 +131,9 @@ def test_precomputed_evaluations_change_no_bit(small_instance):
         assert lagrangian(prob, st.x_k, lam_star, at=at_x) == lagrangian(prob, st.x_k, lam_star)
         assert (aug_lagrangian(prob, st.x_k, st.lam_k, 0.7, at=at_x)
                 == aug_lagrangian(prob, st.x_k, st.lam_k, 0.7))
-        assert (kkt_residuals(prob, st.x_k, st.lam_k, residual=at_x[1])
+        assert (kkt_residuals(prob, st.x_k, st.lam_k, residual=at_x[1],
+                              adjoint=prob.a_map.adjoint(st.lam_k))
+                == kkt_residuals(prob, st.x_k, st.lam_k, residual=at_x[1])
                 == kkt_residuals(prob, st.x_k, st.lam_k))
         assert (gap(prob, st.x_k, st.lam_k, x_star, lam_star, at_x=at_x, at_star=at_star)
                 == gap(prob, st.x_k, st.lam_k, x_star, lam_star))

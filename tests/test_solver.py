@@ -2,10 +2,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from falm.benchgen import GenSpec, generate
 from falm.cli import load_experiment
-from falm.diagnostics import Metric, energy, gap
+from falm.diagnostics import Metric, RunRecord, energy, gap
 from falm.errors import StepError, ValidationError
 from falm.inertial import attouch_cabot, chambolle_dossal, constant, nesterov, t_value
 from falm.linalg import LinearMap, dense_map, zero_map
@@ -441,3 +443,74 @@ def test_records_equal_public_diagnostics_matrix_free_and_kkt_tol(shipped_instan
     res = run(prob, params, saddle=saddle, keep_snapshots=True, cfg=cfg)
     assert res.reason == "kkt tolerance"
     _assert_records_are_public_diagnostics(prob, cfg, res, saddle)
+
+
+def _reference_kkt_run(prob, cfg):
+    """Exhaustive stop test: the public step, then the exact KKT residuals of
+    every iterate; records as ``run`` emits them without a saddle point."""
+    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+
+    def record(state, cg_iters, kkt):
+        return RunRecord(k=state.k, t_k=state.t_k, gap=None, feas=kkt[1], obj_err=None,
+                         kkt_grad=kkt[0], kkt_feas=kkt[1], energy=None,
+                         cg_iters=cg_iters)
+
+    records = [record(st, 0, kkt_residuals(prob, st.x_k, st.lam_k))]
+    reason = "iteration budget"
+    for i in range(cfg.max_iter):
+        st, trace = step(prob, cfg, st)
+        kkt = kkt_residuals(prob, st.x_k, st.lam_k)
+        stop = kkt[0] <= cfg.kkt_tol and kkt[1] <= cfg.kkt_tol
+        if stop or st.k % cfg.record_every == 0 or i == cfg.max_iter - 1:
+            records.append(record(st, trace.cg_iters, kkt))
+        if stop:
+            reason = "kkt tolerance"
+            break
+    return st, reason, records
+
+
+_RULES = [constant(), nesterov(), chambolle_dossal(3.0), chambolle_dossal(4.0),
+          attouch_cabot(4.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=hst.sampled_from(["random_qp", "constrained_least_squares", "unconstrained"]),
+       seed=hst.integers(0, 2**16), free=hst.booleans(), rule=hst.sampled_from(_RULES),
+       beta=hst.sampled_from([0.0, 0.5, 1.0]),
+       kkt_tol=hst.sampled_from([1e-2, 1e-3, 1e-4, 1e-6]),
+       record_every=hst.integers(1, 40), max_iter=hst.integers(1, 400))
+def test_run_stops_where_an_exhaustive_kkt_test_stops(kind, seed, free, rule, beta,
+                                                      kkt_tol, record_every, max_iter):
+    # run skips the exact stop test where a Lipschitz bound rules a stop out;
+    # that must change neither where it stops nor a single bit of its output
+    prob, _ = generate(GenSpec(kind, 12, 4, seed, 20.0))
+    if free:
+        prob = _matrix_free(prob)
+    params = SolverParams(rule=rule, beta=beta, max_iter=max_iter, kkt_tol=kkt_tol,
+                          record_every=record_every)
+    cfg = validate(prob, params)
+    res = run(prob, params, cfg=cfg)
+    ref_st, ref_reason, ref_records = _reference_kkt_run(prob, cfg)
+    assert (res.reason, res.iterations) == (ref_reason, ref_st.k - 1)
+    assert res.records == ref_records
+    assert all(rec.kkt_feas == rec.feas for rec in res.records)
+    assert res.x.tobytes() == ref_st.x_k.tobytes()
+    assert res.lam.tobytes() == ref_st.lam_k.tobytes()
+
+
+def test_kkt_tol_run_calls_the_gradient_about_once_per_iteration():
+    prob, _ = generate(GenSpec("constrained_least_squares", 200, 40, 3, 10.0))
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        return prob.objective.gradient(x)
+
+    counted = Problem(objective=Objective(value=prob.objective.value, gradient=gradient,
+                                          lipschitz=prob.objective.lipschitz),
+                      a_map=_matrix_free(prob).a_map, b=prob.b)
+    res = run(counted, SolverParams(rule=chambolle_dossal(4.0), kkt_tol=1e-4,
+                                    max_iter=5000, record_every=100))
+    assert res.reason == "kkt tolerance" and res.iterations > 100
+    # one gradient per step; an exact stop test (a second one) only near the stop
+    assert len(calls) <= 1.3 * res.iterations
