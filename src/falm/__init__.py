@@ -1,6 +1,6 @@
 """Inertial augmented Lagrangian solver with a rate-verification harness."""
 
-from .benchgen import GenSpec, SplitMix64, generate, lipschitz_of, spec_from_json
+from .benchgen import GenSpec, SplitMix64, generate, spec_from_json
 from .diagnostics import (IterateSnapshot, Metric, RateFit, RunRecord,
                           dual_bound_series, energy, gap, q_norm_sq, rate_fit)
 from .errors import (CertificationError, DimensionMismatch, FalmError,

@@ -35,7 +35,8 @@ import numpy as np
 
 from .linalg import dense_map, zero_map
 from .oracle import QpInstance, qp_from_problem
-from .problem import Problem, least_squares_objective, quadratic_objective
+from .problem import (Problem, json_number, least_squares_objective,
+                      quadratic_objective)
 
 GEN_KINDS = ("random_qp", "constrained_least_squares", "unconstrained")
 
@@ -115,11 +116,9 @@ class GenSpec:
 
 def spec_from_json(doc: dict) -> GenSpec:
     """Parse a generator spec; a field of the wrong type raises ``ValueError``."""
-    try:
-        return GenSpec(kind=doc["kind"], n=int(doc["n"]), p=int(doc["p"]),
-                       seed=int(doc["seed"]), cond=float(doc.get("cond", 1.0)))
-    except (TypeError, OverflowError):
-        raise ValueError(f"malformed generator spec {doc!r}") from None
+    n, p, seed = (json_number(doc[key], int, key) for key in ("n", "p", "seed"))
+    return GenSpec(kind=doc["kind"], n=n, p=p, seed=seed,
+                   cond=json_number(doc.get("cond", 1.0), name="cond"))
 
 
 def spec_to_json(spec: GenSpec) -> dict:
@@ -149,22 +148,6 @@ def _constraints(spec: GenSpec, rng: SplitMix64) -> tuple[np.ndarray, np.ndarray
     return a, a @ x_anchor, x_anchor
 
 
-def lipschitz_of(kind: str, mat: np.ndarray) -> float:
-    """Exact gradient Lipschitz constant by dense eigendecomposition.
-
-    For ``"quadratic"`` this is the top eigenvalue of the (symmetrized)
-    matrix; for ``"least_squares"`` the top eigenvalue of ``M'M``. This is the
-    reference value, independent of the power-iteration estimate used at
-    validation time.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if kind == "quadratic":
-        return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[-1])
-    if kind == "least_squares":
-        return float(np.linalg.eigvalsh(mat.T @ mat)[-1])
-    raise ValueError(f"unsupported objective kind {kind!r}")
-
-
 def generate(spec: GenSpec) -> tuple[Problem, QpInstance | None]:
     """Materialize the instance described by ``spec``.
 
@@ -186,7 +169,7 @@ def generate(spec: GenSpec) -> tuple[Problem, QpInstance | None]:
         tilt = rng.normals(spec.n)
         a, b, x_anchor = _constraints(spec, rng)
         c = -(q @ x_anchor) + TILT * DATA_SCALE * tilt
-        objective = quadratic_objective(q, c, lipschitz=lipschitz_of("quadratic", q))
+        objective = quadratic_objective(q, c)
         a_map = dense_map(a)
     elif spec.kind == "constrained_least_squares":
         # Singular values are square roots of the target Gram eigenvalues.
@@ -195,14 +178,13 @@ def generate(spec: GenSpec) -> tuple[Problem, QpInstance | None]:
         tilt = rng.normals(spec.n)
         a, b, x_anchor = _constraints(spec, rng)
         d = m @ x_anchor + TILT * DATA_SCALE * tilt
-        objective = least_squares_objective(m, d,
-                                            lipschitz=lipschitz_of("least_squares", m))
+        objective = least_squares_objective(m, d)
         a_map = dense_map(a)
     else:
         eigs = spec.cond ** rng.uniforms(spec.n)
         q = _orthogonal_conjugate(eigs, rng)
         c = rng.normals(spec.n)
-        objective = quadratic_objective(q, c, lipschitz=lipschitz_of("quadratic", q))
+        objective = quadratic_objective(q, c)
         a_map, b = zero_map(spec.n, spec.p), np.zeros(spec.p)
     prob = Problem(objective=objective, a_map=a_map, b=b)
     return prob, qp_from_problem(prob)

@@ -18,9 +18,11 @@ or an inline dense problem document) and a list of labeled runs::
       ]
     }
 
-Per-run entries may pin "gamma", "sigma", "rho"; omitted values fall back to
+Per-run entries may pin "gamma", "sigma", "rho", "beta", "max_iter",
+"record_every", "kkt_tol" and "cg_tol"; omitted or null values fall back to
 the solver defaults, so minimally specified runs match the documented
-parameter rules. ``run`` writes one ``<label>.csv`` per run (17 significant
+parameter rules. Numeric fields reject booleans, and integer fields reject
+fractions. ``run`` writes one ``<label>.csv`` per run (17 significant
 digits, '.' decimal separator, LF line endings; reruns are byte-identical)
 plus ``summary.json``. ``compare`` merges runs into one CSV keyed by
 (label, k) and writes a markdown slope table. ``ratecheck`` evaluates a
@@ -36,7 +38,8 @@ Thresholds document::
        {"kind": "monotone", "metric": "energy", "tol": 1e-9}
      ]}
 
-A "slope" check fits log(metric) against log(k) over the window and compares
+A "slope" check fits log(metric) against log(k) over the window (two
+integers, the first not above the second) and compares
 against "max_slope"/"min_slope" (and optionally "min_r2"). A "monotone" check
 allows per-step increases up to ``tol * max(1, first value)``, starting at the
 optional index "from_k"; floating-point noise means a strict ``tol = 0`` will
@@ -69,7 +72,7 @@ from .diagnostics import RunRecord, rate_fit
 from .errors import ValidationError
 from .inertial import certify, rule_from_spec
 from .oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
-from .problem import Problem, problem_from_json
+from .problem import Problem, json_number, problem_from_json
 from .solver import RunResult, SolverParams, run
 
 CSV_HEADER = "k,t_k,gap,feas,obj_err,kkt_grad,kkt_feas,energy,cg_iters"
@@ -96,14 +99,9 @@ class ExperimentConfig:
 
 
 def _number(doc: dict, key: str, where: str, conv=float, default=None):
-    """``doc[key]`` parsed by ``conv``; ``default`` when absent or null."""
+    """``doc[key]`` parsed by :func:`json_number`; ``default`` when absent or null."""
     value = doc.get(key)
-    if value is None:
-        return default
-    try:
-        return conv(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: {key!r} must be a number, got {value!r}") from None
+    return default if value is None else json_number(value, conv, f"{where}: {key!r}")
 
 
 def _is_number(value) -> bool:
@@ -165,8 +163,9 @@ def load_experiment(path: str) -> ExperimentConfig:
 
 def _check_window(win, where: str) -> None:
     if not (isinstance(win, (list, tuple)) and len(win) == 2
-            and all(isinstance(k, int) and not isinstance(k, bool) for k in win)):
-        raise ValueError(f"{where}: 'window' must be two integers, got {win!r}")
+            and all(isinstance(k, int) and not isinstance(k, bool) for k in win)
+            and win[0] <= win[1]):
+        raise ValueError(f"{where}: 'window' must be two ascending integers, got {win!r}")
 
 
 def load_thresholds(path: str, labels: list[str]) -> dict:
@@ -192,6 +191,7 @@ def load_thresholds(path: str, labels: list[str]) -> dict:
         for key in CHECK_NUMBERS:
             if key in check and not _is_number(check[key]):
                 raise ValueError(f"{where}: {key!r} must be a number")
+        json_number(check.get("from_k", 1), int, f"{where}: 'from_k'")
     return doc
 
 

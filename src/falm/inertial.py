@@ -83,6 +83,8 @@ def rule_from_spec(doc: dict) -> InertialRule:
     An unknown rule or a parameter that is not a number raises ``ValueError``.
     """
     kind = doc["rule"]
+    if any(isinstance(doc.get(key), bool) for key in ("alpha", "m")):
+        raise ValueError(f"rule parameters must be numbers, got {doc!r}")
     try:
         if kind == "nesterov":
             return nesterov()

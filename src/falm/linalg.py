@@ -1,24 +1,23 @@
 """Vector primitives, linear operators, and an SPD system solver.
 
 Vectors are plain 1-d float64 numpy arrays. Operators are wrapped in
-:class:`LinearMap`, which carries a forward and an adjoint procedure so the
-solver works matrix-free; dense construction helpers are provided for the
-desk-scale problems this package targets. When a map keeps its dense matrix,
-:func:`spectral_factor` gives the systems ``shift*Id + scale*A*A`` a closed-form
-solution for every shift and scale; matrix-free maps are solved by conjugate
-gradients.
+:class:`LinearMap`, which carries a forward and an adjoint procedure; dense
+construction helpers are provided for the desk-scale problems this package
+targets. :func:`op_norm_sq` gives every map, dense or rebuilt from adjoint
+probes, ``||A||^2`` and the spectral factor that solves the systems
+``shift*Id + scale*A*A`` in closed form for every shift and scale; conjugate
+gradients only refine a solution that misses its residual target.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteError, SpdSolveError
+from .errors import DimensionMismatch, NonFiniteError, SpdSolveError, ValidationError
 
 Array = np.ndarray
 
@@ -118,53 +117,62 @@ def row_selection(indices, n: int) -> LinearMap:
     return LinearMap(forward=fwd, adjoint=adj, dims=(n, int(idx.size)), matrix=None)
 
 
+# Relative rounding allowance, per matrix dimension, of a computed squared
+# singular value (LAPACK's SVD is exact for a matrix within a small multiple of
+# dimension * eps * ||A|| of its input) and of a matrix-vector product.
+SVD_ROUNDING = 4.0 * float(np.finfo(float).eps)
+
+# Largest matrix, in bytes, that op_norm_sq rebuilds from the adjoint probes of
+# a matrix-free map; a larger map is refused before any probe runs.
+PROBE_BUDGET_BYTES = 64 * 2 ** 20
+
+
 @dataclass(frozen=True)
 class OpNormEstimate:
-    """Result of the squared-operator-norm power iteration."""
+    """Upper bound on ``||A||^2`` and the spectral factor it was read from.
+
+    ``factor`` is :func:`spectral_factor` of the map's matrix, None when that
+    is zero (``value`` is then 0). ``iterations`` counts adjoint probes.
+    """
 
     value: float
     iterations: int
-    converged: bool
+    factor: tuple[Array, Array] | None = field(default=None, repr=False, compare=False)
 
 
-def op_norm_sq(a_map: LinearMap, tol: float = 1e-6, max_iter: int = 1000,
-               seed: int = 0) -> OpNormEstimate:
-    """Estimate the largest eigenvalue of ``A*A`` by power iteration.
+def op_norm_sq(a_map: LinearMap) -> OpNormEstimate:
+    """``||A||^2`` and the spectral factor of any map, from one thin SVD.
 
-    The returned value is the converged Rayleigh quotient inflated by
-    ``1 + 10*tol`` so that it sits above the true eigenvalue; step-size
-    bounds computed from it therefore stay on the safe side. The start
-    vector is drawn from a fixed-seed generator, keeping the estimate
-    deterministic. Non-convergence returns the inflated running estimate
-    with ``converged=False`` and a warning.
+    A map that keeps ``matrix`` is factored as is; a matrix-free p-by-n map is
+    first rebuilt from its p adjoint probes ``A* e_i``. A :class:`ValidationError`
+    refuses it before any probe runs when that matrix would exceed
+    ``PROBE_BUDGET_BYTES``, and after probing when a row is not finite or
+    ``forward`` disagrees with the matrix beyond rounding on two fixed-seed
+    vectors. The value is the top squared singular value raised by a relative
+    ``SVD_ROUNDING`` margin per matrix dimension, so it bounds the true value.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = a_map.dims[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        w = a_map.adjoint(a_map.forward(v))
-        rayleigh = float(np.dot(v, w))
-        w_norm = float(np.linalg.norm(w))
-        if w_norm == 0.0:
-            # A*A annihilates the iterate; the operator is (numerically) zero.
-            return OpNormEstimate(value=0.0, iterations=it, converged=True)
-        if abs(rayleigh - estimate) <= tol * max(abs(rayleigh), 1e-300):
-            estimate = rayleigh
-            converged = True
-            break
-        estimate = rayleigh
-        v = w / w_norm
-    if not converged:
-        warnings.warn(f"op_norm_sq did not converge within {max_iter} iterations; "
-                      f"returning inflated running estimate {estimate:.6e}")
-    return OpNormEstimate(value=estimate * (1.0 + 10.0 * tol),
-                          iterations=it, converged=converged)
+    n, p = a_map.dims
+    mat, probes = a_map.matrix, 0
+    if mat is None:
+        if p * n * 8 > PROBE_BUDGET_BYTES:
+            raise ValidationError("p·n·8 B ≤ PROBE_BUDGET_BYTES",
+                                  f"probing dims {a_map.dims} needs {p * n * 8} B")
+        mat = np.array([a_map.adjoint(np.eye(1, p, i)[0]) for i in range(p)],
+                       dtype=float).reshape(p, n)
+        probes = p
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError("A* e_i finite", "an adjoint probe is not finite")
+        allowance = SVD_ROUNDING * max(p, n) * float(np.linalg.norm(mat))
+        for v in np.random.default_rng(0).standard_normal((2, n)):
+            fv = np.asarray(a_map.forward(v), dtype=float)
+            if not (fv.shape == (p,) and norm(fv - mat @ v) <= allowance * norm(v)):
+                raise ValidationError("⟨A x, y⟩ = ⟨x, A* y⟩", "forward disagrees with "
+                                      "the adjoint probes' matrix; the adjoint is wrong")
+    if not np.any(mat):
+        return OpNormEstimate(value=0.0, iterations=probes)
+    factor = spectral_factor(mat)
+    value = float(factor[1][0]) * (1.0 + SVD_ROUNDING * max(mat.shape))
+    return OpNormEstimate(value=value, iterations=probes, factor=factor)
 
 
 def spectral_factor(matrix: Array) -> tuple[Array, Array]:
@@ -186,8 +194,8 @@ class SpdSystem:
     """The operator ``shift*Id + scale*A*A`` (symmetric positive definite).
 
     ``shift`` must be positive and ``scale`` nonnegative. With ``a_map=None``
-    or ``scale=0`` the system is a pure scaling of the identity. ``factor``
-    optionally carries :func:`spectral_factor` of the map's matrix.
+    or ``scale=0`` the system is a pure scaling of the identity; otherwise
+    :func:`solve_spd` needs ``factor``, the map's :func:`op_norm_sq` factor.
     """
 
     shift: float
@@ -234,20 +242,19 @@ class CgResult:
     ax: Array | None = None
 
 
-def solve_spd(system: SpdSystem, rhs: Array, warm: Array | None = None,
-              tol: float = 1e-12, max_iter: int | None = None) -> CgResult:
+def solve_spd(system: SpdSystem, rhs: Array, *, tol: float = 1e-12,
+              max_iter: int | None = None) -> CgResult:
     """Solve ``M x = rhs``, returning once ``||M x - rhs|| <= tol * max(1, ||rhs||)``.
 
-    The start point is the closed-form :meth:`SpdSystem.spectral_solve` when
-    the system carries a spectral factor (``warm`` is then ignored), else
-    ``warm`` (zero when None). The true residual of the start point is checked
-    first; if it misses the target, conjugate gradients iterate from there.
-    The recurrence residual is cross-checked against a freshly computed one
-    before success is declared, so the contract holds even when the recurrence
-    drifts near machine precision. ``iterations`` counts CG iterations only,
-    so an accepted spectral start reports 0; ``ax`` hands on the image of the
-    returned ``x`` that this final check computed. Raises :class:`SpdSolveError`
-    when ``max_iter`` is exhausted.
+    The start point is the closed-form :meth:`SpdSystem.spectral_solve`, and
+    its true residual is checked first; if it misses the target, conjugate
+    gradients refine it from there. The recurrence residual is cross-checked
+    against a freshly computed one before success is declared, so the contract
+    holds even when the recurrence drifts near machine precision.
+    ``iterations`` counts CG iterations only, so an accepted closed form
+    reports 0; ``ax`` hands on the image of the returned ``x`` that this final
+    check computed. Raises :class:`SpdSolveError` when ``max_iter`` is
+    exhausted.
     """
     if system.shift <= 0 or system.scale < 0:
         raise ValueError("solve_spd requires shift > 0 and scale >= 0")
@@ -264,12 +271,9 @@ def solve_spd(system: SpdSystem, rhs: Array, warm: Array | None = None,
         residual = norm(rhs - system.shift * x)
         return CgResult(x=x, iterations=0, residual=residual)
 
-    if system.factor is not None:
-        x = system.spectral_solve(rhs)
-    elif warm is None:
-        x = np.zeros(n)
-    else:
-        x = np.array(warm, dtype=float)
+    if system.factor is None:
+        raise ValueError("solve_spd requires the spectral factor of the system's map")
+    x = system.spectral_solve(rhs)
     r, ax = system.residual(x, rhs)
     r_norm = norm(r)
     if r_norm <= target:

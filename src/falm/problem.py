@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteError
 from .linalg import Array, LinearMap, as_vector, dense_map, norm
 
 OBJECTIVE_KINDS = ("quadratic", "least_squares")
@@ -47,16 +47,27 @@ class Objective:
 def quadratic_objective(q, c, lipschitz: float | None = None) -> Objective:
     """Objective ``f(x) = 0.5 x'Qx + c'x`` for symmetric PSD ``Q``.
 
-    The default Lipschitz constant is the largest eigenvalue of the
-    symmetrized ``Q``, computed by a dense eigendecomposition.
+    ``Q`` must be finite and symmetric within ``1e-12 * max(1, max|Q_ij|)`` (the
+    test of :class:`~falm.oracle.QpInstance`), or ``Qx + c`` is no gradient of f.
+    The default Lipschitz constant is the largest eigenvalue of the symmetrized
+    ``Q``; its smallest must then not be below minus that allowance, or f is
+    not convex. Either violation raises ``ValueError``.
     """
     q = np.array(q, dtype=float)
     c = as_vector(c, name="c")
     if q.shape != (c.size, c.size):
         raise DimensionMismatch(f"Q has shape {q.shape}, expected {(c.size, c.size)}")
+    if not np.all(np.isfinite(q)):
+        raise NonFiniteError("Q contains NaN or infinite entries")
+    allowance = 1e-12 * max(1.0, float(np.abs(q).max(initial=0.0)))
+    if float(np.abs(q - q.T).max(initial=0.0)) > allowance:
+        raise ValueError("Q is not symmetric within 1e-12")
     q.flags.writeable = False
     if lipschitz is None:
-        lipschitz = float(np.linalg.eigvalsh((q + q.T) / 2.0)[-1])
+        eigs = np.linalg.eigvalsh((q + q.T) / 2.0)
+        if eigs[0] < -allowance:
+            raise ValueError(f"Q has the negative eigenvalue {eigs[0]:.6g}")
+        lipschitz = float(eigs[-1])
     return Objective(value=lambda x: float(0.5 * np.dot(x, q @ x) + np.dot(c, x)),
                      gradient=lambda x: q @ x + c,
                      lipschitz=lipschitz,
@@ -206,14 +217,30 @@ def problem_to_json(prob: Problem) -> dict:
             "b": prob.b.tolist(), "objective": obj_doc}
 
 
+def json_number(value, conv=float, name: str = "value"):
+    """A JSON number field parsed by ``conv`` (``float`` or ``int``).
+
+    What ``conv`` rejects, a boolean, and for ``int`` a fraction raise
+    ``ValueError`` naming the field (``float(true)`` is 1, ``int(2.7)`` is 2).
+    """
+    try:
+        if isinstance(value, bool) or (conv is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
+        return conv(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if conv is int else "a number"
+        raise ValueError(f"{name} must be {expected}, got {value!r}") from None
+
+
 def problem_from_json(doc: dict) -> Problem:
     """Rebuild a Problem from the JSON schema produced by :func:`problem_to_json`.
 
     A field of the wrong type raises ``ValueError``; a missing one ``KeyError``.
     """
     try:
-        n = int(doc["n"])
-        p = int(doc["p"])
+        n = json_number(doc["n"], int, "n")
+        p = json_number(doc["p"], int, "p")
         if n < 1 or p < 1:
             raise ValueError(f"dimensions must be positive, got n={n}, p={p}")
         a = np.array(doc["A"], dtype=float).reshape(p, n)

@@ -10,36 +10,33 @@ requested residual tolerance ``cg_tol``) via its normal system
 
 because the convergence analysis this package verifies assumes the exact
 argmin; an approximate proximal step would void the recorded invariants. The
-system matrix changes only through the scalar ``s_{k+1}/gamma``. When the
-constraint map carries a dense nonzero matrix, :func:`validate` computes one
-thin SVD of it, and every step solves the system in closed form from that
+system matrix changes only through the scalar ``s_{k+1}/gamma``.
+:func:`validate` takes one thin SVD of the constraint map from
+:func:`~falm.linalg.op_norm_sq`, which rebuilds a matrix-free map from adjoint
+probes first, and every step solves the system in closed form from that
 factor (two products with ``Vt``), falling back to conjugate-gradient
-refinement only if the residual check fails. The same factor gives ``||A||^2``
-to rounding. Matrix-free maps are solved by conjugate gradients warm-started at
-the current iterate, and ``||A||^2`` is estimated by power iteration.
+refinement only if the residual check fails. The same factor gives an upper
+bound on ``||A||^2``, so dense and matrix-free maps take one path.
 
 Oracle budget. A dense step applies the map 7 times (``A y``, the three
 adjoints of the right-hand side, ``A`` and ``A*`` in the inner solve's residual
 check, and ``A z``) and the gradient once; ``A x_k`` is the image the previous
-step's residual check computed. Conjugate gradients add ``A*A`` per iteration.
+step's residual check computed. Conjugate-gradient refinement, when a residual
+check fails, adds ``A*A`` per iteration. Rebuilding a matrix-free p-by-n map
+costs p adjoint and 2 forward applies, once per :func:`validate`.
 A record applies the map 3 times (``A* lam`` and, when ``beta != 0``, the two
 energy seminorms), the gradient once and the objective value once; ``f`` and
-``A x - b`` at the reference saddle point are evaluated once per run. So a
-user-supplied map or objective is called fewer times than in earlier versions
-(8 applies per dense step, 5 objective values per record), while every record
-still equals, bit for bit, what the public diagnostics return for its iterates.
+``A x - b`` at the reference saddle point are evaluated once per run. Every
+record equals, bit for bit, what the public diagnostics return for its iterates.
 
 Stop-test budget. With ``kkt_tol`` set, an iteration that emits no record
-first compares ``||A x_{k+1} - b||``, free from the cached image, with the
-tolerance. Only if it passes does it apply ``A*`` to ``lam_{k+1}`` and bound the
-stationarity residual below by ``||grad f(y_k) + A* lam_{k+1}|| -
-L||x_{k+1} - y_k||`` less a margin of ``STOP_MARGIN`` (1e-6) times
-``||grad f(y_k)|| + ||A* lam_{k+1}|| + L(||x_{k+1}|| + ||y_k||)``. Only if that
-bound does not exceed the tolerance does it evaluate the exact residuals
-(one more gradient), so the run stops at the same index with the same bits as
-an exact test at every iteration. The bound relies on the objective's
-``lipschitz`` being a true bound, which the admissibility of sigma already
-requires; a too-small L can only delay a stop, never cause an early one.
+evaluates the exact KKT residuals (one more gradient) only when neither the
+cached ``||A x_{k+1} - b||`` nor a lower bound on the stationarity residual
+from the step's own gradient rules the stop out (see
+:func:`_kkt_unless_ruled_out`), so the run stops at the same index with the
+same bits as an exact test at every iteration. The bound relies on the
+objective's ``lipschitz`` being a true bound; a too-small L can only delay a
+stop, never cause an early one.
 
 Admissibility of the parameters::
 
@@ -65,15 +62,10 @@ from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
 from .inertial import InertialRule, t_value
 from .linalg import (Array, SpdSystem, all_finite, as_vector, norm, op_norm_sq,
-                     solve_spd, spectral_factor)
+                     solve_spd)
 from .problem import Problem, kkt_residuals, value_and_residual
 
 SIGMA_CONDITION = "σ ≤ γ/(L + γβ‖A‖²)"
-
-# Relative error allowance of a computed squared singular value, per dimension
-# of the matrix: LAPACK's SVD returns the exact singular values of a matrix
-# that lies within a small multiple of dimension * eps * ||A|| of the input.
-SVD_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 # Relative rounding allowance of the lower bound that lets ``run`` skip the
 # exact KKT stop test. An affine gradient evaluated at v is off by a few
@@ -129,12 +121,11 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
              require_convergence_certified: bool = False) -> ValidatedConfig:
     """Check every admissibility condition and resolve defaulted parameters.
 
-    When the constraint map carries a dense nonzero matrix, its spectral
-    factor is computed once and kept as ``spectral``; ``||A||^2`` is then its
-    top squared singular value, raised by a relative ``SVD_ROUNDING`` margin
-    per matrix dimension so that it bounds the true value despite the SVD's
-    rounding. Otherwise ``||A||^2`` is the power-iteration estimate. An
-    explicit ``a_norm_sq`` overrides both and must be positive and finite.
+    :func:`~falm.linalg.op_norm_sq` gives the map's spectral factor, kept as
+    ``spectral`` (None exactly when the operator is zero), and an upper bound
+    on ``||A||^2``; it refuses a matrix-free map over its probe budget or with
+    a wrong adjoint. An explicit ``a_norm_sq`` overrides the bound and must be
+    positive and finite.
     Each violated condition raises a :class:`ValidationError` naming the
     inequality. When ``require_convergence_certified`` is set and the
     configuration only meets the non-strict conditions, a warning lists what
@@ -164,17 +155,11 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
                                   f"coupling weight nonpositive; need gamma > "
                                   f"{1.0 - 1.0 / (rule.alpha - 1.0)}")
 
-    a_mat = prob.a_map.matrix
-    spectral = (spectral_factor(a_mat)
-                if a_mat is not None and np.any(a_mat) else None)
-    if a_norm_sq is None:
-        if spectral is not None:
-            a_norm_sq = float(spectral[1][0]) * (1.0 + SVD_ROUNDING * max(a_mat.shape))
-        else:
-            a_norm_sq = op_norm_sq(prob.a_map).value
-    elif not (a_norm_sq > 0 and np.isfinite(a_norm_sq)):
+    if a_norm_sq is not None and not (a_norm_sq > 0 and np.isfinite(a_norm_sq)):
         raise ValidationError("‖A‖² > 0", f"explicit a_norm_sq={a_norm_sq} must be "
                                           f"positive and finite")
+    estimate = op_norm_sq(prob.a_map)
+    a_norm_sq = estimate.value if a_norm_sq is None else a_norm_sq
     lip = prob.objective.lipschitz
     sigma_bound = gamma / (lip + gamma * params.beta * a_norm_sq)
     sigma = params.sigma if params.sigma is not None else 0.99 * sigma_bound
@@ -197,17 +182,12 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
     if params.kkt_tol is not None and not params.kkt_tol > 0:
         raise ValidationError("kkt_tol > 0", "stopping tolerance must be positive")
 
-    certified = (m < gamma < 1.0) and (sigma < sigma_bound) and (params.beta > 0)
+    strict = (("m < γ", m < gamma), ("γ < 1", gamma < 1.0),
+              ("σ strictly below its bound", sigma < sigma_bound),
+              ("β > 0", params.beta > 0))
+    missing = [name for name, holds in strict if not holds]
+    certified = not missing
     if require_convergence_certified and not certified:
-        missing = []
-        if not m < gamma:
-            missing.append("m < γ")
-        if not gamma < 1.0:
-            missing.append("γ < 1")
-        if not sigma < sigma_bound:
-            missing.append("σ strictly below its bound")
-        if not params.beta > 0:
-            missing.append("β > 0")
         warnings.warn("configuration is not convergence-certified; iterate "
                       "convergence requires " + ", ".join(missing))
 
@@ -217,7 +197,7 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
                            convergence_certified=certified,
                            max_iter=params.max_iter, kkt_tol=params.kkt_tol,
                            cg_tol=params.cg_tol, cg_max_iter=params.cg_max_iter,
-                           record_every=params.record_every, spectral=spectral)
+                           record_every=params.record_every, spectral=estimate.factor)
 
 
 @dataclass
@@ -268,11 +248,11 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     """Advance the recurrence from index k to k+1.
 
     The primal update solves the subproblem's stationarity system exactly (to
-    the configured residual tolerance): in closed form from ``cfg.spectral``
-    when the map is dense, else by conjugate gradients warm-started at the
-    current iterate. When the operator is zero the subproblem collapses to the
-    plain accelerated gradient step ``y_k - sigma * grad f(y_k)``, which is
-    taken directly. ``A x_k`` is read from ``st.ax_k`` when cached, and the new
+    the configured residual tolerance) by :func:`~falm.linalg.solve_spd` from
+    ``cfg.spectral``. When the operator is zero (``cfg.spectral`` is None) the
+    subproblem collapses to the plain accelerated gradient step
+    ``y_k - sigma * grad f(y_k)``, which is taken directly. ``A x_k`` is read
+    from ``st.ax_k`` when cached, and the new
     state caches the image of ``x_{k+1}`` that the inner solve's residual check
     computed. Inner-solve failures raise :class:`StepError` carrying the
     iteration index.
@@ -290,7 +270,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     s_next = (cfg.rho / g) * t_k1 * (t_k1 - 1.0 + g)
     grad_y = prob.objective.gradient(y)
 
-    if cfg.a_norm_sq == 0.0:
+    if cfg.spectral is None:
         # Zero operator: the constraint terms vanish and the subproblem's
         # minimizer is the accelerated gradient step itself.
         x_next = y - cfg.sigma * grad_y
@@ -305,8 +285,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
         system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a,
                            factor=cfg.spectral)
         try:
-            sol = solve_spd(system, rhs, warm=st.x_k, tol=cfg.cg_tol,
-                            max_iter=cfg.cg_max_iter)
+            sol = solve_spd(system, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
         except SpdSolveError as exc:
             raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
         x_next = sol.x

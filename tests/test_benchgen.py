@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from falm.benchgen import (GenSpec, SplitMix64, generate, lipschitz_of,
-                           spec_from_json, spec_to_json)
-from falm.linalg import dense_map, op_norm_sq
+from falm.benchgen import GenSpec, SplitMix64, generate, spec_from_json, spec_to_json
+from falm.linalg import op_norm_sq
 from falm.oracle import kkt_solve
 from falm.problem import kkt_residuals, problem_to_json
 
@@ -101,23 +100,14 @@ def test_generate_least_squares_oracle_agrees():
     assert f(x) - f(y) == pytest.approx(quad(x) - quad(y), rel=1e-9, abs=1e-12)
 
 
-def test_lipschitz_of_diagonal():
-    assert lipschitz_of("quadratic", np.diag([1.0, 4.0, 9.0])) == 9.0
-    assert lipschitz_of("quadratic", np.eye(5)) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_lipschitz_of_cross_checks_power_iteration():
-    _, qp = generate(GenSpec("random_qp", 20, 5, 13, 30.0))
-    exact = lipschitz_of("quadratic", qp.q_mat)
-    # Q is symmetric, so the squared-norm estimate targets lam_max(Q)^2
-    est = op_norm_sq(dense_map(qp.q_mat), tol=1e-9, max_iter=5000)
-    assert np.sqrt(est.value) == pytest.approx(exact, rel=1e-5)
-    assert np.sqrt(est.value) >= exact * (1 - 1e-9)
-
-
-def test_lipschitz_of_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        lipschitz_of("cubic", np.eye(2))
+@pytest.mark.parametrize("kind", ["random_qp", "constrained_least_squares",
+                                  "unconstrained"])
+def test_generated_lipschitz_is_exact(kind):
+    # The objective's default constant is the top eigenvalue of Q (or M'M).
+    prob, _ = generate(GenSpec(kind, 20, 5, 13, 30.0))
+    obj_kind, mat, _ = prob.objective.data
+    gram = mat if obj_kind == "quadratic" else mat.T @ mat
+    assert prob.objective.lipschitz == float(np.linalg.eigvalsh(gram)[-1])
 
 
 def test_spec_validation():
@@ -132,3 +122,12 @@ def test_spec_validation():
 def test_spec_json_round_trip():
     spec = GenSpec("random_qp", 50, 10, 7, 100.0)
     assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True), ("n", 50.5),
+                                          ("p", False), ("cond", True)])
+def test_spec_from_json_rejects_booleans_and_fractions(field, value):
+    doc = {**spec_to_json(GenSpec("random_qp", 50, 10, 7, 100.0)), field: value}
+    with pytest.raises(ValueError, match=field):
+        spec_from_json(doc)
+    assert spec_from_json({**doc, field: 10.0 if field != "cond" else 2}) is not None

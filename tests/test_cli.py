@@ -295,6 +295,11 @@ def test_run_checks_every_run_before_the_first_starts(tmp_path, capsys,
     assert started == [] and not (tmp_path / "out").exists()
 
 
+_INLINE_PROBLEM = {"n": 2, "p": 1, "A": [1.0, 1.0], "b": [1.0],
+                   "objective": {"kind": "quadratic", "Q": [1.0, 0.0, 0.0, 1.0],
+                                 "c": [0.0, 0.0]}}
+
+
 def _tiny_runs():
     return [{"label": "cd4", "rule": {"rule": "chambolle_dossal", "alpha": 4.0},
              "beta": 1.0, "max_iter": 20, "record_every": 5}]
@@ -305,7 +310,19 @@ def _tiny_runs():
     lambda doc: doc.update(runs=[5]),
     lambda doc: doc["runs"][0].update(gamma="0.5"),  # float("0.5") < m = 2/3
     lambda doc: doc["runs"][0].update(label="a/b"),
-], ids=["problem_not_object", "run_not_object", "gamma_string", "label_not_file_name"])
+    lambda doc: doc["runs"][0].update(max_iter=2.7),
+    lambda doc: doc["runs"][0].update(max_iter=True),
+    lambda doc: doc["runs"][0].update(beta=True),
+    lambda doc: doc["runs"][0].update(rule={"rule": "constant", "m": True}),
+    lambda doc: doc["problem"].update(seed=1.5),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "n": 2.5}),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
+        "kind": "quadratic", "Q": [1.0, 1.0, 0.0, 1.0], "c": [0.0, 0.0]}}),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
+        "kind": "quadratic", "Q": [1.0, 0.0, 0.0, -5.0], "c": [0.0, 0.0]}}),
+], ids=["problem_not_object", "run_not_object", "gamma_string", "label_not_file_name",
+        "max_iter_fraction", "max_iter_bool", "beta_bool", "rule_m_bool",
+        "seed_fraction", "inline_n_fraction", "q_asymmetric", "q_indefinite"])
 def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     doc = json.loads(Path(cfg).read_text())
@@ -326,8 +343,12 @@ _GOOD_CHECK = {"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1
     {"checks": [{**_GOOD_CHECK, "metric": "nope"}]},
     {"checks": [{**_GOOD_CHECK, "label": "cd5"}]},
     {"checks": [{**_GOOD_CHECK, "kind": "steep"}]},
+    {"window": [400, 100], "checks": [_GOOD_CHECK]},
+    {"checks": [{**_GOOD_CHECK, "window": [20, 5]}]},
+    {"checks": [{"kind": "monotone", "metric": "energy", "from_k": 2.5}]},
 ], ids=["not_object", "check_not_object", "window_not_pair", "no_metric",
-        "unknown_metric", "unknown_label", "unknown_kind"])
+        "unknown_metric", "unknown_label", "unknown_kind", "window_descending",
+        "check_window_descending", "from_k_fraction"])
 def test_bad_thresholds_document_exits_2(tmp_path, capsys, thresholds):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     path = _write(tmp_path / "thresholds.json", thresholds)

@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from falm.errors import DimensionMismatch, NonFiniteError, SpdSolveError
-from falm.linalg import (LinearMap, SpdSystem, all_finite, as_vector, dense_map,
-                         dot, op_norm_sq, row_selection, scaled_identity,
-                         solve_spd, spectral_factor, zero_map)
+from falm.errors import (DimensionMismatch, NonFiniteError, SpdSolveError,
+                         ValidationError)
+from falm.linalg import (PROBE_BUDGET_BYTES, LinearMap, SpdSystem, all_finite,
+                         as_vector, dense_map, dot, op_norm_sq, row_selection,
+                         scaled_identity, solve_spd, spectral_factor, zero_map)
+
+
+def _matrix_free(a_map):
+    """The same operator with its matrix dropped: forward/adjoint only."""
+    return LinearMap(forward=a_map.forward, adjoint=a_map.adjoint, dims=a_map.dims)
 
 
 def test_dot_direct():
@@ -70,16 +76,16 @@ def test_adjoint_consistency(a_map):
 
 
 def test_op_norm_sq_scaled_identity():
-    est = op_norm_sq(scaled_identity(2.0, 3), tol=1e-8)
-    assert est.converged
-    assert est.value == pytest.approx(4.0, rel=1e-6)
+    est = op_norm_sq(scaled_identity(2.0, 3))
+    assert est.iterations == 3  # one adjoint probe per row
+    assert est.value == pytest.approx(4.0, rel=1e-14)
     assert est.value >= 4.0
 
 
 def test_op_norm_sq_zero_map():
-    est = op_norm_sq(zero_map(4, 2))
-    assert est.value == 0.0
-    assert est.converged
+    for a_map in (zero_map(4, 2), _matrix_free(zero_map(4, 2))):
+        est = op_norm_sq(a_map)
+        assert est.value == 0.0 and est.factor is None
 
 
 def test_op_norm_sq_known_singular_values():
@@ -89,9 +95,10 @@ def test_op_norm_sq_known_singular_values():
     a = u @ np.diag([3.0, 2.0, 1.0]) @ vt
     lam_max = float(np.linalg.eigvalsh(a.T @ a)[-1])
     assert lam_max == pytest.approx(9.0, rel=1e-12)
-    est = op_norm_sq(dense_map(a), tol=1e-8)
+    est = op_norm_sq(dense_map(a))
+    assert est.iterations == 0
     assert est.value >= lam_max
-    assert est.value == pytest.approx(9.0, rel=1e-5)
+    assert est.value == pytest.approx(9.0, rel=1e-13)
 
 
 def test_op_norm_sq_never_underestimates():
@@ -100,17 +107,61 @@ def test_op_norm_sq_never_underestimates():
         p, n = rng.integers(2, 12, size=2)
         a = rng.standard_normal((p, n))
         lam_max = float(np.linalg.eigvalsh(a.T @ a)[-1])
-        est = op_norm_sq(dense_map(a), tol=1e-9, max_iter=5000)
-        assert est.value >= lam_max
+        assert op_norm_sq(dense_map(a)).value >= lam_max
+        assert op_norm_sq(_matrix_free(dense_map(a))).value >= lam_max
 
 
-def test_op_norm_sq_nonconvergence_flag():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((6, 6))
-    with pytest.warns(UserWarning):
-        est = op_norm_sq(dense_map(a), tol=1e-14, max_iter=2)
-    assert not est.converged
-    assert est.value > 0
+def test_op_norm_sq_probes_a_matrix_free_map_bitwise():
+    # A dense-backed map rebuilt from p adjoint probes is the same matrix, so
+    # its bound and factor are the dense map's to the bit.
+    rng = np.random.default_rng(5)
+    a_map = dense_map(rng.standard_normal((7, 13)))
+    dense, free = op_norm_sq(a_map), op_norm_sq(_matrix_free(a_map))
+    assert (dense.iterations, free.iterations) == (0, 7)
+    assert free.value == dense.value
+    for got, want in zip(free.factor, dense.factor):
+        assert got.tobytes() == want.tobytes()
+
+
+class _Probed(Exception):
+    pass
+
+
+def test_op_norm_sq_refuses_a_map_over_the_probe_budget():
+    # The refusal comes from dims alone: no callable runs, nothing is built.
+    def probe(_):
+        raise _Probed
+
+    p = 1024
+    n = PROBE_BUDGET_BYTES // (8 * p)
+    with pytest.raises(ValidationError) as err:
+        op_norm_sq(LinearMap(forward=probe, adjoint=probe, dims=(n + 1, p)))
+    assert err.value.condition == "p·n·8 B ≤ PROBE_BUDGET_BYTES"
+    with pytest.raises(_Probed):  # exactly at the budget, probing starts
+        op_norm_sq(LinearMap(forward=probe, adjoint=probe, dims=(n, p)))
+
+
+def test_op_norm_sq_rejects_a_wrong_adjoint():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((4, 9))
+    wrong = LinearMap(forward=lambda x: a @ x,
+                      adjoint=lambda y: 1.01 * (a.T @ y), dims=(9, 4))
+    with pytest.raises(ValidationError) as err:
+        op_norm_sq(wrong)
+    assert err.value.condition == "⟨A x, y⟩ = ⟨x, A* y⟩"
+    # a forward of the wrong size is no transpose of the probes either
+    short = LinearMap(forward=lambda x: (a @ x)[:3], adjoint=lambda y: a.T @ y,
+                      dims=(9, 4))
+    with pytest.raises(ValidationError, match="adjoint is wrong"):
+        op_norm_sq(short)
+
+
+def test_op_norm_sq_rejects_nonfinite_probes():
+    bad = LinearMap(forward=lambda x: x, adjoint=lambda y: np.full(3, np.nan),
+                    dims=(3, 3))
+    with pytest.raises(ValidationError) as err:
+        op_norm_sq(bad)
+    assert err.value.condition == "A* e_i finite"
 
 
 def test_spd_system_symmetric_and_definite():
@@ -146,8 +197,8 @@ def test_solve_spd_matches_cholesky_oracle():
     a = rng.standard_normal((4, 9))
     shift, scale = 1.0 / 0.05, 12.0 / 0.9
     rhs = rng.standard_normal(9)
-    sol = solve_spd(SpdSystem(shift=shift, scale=scale, a_map=dense_map(a)), rhs,
-                    tol=1e-13)
+    sol = solve_spd(SpdSystem(shift=shift, scale=scale, a_map=dense_map(a),
+                              factor=spectral_factor(a)), rhs, tol=1e-13)
     m = shift * np.eye(9) + scale * (a.T @ a)
     chol = np.linalg.cholesky(m)
     x_ref = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
@@ -162,31 +213,29 @@ def test_solve_spd_residual_contract():
         a = rng.standard_normal((p, n))
         system = SpdSystem(shift=float(rng.uniform(0.1, 10.0)),
                            scale=float(rng.uniform(0.0, 5.0)),
-                           a_map=dense_map(a))
+                           a_map=dense_map(a), factor=spectral_factor(a))
         rhs = rng.standard_normal(n)
-        warm = rng.standard_normal(n) if rng.uniform() < 0.5 else None
         tol = 1e-11
-        sol = solve_spd(system, rhs, warm=warm, tol=tol)
+        sol = solve_spd(system, rhs, tol=tol)
         resid = np.linalg.norm(rhs - system.apply(sol.x))
         assert resid <= tol * max(1.0, np.linalg.norm(rhs))
 
 
-def test_solve_spd_warm_start_helps():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((3, 8))
-    system = SpdSystem(shift=5.0, scale=2.0, a_map=dense_map(a))
-    rhs = rng.standard_normal(8)
-    cold = solve_spd(system, rhs, tol=1e-12)
-    warm = solve_spd(system, rhs, warm=cold.x, tol=1e-12)
-    assert warm.iterations <= 1
+def test_solve_spd_requires_the_factor():
+    a_map = dense_map(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="spectral factor"):
+        solve_spd(SpdSystem(shift=1.0, scale=1.0, a_map=a_map), np.ones(3))
 
 
 def test_solve_spd_iteration_budget_error():
+    # A target below rounding fails the closed form's residual check, and one
+    # conjugate-gradient iteration cannot meet it either.
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 12))
-    system = SpdSystem(shift=0.01, scale=50.0, a_map=dense_map(a))
+    system = SpdSystem(shift=0.01, scale=50.0, a_map=dense_map(a),
+                       factor=spectral_factor(a))
     with pytest.raises(SpdSolveError) as err:
-        solve_spd(system, rng.standard_normal(12), tol=1e-14, max_iter=1)
+        solve_spd(system, rng.standard_normal(12), tol=1e-300, max_iter=1)
     assert err.value.residual > 0
 
 
@@ -224,7 +273,8 @@ def test_spectral_solve_matches_cholesky_oracle(p, n, rank):
         x_ref = _cholesky_solve(shift * np.eye(n) + scale * (a.T @ a), rhs)
         np.testing.assert_allclose(system.spectral_solve(rhs), x_ref,
                                    rtol=0, atol=1e-12 * np.linalg.norm(x_ref))
-        sol = solve_spd(system, rhs, warm=rng.standard_normal(n), tol=1e-12)
+        rng.standard_normal(n)  # keeps the drawn cases those of earlier versions
+        sol = solve_spd(system, rhs, tol=1e-12)
         assert sol.residual <= 1e-12 * max(1.0, np.linalg.norm(rhs))
         np.testing.assert_allclose(sol.x, x_ref, rtol=0,
                                    atol=1e-12 * np.linalg.norm(x_ref))
@@ -258,17 +308,17 @@ def _exact_spectral_system():
                      factor=spectral_factor(a)), rng.standard_normal(9)
 
 
-def _matrix_free_system():
+def _probed_system():
     rng = np.random.default_rng(19)
-    a = dense_map(rng.standard_normal((4, 9)))
-    free = LinearMap(forward=a.forward, adjoint=a.adjoint, dims=a.dims)
-    return SpdSystem(shift=1.5, scale=0.7, a_map=free), rng.standard_normal(9)
+    free = _matrix_free(dense_map(rng.standard_normal((4, 9))))
+    return (SpdSystem(shift=1.5, scale=0.7, a_map=free, factor=op_norm_sq(free).factor),
+            rng.standard_normal(9))
 
 
 @pytest.mark.parametrize("path, make, cg", [
     ("accepted spectral start", _exact_spectral_system, False),
     ("refined spectral start", lambda: _inexact_spectral_system()[1:], True),
-    ("matrix-free", _matrix_free_system, True),
+    ("probed", _probed_system, False),
 ])
 def test_solve_spd_returns_exact_image(path, make, cg):
     system, rhs = make()

@@ -200,3 +200,28 @@ def test_quadratic_default_lipschitz_is_top_eigenvalue():
     assert math.isclose(quadratic_objective(np.eye(3), np.zeros(3)).lipschitz, 1.0)
     assert math.isclose(
         quadratic_objective(np.diag([1.0, 4.0, 9.0]), np.zeros(3)).lipschitz, 9.0)
+
+
+def test_quadratic_rejects_asymmetric_q():
+    # Qx + c is not the gradient of 0.5 x'Qx + c'x unless Q is symmetric.
+    with pytest.raises(ValueError, match="not symmetric"):
+        quadratic_objective([[1.0, 1.0], [0.0, 1.0]], np.zeros(2))
+    with pytest.raises(ValueError, match="NaN"):  # NaN compares false everywhere
+        quadratic_objective([[np.nan, 0.0], [0.0, 1.0]], np.zeros(2))
+    tilted = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])  # within rounding
+    assert quadratic_objective(tilted, np.zeros(2)).lipschitz == pytest.approx(3.0)
+
+
+def test_quadratic_default_lipschitz_rejects_indefinite_q():
+    # The top eigenvalue 1 is no Lipschitz bound for the gradient of diag(1, -5).
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        quadratic_objective(np.diag([1.0, -5.0]), np.zeros(2))
+    assert quadratic_objective(np.diag([1.0, -5.0]), np.zeros(2), lipschitz=5.0)
+
+
+@pytest.mark.parametrize("field, value", [("n", 2.5), ("n", True), ("p", 1.5)])
+def test_problem_from_json_rejects_booleans_and_fractions(tiny_qp, field, value):
+    doc = problem_to_json(tiny_qp)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        problem_from_json({**doc, field: value})
+    assert problem_from_json({**doc, field: float(doc[field])}).n == tiny_qp.n
