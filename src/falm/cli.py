@@ -24,8 +24,10 @@ the solver defaults, so minimally specified runs match the documented
 parameter rules. Numeric fields reject booleans, and integer fields reject
 fractions. ``run`` writes one ``<label>.csv`` per run (17 significant
 digits, '.' decimal separator, LF line endings; reruns are byte-identical)
-plus ``summary.json``. ``compare`` merges runs into one CSV keyed by
-(label, k) and writes a markdown slope table. ``ratecheck`` evaluates a
+plus ``summary.json``, which gives each run's resolved ``parameters``
+(``PARAMETER_FIELDS`` of its validated config) next to its outcome.
+``compare`` merges runs into one CSV keyed by (label, k) and writes a
+markdown slope table. ``ratecheck`` evaluates a
 thresholds document and exits nonzero on the first violation; see
 ``DEFAULT_WINDOW`` and the check kinds below.
 
@@ -73,7 +75,7 @@ from .errors import ValidationError
 from .inertial import certify, rule_from_spec
 from .oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
 from .problem import Problem, json_number, problem_from_json
-from .solver import RunResult, SolverParams, run
+from .solver import RunResult, SolverParams, ValidatedConfig, run
 
 CSV_HEADER = "k,t_k,gap,feas,obj_err,kkt_grad,kkt_feas,energy,cg_iters"
 DEFAULT_WINDOW = (100, 10000)
@@ -81,6 +83,8 @@ SLOPE_FIELDS = ("gap", "feas", "obj_err")
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 CHECK_KINDS = ("slope", "monotone")
 CHECK_NUMBERS = ("max_slope", "min_slope", "min_r2", "tol", "from_k")
+PARAMETER_FIELDS = ("gamma", "sigma", "rho", "beta", "a_norm_sq", "sigma_bound",
+                    "convergence_certified")
 
 
 @dataclass
@@ -246,7 +250,8 @@ def _execute(command: str, config_path: str, labels_filter: str | None = None,
                       load_thresholds(thresholds_path, [s.label for s in config.runs]))
         # solver.validate is looked up at call time, like run and kkt_solve,
         # so a wrapper installed on the solver module sees these calls.
-        cfgs = [solver.validate(config.problem, spec.params) for spec in specs]
+        cfgs = {spec.label: solver.validate(config.problem, spec.params)
+                for spec in specs}
         os.makedirs(config.output_dir, exist_ok=True)
     except (ValidationError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -257,9 +262,10 @@ def _execute(command: str, config_path: str, labels_filter: str | None = None,
             saddle = kkt_solve(config.qp)
         except OracleError:
             saddle = None
-    results = {spec.label: run(config.problem, spec.params, saddle=saddle, cfg=cfg)
-               for spec, cfg in zip(specs, cfgs)}
-    code = _WRITERS[command](config, results, thresholds)
+    results = {spec.label: run(config.problem, spec.params, saddle=saddle,
+                               cfg=cfgs[spec.label])
+               for spec in specs}
+    code = _WRITERS[command](config, results, cfgs, thresholds)
     failed = [label for label, res in results.items() if res.error is not None]
     if failed:
         print(f"error: runs failed: {failed}", file=sys.stderr)
@@ -279,7 +285,8 @@ def _slopes(records) -> dict:
     return out
 
 
-def _summary(config: ExperimentConfig, results: dict[str, RunResult]) -> dict:
+def _summary(config: ExperimentConfig, results: dict[str, RunResult],
+             cfgs: dict[str, ValidatedConfig]) -> dict:
     runs_doc = {}
     for spec in config.runs:
         if spec.label not in results:
@@ -287,7 +294,9 @@ def _summary(config: ExperimentConfig, results: dict[str, RunResult]) -> dict:
         res = results[spec.label]
         last = res.records[-1]
         cert = certify(spec.params.rule, max(2, min(10000, spec.params.max_iter)))
+        cfg = cfgs[spec.label]
         runs_doc[spec.label] = {
+            "parameters": {name: getattr(cfg, name) for name in PARAMETER_FIELDS},
             "iterations": res.iterations,
             "reason": res.reason,
             "final_kkt_grad": last.kkt_grad,
@@ -301,19 +310,21 @@ def _summary(config: ExperimentConfig, results: dict[str, RunResult]) -> dict:
             "runs": runs_doc}
 
 
-def _write_run(config: ExperimentConfig, results: dict[str, RunResult], _) -> int:
+def _write_run(config: ExperimentConfig, results: dict[str, RunResult],
+               cfgs: dict[str, ValidatedConfig], thresholds: dict | None) -> int:
     for label, res in results.items():
         rows = [CSV_HEADER] + [_record_row(r) for r in res.records]
         _write_atomic(os.path.join(config.output_dir, f"{label}.csv"),
                       "\n".join(rows) + "\n")
-    summary = _summary(config, results)
+    summary = _summary(config, results, cfgs)
     _write_atomic(os.path.join(config.output_dir, "summary.json"),
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(results)} run(s) to {config.output_dir}")
     return 0
 
 
-def _write_compare(config: ExperimentConfig, results: dict[str, RunResult], _) -> int:
+def _write_compare(config: ExperimentConfig, results: dict[str, RunResult],
+                   cfgs: dict[str, ValidatedConfig], thresholds: dict | None) -> int:
     rows = ["label," + CSV_HEADER]
     for label, res in results.items():
         rows.extend(_record_row(r, label) for r in res.records)
@@ -367,7 +378,7 @@ def _check_monotone(check: dict, records) -> dict:
 
 
 def _write_ratecheck(config: ExperimentConfig, results: dict[str, RunResult],
-                     thresholds: dict) -> int:
+                     cfgs: dict[str, ValidatedConfig], thresholds: dict) -> int:
     window = tuple(thresholds.get("window", DEFAULT_WINDOW))
     report = []
     first_violation = None

@@ -19,28 +19,20 @@ from .linalg import Array, LinearMap
 from .problem import Problem, aug_lagrangian, lagrangian
 
 
-@dataclass(frozen=True)
-class Metric:
-    """The operator ``(1/sigma) Id - beta A*A`` used to measure primal distances.
+def q_norm_sq(prob: Problem, params, u: Array) -> float:
+    """Squared seminorm ``<u,u>/sigma - beta ||A u||^2`` of a primal vector.
 
-    Positive semidefinite whenever the step size satisfies its admissibility
-    bound (then ``1/sigma >= L/gamma + beta ||A||^2``).
+    ``params`` must expose ``sigma`` and ``beta`` (a validated solver config
+    does) and ``A`` is ``prob.a_map``. The operator ``(1/sigma) Id - beta A*A``
+    is positive semidefinite whenever sigma satisfies its admissibility bound
+    (then ``1/sigma >= L/gamma + beta ||A||^2``).
     """
-
-    q_shift: float
-    q_beta: float
-    a_map: LinearMap
-
-
-def q_norm_sq(metric: Metric, u: Array) -> float:
-    """Squared seminorm ``<u,u>/sigma - beta ||A u||^2`` of a primal vector."""
-    if u.size != metric.a_map.dims[0]:
-        raise DimensionMismatch(f"vector has dimension {u.size}, expected "
-                                f"{metric.a_map.dims[0]}")
-    out = metric.q_shift * float(np.dot(u, u))
-    if metric.q_beta != 0.0:
-        au = metric.a_map.forward(u)
-        out -= metric.q_beta * float(np.dot(au, au))
+    if u.size != prob.n:
+        raise DimensionMismatch(f"vector has dimension {u.size}, expected {prob.n}")
+    out = (1.0 / params.sigma) * float(np.dot(u, u))
+    if params.beta != 0.0:
+        au = prob.a_map.forward(u)
+        out -= params.beta * float(np.dot(au, au))
     return out
 
 
@@ -86,16 +78,15 @@ def gap(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array, *,
             - lagrangian(prob, x_star, lam, at=at_star))
 
 
-def energy(prob: Problem, metric: Metric, params, x_k: Array, x_prev: Array,
-           lam_k: Array, lam_prev: Array, t_k: float, x_star: Array,
-           lam_star: Array, *, at_x: tuple[float, Array] | None = None,
+def energy(prob: Problem, params, x_k: Array, x_prev: Array, lam_k: Array,
+           lam_prev: Array, t_k: float, x_star: Array, lam_star: Array, *, at_x: tuple[float, Array] | None = None,
            at_star: tuple[float, Array] | None = None) -> float:
     """Energy of the iterate pair ``(x_k, x_prev, lam_k, lam_prev)`` at index k.
 
-    ``params`` must expose ``gamma``, ``rho`` and ``beta`` (a validated solver
-    config does). The reference ``(x_star, lam_star)`` must be a saddle point
-    for the monotonicity and bound properties to hold. ``at_x`` and
-    ``at_star`` are as in :func:`gap`, at ``x_k`` and ``x_star``.
+    ``params`` must expose ``gamma``, ``sigma``, ``rho`` and ``beta`` (a
+    validated solver config does). The reference ``(x_star, lam_star)`` must
+    be a saddle point for the monotonicity and bound properties to hold.
+    ``at_x`` and ``at_star`` are as in :func:`gap`, at ``x_k`` and ``x_star``.
     """
     g = params.gamma
     rho = params.rho
@@ -107,9 +98,9 @@ def energy(prob: Problem, metric: Metric, params, x_k: Array, x_prev: Array,
     d_lam = lam_k - lam_star
     d_lam_prev = lam_k - lam_prev
     return (t_k * (t_k - 1.0 + g) * gap_beta
-            + 0.5 * q_norm_sq(metric, z - g * x_star)
+            + 0.5 * q_norm_sq(prob, params, z - g * x_star)
             + 0.5 / rho * float(np.dot(d_nu, d_nu))
-            + 0.5 * g * (1.0 - g) * q_norm_sq(metric, x_k - x_star)
+            + 0.5 * g * (1.0 - g) * q_norm_sq(prob, params, x_k - x_star)
             + 0.5 * g * (1.0 - g) / rho * float(np.dot(d_lam, d_lam))
             + 0.5 * (1.0 - g) / rho * (t_k - 1.0) * float(np.dot(d_lam_prev, d_lam_prev)))
 

@@ -46,13 +46,6 @@ def all_finite(v: Array) -> bool:
     return math.isfinite(float(v.sum())) or bool(np.isfinite(v).all())
 
 
-def dot(u: Array, v: Array) -> float:
-    """Euclidean inner product; raises on mismatched dimensions."""
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"inner product of shapes {u.shape} and {v.shape}")
-    return float(np.dot(u, v))
-
-
 def norm(u: Array) -> float:
     """Euclidean norm of a 1-d array, bitwise equal to ``np.linalg.norm(u)``."""
     return math.sqrt(u.dot(u))
@@ -102,8 +95,13 @@ def scaled_identity(c: float, n: int) -> LinearMap:
 
 
 def row_selection(indices, n: int) -> LinearMap:
-    """Pick the listed coordinates; the adjoint scatters them back."""
+    """Pick the listed coordinates; the adjoint scatters them back.
+
+    Every index must lie in ``[0, n)``, or :class:`DimensionMismatch` is raised.
+    """
     idx = np.array(indices, dtype=int)
+    if np.any((idx < 0) | (idx >= n)):
+        raise DimensionMismatch(f"row_selection indices {idx.tolist()} must lie in [0, {n})")
     idx.flags.writeable = False
 
     def fwd(x: Array) -> Array:
@@ -193,15 +191,14 @@ def spectral_factor(matrix: Array) -> tuple[Array, Array]:
 class SpdSystem:
     """The operator ``shift*Id + scale*A*A`` (symmetric positive definite).
 
-    ``shift`` must be positive and ``scale`` nonnegative. With ``a_map=None``
-    or ``scale=0`` the system is a pure scaling of the identity; otherwise
-    :func:`solve_spd` needs ``factor``, the map's :func:`op_norm_sq` factor.
+    ``shift`` must be positive and ``scale`` nonnegative; ``factor`` is the
+    spectral factor of ``a_map`` that :func:`op_norm_sq` returns.
     """
 
     shift: float
     scale: float
-    a_map: LinearMap | None = None
-    factor: tuple[Array, Array] | None = None
+    a_map: LinearMap
+    factor: tuple[Array, Array]
 
     def spectral_solve(self, rhs: Array) -> Array:
         """Closed-form ``M^{-1} rhs`` from ``factor`` (Woodbury identity).
@@ -216,14 +213,11 @@ class SpdSystem:
         return inv_shift * rhs + vt.T @ (gain * (vt @ rhs))
 
     def apply(self, v: Array) -> Array:
-        out = self.shift * v
-        if self.scale != 0.0 and self.a_map is not None:
-            out = out + self.scale * self.a_map.adjoint(self.a_map.forward(v))
-        return out
+        return self.shift * v + self.scale * self.a_map.adjoint(self.a_map.forward(v))
 
     def residual(self, x: Array, rhs: Array) -> tuple[Array, Array]:
-        """``(rhs - M x, A x)`` for a system with a map and nonzero scale;
-        the first entry is bitwise equal to ``rhs - apply(x)``."""
+        """``(rhs - M x, A x)``; the first entry is bitwise equal to
+        ``rhs - apply(x)``."""
         ax = self.a_map.forward(x)
         return rhs - (self.shift * x + self.scale * self.a_map.adjoint(ax)), ax
 
@@ -233,17 +227,16 @@ class CgResult:
     """Solution ``x`` of :func:`solve_spd` and its true residual norm.
 
     ``ax`` is the image ``A x`` computed by the final residual check, bitwise
-    equal to ``a_map.forward(x)``; None when the system is a pure scaling.
+    equal to ``a_map.forward(x)``.
     """
 
     x: Array
     iterations: int
     residual: float
-    ax: Array | None = None
+    ax: Array
 
 
-def solve_spd(system: SpdSystem, rhs: Array, *, tol: float = 1e-12,
-              max_iter: int | None = None) -> CgResult:
+def solve_spd(system: SpdSystem, rhs: Array, *, tol: float = 1e-12) -> CgResult:
     """Solve ``M x = rhs``, returning once ``||M x - rhs|| <= tol * max(1, ||rhs||)``.
 
     The start point is the closed-form :meth:`SpdSystem.spectral_solve`, and
@@ -253,26 +246,15 @@ def solve_spd(system: SpdSystem, rhs: Array, *, tol: float = 1e-12,
     holds even when the recurrence drifts near machine precision.
     ``iterations`` counts CG iterations only, so an accepted closed form
     reports 0; ``ax`` hands on the image of the returned ``x`` that this final
-    check computed. Raises :class:`SpdSolveError` when ``max_iter`` is
-    exhausted.
+    check computed. Raises :class:`SpdSolveError` when the budget of
+    ``10 n + 50`` iterations for an n-vector ``rhs`` is exhausted.
     """
     if system.shift <= 0 or system.scale < 0:
         raise ValueError("solve_spd requires shift > 0 and scale >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = rhs.size
-    if max_iter is None:
-        max_iter = 10 * n + 50
+    max_iter = 10 * rhs.size + 50
     target = tol * max(1.0, norm(rhs))
-
-    if system.scale == 0.0 or system.a_map is None:
-        # Pure scaled identity: closed form, no iteration needed.
-        x = rhs / system.shift
-        residual = norm(rhs - system.shift * x)
-        return CgResult(x=x, iterations=0, residual=residual)
-
-    if system.factor is None:
-        raise ValueError("solve_spd requires the spectral factor of the system's map")
     x = system.spectral_solve(rhs)
     r, ax = system.residual(x, rhs)
     r_norm = norm(r)

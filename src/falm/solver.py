@@ -42,9 +42,10 @@ Admissibility of the parameters::
 
     0 < m <= gamma <= 1      and      0 < sigma <= gamma / (L + gamma*beta*||A||^2)
 
-is enforced by :func:`validate`. Strict versions (``m < gamma < 1``, strict
+is enforced by :func:`validate`, always with the ``||A||^2`` bound of
+:func:`~falm.linalg.op_norm_sq`. Strict versions (``m < gamma < 1``, strict
 sigma, ``beta > 0``) additionally guarantee convergence of the iterates and
-are flagged as "convergence certified".
+are flagged in ``ValidatedConfig.convergence_certified``.
 
 A run is single-threaded and owns its state; several runs may proceed
 concurrently on a shared immutable problem. Observer callbacks receive copies
@@ -53,7 +54,6 @@ and must not block the iteration beyond record serialization.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +92,6 @@ class SolverParams:
     max_iter: int = 1000
     kkt_tol: float | None = None
     cg_tol: float = 1e-12
-    cg_max_iter: int | None = None
     record_every: int = 1
 
 
@@ -112,24 +111,19 @@ class ValidatedConfig:
     max_iter: int
     kkt_tol: float | None
     cg_tol: float
-    cg_max_iter: int | None
     record_every: int
     spectral: tuple[Array, Array] | None = field(repr=False, compare=False)
 
 
-def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None,
-             require_convergence_certified: bool = False) -> ValidatedConfig:
+def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
     """Check every admissibility condition and resolve defaulted parameters.
 
     :func:`~falm.linalg.op_norm_sq` gives the map's spectral factor, kept as
-    ``spectral`` (None exactly when the operator is zero), and an upper bound
-    on ``||A||^2``; it refuses a matrix-free map over its probe budget or with
-    a wrong adjoint. An explicit ``a_norm_sq`` overrides the bound and must be
-    positive and finite.
-    Each violated condition raises a :class:`ValidationError` naming the
-    inequality. When ``require_convergence_certified`` is set and the
-    configuration only meets the non-strict conditions, a warning lists what
-    is missing for iterate convergence.
+    ``spectral`` (None exactly when the operator is zero), and the upper bound
+    on ``||A||^2`` that ``sigma_bound`` is computed from; it refuses a
+    matrix-free map over its probe budget or with a wrong adjoint. Each
+    violated condition, including a ``max_iter`` or ``record_every`` that is a
+    boolean or not an integer, raises a :class:`ValidationError` naming it.
     """
     rule = params.rule
     m = rule.m
@@ -155,11 +149,8 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
                                   f"coupling weight nonpositive; need gamma > "
                                   f"{1.0 - 1.0 / (rule.alpha - 1.0)}")
 
-    if a_norm_sq is not None and not (a_norm_sq > 0 and np.isfinite(a_norm_sq)):
-        raise ValidationError("‖A‖² > 0", f"explicit a_norm_sq={a_norm_sq} must be "
-                                          f"positive and finite")
     estimate = op_norm_sq(prob.a_map)
-    a_norm_sq = estimate.value if a_norm_sq is None else a_norm_sq
+    a_norm_sq = estimate.value
     lip = prob.objective.lipschitz
     sigma_bound = gamma / (lip + gamma * params.beta * a_norm_sq)
     sigma = params.sigma if params.sigma is not None else 0.99 * sigma_bound
@@ -173,6 +164,10 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
     rho = params.rho if params.rho is not None else sigma
     if not rho > 0:
         raise ValidationError("ρ > 0", f"rho={rho} must be positive")
+    for name in ("max_iter", "record_every"):
+        value = getattr(params, name)
+        if not _is_integer(value):
+            raise ValidationError(f"{name} ∈ ℤ", f"{name}={value!r} must be an integer")
     if params.max_iter < 0:
         raise ValidationError("max_iter ≥ 0", "negative iteration budget")
     if params.record_every < 1:
@@ -182,22 +177,18 @@ def validate(prob: Problem, params: SolverParams, a_norm_sq: float | None = None
     if params.kkt_tol is not None and not params.kkt_tol > 0:
         raise ValidationError("kkt_tol > 0", "stopping tolerance must be positive")
 
-    strict = (("m < γ", m < gamma), ("γ < 1", gamma < 1.0),
-              ("σ strictly below its bound", sigma < sigma_bound),
-              ("β > 0", params.beta > 0))
-    missing = [name for name, holds in strict if not holds]
-    certified = not missing
-    if require_convergence_certified and not certified:
-        warnings.warn("configuration is not convergence-certified; iterate "
-                      "convergence requires " + ", ".join(missing))
-
+    certified = bool(m < gamma < 1.0 and sigma < sigma_bound and params.beta > 0)
     return ValidatedConfig(rule=rule, m=m, gamma=gamma, sigma=sigma, rho=rho,
                            beta=params.beta, a_norm_sq=a_norm_sq,
                            sigma_bound=sigma_bound,
                            convergence_certified=certified,
                            max_iter=params.max_iter, kkt_tol=params.kkt_tol,
-                           cg_tol=params.cg_tol, cg_max_iter=params.cg_max_iter,
-                           record_every=params.record_every, spectral=estimate.factor)
+                           cg_tol=params.cg_tol, record_every=params.record_every,
+                           spectral=estimate.factor)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -233,10 +224,8 @@ class StepTrace:
     """Auxiliary quantities of one iteration, for invariant checks and records."""
 
     y_k: Array
-    x_next: Array
     mu_k: Array
     nu_k_gamma: Array
-    lam_next: Array
     eta_k: Array
     s_next: float
     z_next_gamma: Array
@@ -285,7 +274,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
         system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a,
                            factor=cfg.spectral)
         try:
-            sol = solve_spd(system, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+            sol = solve_spd(system, rhs, tol=cfg.cg_tol)
         except SpdSolveError as exc:
             raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
         x_next = sol.x
@@ -297,8 +286,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     if not (all_finite(x_next) and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
 
-    trace = StepTrace(y_k=y, x_next=x_next, mu_k=mu, nu_k_gamma=nu,
-                      lam_next=lam_next, eta_k=eta, s_next=s_next,
+    trace = StepTrace(y_k=y, mu_k=mu, nu_k_gamma=nu, eta_k=eta, s_next=s_next,
                       z_next_gamma=z_next, cg_iters=cg_iters, grad_y=grad_y)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
                              lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
@@ -346,19 +334,21 @@ class RunResult:
     error: str | None = None
 
 
-def run(prob: Problem, params: SolverParams, x_init: Array | None = None,
-        lam_init: Array | None = None, observer=None, saddle=None,
+def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         keep_snapshots: bool = False, snapshot_every: int | None = None,
         cfg: ValidatedConfig | None = None) -> RunResult:
-    """Iterate until the KKT tolerance is met or the budget runs out.
+    """Iterate from ``x = 0, lam = 0`` until the KKT tolerance is met or the
+    budget runs out.
 
-    Initial points default to zero vectors. When ``saddle=(x_star, lam_star)``
-    is supplied, records additionally carry the primal-dual gap, the objective
-    error, and the energy; without it those fields are None. Records are
-    emitted at k=1, every ``record_every`` indices, and at the final index,
-    each passed to ``observer`` when given. ``keep_snapshots`` retains copied
-    iterates every ``snapshot_every`` (default ``record_every``) indices for
-    diagnostics that need raw vectors.
+    ``cfg`` is ``validate(prob, params)`` when the caller already has it.
+    When ``saddle=(x_star, lam_star)`` is supplied, records additionally carry
+    the primal-dual gap, the objective error, and the energy; without it those
+    fields are None. Records are emitted at k=1, every ``record_every``
+    indices, and at the final index, each passed to ``observer`` when given.
+    ``keep_snapshots`` retains copied iterates every ``snapshot_every``
+    (default ``record_every``) indices for diagnostics that need raw vectors;
+    a ``snapshot_every`` that is not an integer of at least 1 raises
+    :class:`ValidationError` before the first step.
 
     Two runs with identical configuration produce bit-identical records. An
     inner-solve failure returns a partial result with ``reason`` set to
@@ -366,20 +356,18 @@ def run(prob: Problem, params: SolverParams, x_init: Array | None = None,
     """
     if cfg is None:
         cfg = validate(prob, params)
-    x0 = np.zeros(prob.n) if x_init is None else as_vector(x_init, prob.n, "x_init")
-    lam0 = np.zeros(prob.p) if lam_init is None else as_vector(lam_init, prob.p,
-                                                               "lam_init")
-    st = initial_state(cfg.rule, x0, lam0)
+    snap_every = snapshot_every if snapshot_every is not None else cfg.record_every
+    if not (_is_integer(snap_every) and snap_every >= 1):
+        raise ValidationError("snapshot_every ≥ 1",
+                              f"snapshot_every={snap_every!r} must be an integer >= 1")
+    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     st.ax_k = prob.a_map.forward(st.x_k)
-    metric = diagnostics.Metric(q_shift=1.0 / cfg.sigma, q_beta=cfg.beta,
-                                a_map=prob.a_map)
     if saddle is not None:
         x_star = as_vector(saddle[0], prob.n, "x_star")
         lam_star = as_vector(saddle[1], prob.p, "lam_star")
         at_star = value_and_residual(prob, x_star)
     records: list[diagnostics.RunRecord] = []
     snapshots: list[diagnostics.IterateSnapshot] = []
-    snap_every = snapshot_every if snapshot_every is not None else cfg.record_every
 
     def feas_residual(state: IterateState) -> Array:
         ax = state.ax_k if state.ax_k is not None else prob.a_map.forward(state.x_k)
@@ -397,9 +385,8 @@ def run(prob: Problem, params: SolverParams, x_init: Array | None = None,
             gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, x_star, lam_star,
                                       at_x=at_x, at_star=at_star)
             obj_err = abs(at_x[0] - at_star[0])
-            energy_val = diagnostics.energy(prob, metric, cfg, state.x_k,
-                                            state.x_prev, state.lam_k,
-                                            state.lam_prev, state.t_k,
+            energy_val = diagnostics.energy(prob, cfg, state.x_k, state.x_prev,
+                                            state.lam_k, state.lam_prev, state.t_k,
                                             x_star, lam_star,
                                             at_x=at_x, at_star=at_star)
         else:

@@ -12,6 +12,7 @@ from falm import cli
 from falm.cli import (CSV_HEADER, _check_monotone, _fmt, cmd_compare,
                       cmd_ratecheck, cmd_run, main)
 from falm.diagnostics import RunRecord
+from falm.solver import validate
 
 
 def _write(path, doc):
@@ -54,6 +55,26 @@ def test_run_writes_expected_files(tmp_path):
     assert summary["oracle"] is True
     assert summary["runs"]["cd4"]["reason"] == "iteration budget"
     assert "slope" in summary["runs"]["cd4"]["slopes"]["gap"]
+
+
+def test_summary_gives_the_parameters_each_run_used(tmp_path):
+    runs = [{"label": "cd4", "rule": {"rule": "chambolle_dossal", "alpha": 4.0},
+             "gamma": 0.9, "beta": 0.5, "max_iter": 50},
+            {"label": "nesterov", "rule": {"rule": "nesterov"}, "max_iter": 50}]
+    path = _small_config(tmp_path, runs=runs)
+    assert cmd_run(path) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    config = cli.load_experiment(path)
+    for spec in config.runs:
+        cfg = validate(config.problem, spec.params)
+        assert summary["runs"][spec.label]["parameters"] == {
+            name: getattr(cfg, name) for name in
+            ("gamma", "sigma", "rho", "beta", "a_norm_sq", "sigma_bound",
+             "convergence_certified")}
+    assert summary["runs"]["cd4"]["parameters"]["gamma"] == 0.9
+    assert summary["runs"]["cd4"]["parameters"]["convergence_certified"] is True
+    # the Nesterov rule forces gamma = 1, so iterate convergence is not certified
+    assert summary["runs"]["nesterov"]["parameters"]["convergence_certified"] is False
 
 
 def test_run_energy_column_monotone(tmp_path):

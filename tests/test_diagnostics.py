@@ -1,54 +1,62 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from falm.diagnostics import (IterateSnapshot, Metric, RunRecord,
-                              dual_bound_series, energy, gap, q_norm_sq,
-                              rate_fit)
+from falm.diagnostics import (IterateSnapshot, RunRecord, dual_bound_series,
+                              energy, gap, q_norm_sq, rate_fit)
 from falm.errors import DimensionMismatch
 from falm.inertial import chambolle_dossal, nesterov
 from falm.linalg import dense_map, zero_map
 from falm.oracle import kkt_solve
-from falm.problem import (aug_lagrangian, kkt_residuals, lagrangian,
-                          value_and_residual)
+from falm.problem import (Problem, aug_lagrangian, kkt_residuals, lagrangian,
+                          quadratic_objective, value_and_residual)
 from falm.solver import SolverParams, initial_state, run, step, validate
 
 
+def _on_map(a_map):
+    """A problem with the given constraint map (q_norm_sq reads only A)."""
+    n, p = a_map.dims
+    return Problem(objective=quadratic_objective(np.eye(n), np.zeros(n)),
+                   a_map=a_map, b=np.zeros(p))
+
+
 def test_q_norm_sq_without_penalty():
-    metric = Metric(q_shift=4.0, q_beta=0.0, a_map=zero_map(3, 2))
+    prob = _on_map(zero_map(3, 2))
     u = np.array([1.0, 2.0, -1.0])
-    assert q_norm_sq(metric, u) == pytest.approx(4.0 * 6.0, rel=1e-15)
+    cfg = SimpleNamespace(sigma=0.25, beta=0.0)
+    assert q_norm_sq(prob, cfg, u) == pytest.approx(4.0 * 6.0, rel=1e-15)
 
 
 def test_q_norm_sq_zero_vector():
-    metric = Metric(q_shift=2.0, q_beta=1.0, a_map=dense_map([[1.0, 0.0]]))
-    assert q_norm_sq(metric, np.zeros(2)) == 0.0
+    prob = _on_map(dense_map([[1.0, 0.0]]))
+    assert q_norm_sq(prob, SimpleNamespace(sigma=0.5, beta=1.0), np.zeros(2)) == 0.0
 
 
 def test_q_norm_sq_matches_dense_form():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((3, 7))
-    shift, beta = 30.0, 1.3
-    metric = Metric(q_shift=shift, q_beta=beta, a_map=dense_map(a))
-    q_dense = shift * np.eye(7) - beta * (a.T @ a)
+    cfg = SimpleNamespace(sigma=1.0 / 30.0, beta=1.3)
+    q_dense = np.eye(7) / cfg.sigma - cfg.beta * (a.T @ a)
     for _ in range(20):
         u = rng.standard_normal(7)
-        assert q_norm_sq(metric, u) == pytest.approx(u @ q_dense @ u, abs=1e-10)
+        assert q_norm_sq(_on_map(dense_map(a)), cfg, u) == pytest.approx(
+            u @ q_dense @ u, abs=1e-10)
 
 
 def test_q_norm_sq_dimension_check():
-    metric = Metric(q_shift=1.0, q_beta=0.0, a_map=zero_map(3, 2))
     with pytest.raises(DimensionMismatch):
-        q_norm_sq(metric, np.zeros(4))
+        q_norm_sq(_on_map(zero_map(3, 2)), SimpleNamespace(sigma=1.0, beta=0.0),
+                  np.zeros(4))
 
 
 def test_metric_nonnegative_under_admissible_step(small_instance):
     prob, _ = small_instance
     cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0), beta=1.0))
-    metric = Metric(q_shift=1.0 / cfg.sigma, q_beta=cfg.beta, a_map=prob.a_map)
     rng = np.random.default_rng(44)
     for _ in range(100):
         u = rng.standard_normal(prob.n)
-        assert q_norm_sq(metric, u) >= -1e-9
+        assert q_norm_sq(prob, cfg, u) >= -1e-9
 
 
 def _cfg_and_saddle(small_instance, **kw):
@@ -56,13 +64,12 @@ def _cfg_and_saddle(small_instance, **kw):
     params = SolverParams(rule=chambolle_dossal(4.0), **kw)
     cfg = validate(prob, params)
     x_star, lam_star = kkt_solve(qp)
-    metric = Metric(q_shift=1.0 / cfg.sigma, q_beta=cfg.beta, a_map=prob.a_map)
-    return prob, cfg, metric, x_star, lam_star
+    return prob, cfg, x_star, lam_star
 
 
 def test_energy_zero_at_saddle_start(small_instance):
-    prob, cfg, metric, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
-    val = energy(prob, metric, cfg, x_star, x_star, lam_star, lam_star, 1.0,
+    prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
+    val = energy(prob, cfg, x_star, x_star, lam_star, lam_star, 1.0,
                  x_star, lam_star)
     assert abs(val) <= 1e-10
 
@@ -73,12 +80,11 @@ def test_energy_gamma_one_drops_distance_terms(small_instance):
     cfg = validate(prob, params)
     assert cfg.gamma == 1.0
     x_star, lam_star = kkt_solve(qp)
-    metric = Metric(q_shift=1.0 / cfg.sigma, q_beta=cfg.beta, a_map=prob.a_map)
     rng = np.random.default_rng(2)
     x_k, x_prev = x_star + 0.1 * rng.standard_normal((2, prob.n))
     lam_k, lam_prev = lam_star + 0.1 * rng.standard_normal((2, prob.p))
     t_k = 3.0
-    got = energy(prob, metric, cfg, x_k, x_prev, lam_k, lam_prev, t_k,
+    got = energy(prob, cfg, x_k, x_prev, lam_k, lam_prev, t_k,
                  x_star, lam_star)
     # independent evaluation of the three surviving terms
     gap_beta = (aug_lagrangian(prob, x_k, lam_star, cfg.beta)
@@ -86,18 +92,18 @@ def test_energy_gamma_one_drops_distance_terms(small_instance):
     z = x_k + (t_k - 1.0) * (x_k - x_prev)
     nu = lam_k + (t_k - 1.0) * (lam_k - lam_prev)
     expected = (t_k * t_k * gap_beta
-                + 0.5 * q_norm_sq(metric, z - x_star)
+                + 0.5 * q_norm_sq(prob, cfg, z - x_star)
                 + 0.5 / cfg.rho * float(np.dot(nu - lam_star, nu - lam_star)))
     assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_energy_matches_independent_reimplementation(small_instance):
-    prob, cfg, metric, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
+    prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
     st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
     for _ in range(5):
         st, _ = step(prob, cfg, st)
-        got = energy(prob, metric, cfg, st.x_k, st.x_prev, st.lam_k,
+        got = energy(prob, cfg, st.x_k, st.x_prev, st.lam_k,
                      st.lam_prev, st.t_k, x_star, lam_star)
         # term-by-term duplicate, written against the dense matrices
         a = prob.a_map.matrix
@@ -122,7 +128,7 @@ def test_energy_matches_independent_reimplementation(small_instance):
 
 
 def test_precomputed_evaluations_change_no_bit(small_instance):
-    prob, cfg, metric, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
+    prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
     at_star = value_and_residual(prob, x_star)
     st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     for _ in range(5):
@@ -137,7 +143,7 @@ def test_precomputed_evaluations_change_no_bit(small_instance):
                 == kkt_residuals(prob, st.x_k, st.lam_k))
         assert (gap(prob, st.x_k, st.lam_k, x_star, lam_star, at_x=at_x, at_star=at_star)
                 == gap(prob, st.x_k, st.lam_k, x_star, lam_star))
-        args = (prob, metric, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
+        args = (prob, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
                 st.t_k, x_star, lam_star)
         assert energy(*args, at_x=at_x, at_star=at_star) == energy(*args)
 
@@ -145,10 +151,10 @@ def test_precomputed_evaluations_change_no_bit(small_instance):
 def test_summability_witnesses(small_instance):
     # the two squared-displacement series the energy controls: each summand is
     # nonnegative and the partial sums stay below the initial energy
-    prob, cfg, metric, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
+    prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
     lip = prob.objective.lipschitz
     st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
-    e1 = energy(prob, metric, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
+    e1 = energy(prob, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
                 st.t_k, x_star, lam_star)
     sum_primal = 0.0
     sum_dual = 0.0
@@ -156,7 +162,7 @@ def test_summability_witnesses(small_instance):
         t_next = st.t_next
         st, trace = step(prob, cfg, st)
         d = st.x_k - trace.y_k
-        summand = cfg.gamma * q_norm_sq(metric, d) - lip * float(np.dot(d, d))
+        summand = cfg.gamma * q_norm_sq(prob, cfg, d) - lip * float(np.dot(d, d))
         assert summand >= -1e-12 * max(1.0, abs(summand))
         prev_primal, prev_dual = sum_primal, sum_dual
         sum_primal += t_next ** 2 * summand

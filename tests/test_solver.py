@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from falm.benchgen import GenSpec, generate
 from falm.cli import load_experiment
-from falm.diagnostics import Metric, RunRecord, energy, gap
+from falm.diagnostics import RunRecord, energy, gap
 from falm.errors import StepError, ValidationError
 from falm.inertial import attouch_cabot, chambolle_dossal, constant, nesterov, t_value
 from falm.linalg import LinearMap, dense_map, zero_map
@@ -43,22 +43,28 @@ def _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev, t_k, t_k1):
     return y, mu, eta, nu, s, x_next, z, lam_next
 
 
-def test_validate_boundary_sigma_accepted():
+def _sigma_bound_problem():
+    """L = 2 and ||A||^2 = 4, so gamma = beta = 1 bound sigma by about 1/6."""
     prob = Problem(objective=quadratic_objective(2.0 * np.eye(3), np.zeros(3)),
                    a_map=dense_map(2.0 * np.eye(3)), b=np.zeros(3))
-    params = SolverParams(rule=nesterov(), gamma=1.0, sigma=1.0 / 6.0, beta=1.0)
-    cfg = validate(prob, params, a_norm_sq=4.0)
-    assert cfg.sigma == 1.0 / 6.0
-    assert cfg.sigma_bound == pytest.approx(1.0 / 6.0, rel=1e-15)
+    bound = validate(prob, SolverParams(rule=nesterov(), gamma=1.0)).sigma_bound
+    assert bound == pytest.approx(1.0 / 6.0, rel=1e-14)
+    return prob, bound
+
+
+def test_validate_boundary_sigma_accepted():
+    prob, bound = _sigma_bound_problem()
+    params = SolverParams(rule=nesterov(), gamma=1.0, sigma=bound, beta=1.0)
+    cfg = validate(prob, params)
+    assert cfg.sigma == cfg.sigma_bound == bound
 
 
 def test_validate_sigma_above_bound_rejected():
-    prob = Problem(objective=quadratic_objective(2.0 * np.eye(3), np.zeros(3)),
-                   a_map=dense_map(2.0 * np.eye(3)), b=np.zeros(3))
-    params = SolverParams(rule=nesterov(), gamma=1.0, sigma=1.0 / 6.0 + 1e-12,
+    prob, bound = _sigma_bound_problem()
+    params = SolverParams(rule=nesterov(), gamma=1.0, sigma=np.nextafter(bound, 1.0),
                           beta=1.0)
     with pytest.raises(ValidationError) as err:
-        validate(prob, params, a_norm_sq=4.0)
+        validate(prob, params)
     assert "σ ≤ γ/(L + γβ‖A‖²)" in err.value.condition
 
 
@@ -85,12 +91,35 @@ def test_validate_attouch_cabot_gamma_floor(small_instance):
     assert cfg.gamma == 0.7
 
 
-def test_validate_warns_when_certification_requested(small_instance):
-    prob, _ = small_instance
-    params = SolverParams(rule=chambolle_dossal(4.0), beta=0.0)
-    with pytest.warns(UserWarning, match="β > 0"):
-        cfg = validate(prob, params, require_convergence_certified=True)
-    assert not cfg.convergence_certified
+@pytest.mark.parametrize("params", [SolverParams(rule=chambolle_dossal(4.0), beta=0.0),
+                                    SolverParams(rule=nesterov())],
+                         ids=["beta_zero", "gamma_one"])
+def test_validate_flags_a_config_that_is_not_certified(small_instance, params):
+    cfg = validate(small_instance[0], params)
+    assert cfg.convergence_certified is False
+
+
+@pytest.mark.parametrize("name, value", [("max_iter", 2.5), ("max_iter", True),
+                                         ("record_every", 2.5), ("record_every", True)])
+def test_validate_rejects_non_integer_counts(small_instance, name, value):
+    # max_iter=2.5 raised TypeError from range; record_every=2.5 recorded
+    # k = 1, 5, 6 of a 5-step run
+    params = SolverParams(rule=nesterov(), **{"max_iter": 5, name: value})
+    with pytest.raises(ValidationError) as err:
+        validate(small_instance[0], params)
+    assert err.value.condition == f"{name} ∈ ℤ"
+
+
+@pytest.mark.parametrize("snapshot_every", [0, -3, 2.5, True])
+def test_run_rejects_a_bad_snapshot_every_before_the_first_step(small_instance,
+                                                                 snapshot_every):
+    # 0 raised ZeroDivisionError and -3 snapshotted every third index
+    seen = []
+    with pytest.raises(ValidationError) as err:
+        run(small_instance[0], SolverParams(rule=nesterov(), max_iter=5),
+            observer=seen.append, keep_snapshots=True, snapshot_every=snapshot_every)
+    assert err.value.condition == "snapshot_every ≥ 1"
+    assert seen == []
 
 
 def _near_degenerate_problem():
@@ -124,26 +153,14 @@ def test_validate_matrix_free_norm_bounds_true_norm():
     assert cfg.a_norm_sq == validate(prob, params).a_norm_sq
 
 
-def test_validate_explicit_norm_wins_and_zero_map_has_no_factor(small_instance):
+def test_validate_zero_map_has_no_factor(small_instance):
     prob, _ = small_instance
-    cfg = validate(prob, SolverParams(rule=nesterov()), a_norm_sq=7.5)
-    assert cfg.a_norm_sq == 7.5
-    assert cfg.spectral is not None
+    assert validate(prob, SolverParams(rule=nesterov())).spectral is not None
     free = validate(_matrix_free(prob), SolverParams(rule=nesterov()))
     assert free.spectral is not None
     zero, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
     cfg0 = validate(zero, SolverParams(rule=nesterov()))
     assert cfg0.spectral is None and cfg0.a_norm_sq == 0.0
-
-
-@pytest.mark.parametrize("a_norm_sq", [0.0, -1.0, float("inf"), float("nan")])
-def test_validate_rejects_nonpositive_explicit_norm(small_instance, a_norm_sq):
-    # An explicit 0 would send every step down the zero-operator shortcut and
-    # drop the constraint terms; a negative value raises sigma_bound.
-    prob, _ = small_instance
-    with pytest.raises(ValidationError) as err:
-        validate(prob, SolverParams(rule=nesterov()), a_norm_sq=a_norm_sq)
-    assert err.value.condition == "‖A‖² > 0"
 
 
 def test_validate_defaults(small_instance):
@@ -311,11 +328,11 @@ def test_run_observer_sees_records(small_instance):
 
 
 def test_run_inner_solve_failure_is_partial(small_instance):
-    # A residual target below rounding fails the closed form's check, and one
-    # conjugate-gradient iteration of refinement cannot meet it either.
+    # A residual target below rounding fails the closed form's check, and the
+    # conjugate-gradient refinement cannot meet it within its budget either.
     prob = small_instance[0]
     params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=50,
-                          cg_tol=1e-300, cg_max_iter=1)
+                          cg_tol=1e-300)
     res = run(prob, params)
     assert res.reason == "inner solve failure"
     assert res.error is not None
@@ -328,7 +345,7 @@ def test_step_rejects_nonfinite_iterates(small_instance):
                                       gradient=lambda x: np.full(prob.n, np.inf),
                                       lipschitz=1.0),
                   a_map=prob.a_map, b=prob.b)
-    cfg = validate(bad, SolverParams(rule=nesterov()), a_norm_sq=1.0)
+    cfg = validate(bad, SolverParams(rule=nesterov()))
     st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     with pytest.raises(StepError, match="right-hand side is not finite"):
         step(bad, cfg, st)
@@ -371,6 +388,22 @@ def test_run_dense_matches_matrix_free(small_instance):
     assert free.lam.tobytes() == dense.lam.tobytes()
 
 
+def test_run_refines_the_closed_form_on_a_generated_instance():
+    # Conjugate-gradient refinement is not dead code: on this well-conditioned
+    # 20x19 instance the closed form misses its residual target on 92 of 300
+    # steps (the first at k = 206), and refinement carries the run through.
+    prob, _ = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
+    params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
+                          record_every=1)
+    res = run(prob, params)
+    assert (res.reason, res.error, res.iterations) == ("iteration budget", None, 300)
+    assert any(rec.cg_iters > 0 for rec in res.records)
+    free = run(_matrix_free(prob), params)
+    assert free.records == res.records
+    assert free.x.tobytes() == res.x.tobytes()
+    assert free.lam.tobytes() == res.lam.tobytes()
+
+
 def test_run_shipped_cd4_needs_no_cg_iterations():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     config = load_experiment(os.path.join(here, "configs", "qp_cd.json"))
@@ -385,7 +418,7 @@ def test_run_shipped_cd4_needs_no_cg_iterations():
 def test_step_caches_exact_image(small_instance, free):
     prob = _matrix_free(small_instance[0]) if free else small_instance[0]
     params = SolverParams(rule=chambolle_dossal(4.0))
-    cfg = validate(prob, params, a_norm_sq=validate(small_instance[0], params).a_norm_sq)
+    cfg = validate(prob, params)
     st = initial_state(cfg.rule, np.ones(prob.n), np.zeros(prob.p))
     assert st.ax_k is None
     for _ in range(5):
@@ -412,7 +445,6 @@ def _assert_records_are_public_diagnostics(prob, cfg, res, saddle):
     """Every record equals the public diagnostics of its snapshot, bit for bit."""
     x_star, lam_star = saddle
     f_star = prob.objective.value(x_star)
-    metric = Metric(q_shift=1.0 / cfg.sigma, q_beta=cfg.beta, a_map=prob.a_map)
     assert [snap.k for snap in res.snapshots] == [rec.k for rec in res.records]
     prev = res.snapshots[0]
     for rec, snap in zip(res.records, res.snapshots):
@@ -420,7 +452,7 @@ def _assert_records_are_public_diagnostics(prob, cfg, res, saddle):
         assert (rec.kkt_grad, rec.kkt_feas, rec.feas) == (grad_res, feas_res, feas_res)
         assert rec.gap == gap(prob, snap.x, snap.lam, x_star, lam_star)
         assert rec.obj_err == abs(prob.objective.value(snap.x) - f_star)
-        assert rec.energy == energy(prob, metric, cfg, snap.x, prev.x, snap.lam,
+        assert rec.energy == energy(prob, cfg, snap.x, prev.x, snap.lam,
                                     prev.lam, snap.t_k, x_star, lam_star)
         prev = snap
 
