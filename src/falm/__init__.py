@@ -8,7 +8,7 @@ from .errors import (CertificationError, DimensionMismatch, FalmError,
 from .inertial import (CertReport, InertialRule, attouch_cabot, certify,
                        chambolle_dossal, constant, nesterov, phi_m,
                        rule_from_spec, t_value, t_values)
-from .linalg import (CgResult, LinearMap, OpNormEstimate, SpdSystem, as_vector,
+from .linalg import (LinearMap, OpNormEstimate, SpdSolution, SpdSystem, as_vector,
                      dense_map, norm, op_norm_sq, row_selection, scaled_identity,
                      solve_spd, zero_map)
 from .oracle import OracleError, QpInstance, SaddleReport, kkt_solve, verify_saddle

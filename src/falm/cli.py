@@ -358,7 +358,7 @@ def _check_slope(check: dict, records, window) -> dict:
         ok = ok and fit.slope >= check["min_slope"]
     if "min_r2" in check:
         ok = ok and fit.r2 >= check["min_r2"]
-    return {"ok": ok, "slope": fit.slope, "r2": fit.r2, "window": list(win)}
+    return {"ok": ok, **fit.to_dict(), "window": list(win)}
 
 
 def _check_monotone(check: dict, records) -> dict:

@@ -10,7 +10,7 @@ saddle point, which is what the acceptance suite verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class RunRecord:
 
     ``gap``, ``obj_err`` and ``energy`` need a reference saddle point and are
     None when the run had no oracle attached. ``kkt_feas`` equals ``feas``
-    (both are ``||A x_k - b||``); it is kept so the CSV schema stays fixed.
+    (both are ``||A x_k - b||``); it is kept so the CSV schema stays fixed,
+    as is the name ``cg_iters``, which counts the inner solve's refinement
+    corrections.
     """
 
     k: int
@@ -107,16 +109,21 @@ def energy(prob: Problem, params, x_k: Array, x_prev: Array, lam_k: Array,
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares slope of log(value) against log(k) over a window."""
+    """Least-squares slope of log(value) against log(k) over a window.
+
+    ``n_used`` records entered the fit, from index ``k_first`` to ``k_last``;
+    ``n_excluded`` records in the window sat in rounding noise.
+    """
 
     slope: float
     r2: float
     n_used: int
     n_excluded: int
+    k_first: int
+    k_last: int
 
     def to_dict(self) -> dict:
-        return {"slope": self.slope, "r2": self.r2, "n_used": self.n_used,
-                "n_excluded": self.n_excluded}
+        return asdict(self)
 
 
 def _loglog_fit(ks: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -161,7 +168,8 @@ def rate_fit(records, field: str, k_min: int, k_max: int) -> RateFit:
         raise ValueError(f"too few usable records in window [{k_min}, {k_max}]: "
                          f"{len(ks)} usable, {n_excluded} excluded")
     slope, r2 = _loglog_fit(np.array(ks, dtype=float), np.array(vals))
-    return RateFit(slope=slope, r2=r2, n_used=len(ks), n_excluded=n_excluded)
+    return RateFit(slope=slope, r2=r2, n_used=len(ks), n_excluded=n_excluded,
+                   k_first=min(ks), k_last=max(ks))
 
 
 def dual_bound_series(snapshots, lam_star: Array,

@@ -14,7 +14,8 @@ class NonFiniteError(FalmError, ValueError):
 
 
 class SpdSolveError(FalmError, RuntimeError):
-    """The inner conjugate-gradient solve ran out of iterations."""
+    """The inner solve's iterative refinement missed its residual target
+    within its correction budget."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)

@@ -5,8 +5,9 @@ Vectors are plain 1-d float64 numpy arrays. Operators are wrapped in
 construction helpers are provided for the desk-scale problems this package
 targets. :func:`op_norm_sq` gives every map, dense or rebuilt from adjoint
 probes, ``||A||^2`` and the spectral factor that solves the systems
-``shift*Id + scale*A*A`` in closed form for every shift and scale; conjugate
-gradients only refine a solution that misses its residual target.
+``shift*Id + scale*A*A`` in closed form for every shift and scale;
+:func:`solve_spd` corrects a closed form that misses its residual target by
+iterative refinement with the same factor.
 """
 
 from __future__ import annotations
@@ -129,13 +130,13 @@ PROBE_BUDGET_BYTES = 64 * 2 ** 20
 class OpNormEstimate:
     """Upper bound on ``||A||^2`` and the spectral factor it was read from.
 
-    ``factor`` is :func:`spectral_factor` of the map's matrix, None when that
-    is zero (``value`` is then 0). ``iterations`` counts adjoint probes.
+    ``factor`` is :func:`spectral_factor` of the map's matrix; a zero map has
+    ``S^2 = 0`` and ``value`` 0. ``iterations`` counts adjoint probes.
     """
 
     value: float
     iterations: int
-    factor: tuple[Array, Array] | None = field(default=None, repr=False, compare=False)
+    factor: tuple[Array, Array] = field(repr=False, compare=False)
 
 
 def op_norm_sq(a_map: LinearMap) -> OpNormEstimate:
@@ -166,8 +167,6 @@ def op_norm_sq(a_map: LinearMap) -> OpNormEstimate:
             if not (fv.shape == (p,) and norm(fv - mat @ v) <= allowance * norm(v)):
                 raise ValidationError("⟨A x, y⟩ = ⟨x, A* y⟩", "forward disagrees with "
                                       "the adjoint probes' matrix; the adjoint is wrong")
-    if not np.any(mat):
-        return OpNormEstimate(value=0.0, iterations=probes)
     factor = spectral_factor(mat)
     value = float(factor[1][0]) * (1.0 + SVD_ROUNDING * max(mat.shape))
     return OpNormEstimate(value=value, iterations=probes, factor=factor)
@@ -212,22 +211,24 @@ class SpdSystem:
         gain = 1.0 / (self.shift + self.scale * s2) - inv_shift
         return inv_shift * rhs + vt.T @ (gain * (vt @ rhs))
 
-    def apply(self, v: Array) -> Array:
-        return self.shift * v + self.scale * self.a_map.adjoint(self.a_map.forward(v))
-
     def residual(self, x: Array, rhs: Array) -> tuple[Array, Array]:
-        """``(rhs - M x, A x)``; the first entry is bitwise equal to
-        ``rhs - apply(x)``."""
+        """``(rhs - M x, A x)``, from one forward and one adjoint apply."""
         ax = self.a_map.forward(x)
         return rhs - (self.shift * x + self.scale * self.a_map.adjoint(ax)), ax
 
 
+# Corrections that iterative refinement may add to the closed form before
+# solve_spd gives up on a system.
+REFINE_STEPS = 10
+
+
 @dataclass(frozen=True)
-class CgResult:
+class SpdSolution:
     """Solution ``x`` of :func:`solve_spd` and its true residual norm.
 
-    ``ax`` is the image ``A x`` computed by the final residual check, bitwise
-    equal to ``a_map.forward(x)``.
+    ``iterations`` counts refinement corrections, and ``ax`` is the image
+    ``A x`` computed by the final residual check, bitwise equal to
+    ``a_map.forward(x)``.
     """
 
     x: Array
@@ -236,58 +237,29 @@ class CgResult:
     ax: Array
 
 
-def solve_spd(system: SpdSystem, rhs: Array, *, tol: float = 1e-12) -> CgResult:
+def solve_spd(system: SpdSystem, rhs: Array, *, tol: float = 1e-12) -> SpdSolution:
     """Solve ``M x = rhs``, returning once ``||M x - rhs|| <= tol * max(1, ||rhs||)``.
 
-    The start point is the closed-form :meth:`SpdSystem.spectral_solve`, and
-    its true residual is checked first; if it misses the target, conjugate
-    gradients refine it from there. The recurrence residual is cross-checked
-    against a freshly computed one before success is declared, so the contract
-    holds even when the recurrence drifts near machine precision.
-    ``iterations`` counts CG iterations only, so an accepted closed form
-    reports 0; ``ax`` hands on the image of the returned ``x`` that this final
-    check computed. Raises :class:`SpdSolveError` when the budget of
-    ``10 n + 50`` iterations for an n-vector ``rhs`` is exhausted.
+    The start point is the closed-form :meth:`SpdSystem.spectral_solve`. While
+    its true residual ``r`` misses the target, iterative refinement corrects
+    it with the same factor, ``x += spectral_solve(r)``; a factor of the map
+    itself contracts the residual by about ``n * eps * cond(M)`` per
+    correction. Raises :class:`SpdSolveError` when ``REFINE_STEPS``
+    corrections do not meet the target.
     """
     if system.shift <= 0 or system.scale < 0:
         raise ValueError("solve_spd requires shift > 0 and scale >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    max_iter = 10 * rhs.size + 50
     target = tol * max(1.0, norm(rhs))
     x = system.spectral_solve(rhs)
-    r, ax = system.residual(x, rhs)
-    r_norm = norm(r)
-    if r_norm <= target:
-        return CgResult(x=x, iterations=0, residual=r_norm, ax=ax)
-    p = r.copy()
-    rs = float(r.dot(r))
-    for it in range(1, max_iter + 1):
-        ap = system.apply(p)
-        denom = float(p.dot(ap))
-        if denom <= 0.0:
-            raise SpdSolveError("conjugate gradients met a non-positive curvature "
-                                "direction; system is not positive definite",
-                                residual=math.sqrt(rs), iterations=it)
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r.dot(r))
-        if math.sqrt(rs_new) <= target:
-            true_r, ax = system.residual(x, rhs)
-            true_norm = norm(true_r)
-            if true_norm <= target:
-                return CgResult(x=x, iterations=it, residual=true_norm, ax=ax)
-            # Recurrence residual drifted; restart from the true one.
-            r = true_r
-            rs_new = float(r.dot(r))
-            p = r.copy()
-            rs = rs_new
-            continue
-        beta = rs_new / rs
-        p = r + beta * p
-        rs = rs_new
-    final = norm(rhs - system.apply(x))
-    raise SpdSolveError(f"conjugate gradients exceeded {max_iter} iterations "
-                        f"(residual {final:.3e}, target {target:.3e})",
-                        residual=final, iterations=max_iter)
+    for corrections in range(REFINE_STEPS + 1):
+        if corrections:
+            x = x + system.spectral_solve(r)
+        r, ax = system.residual(x, rhs)
+        r_norm = norm(r)
+        if r_norm <= target:
+            return SpdSolution(x=x, iterations=corrections, residual=r_norm, ax=ax)
+    raise SpdSolveError(f"iterative refinement missed its target after {REFINE_STEPS} "
+                        f"corrections (residual {r_norm:.3e}, target {target:.3e})",
+                        residual=r_norm, iterations=REFINE_STEPS)

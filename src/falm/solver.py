@@ -14,16 +14,17 @@ system matrix changes only through the scalar ``s_{k+1}/gamma``.
 :func:`validate` takes one thin SVD of the constraint map from
 :func:`~falm.linalg.op_norm_sq`, which rebuilds a matrix-free map from adjoint
 probes first, and every step solves the system in closed form from that
-factor (two products with ``Vt``), falling back to conjugate-gradient
-refinement only if the residual check fails. The same factor gives an upper
-bound on ``||A||^2``, so dense and matrix-free maps take one path.
+factor (two products with ``Vt``), corrected by iterative refinement with the
+same factor only if the residual check fails. The same factor gives an upper
+bound on ``||A||^2``, so dense, matrix-free and zero maps take one path.
 
 Oracle budget. A dense step applies the map 7 times (``A y``, the three
 adjoints of the right-hand side, ``A`` and ``A*`` in the inner solve's residual
 check, and ``A z``) and the gradient once; ``A x_k`` is the image the previous
-step's residual check computed. Conjugate-gradient refinement, when a residual
-check fails, adds ``A*A`` per iteration. Rebuilding a matrix-free p-by-n map
-costs p adjoint and 2 forward applies, once per :func:`validate`.
+step's residual check computed. Each refinement correction, when a residual
+check fails, adds one ``A`` and one ``A*`` (its residual check). Rebuilding a
+matrix-free p-by-n map costs p adjoint and 2 forward applies, once per
+:func:`validate`.
 A record applies the map 3 times (``A* lam`` and, when ``beta != 0``, the two
 energy seminorms), the gradient once and the objective value once; ``f`` and
 ``A x - b`` at the reference saddle point are evaluated once per run. Every
@@ -54,6 +55,7 @@ and must not block the iteration beyond record serialization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +83,9 @@ class SolverParams:
     Defaults: ``gamma = (m + 1)/2`` (strictly between the rule's margin and 1
     whenever ``m < 1``; equal to 1 for the Nesterov rule, whose margin forces
     it), ``sigma = 0.99`` of its admissible bound, and ``rho = sigma`` (the
-    dual step inherits the primal scale, one fewer knob to tune).
+    dual step inherits the primal scale, one fewer knob to tune). ``cg_tol``
+    is the inner solve's relative residual target; the name is kept for the
+    config format.
     """
 
     rule: InertialRule
@@ -112,19 +116,25 @@ class ValidatedConfig:
     kkt_tol: float | None
     cg_tol: float
     record_every: int
-    spectral: tuple[Array, Array] | None = field(repr=False, compare=False)
+    spectral: tuple[Array, Array] = field(repr=False, compare=False)
 
 
 def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
     """Check every admissibility condition and resolve defaulted parameters.
 
     :func:`~falm.linalg.op_norm_sq` gives the map's spectral factor, kept as
-    ``spectral`` (None exactly when the operator is zero), and the upper bound
-    on ``||A||^2`` that ``sigma_bound`` is computed from; it refuses a
-    matrix-free map over its probe budget or with a wrong adjoint. Each
-    violated condition, including a ``max_iter`` or ``record_every`` that is a
-    boolean or not an integer, raises a :class:`ValidationError` naming it.
+    ``spectral``, and the upper bound on ``||A||^2`` that ``sigma_bound`` is
+    computed from; it refuses a matrix-free map over its probe budget or with
+    a wrong adjoint. Each violated condition, including a ``max_iter`` or
+    ``record_every`` that is a boolean or not an integer and a real parameter
+    that is a boolean or not finite, raises a :class:`ValidationError` naming
+    it.
     """
+    for name in ("gamma", "sigma", "rho", "beta", "kkt_tol", "cg_tol"):
+        value = getattr(params, name)
+        if value is not None and not _is_real(value):
+            raise ValidationError(f"{name} ∈ ℝ",
+                                  f"{name}={value!r} must be a finite number")
     rule = params.rule
     m = rule.m
     gamma = params.gamma if params.gamma is not None else (m + 1.0) / 2.0
@@ -191,13 +201,20 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    try:
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        return False
+
+
 @dataclass
 class IterateState:
     """Full recurrence state at index k (two primal and two dual iterates).
 
     ``ax_k`` caches the image of ``x_k``: when set it is bitwise equal to
-    ``a_map.forward(x_k)``, and None means unknown (the initial state and the
-    zero-operator shortcut). A state whose ``x_k`` is replaced must drop it.
+    ``a_map.forward(x_k)``. Only a state built by :func:`initial_state` leaves
+    it None (unknown); a state whose ``x_k`` is replaced must drop it.
     """
 
     k: int
@@ -238,13 +255,11 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
 
     The primal update solves the subproblem's stationarity system exactly (to
     the configured residual tolerance) by :func:`~falm.linalg.solve_spd` from
-    ``cfg.spectral``. When the operator is zero (``cfg.spectral`` is None) the
-    subproblem collapses to the plain accelerated gradient step
-    ``y_k - sigma * grad f(y_k)``, which is taken directly. ``A x_k`` is read
-    from ``st.ax_k`` when cached, and the new
-    state caches the image of ``x_{k+1}`` that the inner solve's residual check
-    computed. Inner-solve failures raise :class:`StepError` carrying the
-    iteration index.
+    ``cfg.spectral``; for a zero operator that is the accelerated gradient
+    step ``y_k - sigma * grad f(y_k)`` up to rounding. ``A x_k`` is read from
+    ``st.ax_k`` when cached, and the new state caches the image of ``x_{k+1}``
+    that the inner solve's residual check computed. Inner-solve failures raise
+    :class:`StepError` carrying the iteration index.
     """
     g = cfg.gamma
     t_k = st.t_k
@@ -258,28 +273,18 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     nu = g * st.lam_k + (t_k - 1.0) * (st.lam_k - st.lam_prev)
     s_next = (cfg.rho / g) * t_k1 * (t_k1 - 1.0 + g)
     grad_y = prob.objective.gradient(y)
-
-    if cfg.spectral is None:
-        # Zero operator: the constraint terms vanish and the subproblem's
-        # minimizer is the accelerated gradient step itself.
-        x_next = y - cfg.sigma * grad_y
-        cg_iters = 0
-        ax_next = None
-    else:
-        ay = a.forward(y)
-        rhs = (y / cfg.sigma - grad_y - cfg.beta * a.adjoint(ay - prob.b)
-               - a.adjoint(nu) / g + (s_next / g) * a.adjoint(eta))
-        if not all_finite(rhs):
-            raise StepError(st.k, "subproblem right-hand side is not finite")
-        system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a,
-                           factor=cfg.spectral)
-        try:
-            sol = solve_spd(system, rhs, tol=cfg.cg_tol)
-        except SpdSolveError as exc:
-            raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
-        x_next = sol.x
-        cg_iters = sol.iterations
-        ax_next = sol.ax
+    ay = a.forward(y)
+    rhs = (y / cfg.sigma - grad_y - cfg.beta * a.adjoint(ay - prob.b)
+           - a.adjoint(nu) / g + (s_next / g) * a.adjoint(eta))
+    if not all_finite(rhs):
+        raise StepError(st.k, "subproblem right-hand side is not finite")
+    system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a,
+                       factor=cfg.spectral)
+    try:
+        sol = solve_spd(system, rhs, tol=cfg.cg_tol)
+    except SpdSolveError as exc:
+        raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
+    x_next = sol.x
 
     z_next = g * x_next + (t_k1 - 1.0) * (x_next - st.x_k)
     lam_next = mu + (cfg.rho / g) * (a.forward(z_next) - g * prob.b)
@@ -287,10 +292,10 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
 
     trace = StepTrace(y_k=y, mu_k=mu, nu_k_gamma=nu, eta_k=eta, s_next=s_next,
-                      z_next_gamma=z_next, cg_iters=cg_iters, grad_y=grad_y)
+                      z_next_gamma=z_next, cg_iters=sol.iterations, grad_y=grad_y)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
                              lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
-                             t_next=t_value(cfg.rule, st.k + 2), ax_k=ax_next)
+                             t_next=t_value(cfg.rule, st.k + 2), ax_k=sol.ax)
     return new_state, trace
 
 
@@ -369,14 +374,10 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     records: list[diagnostics.RunRecord] = []
     snapshots: list[diagnostics.IterateSnapshot] = []
 
-    def feas_residual(state: IterateState) -> Array:
-        ax = state.ax_k if state.ax_k is not None else prob.a_map.forward(state.x_k)
-        return ax - prob.b
-
     def emit(state: IterateState, cg_iters: int, res: Array | None = None,
              kkt: tuple[float, float] | None = None) -> None:
         if res is None:
-            res = feas_residual(state)
+            res = state.ax_k - prob.b
         if kkt is None:
             kkt = kkt_residuals(prob, state.x_k, state.lam_k, residual=res)
         feas = kkt[1]
@@ -422,10 +423,10 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         due = (k % cfg.record_every == 0) or is_last
         res = kkt = None
         if due:
-            res = feas_residual(st)
+            res = st.ax_k - prob.b
             kkt = kkt_residuals(prob, st.x_k, st.lam_k, residual=res)
         elif cfg.kkt_tol is not None:
-            res = feas_residual(st)
+            res = st.ax_k - prob.b
             kkt = _kkt_unless_ruled_out(prob, cfg, st, trace, res)
         stop = (cfg.kkt_tol is not None and kkt is not None
                 and kkt[0] <= cfg.kkt_tol and kkt[1] <= cfg.kkt_tol)

@@ -54,7 +54,8 @@ def test_run_writes_expected_files(tmp_path):
     assert set(summary["runs"]) == {"cd4", "baseline"}
     assert summary["oracle"] is True
     assert summary["runs"]["cd4"]["reason"] == "iteration budget"
-    assert "slope" in summary["runs"]["cd4"]["slopes"]["gap"]
+    gap = summary["runs"]["cd4"]["slopes"]["gap"]
+    assert {"slope", "n_used", "k_first", "k_last"} <= set(gap)
 
 
 def test_summary_gives_the_parameters_each_run_used(tmp_path):
@@ -276,6 +277,27 @@ def test_shipped_config_round(tmp_path, monkeypatch):
     assert all(b <= a + tol for a, b in zip(energies, energies[1:]))
 
 
+def test_ratecheck_reports_what_each_slope_fit_used(tmp_path):
+    # cd4's gap on the shipped instance sinks to rounding noise: the [100, 10^4]
+    # fit excludes 351 records and its last used index is 6,490, not 10^4
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    doc = json.loads(open(os.path.join(here, "configs", "qp_cd.json")).read())
+    doc["output_dir"] = str(tmp_path / "out")
+    doc["runs"] = [r for r in doc["runs"] if r["label"] == "cd4"]
+    cfg = _write(tmp_path / "qp_cd.json", doc)
+    thresholds = _write(tmp_path / "thresholds.json", {
+        "window": [100, 10000],
+        "checks": [{"kind": "slope", "metric": "gap", "label": "cd4",
+                    "max_slope": -1.8, "min_r2": 0.9}]})
+    assert cmd_ratecheck(cfg, thresholds) == 0
+    report = (tmp_path / "out" / "ratecheck.json").read_bytes()
+    entry = json.loads(report)["results"][0]
+    assert (entry["n_used"], entry["n_excluded"]) == (640, 351)
+    assert (entry["k_first"], entry["k_last"]) == (100, 6490)
+    assert cmd_ratecheck(cfg, thresholds) == 0
+    assert (tmp_path / "out" / "ratecheck.json").read_bytes() == report
+
+
 def test_run_subset_writes_same_bytes(tmp_path):
     # a run's records do not depend on which other runs the config holds
     cfg = _small_config(tmp_path)
@@ -334,6 +356,8 @@ def _tiny_runs():
     lambda doc: doc["runs"][0].update(max_iter=2.7),
     lambda doc: doc["runs"][0].update(max_iter=True),
     lambda doc: doc["runs"][0].update(beta=True),
+    lambda doc: doc["runs"][0].update(beta=float("nan"), sigma=0.001),
+    lambda doc: doc["runs"][0].update(rho=float("inf")),
     lambda doc: doc["runs"][0].update(rule={"rule": "constant", "m": True}),
     lambda doc: doc["problem"].update(seed=1.5),
     lambda doc: doc.update(problem={**_INLINE_PROBLEM, "n": 2.5}),
@@ -342,7 +366,8 @@ def _tiny_runs():
     lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
         "kind": "quadratic", "Q": [1.0, 0.0, 0.0, -5.0], "c": [0.0, 0.0]}}),
 ], ids=["problem_not_object", "run_not_object", "gamma_string", "label_not_file_name",
-        "max_iter_fraction", "max_iter_bool", "beta_bool", "rule_m_bool",
+        "max_iter_fraction", "max_iter_bool", "beta_bool", "beta_nan", "rho_inf",
+        "rule_m_bool",
         "seed_fraction", "inline_n_fraction", "q_asymmetric", "q_indefinite"])
 def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
     cfg = _small_config(tmp_path, runs=_tiny_runs())

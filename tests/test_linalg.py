@@ -3,8 +3,8 @@ import pytest
 
 from falm.errors import (DimensionMismatch, NonFiniteError, SpdSolveError,
                          ValidationError)
-from falm.linalg import (PROBE_BUDGET_BYTES, LinearMap, SpdSystem, all_finite,
-                         as_vector, dense_map, op_norm_sq, row_selection,
+from falm.linalg import (PROBE_BUDGET_BYTES, REFINE_STEPS, LinearMap, SpdSystem,
+                         all_finite, as_vector, dense_map, op_norm_sq, row_selection,
                          scaled_identity, solve_spd, spectral_factor, zero_map)
 
 
@@ -58,9 +58,11 @@ def test_op_norm_sq_scaled_identity():
 
 
 def test_op_norm_sq_zero_map():
+    # A zero map is factored like any other; its squared singular values are 0.
     for a_map in (zero_map(4, 2), _matrix_free(zero_map(4, 2))):
         est = op_norm_sq(a_map)
-        assert est.value == 0.0 and est.factor is None
+        vt, s2 = est.factor
+        assert est.value == 0.0 and vt.shape == (2, 4) and not np.any(s2)
 
 
 def test_op_norm_sq_known_singular_values():
@@ -139,7 +141,13 @@ def test_op_norm_sq_rejects_nonfinite_probes():
     assert err.value.condition == "A* e_i finite"
 
 
+def _dense_residual(system, a, x, rhs):
+    """``rhs - M x`` from the matrix, independent of :meth:`SpdSystem.residual`."""
+    return rhs - (system.shift * x + system.scale * (a.T @ (a @ x)))
+
+
 def test_spd_system_symmetric_and_definite():
+    # The closed-form inverse of a symmetric positive definite system is one too.
     rng = np.random.default_rng(123)
     for _ in range(10):
         n = int(rng.integers(2, 15))
@@ -150,10 +158,10 @@ def test_spd_system_symmetric_and_definite():
                            a_map=dense_map(a), factor=spectral_factor(a))
         for _ in range(10):
             u, v = rng.standard_normal((2, n))
-            lhs = float(np.dot(system.apply(u), v))
-            rhs = float(np.dot(u, system.apply(v)))
+            lhs = float(np.dot(system.spectral_solve(u), v))
+            rhs = float(np.dot(u, system.spectral_solve(v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-            assert float(np.dot(system.apply(u), u)) > 0.0
+            assert float(np.dot(system.spectral_solve(u), u)) > 0.0
 
 
 def _unscaled_system(shift, n):
@@ -199,7 +207,7 @@ def test_solve_spd_residual_contract():
         rhs = rng.standard_normal(n)
         tol = 1e-11
         sol = solve_spd(system, rhs, tol=tol)
-        resid = np.linalg.norm(rhs - system.apply(sol.x))
+        resid = np.linalg.norm(_dense_residual(system, a, sol.x, rhs))
         assert resid <= tol * max(1.0, np.linalg.norm(rhs))
 
 
@@ -210,8 +218,8 @@ def test_solve_spd_requires_the_factor():
 
 
 def test_solve_spd_iteration_budget_error():
-    # A target below rounding fails the closed form's residual check, and the
-    # conjugate-gradient budget of 10 n + 50 iterations cannot meet it either.
+    # A target below rounding fails the closed form's residual check, and
+    # REFINE_STEPS corrections cannot meet it either.
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 12))
     system = SpdSystem(shift=0.01, scale=50.0, a_map=dense_map(a),
@@ -219,7 +227,7 @@ def test_solve_spd_iteration_budget_error():
     with pytest.raises(SpdSolveError) as err:
         solve_spd(system, rng.standard_normal(12), tol=1e-300)
     assert err.value.residual > 0
-    assert err.value.iterations == 10 * 12 + 50
+    assert err.value.iterations == REFINE_STEPS
 
 
 def _cholesky_solve(m, rhs):
@@ -273,12 +281,13 @@ def _inexact_spectral_system():
 
 
 def test_solve_spd_refines_inexact_spectral_start():
-    # A factor of a nearby matrix gives a start that misses the target;
-    # conjugate gradients take over and the residual contract still holds.
+    # A factor of a nearby matrix gives a start that misses the target; each
+    # refinement correction contracts the residual by about the factor's
+    # relative error, and 5 corrections meet the contract.
     a, system, rhs = _inexact_spectral_system()
     sol = solve_spd(system, rhs, tol=1e-12)
-    assert sol.iterations > 0
-    resid = np.linalg.norm(rhs - system.apply(sol.x))
+    assert sol.iterations == 5
+    resid = np.linalg.norm(_dense_residual(system, a, sol.x, rhs))
     assert resid <= 1e-12 * max(1.0, np.linalg.norm(rhs))
     x_ref = _cholesky_solve(2.0 * np.eye(10) + 3.0 * (a.T @ a), rhs)
     np.testing.assert_allclose(sol.x, x_ref, atol=1e-10)
@@ -298,15 +307,15 @@ def _probed_system():
             rng.standard_normal(9))
 
 
-@pytest.mark.parametrize("path, make, cg", [
+@pytest.mark.parametrize("path, make, refined", [
     ("accepted spectral start", _exact_spectral_system, False),
     ("refined spectral start", lambda: _inexact_spectral_system()[1:], True),
     ("probed", _probed_system, False),
 ])
-def test_solve_spd_returns_exact_image(path, make, cg):
+def test_solve_spd_returns_exact_image(path, make, refined):
     system, rhs = make()
     sol = solve_spd(system, rhs, tol=1e-12)
-    assert (sol.iterations > 0) == cg, path
+    assert (sol.iterations > 0) == refined, path
     assert sol.ax.tobytes() == system.a_map.forward(sol.x).tobytes()
 
 

@@ -10,7 +10,7 @@ from falm.cli import load_experiment
 from falm.diagnostics import RunRecord, energy, gap
 from falm.errors import StepError, ValidationError
 from falm.inertial import attouch_cabot, chambolle_dossal, constant, nesterov, t_value
-from falm.linalg import LinearMap, dense_map, zero_map
+from falm.linalg import LinearMap, dense_map
 from falm.oracle import kkt_solve
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
 from falm.solver import (SolverParams, initial_state, run, step, validate)
@@ -110,6 +110,19 @@ def test_validate_rejects_non_integer_counts(small_instance, name, value):
     assert err.value.condition == f"{name} ∈ ℤ"
 
 
+@pytest.mark.parametrize("name, value", [
+    ("beta", np.nan), ("rho", np.inf), ("sigma", np.nan), ("beta", True),
+    ("gamma", True), ("cg_tol", True), ("kkt_tol", True), ("rho", "0.1")])
+def test_validate_rejects_a_real_parameter_that_is_not_a_finite_number(
+        small_instance, name, value):
+    # beta=nan gave a NaN sigma_bound and a run that failed at k = 1, rho=inf
+    # was accepted the same way, and kkt_tol=True stopped a run at k = 1
+    params = SolverParams(rule=nesterov(), **{"sigma": 1e-3, name: value})
+    with pytest.raises(ValidationError) as err:
+        validate(small_instance[0], params)
+    assert err.value.condition == f"{name} ∈ ℝ"
+
+
 @pytest.mark.parametrize("snapshot_every", [0, -3, 2.5, True])
 def test_run_rejects_a_bad_snapshot_every_before_the_first_step(small_instance,
                                                                  snapshot_every):
@@ -153,14 +166,11 @@ def test_validate_matrix_free_norm_bounds_true_norm():
     assert cfg.a_norm_sq == validate(prob, params).a_norm_sq
 
 
-def test_validate_zero_map_has_no_factor(small_instance):
-    prob, _ = small_instance
-    assert validate(prob, SolverParams(rule=nesterov())).spectral is not None
-    free = validate(_matrix_free(prob), SolverParams(rule=nesterov()))
-    assert free.spectral is not None
+def test_validate_zero_map_has_a_zero_factor():
     zero, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
     cfg0 = validate(zero, SolverParams(rule=nesterov()))
-    assert cfg0.spectral is None and cfg0.a_norm_sq == 0.0
+    assert cfg0.a_norm_sq == 0.0 and not np.any(cfg0.spectral[1])
+    assert cfg0.sigma_bound == cfg0.gamma / zero.objective.lipschitz
 
 
 def test_validate_defaults(small_instance):
@@ -172,7 +182,9 @@ def test_validate_defaults(small_instance):
     assert cfg.convergence_certified
 
 
-def test_step_unconstrained_is_exact_gradient_step():
+def test_step_unconstrained_is_the_gradient_step():
+    # The zero map's closed form is (y/sigma - grad f(y)) / (1/sigma): the
+    # gradient step up to rounding, accepted without refinement.
     prob, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
     params = SolverParams(rule=nesterov(), beta=1.0, max_iter=10)
     cfg = validate(prob, params)
@@ -181,7 +193,8 @@ def test_step_unconstrained_is_exact_gradient_step():
     st = initial_state(cfg.rule, x0, np.zeros(2))
     st, trace = step(prob, cfg, st)
     expected = x0 - cfg.sigma * prob.objective.gradient(x0)
-    assert np.array_equal(st.x_k, expected)
+    np.testing.assert_allclose(st.x_k, expected, rtol=0,
+                               atol=1e-14 * np.linalg.norm(expected))
     assert np.array_equal(st.lam_k, np.zeros(2))
     assert trace.cg_iters == 0
 
@@ -351,16 +364,14 @@ def test_step_rejects_nonfinite_iterates(small_instance):
         step(bad, cfg, st)
 
 
-def test_step_rejects_nonfinite_gradient_step():
-    # The zero-operator shortcut has no right-hand side; the iterate check fires.
-    blown = Problem(objective=Objective(value=lambda x: 0.0,
-                                        gradient=lambda x: np.full(3, np.nan),
-                                        lipschitz=1.0),
-                    a_map=zero_map(3, 1), b=np.zeros(1))
-    cfg = validate(blown, SolverParams(rule=nesterov()))
-    st = initial_state(cfg.rule, np.zeros(3), np.zeros(1))
-    with pytest.raises(StepError, match="iterate left the finite range"):
-        step(blown, cfg, st)
+def test_step_rejects_iterates_that_overflow(tiny_qp):
+    # A finite right-hand side whose dual step overflows: the iterate check fires.
+    cfg = validate(tiny_qp, SolverParams(rule=nesterov(), rho=1e300))
+    st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepError, match="iterate left the finite range") as err:
+        step(tiny_qp, cfg, st)
+    assert err.value.iteration == 1
 
 
 def test_coupling_weight_formula(small_instance):
@@ -389,19 +400,22 @@ def test_run_dense_matches_matrix_free(small_instance):
 
 
 def test_run_refines_the_closed_form_on_a_generated_instance():
-    # Conjugate-gradient refinement is not dead code: on this well-conditioned
-    # 20x19 instance the closed form misses its residual target on 92 of 300
-    # steps (the first at k = 206), and refinement carries the run through.
+    # Refinement is not dead code: on this well-conditioned 20x19 instance the
+    # closed form misses its residual target on 91 of 300 steps at cg_tol
+    # 1e-12 (the first at k = 206) and on 259 at 1e-14. A correction from the
+    # map's own factor is nearly exact, so no step needs more than 2.
     prob, _ = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
-    params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
-                          record_every=1)
-    res = run(prob, params)
-    assert (res.reason, res.error, res.iterations) == ("iteration budget", None, 300)
-    assert any(rec.cg_iters > 0 for rec in res.records)
-    free = run(_matrix_free(prob), params)
-    assert free.records == res.records
-    assert free.x.tobytes() == res.x.tobytes()
-    assert free.lam.tobytes() == res.lam.tobytes()
+    for cg_tol in (1e-12, 1e-14):
+        params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
+                              record_every=1, cg_tol=cg_tol)
+        res = run(prob, params)
+        assert (res.reason, res.error, res.iterations) == ("iteration budget", None, 300)
+        assert any(rec.cg_iters > 0 for rec in res.records)
+        assert max(rec.cg_iters for rec in res.records) <= 2
+        free = run(_matrix_free(prob), params)
+        assert free.records == res.records
+        assert free.x.tobytes() == res.x.tobytes()
+        assert free.lam.tobytes() == res.lam.tobytes()
 
 
 def test_run_shipped_cd4_needs_no_cg_iterations():
@@ -414,9 +428,10 @@ def test_run_shipped_cd4_needs_no_cg_iterations():
     assert all(rec.cg_iters == 0 for rec in res.records)
 
 
-@pytest.mark.parametrize("free", [False, True], ids=["dense", "matrix_free"])
-def test_step_caches_exact_image(small_instance, free):
-    prob = _matrix_free(small_instance[0]) if free else small_instance[0]
+@pytest.mark.parametrize("kind", ["dense", "matrix_free", "zero"])
+def test_step_caches_exact_image(small_instance, kind):
+    prob = {"dense": small_instance[0], "matrix_free": _matrix_free(small_instance[0]),
+            "zero": generate(GenSpec("unconstrained", 6, 2, 1, 5.0))[0]}[kind]
     params = SolverParams(rule=chambolle_dossal(4.0))
     cfg = validate(prob, params)
     st = initial_state(cfg.rule, np.ones(prob.n), np.zeros(prob.p))
@@ -424,13 +439,6 @@ def test_step_caches_exact_image(small_instance, free):
     for _ in range(5):
         st, _ = step(prob, cfg, st)
         assert st.ax_k.tobytes() == prob.a_map.forward(st.x_k).tobytes()
-
-
-def test_step_zero_operator_leaves_image_unknown():
-    prob, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
-    cfg = validate(prob, SolverParams(rule=nesterov()))
-    st, _ = step(prob, cfg, initial_state(cfg.rule, np.ones(6), np.zeros(2)))
-    assert st.ax_k is None
 
 
 @pytest.fixture(scope="module")
