@@ -182,9 +182,9 @@ def test_validate_defaults(small_instance):
     assert cfg.convergence_certified
 
 
-def test_step_unconstrained_is_the_gradient_step():
-    # The zero map's closed form is (y/sigma - grad f(y)) / (1/sigma): the
-    # gradient step up to rounding, accepted without refinement.
+def test_step_unconstrained_is_exact_gradient_step():
+    # The zero map's closed form is exactly (y/sigma - grad f(y)) / (1/sigma):
+    # the gradient step up to rounding, accepted without refinement.
     prob, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
     params = SolverParams(rule=nesterov(), beta=1.0, max_iter=10)
     cfg = validate(prob, params)
@@ -192,7 +192,9 @@ def test_step_unconstrained_is_the_gradient_step():
     x0 = rng.standard_normal(6)
     st = initial_state(cfg.rule, x0, np.zeros(2))
     st, trace = step(prob, cfg, st)
-    expected = x0 - cfg.sigma * prob.objective.gradient(x0)
+    grad = prob.objective.gradient(x0)
+    assert np.array_equal(st.x_k, (1.0 / (1.0 / cfg.sigma)) * (x0 / cfg.sigma - grad))
+    expected = x0 - cfg.sigma * grad
     np.testing.assert_allclose(st.x_k, expected, rtol=0,
                                atol=1e-14 * np.linalg.norm(expected))
     assert np.array_equal(st.lam_k, np.zeros(2))
@@ -364,7 +366,7 @@ def test_step_rejects_nonfinite_iterates(small_instance):
         step(bad, cfg, st)
 
 
-def test_step_rejects_iterates_that_overflow(tiny_qp):
+def test_step_rejects_nonfinite_gradient_step(tiny_qp):
     # A finite right-hand side whose dual step overflows: the iterate check fires.
     cfg = validate(tiny_qp, SolverParams(rule=nesterov(), rho=1e300))
     st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
