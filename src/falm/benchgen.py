@@ -10,9 +10,20 @@ can reproduce the draw stream. The state advance and output scrambler are:
     z       <- (z XOR (z >> 27)) * 0x94D049BB133111EB   mod 2^64
     output  <- z XOR (z >> 31)
 
-Uniform doubles take the top 53 bits (``output >> 11`` times ``2^-53``);
-normals come from the Box-Muller transform on consecutive uniform pairs, with
-the spare value cached.
+Uniform doubles take the top 53 bits (``output >> 11`` times ``2^-53``).
+Normals come from the Box-Muller transform on consecutive uniform pairs
+``(u1, u2)``, with ``u1 = 0`` replaced by ``2^-53``: ``r = sqrt(-2 log u1)``
+gives ``r cos(2 pi u2)`` and then ``r sin(2 pi u2)``. An odd count leaves the
+sine value as a spare that the next normal draw returns first; uniform draws
+between them do not touch it.
+
+Draws are made in bulk: the stream and the uniforms are numpy uint64 and
+float64 array arithmetic, bitwise equal to the scalar recurrence. Box-Muller
+keeps ``math.log``, ``math.cos`` and ``math.sin`` (mapped over each array):
+numpy's versions are not libm's, their last bit can differ (``np.log`` did on
+about 0.2% of draws) and depends on the CPU's vector unit, and a different
+bit would change the instance. The square root, the products and ``2 pi u2``
+are correctly rounded in numpy as in ``math``, so numpy computes them.
 
 Constrained instances are always feasible by construction: the right-hand
 side is ``A @ x_anchor`` for a drawn anchor point, never sampled directly.
@@ -62,35 +73,43 @@ class SplitMix64:
         self._state = int(seed) & _MASK
         self._spare_normal: float | None = None
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    def _stream(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as uint64 (numpy wraps mod 2^64)."""
+        z = self._state + np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+        self._state = (self._state + count * _GOLDEN) & _MASK
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """Double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def normal(self) -> float:
-        if self._spare_normal is not None:
-            out = self._spare_normal
-            self._spare_normal = None
-            return out
-        u1 = self.uniform()
-        if u1 == 0.0:
-            u1 = 2.0 ** -53
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._spare_normal = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
+    def next_u64(self) -> int:
+        return int(self._stream(1)[0])
 
     def uniforms(self, count: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(count)])
+        """Doubles in [0, 1) with 53 random bits."""
+        return (self._stream(count) >> 11).astype(np.float64) * 2.0 ** -53
 
     def normals(self, count: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(count)])
+        """Box-Muller normals; a pending spare comes first, an unused one is kept."""
+        out = np.empty(count)
+        head = 0
+        if count and self._spare_normal is not None:
+            out[0], self._spare_normal, head = self._spare_normal, None, 1
+        pairs = (count - head + 1) // 2
+        u = self.uniforms(2 * pairs)
+        # u1 is a multiple of 2^-53, so this lifts only u1 = 0 to 2^-53.
+        r = np.sqrt(-2.0 * _libm(math.log, np.maximum(u[0::2], 2.0 ** -53)))
+        theta = 2.0 * math.pi * u[1::2]
+        z = np.empty(2 * pairs)
+        z[0::2] = r * _libm(math.cos, theta)
+        z[1::2] = r * _libm(math.sin, theta)
+        out[head:] = z[:count - head]
+        if 2 * pairs > count - head:
+            self._spare_normal = float(z[-1])
+        return out
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
 
 
 @dataclass(frozen=True)
@@ -128,14 +147,18 @@ def spec_to_json(spec: GenSpec) -> dict:
 
 def _orthogonal_conjugate(diag: np.ndarray, rng: SplitMix64,
                           reflections: int = 3) -> np.ndarray:
-    """Conjugate a diagonal matrix by a product of random Householder maps."""
-    n = diag.size
-    mat = np.diag(diag)
+    """Conjugate a diagonal matrix by a product of random Householder maps.
+
+    The first product ``h @ diag(d)`` is taken as the column scaling
+    ``h * d``: each of its entries has one nonzero term, so the two agree
+    bitwise and one n^3 product is saved.
+    """
+    mat = None
     for _ in range(reflections):
-        v = rng.normals(n)
+        v = rng.normals(diag.size)
         v /= np.linalg.norm(v)
-        h = np.eye(n) - 2.0 * np.outer(v, v)
-        mat = h @ mat @ h.T
+        h = np.eye(diag.size) - 2.0 * np.outer(v, v)
+        mat = (h * diag) @ h.T if mat is None else h @ mat @ h.T
     return (mat + mat.T) / 2.0
 
 

@@ -83,8 +83,8 @@ SLOPE_FIELDS = ("gap", "feas", "obj_err")
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 CHECK_KINDS = ("slope", "monotone")
 CHECK_NUMBERS = ("max_slope", "min_slope", "min_r2", "tol", "from_k")
-PARAMETER_FIELDS = ("gamma", "sigma", "rho", "beta", "a_norm_sq", "sigma_bound",
-                    "convergence_certified")
+PARAMETER_FIELDS = ("gamma", "sigma", "rho", "beta", "a_norm_sq", "a_norm_probes",
+                    "sigma_bound", "convergence_certified")
 
 
 @dataclass

@@ -101,7 +101,11 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class ValidatedConfig:
-    """Resolved, admissibility-checked parameters plus derived constants."""
+    """Resolved, admissibility-checked parameters plus derived constants.
+
+    ``a_norm_probes`` counts the adjoint probes ``a_norm_sq`` was read from:
+    0 when the map's matrix was factored as is, p for a matrix-free p-row map.
+    """
 
     rule: InertialRule
     m: float
@@ -110,6 +114,7 @@ class ValidatedConfig:
     rho: float
     beta: float
     a_norm_sq: float
+    a_norm_probes: int
     sigma_bound: float
     convergence_certified: bool
     max_iter: int
@@ -190,6 +195,7 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
     certified = bool(m < gamma < 1.0 and sigma < sigma_bound and params.beta > 0)
     return ValidatedConfig(rule=rule, m=m, gamma=gamma, sigma=sigma, rho=rho,
                            beta=params.beta, a_norm_sq=a_norm_sq,
+                           a_norm_probes=estimate.iterations,
                            sigma_bound=sigma_bound,
                            convergence_certified=certified,
                            max_iter=params.max_iter, kkt_tol=params.kkt_tol,

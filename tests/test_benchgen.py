@@ -1,8 +1,11 @@
 import json
+import math
+import random
 
 import numpy as np
 import pytest
 
+from falm import benchgen
 from falm.benchgen import GenSpec, SplitMix64, generate, spec_from_json, spec_to_json
 from falm.linalg import op_norm_sq
 from falm.oracle import kkt_solve
@@ -24,10 +27,115 @@ def _splitmix_reference(seed, count):
     return out
 
 
+class _ScalarDraws:
+    """Independent transcription of the documented uniform and Box-Muller
+    draws, one value at a time."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK
+        self.spare = None
+
+    def uniform(self):
+        [z] = _splitmix_reference(self.state, 1)
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK
+        return (z >> 11) * 2.0 ** -53
+
+    def normal(self):
+        if self.spare is not None:
+            out, self.spare = self.spare, None
+            return out
+        u1 = self.uniform()
+        if u1 == 0.0:
+            u1 = 2.0 ** -53
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        self.spare = r * math.sin(2.0 * math.pi * u2)
+        return r * math.cos(2.0 * math.pi * u2)
+
+    def uniforms(self, count):
+        return np.array([self.uniform() for _ in range(count)])
+
+    def normals(self, count):
+        return np.array([self.normal() for _ in range(count)])
+
+
+def _reference_conjugate(diag, rng, reflections=3):
+    """Householder conjugation with the diagonal as an explicit matrix."""
+    mat = np.diag(diag)
+    for _ in range(reflections):
+        v = rng.normals(diag.size)
+        v /= np.linalg.norm(v)
+        h = np.eye(diag.size) - 2.0 * np.outer(v, v)
+        mat = h @ mat @ h.T
+    return (mat + mat.T) / 2.0
+
+
+def _instance_arrays(prob, qp):
+    kind, mat, vec = prob.objective.data
+    arrays = [mat, vec, prob.a_map.matrix, prob.b,
+              np.float64(prob.objective.lipschitz)]
+    if qp is not None:
+        arrays += [qp.q_mat, qp.c, qp.a_mat, qp.b]
+    return kind, [np.asarray(a).tobytes() for a in arrays]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 11])
 def test_splitmix_matches_reference(seed):
     rng = SplitMix64(seed)
     assert [rng.next_u64() for _ in range(100)] == _splitmix_reference(seed, 100)
+
+
+_CALL_SEQUENCES = [
+    [("n", 0), ("n", 1), ("n", 1), ("n", 2), ("u", 0), ("n", 3), ("n", 4)],
+    # a spare normal carried across uniform draws of every parity
+    [("n", 1), ("u", 1), ("n", 1), ("n", 3), ("u", 2), ("u", 0), ("n", 0), ("n", 2)],
+    [("u", 3), ("n", 5), ("u", 4), ("n", 7), ("n", 6), ("u", 1), ("n", 1)],
+    # long enough that np.log would differ somewhere (about 0.2% of draws)
+    [("n", 3), ("u", 2), ("n", 10_001), ("u", 5), ("n", 1)],
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+@pytest.mark.parametrize("calls", range(len(_CALL_SEQUENCES) + 1))
+def test_bulk_draws_match_scalar_transcription(seed, calls):
+    if calls < len(_CALL_SEQUENCES):
+        sequence = _CALL_SEQUENCES[calls]
+    else:
+        pick = random.Random(seed)
+        sequence = [(pick.choice("un"), pick.randrange(12)) for _ in range(40)]
+    rng, ref = SplitMix64(seed), _ScalarDraws(seed)
+    for kind, count in sequence:
+        got = rng.uniforms(count) if kind == "u" else rng.normals(count)
+        want = ref.uniforms(count) if kind == "u" else ref.normals(count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert got.tobytes() == want.tobytes(), (kind, count)
+    assert rng.next_u64() == _splitmix_reference(ref.state, 1)[0]
+
+
+def test_zero_first_uniform_is_replaced_in_box_muller():
+    # The mixer inverted at output 5: the first state's output is 5, whose
+    # top 53 bits are all zero.
+    seed = 9496213449905971121
+    assert SplitMix64(seed).next_u64() == 5
+    assert SplitMix64(seed).uniforms(2)[0] == 0.0
+    z = SplitMix64(seed).normals(2)
+    u2 = SplitMix64(seed).uniforms(2)[1]
+    r = math.sqrt(-2.0 * math.log(2.0 ** -53))
+    assert z[0] == r * math.cos(2.0 * math.pi * u2)
+    assert z[1] == r * math.sin(2.0 * math.pi * u2)
+    assert z.tobytes() == _ScalarDraws(seed).normals(2).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random_qp", "constrained_least_squares",
+                                  "unconstrained"])
+@pytest.mark.parametrize("n, p, seed, cond", [(12, 4, 1, 1.0), (20, 19, 7, 100.0),
+                                              (33, 5, 1007, 30.0)])
+def test_generate_matches_scalar_reference(monkeypatch, kind, n, p, seed, cond):
+    spec = GenSpec(kind, n, p, seed, cond)
+    fast = _instance_arrays(*generate(spec))
+    monkeypatch.setattr(benchgen, "SplitMix64", _ScalarDraws)
+    monkeypatch.setattr(benchgen, "_orthogonal_conjugate", _reference_conjugate)
+    assert _instance_arrays(*generate(spec)) == fast
 
 
 def test_splitmix_uniform_range():

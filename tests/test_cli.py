@@ -12,6 +12,8 @@ from falm import cli
 from falm.cli import (CSV_HEADER, _check_monotone, _fmt, cmd_compare,
                       cmd_ratecheck, cmd_run, main)
 from falm.diagnostics import RunRecord
+from falm.linalg import LinearMap
+from falm.problem import Problem
 from falm.solver import validate
 
 
@@ -70,12 +72,39 @@ def test_summary_gives_the_parameters_each_run_used(tmp_path):
         cfg = validate(config.problem, spec.params)
         assert summary["runs"][spec.label]["parameters"] == {
             name: getattr(cfg, name) for name in
-            ("gamma", "sigma", "rho", "beta", "a_norm_sq", "sigma_bound",
-             "convergence_certified")}
+            ("gamma", "sigma", "rho", "beta", "a_norm_sq", "a_norm_probes",
+             "sigma_bound", "convergence_certified")}
     assert summary["runs"]["cd4"]["parameters"]["gamma"] == 0.9
     assert summary["runs"]["cd4"]["parameters"]["convergence_certified"] is True
     # the Nesterov rule forces gamma = 1, so iterate convergence is not certified
     assert summary["runs"]["nesterov"]["parameters"]["convergence_certified"] is False
+
+
+def test_summary_says_how_a_norm_sq_was_obtained(tmp_path, monkeypatch):
+    path = _small_config(tmp_path, max_iter=50)
+    assert cmd_run(path) == 0
+    out = tmp_path / "out"
+    dense = json.loads((out / "summary.json").read_text())
+    csv = (out / "cd4.csv").read_bytes()
+    load = cli.load_experiment
+
+    def load_matrix_free(config_path):
+        config = load(config_path)
+        a = config.problem.a_map
+        a_map = LinearMap(forward=a.forward, adjoint=a.adjoint, dims=a.dims, matrix=None)
+        config.problem = Problem(objective=config.problem.objective, a_map=a_map,
+                                 b=config.problem.b)
+        return config
+
+    monkeypatch.setattr(cli, "load_experiment", load_matrix_free)
+    assert cmd_run(path) == 0
+    probed = json.loads((out / "summary.json").read_text())
+    for label in ("cd4", "baseline"):
+        assert dense["runs"][label]["parameters"]["a_norm_probes"] == 0
+        assert probed["runs"][label]["parameters"] == {
+            **dense["runs"][label]["parameters"], "a_norm_probes": 3}
+    # the map rebuilt from its adjoint probes is the dense map, bit for bit
+    assert (out / "cd4.csv").read_bytes() == csv
 
 
 def test_run_energy_column_monotone(tmp_path):
