@@ -37,6 +37,15 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> Array:
     return v
 
 
+def read_only(x) -> Array:
+    """``x`` itself when it is a read-only float64 array owning its data, else
+    a read-only float64 copy, so no other holder can change the result."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.flags.owndata and not x.flags.writeable):
+        x = np.array(x, dtype=float)
+        x.flags.writeable = False
+    return x
+
 def all_finite(v: Array) -> bool:
     """True when every entry of ``v`` is finite.
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FalmError
-from .linalg import Array, as_vector
-from .problem import OBJECTIVE_KINDS, Problem, lagrangian
+from .linalg import Array, as_vector, read_only
+from .problem import Problem, lagrangian
 
 
 class OracleError(FalmError, RuntimeError):
@@ -22,7 +22,11 @@ class OracleError(FalmError, RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QpInstance:
-    """Equality-constrained QP: ``min 0.5 x'Qx + c'x  s.t.  A x = b``."""
+    """Equality-constrained QP: ``min 0.5 x'Qx + c'x  s.t.  A x = b``.
+
+    Each array goes through :func:`~falm.linalg.read_only`: one that is
+    already read-only and owns its data is shared, any other is copied.
+    """
 
     q_mat: Array
     c: Array
@@ -30,10 +34,10 @@ class QpInstance:
     b: Array
 
     def __post_init__(self):
-        q = np.array(self.q_mat, dtype=float)
-        a = np.array(self.a_mat, dtype=float)
-        c = as_vector(self.c, name="c")
-        b = as_vector(self.b, name="b")
+        q = read_only(self.q_mat)
+        a = read_only(self.a_mat)
+        c = read_only(as_vector(self.c, name="c"))
+        b = read_only(as_vector(self.b, name="b"))
         if q.shape != (c.size, c.size):
             raise ValueError(f"Q has shape {q.shape}, expected {(c.size, c.size)}")
         if a.shape != (b.size, c.size):
@@ -43,8 +47,6 @@ class QpInstance:
             raise ValueError("Q is not symmetric within 1e-12")
         if np.linalg.matrix_rank(a) < b.size:
             raise ValueError("A does not have full row rank")
-        for arr in (q, a, c, b):
-            arr.flags.writeable = False
         object.__setattr__(self, "q_mat", q)
         object.__setattr__(self, "a_mat", a)
         object.__setattr__(self, "c", c)
@@ -60,26 +62,21 @@ class QpInstance:
 
 
 def qp_from_problem(prob: Problem) -> QpInstance | None:
-    """The QP of a problem with a dense objective and a dense nonzero map.
+    """The QP of a problem with a quadratic form and a dense nonzero map.
 
-    A least-squares objective ``0.5||M x - d||^2`` becomes ``Q = (M'M +
-    (M'M)')/2`` and ``c = -M'd``. Returns None when the objective or the map
-    keeps no dense data, the map is zero, or :class:`QpInstance` rejects the
-    data (for example ``A`` without full row rank).
+    The QP reads the objective's ``quadratic`` ``(Q, c)`` and shares its
+    arrays; for a least-squares objective that is the Gram matrix ``M'M``
+    the gradient uses, and ``c = -M'd``. Returns None when the objective
+    keeps no quadratic form, the map keeps no dense matrix or is zero, or
+    :class:`QpInstance` rejects the data (for example ``A`` without full row
+    rank).
     """
-    if prob.objective.data is None or prob.a_map.matrix is None:
-        return None
-    kind, mat, vec = prob.objective.data
     a = prob.a_map.matrix
-    if kind not in OBJECTIVE_KINDS or not np.any(a):
+    if prob.objective.quadratic is None or a is None or not np.any(a):
         return None
-    if kind == "least_squares":
-        gram = mat.T @ mat
-        gram = gram + gram.T
-        gram /= 2.0  # in place: one n-by-n temporary fewer than (G + G')/2
-        mat, vec = gram, -(mat.T @ vec)
+    q, c = prob.objective.quadratic
     try:
-        return QpInstance(q_mat=mat, c=vec, a_mat=a, b=prob.b)
+        return QpInstance(q_mat=q, c=c, a_mat=a, b=prob.b)
     except ValueError:
         return None
 

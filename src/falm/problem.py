@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError
-from .linalg import Array, LinearMap, as_vector, dense_map, norm
+from .linalg import Array, LinearMap, as_vector, dense_map, norm, read_only
 
 OBJECTIVE_KINDS = ("quadratic", "least_squares")
 
@@ -30,6 +30,9 @@ class Objective:
     ``lipschitz`` bounds the gradient's Lipschitz constant and must be
     positive. ``data`` optionally keeps the dense description (kind plus
     matrices) used for serialization; matrix-free objectives leave it None.
+    ``quadratic`` optionally keeps the read-only ``(Q, c)`` with ``f(x) =
+    0.5 x'Qx + c'x`` up to a constant, the arrays the gradient ``Q x + c``
+    itself reads; :func:`~falm.oracle.qp_from_problem` shares them.
     Oracles must be reentrant: callers may share a Problem across threads.
     """
 
@@ -37,11 +40,19 @@ class Objective:
     gradient: Callable[[Array], Array]
     lipschitz: float
     data: tuple | None = None
+    quadratic: tuple[Array, Array] | None = None
 
     def __post_init__(self):
         if not (self.lipschitz > 0 and np.isfinite(self.lipschitz)):
             raise ValueError(f"lipschitz must be a positive finite scalar, "
                              f"got {self.lipschitz}")
+
+
+def _quadratic(q: Array, c: Array, lipschitz: float, value: Callable[[Array], float],
+               data: tuple) -> Objective:
+    """The objective whose gradient is ``q x + c``: the one gradient path."""
+    return Objective(value=value, gradient=lambda x: q @ x + c, lipschitz=lipschitz,
+                     data=data, quadratic=(q, c))
 
 
 def quadratic_objective(q, c, lipschitz: float | None = None) -> Objective:
@@ -53,8 +64,8 @@ def quadratic_objective(q, c, lipschitz: float | None = None) -> Objective:
     ``Q``; its smallest must then not be below minus that allowance, or f is
     not convex. Either violation raises ``ValueError``.
     """
-    q = np.array(q, dtype=float)
-    c = as_vector(c, name="c")
+    q = read_only(q)
+    c = read_only(as_vector(c, name="c"))
     if q.shape != (c.size, c.size):
         raise DimensionMismatch(f"Q has shape {q.shape}, expected {(c.size, c.size)}")
     if not np.all(np.isfinite(q)):
@@ -62,37 +73,42 @@ def quadratic_objective(q, c, lipschitz: float | None = None) -> Objective:
     allowance = 1e-12 * max(1.0, float(np.abs(q).max(initial=0.0)))
     if float(np.abs(q - q.T).max(initial=0.0)) > allowance:
         raise ValueError("Q is not symmetric within 1e-12")
-    q.flags.writeable = False
     if lipschitz is None:
         eigs = np.linalg.eigvalsh((q + q.T) / 2.0)
         if eigs[0] < -allowance:
             raise ValueError(f"Q has the negative eigenvalue {eigs[0]:.6g}")
         lipschitz = float(eigs[-1])
-    return Objective(value=lambda x: float(0.5 * np.dot(x, q @ x) + np.dot(c, x)),
-                     gradient=lambda x: q @ x + c,
-                     lipschitz=lipschitz,
-                     data=("quadratic", q, c))
+    return _quadratic(q, c, lipschitz,
+                      value=lambda x: float(0.5 * np.dot(x, q @ x) + np.dot(c, x)),
+                      data=("quadratic", q, c))
 
 
 def least_squares_objective(m, d, lipschitz: float | None = None) -> Objective:
-    """Objective ``f(x) = 0.5 ||M x - d||^2`` with Lipschitz constant ``||M||^2``."""
-    m = np.array(m, dtype=float)
-    d = as_vector(d, name="d")
+    """Objective ``f(x) = 0.5 ||M x - d||^2`` with Lipschitz constant ``||M||^2``.
+
+    The Gram matrix ``G = M'M`` and ``c = -M'd`` are formed once, so the
+    gradient ``G x + c`` is one pass over an n-by-n matrix; the value keeps
+    the residual form. The default constant is the largest eigenvalue of
+    ``G``. A non-finite ``M`` raises :class:`~falm.errors.NonFiniteError`.
+    """
+    m = read_only(m)
+    d = read_only(as_vector(d, name="d"))
     if m.ndim != 2 or m.shape[0] != d.size:
         raise DimensionMismatch(f"M has shape {m.shape}, incompatible with d of "
                                 f"dimension {d.size}")
-    m.flags.writeable = False
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteError("M contains NaN or infinite entries")
+    gram = m.T @ m  # numpy uses syrk: exactly symmetric, so the QP shares it as is
+    c = -(m.T @ d)
+    gram.flags.writeable = c.flags.writeable = False
     if lipschitz is None:
-        lipschitz = float(np.linalg.eigvalsh(m.T @ m)[-1])
+        lipschitz = float(np.linalg.eigvalsh(gram)[-1])
 
     def value(x: Array) -> float:
         r = m @ x - d
         return float(0.5 * np.dot(r, r))
 
-    return Objective(value=value,
-                     gradient=lambda x: m.T @ (m @ x - d),
-                     lipschitz=lipschitz,
-                     data=("least_squares", m, d))
+    return _quadratic(gram, c, lipschitz, value=value, data=("least_squares", m, d))
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,9 +70,11 @@ from .problem import Problem, kkt_residuals, value_and_residual
 SIGMA_CONDITION = "σ ≤ γ/(L + γβ‖A‖²)"
 
 # Relative rounding allowance of the lower bound that lets ``run`` skip the
-# exact KKT stop test. An affine gradient evaluated at v is off by a few
-# dimension * eps * (L||v|| + ||grad f(v)||); this covers that, for both
-# gradients, and the norms' rounding, by many orders of magnitude.
+# exact KKT stop test. An affine gradient ``G v + c`` evaluated at v, with G
+# and c rounded once when the objective was built (a least-squares ``M'M``
+# and ``-M'd``), is off by about n * eps * (2 L||v|| + ||grad f(v)||); this
+# covers that, for both gradients, and the norms' rounding, by many orders of
+# magnitude.
 STOP_MARGIN = 1e-6
 
 

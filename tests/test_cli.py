@@ -407,6 +407,16 @@ def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
     assert "error:" in capsys.readouterr().err
 
 
+
+def test_inline_least_squares_with_nan_m_exits_2(tmp_path, capsys):
+    cfg = _small_config(tmp_path, runs=_tiny_runs())
+    doc = json.loads(Path(cfg).read_text())
+    doc["problem"] = {**_INLINE_PROBLEM, "objective": {
+        "kind": "least_squares", "M": [1.0, float("nan"), 0.0, 1.0], "d": [0.0, 0.0]}}
+    _write(tmp_path / "config.json", doc)
+    assert cmd_run(cfg) == 2
+    assert "error: M contains NaN or infinite entries" in capsys.readouterr().err
+
 _GOOD_CHECK = {"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1.8}
 
 

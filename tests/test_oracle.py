@@ -80,6 +80,33 @@ def test_qp_from_problem_least_squares_arithmetic():
     assert np.array_equal(qp.a_mat, a) and np.array_equal(qp.b, prob.b)
 
 
+
+def test_qp_from_problem_shares_the_objective_gram():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((30, 12))
+    prob = Problem(objective=least_squares_objective(m, rng.standard_normal(30)),
+                   a_map=dense_map(rng.standard_normal((3, 12))),
+                   b=rng.standard_normal(3))
+    qp = qp_from_problem(prob)
+    gram, c = prob.objective.quadratic
+    assert np.shares_memory(qp.q_mat, gram) and np.shares_memory(qp.c, c)
+    assert np.shares_memory(qp.a_mat, prob.a_map.matrix)
+
+
+def test_qp_instance_copies_a_writable_q():
+    q = np.eye(2)
+    qp = QpInstance(q_mat=q, c=np.zeros(2), a_mat=np.array([[1.0, 1.0]]),
+                    b=np.array([2.0]))
+    assert q.flags.writeable and not qp.q_mat.flags.writeable
+    q[0, 0] = 5.0
+    assert qp.q_mat[0, 0] == 1.0
+    # a read-only view of a writable array is no private copy either
+    view = q.view()
+    view.flags.writeable = False
+    qp = QpInstance(q_mat=view, c=np.zeros(2), a_mat=np.array([[1.0, 1.0]]),
+                    b=np.array([2.0]))
+    assert not np.shares_memory(qp.q_mat, q)
+
 def test_qp_from_problem_declines_without_full_rank_dense_map(tiny_qp):
     assert qp_from_problem(tiny_qp) is not None
     obj = tiny_qp.objective

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from falm.errors import DimensionMismatch
+from falm.errors import DimensionMismatch, NonFiniteError
 from falm.linalg import dense_map
 from falm.oracle import kkt_solve
 from falm.problem import (Objective, Problem, aug_lagrangian, grad_check,
@@ -218,6 +218,50 @@ def test_quadratic_default_lipschitz_rejects_indefinite_q():
         quadratic_objective(np.diag([1.0, -5.0]), np.zeros(2))
     assert quadratic_objective(np.diag([1.0, -5.0]), np.zeros(2), lipschitz=5.0)
 
+
+
+@pytest.mark.parametrize("rows, n", [(7, 4), (4, 7), (60, 60), (300, 40)])
+def test_least_squares_gram_gradient_matches_two_pass_reference(rows, n):
+    # Both G x + c and M'(M x - d) are within gamma_{rows+n+1} |M|'(|M||x| + |d|)
+    # of the exact gradient, componentwise, whatever the summation order
+    # (gamma_k = k eps / (1 - k eps)); so they differ by at most twice that.
+    rng = np.random.default_rng(rows * 1000 + n)
+    m = rng.standard_normal((rows, n)) * rng.uniform(0.1, 10.0, size=n)
+    d = rng.standard_normal(rows)
+    obj = least_squares_objective(m, d)
+    k = rows + n + 1
+    gamma = k * np.finfo(float).eps / (1.0 - k * np.finfo(float).eps)
+    for scale in (1e-3, 1.0, 1e3):
+        x = scale * rng.standard_normal(n)
+        reference = m.T @ (m @ x - d)
+        bound = 2.0 * gamma * (np.abs(m).T @ (np.abs(m) @ np.abs(x) + np.abs(d)))
+        assert np.all(np.abs(obj.gradient(x) - reference) <= bound)
+
+
+def test_least_squares_gradient_reads_its_quadratic_form():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((6, 4))
+    d = rng.standard_normal(6)
+    obj = least_squares_objective(m, d)
+    gram, c = obj.quadratic
+    assert np.array_equal(gram, m.T @ m) and np.array_equal(gram, gram.T)
+    assert np.array_equal(c, -(m.T @ d))
+    assert not (gram.flags.writeable or c.flags.writeable)
+    x = rng.standard_normal(4)
+    assert np.array_equal(obj.gradient(x), gram @ x + c)
+    q = np.diag([1.0, 2.0])
+    quad = quadratic_objective(q, np.ones(2))
+    assert np.array_equal(quad.quadratic[0], q) and np.array_equal(quad.quadratic[1], np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_least_squares_rejects_non_finite_m(bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(NonFiniteError, match="M contains NaN or infinite entries"):
+        least_squares_objective(m, np.zeros(3))
+    with pytest.raises(NonFiniteError, match="M contains NaN or infinite entries"):
+        least_squares_objective(m, np.zeros(3), lipschitz=1.0)
 
 @pytest.mark.parametrize("field, value", [("n", 2.5), ("n", True), ("p", 1.5)])
 def test_problem_from_json_rejects_booleans_and_fractions(tiny_qp, field, value):
