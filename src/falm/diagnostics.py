@@ -1,10 +1,10 @@
 """Analysis quantities computed against a known primal-dual solution.
 
-Everything here consumes recorded snapshots, never live solver state, so the
-diagnostic path cannot perturb a run. The central object is the energy: a
-Lyapunov-type scalar combining the scaled augmented-Lagrangian gap, distances
-of the extrapolated primal/dual states measured in the solver's metric, and a
-dual velocity term. Along a valid run it is nonincreasing when evaluated at a
+Everything here reads iterates and never changes them, so the diagnostic path
+cannot perturb a run. The central object is the energy: a Lyapunov-type
+scalar combining the scaled augmented-Lagrangian gap, distances of the
+extrapolated primal/dual states measured in the solver's metric, and a dual
+velocity term. Along a valid run it is nonincreasing when evaluated at a
 saddle point, which is what the acceptance suite verifies.
 """
 
@@ -56,16 +56,6 @@ class RunRecord:
     kkt_feas: float
     energy: float | None
     cg_iters: int
-
-
-@dataclass(frozen=True)
-class IterateSnapshot:
-    """Copied primal-dual iterate, for diagnostics that need the raw vectors."""
-
-    k: int
-    t_k: float
-    x: Array
-    lam: Array
 
 
 def gap(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array, *,
@@ -172,14 +162,16 @@ def rate_fit(records, field: str, k_min: int, k_max: int) -> RateFit:
                    k_first=min(ks), k_last=max(ks))
 
 
-def dual_bound_series(snapshots, lam_star: Array,
+def dual_bound_series(states, lam_star: Array,
                       a_map: LinearMap) -> tuple[np.ndarray, np.ndarray]:
-    """Series ``t_k * ||A*(lam_k - lam*)||`` over the recorded snapshots.
+    """Series ``t_k * ||A*(lam_k - lam*)||`` over iterate states.
 
-    Its supremum estimates the constant of the dual decay bound; a run that
-    honors the bound shows no upward trend.
+    Each state exposes ``k``, ``t_k`` and ``lam_k``, as the
+    :class:`~falm.solver.IterateState` a run passes to its observer does. The
+    series' supremum estimates the constant of the dual decay bound; a run
+    that honors the bound shows no upward trend.
     """
-    ks = np.array([s.k for s in snapshots], dtype=float)
-    vals = np.array([s.t_k * float(np.linalg.norm(a_map.adjoint(s.lam - lam_star)))
-                     for s in snapshots])
+    ks = np.array([s.k for s in states], dtype=float)
+    vals = np.array([s.t_k * float(np.linalg.norm(a_map.adjoint(s.lam_k - lam_star)))
+                     for s in states])
     return ks, vals

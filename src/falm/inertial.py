@@ -116,17 +116,26 @@ def _nesterov_t(k: int) -> float:
     return _NES_CACHE[k - 1]
 
 
+def _closed_form(kind: str, k, alpha):
+    """t_k of a rule other than Nesterov, in the type of ``k``.
+
+    ``k`` and ``alpha`` are floats (``k`` may be a float array) or Fractions,
+    which make the value exact; ``constant`` ignores ``alpha`` and gives 1.
+    """
+    if kind == "chambolle_dossal":
+        return (k + alpha - 2) / (alpha - 1)
+    if kind == "attouch_cabot":
+        return (k - 1) / (alpha - 1)
+    return k ** 0
+
+
 def t_value(rule: InertialRule, k: int) -> float:
     """The k-th inertial parameter of the rule (k >= 1)."""
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
     if rule.kind == "nesterov":
         return _nesterov_t(k)
-    if rule.kind == "chambolle_dossal":
-        return (k + rule.alpha - 2.0) / (rule.alpha - 1.0)
-    if rule.kind == "attouch_cabot":
-        return (k - 1.0) / (rule.alpha - 1.0)
-    return 1.0
+    return _closed_form(rule.kind, float(k), rule.alpha)
 
 
 def t_values(rule: InertialRule, count: int) -> np.ndarray:
@@ -136,12 +145,7 @@ def t_values(rule: InertialRule, count: int) -> np.ndarray:
     if rule.kind == "nesterov":
         _nesterov_t(count)
         return np.array(_NES_CACHE[:count])
-    ks = np.arange(1, count + 1, dtype=float)
-    if rule.kind == "chambolle_dossal":
-        return (ks + rule.alpha - 2.0) / (rule.alpha - 1.0)
-    if rule.kind == "attouch_cabot":
-        return (ks - 1.0) / (rule.alpha - 1.0)
-    return np.ones(count)
+    return _closed_form(rule.kind, np.arange(1, count + 1, dtype=float), rule.alpha)
 
 
 def phi_m(m: float) -> float:
@@ -153,15 +157,6 @@ def phi_m(m: float) -> float:
     if not (0.0 < m <= 1.0):
         raise ValueError(f"m must lie in (0, 1], got {m}")
     return (m - 2.0 + math.sqrt(m * m + 4.0)) / 2.0
-
-
-def _exact_t(rule: InertialRule, k: int) -> Fraction:
-    """Exact rational t_k for the closed-form rules (not Nesterov)."""
-    if rule.kind == "chambolle_dossal":
-        return 1 + Fraction(k - 1) / (Fraction(rule.alpha) - 1)
-    if rule.kind == "attouch_cabot":
-        return Fraction(k - 1) / (Fraction(rule.alpha) - 1)
-    return Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -223,9 +218,11 @@ def certify(rule: InertialRule, K: int) -> CertReport:
         # t_k is affine in k, so the slack is too: its maximum over 1..K sits
         # at an endpoint (k=1 on ties, the first index attaining it).
         m_exact = Fraction(rule.m)
+        alpha = Fraction(rule.alpha if rule.alpha is not None else 0)
 
         def exact_slack(k: int) -> Fraction:
-            t_k, t_next = _exact_t(rule, k), _exact_t(rule, k + 1)
+            t_k = _closed_form(rule.kind, Fraction(k), alpha)
+            t_next = _closed_form(rule.kind, Fraction(k + 1), alpha)
             return t_next * t_next - m_exact * t_next - t_k * t_k
 
         first, last = exact_slack(1), exact_slack(K)

@@ -46,6 +46,19 @@ def read_only(x) -> Array:
         x.flags.writeable = False
     return x
 
+
+def check_symmetric(q: Array) -> float:
+    """The allowance ``1e-12 * max(1, max|Q_ij|)`` of a square ``Q``, after
+    checking ``max|Q - Q'|`` against it; a larger asymmetry raises
+    ``ValueError``. Needs one n-by-n temporary."""
+    allowance = 1e-12 * max(1.0, float(q.max(initial=0.0)), -float(q.min(initial=0.0)))
+    d = q - q.T
+    np.abs(d, out=d)
+    if float(d.max(initial=0.0)) > allowance:
+        raise ValueError("Q is not symmetric within 1e-12")
+    return allowance
+
+
 def all_finite(v: Array) -> bool:
     """True when every entry of ``v`` is finite.
 
@@ -96,33 +109,6 @@ def zero_map(n: int, p: int) -> LinearMap:
     m.flags.writeable = False
     return LinearMap(forward=lambda x: np.zeros(p), adjoint=lambda y: np.zeros(n),
                      dims=(n, p), matrix=m)
-
-
-def scaled_identity(c: float, n: int) -> LinearMap:
-    c = float(c)
-    return LinearMap(forward=lambda x: c * x, adjoint=lambda y: c * y,
-                     dims=(n, n), matrix=None)
-
-
-def row_selection(indices, n: int) -> LinearMap:
-    """Pick the listed coordinates; the adjoint scatters them back.
-
-    Every index must lie in ``[0, n)``, or :class:`DimensionMismatch` is raised.
-    """
-    idx = np.array(indices, dtype=int)
-    if np.any((idx < 0) | (idx >= n)):
-        raise DimensionMismatch(f"row_selection indices {idx.tolist()} must lie in [0, {n})")
-    idx.flags.writeable = False
-
-    def fwd(x: Array) -> Array:
-        return x[idx]
-
-    def adj(y: Array) -> Array:
-        out = np.zeros(n)
-        np.add.at(out, idx, y)
-        return out
-
-    return LinearMap(forward=fwd, adjoint=adj, dims=(n, int(idx.size)), matrix=None)
 
 
 # Relative rounding allowance, per matrix dimension, of a computed squared

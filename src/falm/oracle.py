@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FalmError
-from .linalg import Array, as_vector, read_only
-from .problem import Problem, lagrangian
+from .linalg import Array, as_vector, check_symmetric, read_only
+from .problem import Problem
 
 
 class OracleError(FalmError, RuntimeError):
@@ -42,9 +42,7 @@ class QpInstance:
             raise ValueError(f"Q has shape {q.shape}, expected {(c.size, c.size)}")
         if a.shape != (b.size, c.size):
             raise ValueError(f"A has shape {a.shape}, expected {(b.size, c.size)}")
-        scale = max(1.0, float(np.abs(q).max()))
-        if float(np.abs(q - q.T).max()) > 1e-12 * scale:
-            raise ValueError("Q is not symmetric within 1e-12")
+        check_symmetric(q)
         if np.linalg.matrix_rank(a) < b.size:
             raise ValueError("A does not have full row rank")
         object.__setattr__(self, "q_mat", q)
@@ -106,46 +104,3 @@ def kkt_solve(qp: QpInstance) -> tuple[Array, Array]:
         raise OracleError(f"KKT solve residual {residual:.3e} exceeds "
                           f"{1e-10 * scale:.3e}; system too ill-conditioned")
     return x_star, lam_star
-
-
-@dataclass(frozen=True)
-class SaddleReport:
-    """Outcome of randomized saddle-point probing."""
-
-    ok: bool
-    worst_left: float    # min over probes of L(x*, lam*) - L(x*, lam)
-    worst_right: float   # min over probes of L(x, lam*) - L(x*, lam*)
-    witness: tuple[Array, Array] | None
-
-
-def verify_saddle(prob: Problem, x_star: Array, lam_star: Array,
-                  probes: int = 1000, seed: int = 0) -> SaddleReport:
-    """Probe the two saddle inequalities at random primal-dual pairs.
-
-    Samples Gaussian perturbations around the candidate pair and checks that
-    the Lagrangian is maximal in the multiplier and minimal in the primal
-    variable there, with slack allowed down to -1e-9. A violation is reported
-    with the witnessing pair.
-    """
-    rng = np.random.default_rng(seed)
-    l_star = lagrangian(prob, x_star, lam_star)
-    worst_left = np.inf
-    worst_right = np.inf
-    witness = None
-    ok = True
-    for _ in range(probes):
-        x = x_star + rng.standard_normal(prob.n)
-        lam = lam_star + rng.standard_normal(prob.p)
-        left = l_star - lagrangian(prob, x_star, lam)
-        right = lagrangian(prob, x, lam_star) - l_star
-        if left < worst_left:
-            worst_left = left
-            if left < -1e-9:
-                witness = (x_star.copy(), lam)
-        if right < worst_right:
-            worst_right = right
-            if right < -1e-9:
-                witness = (x, lam_star.copy())
-        ok = ok and left >= -1e-9 and right >= -1e-9
-    return SaddleReport(ok=ok, worst_left=float(worst_left),
-                        worst_right=float(worst_right), witness=witness)

@@ -2,9 +2,9 @@
 
 A :class:`Problem` is ``min f(x) subject to A x = b`` with a smooth convex
 objective supplied as value/gradient oracles plus a Lipschitz constant for the
-gradient. The constant is user-supplied and only validated (via
-:func:`grad_check` and the descent-lemma probes in the tests), never repaired:
-the admissible step size depends on it and must stay under caller control.
+gradient. The constant is user-supplied and never repaired: the admissible
+step size depends on it and must stay under caller control. No library code
+checks it; the tests' finite-difference and descent-lemma probes do.
 
 Infeasible instances (``b`` outside the range of ``A``) are not detected; the
 solver assumes a primal-dual solution exists.
@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError
-from .linalg import Array, LinearMap, as_vector, dense_map, norm, read_only
+from .linalg import (Array, LinearMap, as_vector, check_symmetric, dense_map, norm,
+                     read_only)
 
 OBJECTIVE_KINDS = ("quadratic", "least_squares")
 
@@ -70,9 +71,7 @@ def quadratic_objective(q, c, lipschitz: float | None = None) -> Objective:
         raise DimensionMismatch(f"Q has shape {q.shape}, expected {(c.size, c.size)}")
     if not np.all(np.isfinite(q)):
         raise NonFiniteError("Q contains NaN or infinite entries")
-    allowance = 1e-12 * max(1.0, float(np.abs(q).max(initial=0.0)))
-    if float(np.abs(q - q.T).max(initial=0.0)) > allowance:
-        raise ValueError("Q is not symmetric within 1e-12")
+    allowance = check_symmetric(q)
     if lipschitz is None:
         eigs = np.linalg.eigvalsh((q + q.T) / 2.0)
         if eigs[0] < -allowance:
@@ -113,15 +112,18 @@ def least_squares_objective(m, d, lipschitz: float | None = None) -> Objective:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Instance of ``min f(x) subject to A x = b``; immutable and shareable."""
+    """Instance of ``min f(x) subject to A x = b``; immutable and shareable.
+
+    ``b`` goes through :func:`~falm.linalg.read_only`: a caller's writable
+    array is copied, never frozen in place.
+    """
 
     objective: Objective
     a_map: LinearMap
     b: Array
 
     def __post_init__(self):
-        b = as_vector(self.b, name="b")
-        b.flags.writeable = False
+        b = read_only(as_vector(self.b, name="b"))
         object.__setattr__(self, "b", b)
         if self.a_map.dims[1] != b.size:
             raise DimensionMismatch(f"operator maps into dimension "
@@ -189,25 +191,6 @@ def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
     grad_res = prob.objective.gradient(x) + adj
     feas_res = residual if residual is not None else prob.a_map.forward(x) - prob.b
     return norm(grad_res), norm(feas_res)
-
-
-def grad_check(obj: Objective, x: Array, h: float = 1e-5) -> float:
-    """Worst per-coordinate error of the gradient vs central finite differences.
-
-    Each coordinate's error is measured relative to ``max(1, |gradient_i|)``;
-    used to validate user-supplied oracles before a run, never to repair them.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    g = obj.gradient(x)
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        fd = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
-        worst = max(worst, abs(fd - g[i]) / max(1.0, abs(g[i])))
-    return worst
 
 
 def problem_to_json(prob: Problem) -> dict:

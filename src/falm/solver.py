@@ -49,8 +49,10 @@ sigma, ``beta > 0``) additionally guarantee convergence of the iterates and
 are flagged in ``ValidatedConfig.convergence_certified``.
 
 A run is single-threaded and owns its state; several runs may proceed
-concurrently on a shared immutable problem. Observer callbacks receive copies
-and must not block the iteration beyond record serialization.
+concurrently on a shared immutable problem. The observer receives the live
+state each record was computed from; the run never changes a state after
+passing it on, and the observer must not change it either, nor block the
+iteration beyond record serialization.
 """
 
 from __future__ import annotations
@@ -343,12 +345,10 @@ class RunResult:
     iterations: int
     reason: str
     records: list[diagnostics.RunRecord] = field(default_factory=list)
-    snapshots: list[diagnostics.IterateSnapshot] = field(default_factory=list)
     error: str | None = None
 
 
 def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
-        keep_snapshots: bool = False, snapshot_every: int | None = None,
         cfg: ValidatedConfig | None = None) -> RunResult:
     """Iterate from ``x = 0, lam = 0`` until the KKT tolerance is met or the
     budget runs out.
@@ -357,11 +357,9 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     When ``saddle=(x_star, lam_star)`` is supplied, records additionally carry
     the primal-dual gap, the objective error, and the energy; without it those
     fields are None. Records are emitted at k=1, every ``record_every``
-    indices, and at the final index, each passed to ``observer`` when given.
-    ``keep_snapshots`` retains copied iterates every ``snapshot_every``
-    (default ``record_every``) indices for diagnostics that need raw vectors;
-    a ``snapshot_every`` that is not an integer of at least 1 raises
-    :class:`ValidationError` before the first step.
+    indices, and at the final index, each passed to ``observer(record,
+    state)`` when given, together with the :class:`IterateState` it was
+    computed from, for diagnostics that need the raw vectors.
 
     Two runs with identical configuration produce bit-identical records. An
     inner-solve failure returns a partial result with ``reason`` set to
@@ -369,10 +367,6 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     """
     if cfg is None:
         cfg = validate(prob, params)
-    snap_every = snapshot_every if snapshot_every is not None else cfg.record_every
-    if not (_is_integer(snap_every) and snap_every >= 1):
-        raise ValidationError("snapshot_every ≥ 1",
-                              f"snapshot_every={snap_every!r} must be an integer >= 1")
     st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     st.ax_k = prob.a_map.forward(st.x_k)
     if saddle is not None:
@@ -380,7 +374,6 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         lam_star = as_vector(saddle[1], prob.p, "lam_star")
         at_star = value_and_residual(prob, x_star)
     records: list[diagnostics.RunRecord] = []
-    snapshots: list[diagnostics.IterateSnapshot] = []
 
     def emit(state: IterateState, cg_iters: int, res: Array | None = None,
              kkt: tuple[float, float] | None = None) -> None:
@@ -406,19 +399,12 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
                                     cg_iters=cg_iters)
         records.append(rec)
         if observer is not None:
-            observer(rec)
-
-    def snapshot(state: IterateState) -> None:
-        snapshots.append(diagnostics.IterateSnapshot(
-            k=state.k, t_k=state.t_k, x=state.x_k.copy(), lam=state.lam_k.copy()))
+            observer(rec, state)
 
     emit(st, 0)
-    if keep_snapshots:
-        snapshot(st)
     reason = "iteration budget"
     error = None
     last_recorded = st.k
-    last_snapped = st.k
     for i in range(cfg.max_iter):
         try:
             st, trace = step(prob, cfg, st)
@@ -427,8 +413,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
             error = str(exc)
             break
         k = st.k
-        is_last = i == cfg.max_iter - 1
-        due = (k % cfg.record_every == 0) or is_last
+        due = (k % cfg.record_every == 0) or i == cfg.max_iter - 1
         res = kkt = None
         if due:
             res = st.ax_k - prob.b
@@ -441,16 +426,10 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         if due or stop:
             emit(st, trace.cg_iters, res, kkt)
             last_recorded = k
-        if keep_snapshots and ((k % snap_every == 0) or is_last or stop):
-            snapshot(st)
-            last_snapped = k
         if stop:
             reason = "kkt tolerance"
             break
     if last_recorded != st.k:
         emit(st, 0)
-    if keep_snapshots and last_snapped != st.k:
-        snapshot(st)
     return RunResult(x=st.x_k.copy(), lam=st.lam_k.copy(), iterations=st.k - 1,
-                     reason=reason, records=records, snapshots=snapshots,
-                     error=error)
+                     reason=reason, records=records, error=error)

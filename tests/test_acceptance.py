@@ -45,8 +45,22 @@ def instance():
     return prob, qp, (x_star, lam_star)
 
 
+def _every_tenth_state():
+    """An observer and the list of states it keeps: k = 1, k ≡ 0 (mod 10) and
+    the last index, the one the run passed most recently."""
+    states = []
+
+    def observe(rec, state):
+        if states and not (states[-1].k == 1 or states[-1].k % 10 == 0):
+            states.pop()
+        states.append(state)
+
+    return observe, states
+
+
 @pytest.fixture(scope="module")
 def grid(instance):
+    """Each run's validated config, result, and states for the dual series."""
     prob, _, saddle = instance
     out = {}
     t0 = time.time()
@@ -55,10 +69,10 @@ def grid(instance):
             params = SolverParams(rule=rule, beta=beta, max_iter=MAX_ITER,
                                   record_every=1)
             cfg = validate(prob, params)
-            res = run(prob, params, saddle=saddle, cfg=cfg,
-                      keep_snapshots=True, snapshot_every=10)
+            observe, states = _every_tenth_state()
+            res = run(prob, params, saddle=saddle, cfg=cfg, observer=observe)
             assert res.error is None
-            out[(label, beta)] = (cfg, res)
+            out[(label, beta)] = (cfg, res, states)
     print(f"[grid: {len(out)} runs of {MAX_ITER} iterations "
           f"in {time.time() - t0:.1f}s]")
     return out
@@ -72,7 +86,7 @@ def ac_start():
 def test_criterion_01_energy_monotone(grid, ac_start):
     worst = -np.inf
     ok = True
-    for (label, beta), (cfg, res) in grid.items():
+    for (label, beta), (cfg, res, _) in grid.items():
         start = ac_start if label == "ac4" else 1
         energies = [(r.k, r.energy) for r in res.records if r.k >= start]
         tol = 1e-9 * max(1.0, res.records[0].energy)
@@ -87,7 +101,7 @@ def test_criterion_01_energy_monotone(grid, ac_start):
 def test_criterion_02_gap_bound(grid):
     ok = True
     worst_margin = np.inf
-    for (label, beta), (cfg, res) in grid.items():
+    for (label, beta), (cfg, res, _) in grid.items():
         e1 = res.records[0].energy
         bound = e1 / cfg.gamma + 1e-9
         lhs = max(r.t_k ** 2 * r.gap for r in res.records)
@@ -100,7 +114,7 @@ def test_criterion_02_gap_bound(grid):
 def test_criterion_03_feasibility_bound(grid):
     ok = True
     worst_margin = np.inf
-    for (label, beta), (cfg, res) in grid.items():
+    for (label, beta), (cfg, res, _) in grid.items():
         e1 = res.records[0].energy
         bound = math.sqrt(2.0 * e1 / (cfg.beta * cfg.gamma)) + 1e-9
         lhs = max(r.t_k * r.feas for r in res.records)
@@ -115,7 +129,7 @@ def test_criterion_04_quadratic_rates(grid):
     summary = []
     for label in ACCELERATED_FOR_RATES:
         for beta in BETAS:
-            _, res = grid[(label, beta)]
+            _, res, _ = grid[(label, beta)]
             for field in ("gap", "feas", "obj_err"):
                 fit = rate_fit(res.records, field, *WINDOW)
                 ok = ok and fit.slope <= -1.8 and fit.r2 >= 0.9
@@ -153,7 +167,7 @@ def test_criterion_07_kkt_decay(grid):
     details = []
     for label in CERTIFIED:
         for beta in BETAS:
-            cfg, res = grid[(label, beta)]
+            cfg, res, _ = grid[(label, beta)]
             assert cfg.convergence_certified
             recs = {r.k: r for r in res.records}
             lo, hi = recs[100], recs[10_000]
@@ -171,8 +185,8 @@ def test_criterion_08_dual_bound(grid, instance):
     details = []
     for label in CERTIFIED:
         for beta in BETAS:
-            _, res = grid[(label, beta)]
-            ks, vals = dual_bound_series(res.snapshots, lam_star, prob.a_map)
+            _, _, states = grid[(label, beta)]
+            ks, vals = dual_bound_series(states, lam_star, prob.a_map)
             finite_max = float(vals.max())
             mask = (ks >= WINDOW[0]) & (vals > 1e-14)
             slope = float(np.polyfit(np.log(ks[mask]), np.log(vals[mask]), 1)[0])

@@ -3,8 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from falm.diagnostics import (IterateSnapshot, RunRecord, dual_bound_series,
-                              energy, gap, q_norm_sq, rate_fit)
+from falm.diagnostics import (RunRecord, dual_bound_series, energy, gap, q_norm_sq,
+                              rate_fit)
 from falm.errors import DimensionMismatch
 from falm.inertial import chambolle_dossal, nesterov
 from falm.linalg import dense_map, zero_map
@@ -234,14 +234,13 @@ def test_rate_fit_too_few_records():
 def test_dual_bound_series_zero_cases(small_instance):
     prob, qp = small_instance
     _, lam_star = kkt_solve(qp)
-    snaps = [IterateSnapshot(k=k, t_k=float(k), x=np.zeros(prob.n),
-                             lam=lam_star.copy()) for k in range(1, 6)]
-    _, vals = dual_bound_series(snaps, lam_star, prob.a_map)
+    states = [SimpleNamespace(k=k, t_k=float(k), lam_k=lam_star.copy())
+              for k in range(1, 6)]
+    _, vals = dual_bound_series(states, lam_star, prob.a_map)
     assert np.all(vals == 0.0)
     zero = zero_map(prob.n, prob.p)
-    snaps2 = [IterateSnapshot(k=1, t_k=1.0, x=np.zeros(prob.n),
-                              lam=lam_star + 1.0)]
-    _, vals2 = dual_bound_series(snaps2, lam_star, zero)
+    states2 = [SimpleNamespace(k=1, t_k=1.0, lam_k=lam_star + 1.0)]
+    _, vals2 = dual_bound_series(states2, lam_star, zero)
     assert np.all(vals2 == 0.0)
 
 
@@ -249,7 +248,7 @@ def test_dual_bound_series_values(small_instance):
     prob, qp = small_instance
     _, lam_star = kkt_solve(qp)
     lam = lam_star + np.ones(prob.p)
-    snaps = [IterateSnapshot(k=3, t_k=2.5, x=np.zeros(prob.n), lam=lam)]
-    _, vals = dual_bound_series(snaps, lam_star, prob.a_map)
+    states = [SimpleNamespace(k=3, t_k=2.5, lam_k=lam)]
+    _, vals = dual_bound_series(states, lam_star, prob.a_map)
     expected = 2.5 * np.linalg.norm(prob.a_map.matrix.T @ np.ones(prob.p))
     assert vals[0] == pytest.approx(expected, rel=1e-12)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from falm.linalg import LinearMap, dense_map, zero_map
-from falm.oracle import (OracleError, QpInstance, kkt_solve, qp_from_problem,
-                         verify_saddle)
+from falm.oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
 from falm.problem import Problem, least_squares_objective, quadratic_objective
 
 
@@ -118,52 +117,3 @@ def test_qp_from_problem_declines_without_full_rank_dense_map(tiny_qp):
                    a_map=LinearMap(forward=a.forward, adjoint=a.adjoint, dims=a.dims))
     for prob in (rank_deficient, zero, free):
         assert qp_from_problem(prob) is None
-
-
-def _problem_of(qp):
-    return Problem(objective=quadratic_objective(qp.q_mat, qp.c),
-                   a_map=dense_map(qp.a_mat), b=qp.b)
-
-
-def test_verify_saddle_accepts_oracle_output(small_instance):
-    prob, qp = small_instance
-    x_star, lam_star = kkt_solve(qp)
-    report = verify_saddle(prob, x_star, lam_star, probes=1000)
-    assert report.ok
-    assert report.worst_left >= -1e-9
-    assert report.worst_right >= -1e-9
-
-
-def test_verify_saddle_on_benchmark_instance():
-    from falm.benchgen import GenSpec, generate
-    prob, qp = generate(GenSpec("random_qp", 50, 10, 7, 100.0))
-    x_star, lam_star = kkt_solve(qp)
-    report = verify_saddle(prob, x_star, lam_star, probes=1000)
-    assert report.ok
-
-
-def test_verify_saddle_flags_perturbed_primal(tiny_qp):
-    x_star = np.array([1.0, 1.0])
-    lam_star = np.array([-1.0])
-    report = verify_saddle(tiny_qp, x_star + np.array([0.1, 0.0]), lam_star,
-                           probes=500)
-    # strict convexity: some probe beats the perturbed point from the right
-    assert report.worst_right < -1e-9
-    assert not report.ok
-    assert report.witness is not None
-
-
-def test_verify_saddle_multiplier_slack_is_flat(tiny_qp):
-    # at a feasible candidate the multiplier inequality holds with equality
-    x_star = np.array([1.0, 1.0])
-    report = verify_saddle(tiny_qp, x_star, np.array([4.0]), probes=300)
-    assert abs(report.worst_left) <= 1e-9
-
-
-def test_verify_saddle_deterministic(small_instance):
-    prob, qp = small_instance
-    x_star, lam_star = kkt_solve(qp)
-    r1 = verify_saddle(prob, x_star, lam_star, probes=100, seed=3)
-    r2 = verify_saddle(prob, x_star, lam_star, probes=100, seed=3)
-    assert r1.worst_left == r2.worst_left
-    assert r1.worst_right == r2.worst_right

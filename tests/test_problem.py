@@ -6,11 +6,10 @@ import pytest
 
 from falm.errors import DimensionMismatch, NonFiniteError
 from falm.linalg import dense_map
-from falm.oracle import kkt_solve
-from falm.problem import (Objective, Problem, aug_lagrangian, grad_check,
-                          kkt_residuals, lagrangian, least_squares_objective,
-                          problem_from_json, problem_to_json,
-                          quadratic_objective)
+from falm.oracle import QpInstance, kkt_solve
+from falm.problem import (Objective, Problem, aug_lagrangian, kkt_residuals,
+                          lagrangian, least_squares_objective, problem_from_json,
+                          problem_to_json, quadratic_objective)
 
 
 def test_lagrangian_hand_value(tiny_qp):
@@ -81,33 +80,15 @@ def test_kkt_residuals_dimension_mismatch(tiny_qp):
         kkt_residuals(tiny_qp, np.zeros(3), np.zeros(1))
 
 
-def test_grad_check_quadratic(small_instance):
-    prob, _ = small_instance
-    rng = np.random.default_rng(8)
-    assert grad_check(prob.objective, rng.standard_normal(prob.n)) <= 1e-6
-
-
-def test_grad_check_logistic_sum():
-    rng = np.random.default_rng(12)
-    w = rng.standard_normal((6, 4))
-
-    def value(x):
-        return float(np.sum(np.logaddexp(0.0, w @ x)))
-
-    def gradient(x):
-        s = 1.0 / (1.0 + np.exp(-(w @ x)))
-        return w.T @ s
-
-    obj = Objective(value=value, gradient=gradient,
-                    lipschitz=0.25 * float(np.linalg.eigvalsh(w.T @ w)[-1]))
-    assert grad_check(obj, rng.standard_normal(4)) <= 1e-5
-
-
-def test_grad_check_linear_is_exact():
-    c = np.array([2.0, -1.0, 0.5])
-    obj = Objective(value=lambda x: float(np.dot(c, x)),
-                    gradient=lambda x: c.copy(), lipschitz=1.0)
-    assert grad_check(obj, np.array([0.3, 0.1, -2.0])) <= 1e-9
+def _central_difference_error(obj, x, h=1e-5):
+    """Worst per-coordinate error of the gradient against central differences,
+    each relative to ``max(1, |gradient_i|)``."""
+    g = obj.gradient(x)
+    worst = 0.0
+    for i, e in enumerate(h * np.eye(x.size)):
+        fd = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
+        worst = max(worst, abs(fd - g[i]) / max(1.0, abs(g[i])))
+    return worst
 
 
 def test_shipped_objectives_grad_check():
@@ -117,7 +98,7 @@ def test_shipped_objectives_grad_check():
                                   rng.standard_normal(5))
     for obj in (quad, lsq):
         for _ in range(20):
-            assert grad_check(obj, rng.standard_normal(3)) <= 1e-5
+            assert _central_difference_error(obj, rng.standard_normal(3)) <= 1e-5
 
 
 def test_objective_convexity_and_descent_witness(small_instance):
@@ -144,6 +125,32 @@ def test_saddle_inequality_witness(small_instance):
         lam = lam_star + rng.standard_normal(prob.p)
         assert lagrangian(prob, x_star, lam) <= l_star + 1e-10
         assert lagrangian(prob, x, lam_star) >= l_star - 1e-10
+
+
+def test_problem_copies_a_writable_b(tiny_qp):
+    # Problem set writeable = False on the caller's own b and shared it
+    b = np.array([2.0])
+    prob = Problem(objective=tiny_qp.objective, a_map=tiny_qp.a_map, b=b)
+    assert b.flags.writeable and not prob.b.flags.writeable
+    assert not np.shares_memory(b, prob.b)
+    # a read-only b that owns its data is shared, so rewrapping copies nothing
+    again = Problem(objective=prob.objective, a_map=prob.a_map, b=prob.b)
+    assert again.b is prob.b
+
+
+@pytest.mark.parametrize("excess, symmetric", [(0.9, True), (1.1, False)])
+def test_symmetry_allowance_of_both_entry_points(excess, symmetric):
+    # max|Q_ij| = 4, so both accept max|Q - Q'| up to 4e-12
+    q = np.array([[4.0, 1.0], [1.0 + excess * 4e-12, 2.0]])
+    build = [lambda: quadratic_objective(q, np.zeros(2)),
+             lambda: QpInstance(q_mat=q, c=np.zeros(2), a_mat=np.array([[1.0, 1.0]]),
+                                b=np.array([2.0]))]
+    for make in build:
+        if symmetric:
+            make()
+        else:
+            with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+                make()
 
 
 def test_problem_dimension_validation():
@@ -189,11 +196,6 @@ def test_problem_json_rejects_unknown_kind(tiny_qp):
     doc["objective"]["kind"] = "cubic"
     with pytest.raises(ValueError):
         problem_from_json(doc)
-
-
-def test_grad_check_rejects_bad_step(tiny_qp):
-    with pytest.raises(ValueError):
-        grad_check(tiny_qp.objective, np.zeros(2), h=0.0)
 
 
 def test_quadratic_default_lipschitz_is_top_eigenvalue():

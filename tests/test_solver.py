@@ -123,18 +123,6 @@ def test_validate_rejects_a_real_parameter_that_is_not_a_finite_number(
     assert err.value.condition == f"{name} ∈ ℝ"
 
 
-@pytest.mark.parametrize("snapshot_every", [0, -3, 2.5, True])
-def test_run_rejects_a_bad_snapshot_every_before_the_first_step(small_instance,
-                                                                 snapshot_every):
-    # 0 raised ZeroDivisionError and -3 snapshotted every third index
-    seen = []
-    with pytest.raises(ValidationError) as err:
-        run(small_instance[0], SolverParams(rule=nesterov(), max_iter=5),
-            observer=seen.append, keep_snapshots=True, snapshot_every=snapshot_every)
-    assert err.value.condition == "snapshot_every ≥ 1"
-    assert seen == []
-
-
 def _near_degenerate_problem():
     """10x50 operator whose two largest singular values are 1 and 0.9999."""
     rng = np.random.default_rng(0)
@@ -338,8 +326,10 @@ def test_run_observer_sees_records(small_instance):
     prob, _ = small_instance
     seen = []
     res = run(prob, SolverParams(rule=nesterov(), max_iter=50, record_every=10),
-              observer=seen.append)
-    assert seen == res.records
+              observer=lambda rec, state: seen.append((rec, state)))
+    assert [rec for rec, _ in seen] == res.records
+    assert [state.k for _, state in seen] == [rec.k for rec in res.records]
+    assert np.array_equal(seen[-1][1].x_k, res.x)
 
 
 def test_run_inner_solve_failure_is_partial(small_instance):
@@ -451,20 +441,29 @@ def shipped_instance():
     return config.problem, kkt_solve(config.qp)
 
 
-def _assert_records_are_public_diagnostics(prob, cfg, res, saddle):
-    """Every record equals the public diagnostics of its snapshot, bit for bit."""
+def _run_with_states(prob, params, saddle, cfg):
+    """``run`` plus the ``(record, state)`` pairs its observer received."""
+    pairs = []
+    res = run(prob, params, saddle=saddle, cfg=cfg,
+              observer=lambda rec, state: pairs.append((rec, state)))
+    return res, pairs
+
+
+def _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle):
+    """Every record equals the public diagnostics of its state, bit for bit."""
     x_star, lam_star = saddle
     f_star = prob.objective.value(x_star)
-    assert [snap.k for snap in res.snapshots] == [rec.k for rec in res.records]
-    prev = res.snapshots[0]
-    for rec, snap in zip(res.records, res.snapshots):
-        grad_res, feas_res = kkt_residuals(prob, snap.x, snap.lam)
+    assert [rec for rec, _ in pairs] == res.records
+    prev = pairs[0][1]
+    for rec, st in pairs:
+        assert (rec.k, rec.t_k) == (st.k, st.t_k)
+        grad_res, feas_res = kkt_residuals(prob, st.x_k, st.lam_k)
         assert (rec.kkt_grad, rec.kkt_feas, rec.feas) == (grad_res, feas_res, feas_res)
-        assert rec.gap == gap(prob, snap.x, snap.lam, x_star, lam_star)
-        assert rec.obj_err == abs(prob.objective.value(snap.x) - f_star)
-        assert rec.energy == energy(prob, cfg, snap.x, prev.x, snap.lam,
-                                    prev.lam, snap.t_k, x_star, lam_star)
-        prev = snap
+        assert rec.gap == gap(prob, st.x_k, st.lam_k, x_star, lam_star)
+        assert rec.obj_err == abs(prob.objective.value(st.x_k) - f_star)
+        assert rec.energy == energy(prob, cfg, st.x_k, prev.x_k, st.lam_k,
+                                    prev.lam_k, st.t_k, x_star, lam_star)
+        prev = st
 
 
 @pytest.mark.parametrize("rule", [constant(), nesterov(), chambolle_dossal(3.0),
@@ -474,9 +473,9 @@ def test_records_equal_public_diagnostics(shipped_instance, rule):
     prob, saddle = shipped_instance
     params = SolverParams(rule=rule, max_iter=300, record_every=1)
     cfg = validate(prob, params)
-    res = run(prob, params, saddle=saddle, keep_snapshots=True, cfg=cfg)
+    res, pairs = _run_with_states(prob, params, saddle, cfg)
     assert len(res.records) == 301
-    _assert_records_are_public_diagnostics(prob, cfg, res, saddle)
+    _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle)
 
 
 def test_records_equal_public_diagnostics_matrix_free_and_kkt_tol(shipped_instance):
@@ -485,14 +484,14 @@ def test_records_equal_public_diagnostics_matrix_free_and_kkt_tol(shipped_instan
     params = SolverParams(rule=chambolle_dossal(4.0), beta=0.5, max_iter=300,
                           record_every=1)
     cfg = validate(free, params)
-    res = run(free, params, saddle=saddle, keep_snapshots=True, cfg=cfg)
-    _assert_records_are_public_diagnostics(free, cfg, res, saddle)
+    res, pairs = _run_with_states(free, params, saddle, cfg)
+    _assert_records_are_public_diagnostics(free, cfg, res, pairs, saddle)
 
     params = SolverParams(rule=nesterov(), max_iter=5000, kkt_tol=1e-4, record_every=1)
     cfg = validate(prob, params)
-    res = run(prob, params, saddle=saddle, keep_snapshots=True, cfg=cfg)
+    res, pairs = _run_with_states(prob, params, saddle, cfg)
     assert res.reason == "kkt tolerance"
-    _assert_records_are_public_diagnostics(prob, cfg, res, saddle)
+    _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle)
 
 
 def _reference_kkt_run(prob, cfg):
