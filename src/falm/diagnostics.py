@@ -6,6 +6,13 @@ scalar combining the scaled augmented-Lagrangian gap, distances of the
 extrapolated primal/dual states measured in the solver's metric, and a dual
 velocity term. Along a valid run it is nonincreasing when evaluated at a
 saddle point, which is what the acceptance suite verifies.
+
+The gap, objective error and energy compare nearly equal Lagrangian values,
+and the energy scales the gap by ``t_k^2``. For an objective that keeps its
+dense description (``Objective.data``) they are computed in identity form,
+from ``d = x - x*``, one Hessian product and the vectors at ``(x*, lam*)``
+that :func:`saddle_terms` forms once, so no large terms cancel. Any other
+objective keeps the difference form.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import Array, LinearMap
-from .problem import Problem, aug_lagrangian, lagrangian
+from .problem import Problem, _check_dims, half_curvature, lagrangian
 
 
 def q_norm_sq(prob: Problem, params, u: Array) -> float:
@@ -29,10 +36,10 @@ def q_norm_sq(prob: Problem, params, u: Array) -> float:
     """
     if u.size != prob.n:
         raise DimensionMismatch(f"vector has dimension {u.size}, expected {prob.n}")
-    out = (1.0 / params.sigma) * float(np.dot(u, u))
+    out = (1.0 / params.sigma) * float(u.dot(u))
     if params.beta != 0.0:
         au = prob.a_map.forward(u)
-        out -= params.beta * float(np.dot(au, au))
+        out -= params.beta * float(au.dot(au))
     return out
 
 
@@ -58,43 +65,118 @@ class RunRecord:
     cg_iters: int
 
 
+@dataclass(frozen=True, eq=False)
+class SaddleTerms:
+    """Evaluations at a reference point ``(x*, lam*)`` that every record reuses.
+
+    ``residual`` is ``A x* - b`` and ``residual_sq`` its squared norm. For an
+    objective that keeps ``data`` (the identity form) ``adjoint`` is ``A*
+    lam*``, ``dual_grad`` is ``grad f(x*) + A* lam*`` and ``value`` is None.
+    For any other objective (the difference form) ``value`` is ``f(x*)`` and
+    the two vectors are None.
+    """
+
+    residual: Array
+    residual_sq: float
+    value: float | None
+    adjoint: Array | None
+    dual_grad: Array | None
+
+
+def saddle_terms(prob: Problem, x_star: Array, lam_star: Array) -> SaddleTerms:
+    """The :class:`SaddleTerms` of ``(x_star, lam_star)``: one forward apply,
+    plus one gradient and one adjoint (identity form) or one value (difference
+    form)."""
+    residual = prob.a_map.forward(x_star) - prob.b
+    residual_sq = float(residual.dot(residual))
+    if prob.objective.data is None:
+        return SaddleTerms(residual, residual_sq, prob.objective.value(x_star), None, None)
+    adjoint = prob.a_map.adjoint(lam_star)
+    return SaddleTerms(residual, residual_sq, None, adjoint,
+                       prob.objective.gradient(x_star) + adjoint)
+
+
 def gap(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array, *,
-        at_x: tuple[float, Array] | None = None,
-        at_star: tuple[float, Array] | None = None) -> float:
+        at_star: SaddleTerms | None = None) -> float:
     """Primal-dual gap ``L(x, lam*) - L(x*, lam)``; nonnegative at saddle points.
 
-    ``at_x`` and ``at_star`` may supply :func:`~falm.problem.value_and_residual`
-    of ``x`` and ``x_star`` when the caller already has them.
+    With ``d = x - x*`` and ``H`` the objective's Hessian, the identity form
+    is ``0.5 d'Hd + <grad f(x*) + A* lam*, d> + <lam* - lam, A x* - b>``:
+    exact for a quadratic objective and free of the cancellation between the
+    two nearly equal Lagrangian values. It needs one Hessian product and no
+    value oracle. An objective without ``data`` keeps the difference form.
+    ``at_star`` may supply :func:`saddle_terms` of ``(x_star, lam_star)``.
     """
-    return (lagrangian(prob, x, lam_star, at=at_x)
-            - lagrangian(prob, x_star, lam, at=at_star))
+    _check_dims(prob, x, lam)
+    if at_star is None:
+        at_star = saddle_terms(prob, x_star, lam_star)
+    data = prob.objective.data
+    if data is None:
+        return (lagrangian(prob, x, lam_star)
+                - lagrangian(prob, x_star, lam, at=(at_star.value, at_star.residual)))
+    d = x - x_star
+    return (half_curvature(data, d) + float(at_star.dual_grad.dot(d))
+            + float((lam_star - lam).dot(at_star.residual)))
+
+
+def objective_error(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array,
+                    *, at_star: SaddleTerms | None = None,
+                    gap_value: float | None = None) -> float:
+    """Objective error ``|f(x) - f(x*)|``.
+
+    In the identity form it is read off the gap: ``f(x) - f(x*) = gap - <A*
+    lam*, d> - <lam* - lam, A x* - b>`` with ``d = x - x*``, so it needs no
+    Hessian product of its own; ``lam`` enters only through rounding. An
+    objective without ``data`` takes the difference of two values.
+    ``at_star`` is as in :func:`gap`; ``gap_value`` may supply :func:`gap` of
+    ``(x, lam)``, with the same result to the bit.
+    """
+    if at_star is None:
+        at_star = saddle_terms(prob, x_star, lam_star)
+    if prob.objective.data is None:
+        return abs(prob.objective.value(x) - at_star.value)
+    if gap_value is None:
+        gap_value = gap(prob, x, lam, x_star, lam_star, at_star=at_star)
+    return abs(gap_value - float(at_star.adjoint.dot(x - x_star))
+               - float((lam_star - lam).dot(at_star.residual)))
 
 
 def energy(prob: Problem, params, x_k: Array, x_prev: Array, lam_k: Array,
-           lam_prev: Array, t_k: float, x_star: Array, lam_star: Array, *, at_x: tuple[float, Array] | None = None,
-           at_star: tuple[float, Array] | None = None) -> float:
+           lam_prev: Array, t_k: float, x_star: Array, lam_star: Array, *,
+           at_star: SaddleTerms | None = None, gap_value: float | None = None,
+           residual: Array | None = None) -> float:
     """Energy of the iterate pair ``(x_k, x_prev, lam_k, lam_prev)`` at index k.
 
     ``params`` must expose ``gamma``, ``sigma``, ``rho`` and ``beta`` (a
     validated solver config does). The reference ``(x_star, lam_star)`` must
-    be a saddle point for the monotonicity and bound properties to hold.
-    ``at_x`` and ``at_star`` are as in :func:`gap`, at ``x_k`` and ``x_star``.
+    be a saddle point for the monotonicity and bound properties to hold. The
+    augmented gap is :func:`gap` plus ``(beta/2)(||A x_k - b||^2 - ||A x* -
+    b||^2)``. ``at_star`` is as in :func:`gap`; ``gap_value`` may supply
+    :func:`gap` of ``(x_k, lam_k)`` and ``residual`` may supply ``A x_k - b``.
+    The result is the same to the bit.
     """
+    if at_star is None:
+        at_star = saddle_terms(prob, x_star, lam_star)
+    if gap_value is None:
+        gap_value = gap(prob, x_k, lam_k, x_star, lam_star, at_star=at_star)
+    if residual is None:
+        residual = prob.a_map.forward(x_k) - prob.b
     g = params.gamma
     rho = params.rho
-    beta = params.beta
-    gap_beta = (aug_lagrangian(prob, x_k, lam_star, beta, at=at_x)
-                - aug_lagrangian(prob, x_star, lam_k, beta, at=at_star))
-    z = g * x_k + (t_k - 1.0) * (x_k - x_prev)
-    d_nu = g * lam_k + (t_k - 1.0) * (lam_k - lam_prev) - g * lam_star
+    t1 = t_k - 1.0
+    gap_beta = gap_value + 0.5 * params.beta * (float(residual.dot(residual))
+                                                - at_star.residual_sq)
+    d_x = x_k - x_star
+    d_z = g * d_x + t1 * (x_k - x_prev)  # z_k - gamma x*
     d_lam = lam_k - lam_star
     d_lam_prev = lam_k - lam_prev
-    return (t_k * (t_k - 1.0 + g) * gap_beta
-            + 0.5 * q_norm_sq(prob, params, z - g * x_star)
-            + 0.5 / rho * float(np.dot(d_nu, d_nu))
-            + 0.5 * g * (1.0 - g) * q_norm_sq(prob, params, x_k - x_star)
-            + 0.5 * g * (1.0 - g) / rho * float(np.dot(d_lam, d_lam))
-            + 0.5 * (1.0 - g) / rho * (t_k - 1.0) * float(np.dot(d_lam_prev, d_lam_prev)))
+    d_nu = g * d_lam + t1 * d_lam_prev  # nu_k - gamma lam*
+    return (t_k * (t1 + g) * gap_beta
+            + 0.5 * q_norm_sq(prob, params, d_z)
+            + 0.5 / rho * float(d_nu.dot(d_nu))
+            + 0.5 * g * (1.0 - g) * q_norm_sq(prob, params, d_x)
+            + 0.5 * g * (1.0 - g) / rho * float(d_lam.dot(d_lam))
+            + 0.5 * (1.0 - g) / rho * t1 * float(d_lam_prev.dot(d_lam_prev)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FalmError
+from .errors import FalmError, NonFiniteError
 from .linalg import Array, as_vector, check_symmetric, read_only
 from .problem import Problem
 
@@ -25,7 +25,8 @@ class QpInstance:
     """Equality-constrained QP: ``min 0.5 x'Qx + c'x  s.t.  A x = b``.
 
     Each array goes through :func:`~falm.linalg.read_only`: one that is
-    already read-only and owns its data is shared, any other is copied.
+    already read-only and owns its data is shared, any other is copied. A
+    non-finite entry raises :class:`~falm.errors.NonFiniteError`.
     """
 
     q_mat: Array
@@ -42,6 +43,9 @@ class QpInstance:
             raise ValueError(f"Q has shape {q.shape}, expected {(c.size, c.size)}")
         if a.shape != (b.size, c.size):
             raise ValueError(f"A has shape {a.shape}, expected {(b.size, c.size)}")
+        for name, mat in (("Q", q), ("A", a)):
+            if not np.isfinite(mat).all():
+                raise NonFiniteError(f"{name} contains NaN or infinite entries")
         check_symmetric(q)
         if np.linalg.matrix_rank(a) < b.size:
             raise ValueError("A does not have full row rank")
@@ -83,7 +87,8 @@ def kkt_solve(qp: QpInstance) -> tuple[Array, Array]:
     """Solve the stationarity-plus-feasibility system by dense factorization.
 
     Returns ``(x_star, lam_star)`` with ``Q x + c + A' lam = 0`` and
-    ``A x = b`` satisfied to ``1e-10`` relative to the data scale. The
+    ``A x = b`` satisfied to ``1e-10`` relative to the data scale, or raises
+    :class:`OracleError` (also when the solve overflows to NaN). The
     factorization is deterministic: repeated calls agree bitwise.
     """
     n, p = qp.n, qp.p
@@ -100,7 +105,7 @@ def kkt_solve(qp: QpInstance) -> tuple[Array, Array]:
     lam_star = sol[n:]
     residual = float(np.linalg.norm(kkt @ sol - rhs))
     scale = max(1.0, float(np.linalg.norm(rhs)))
-    if residual > 1e-10 * scale:
+    if not residual <= 1e-10 * scale:  # a NaN residual fails too
         raise OracleError(f"KKT solve residual {residual:.3e} exceeds "
                           f"{1e-10 * scale:.3e}; system too ill-conditioned")
     return x_star, lam_star

@@ -30,7 +30,8 @@ class Objective:
 
     ``lipschitz`` bounds the gradient's Lipschitz constant and must be
     positive. ``data`` optionally keeps the dense description (kind plus
-    matrices) used for serialization; matrix-free objectives leave it None.
+    matrices) used for serialization and for the identity form of the
+    saddle-point diagnostics; matrix-free objectives leave it None.
     ``quadratic`` optionally keeps the read-only ``(Q, c)`` with ``f(x) =
     0.5 x'Qx + c'x`` up to a constant, the arrays the gradient ``Q x + c``
     itself reads; :func:`~falm.oracle.qp_from_problem` shares them.
@@ -110,6 +111,16 @@ def least_squares_objective(m, d, lipschitz: float | None = None) -> Objective:
     return _quadratic(gram, c, lipschitz, value=value, data=("least_squares", m, d))
 
 
+def half_curvature(data: tuple, d: Array) -> float:
+    """``0.5 d'Hd`` for the Hessian ``H`` of an objective's ``data``: ``0.5
+    d'Qd`` for a quadratic, ``0.5 ||M d||^2`` for least squares."""
+    kind, mat, _ = data
+    if kind == "quadratic":
+        return 0.5 * float(d.dot(mat @ d))
+    md = mat @ d
+    return 0.5 * float(md.dot(md))
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Instance of ``min f(x) subject to A x = b``; immutable and shareable.
@@ -162,16 +173,12 @@ def lagrangian(prob: Problem, x: Array, lam: Array, *,
     return fx + float(np.dot(lam, residual))
 
 
-def aug_lagrangian(prob: Problem, x: Array, lam: Array, beta: float, *,
-                   at: tuple[float, Array] | None = None) -> float:
-    """Lagrangian plus the quadratic constraint penalty ``(beta/2)||A x - b||^2``.
-
-    ``at`` is as in :func:`lagrangian`.
-    """
+def aug_lagrangian(prob: Problem, x: Array, lam: Array, beta: float) -> float:
+    """Lagrangian plus the quadratic constraint penalty ``(beta/2)||A x - b||^2``."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     _check_dims(prob, x, lam)
-    fx, residual = at if at is not None else value_and_residual(prob, x)
+    fx, residual = value_and_residual(prob, x)
     return (fx + float(np.dot(lam, residual))
             + 0.5 * beta * float(np.dot(residual, residual)))
 

@@ -26,9 +26,14 @@ check fails, adds one ``A`` and one ``A*`` (its residual check). Rebuilding a
 matrix-free p-by-n map costs p adjoint and 2 forward applies, once per
 :func:`validate`.
 A record applies the map 3 times (``A* lam`` and, when ``beta != 0``, the two
-energy seminorms), the gradient once and the objective value once; ``f`` and
-``A x - b`` at the reference saddle point are evaluated once per run. Every
-record equals, bit for bit, what the public diagnostics return for its iterates.
+energy seminorms) and the gradient once. With a saddle point attached and an
+objective that keeps ``data``, the gap, objective error and energy add one
+Hessian product (``Q d`` or ``M d`` for ``d = x_k - x*``) and no objective
+value; ``A x* - b``, ``A* lam*`` and ``grad f(x*)`` are evaluated once per run
+(:func:`~falm.diagnostics.saddle_terms`). An objective without ``data`` keeps
+the difference form: two objective values and one forward apply more per
+record, and ``f(x*)`` once per run. Every record equals, bit for bit, what the
+public diagnostics return for its iterates.
 
 Stop-test budget. With ``kkt_tol`` set, an iteration that emits no record
 evaluates the exact KKT residuals (one more gradient) only when neither the
@@ -67,7 +72,7 @@ from .errors import SpdSolveError, StepError, ValidationError
 from .inertial import InertialRule, t_value
 from .linalg import (Array, SpdSystem, all_finite, as_vector, norm, op_norm_sq,
                      solve_spd)
-from .problem import Problem, kkt_residuals, value_and_residual
+from .problem import Problem, kkt_residuals
 
 SIGMA_CONDITION = "σ ≤ γ/(L + γβ‖A‖²)"
 
@@ -372,7 +377,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     if saddle is not None:
         x_star = as_vector(saddle[0], prob.n, "x_star")
         lam_star = as_vector(saddle[1], prob.p, "lam_star")
-        at_star = value_and_residual(prob, x_star)
+        at_star = diagnostics.saddle_terms(prob, x_star, lam_star)
     records: list[diagnostics.RunRecord] = []
 
     def emit(state: IterateState, cg_iters: int, res: Array | None = None,
@@ -383,14 +388,15 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
             kkt = kkt_residuals(prob, state.x_k, state.lam_k, residual=res)
         feas = kkt[1]
         if saddle is not None:
-            at_x = (prob.objective.value(state.x_k), res)
             gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, x_star, lam_star,
-                                      at_x=at_x, at_star=at_star)
-            obj_err = abs(at_x[0] - at_star[0])
+                                      at_star=at_star)
+            obj_err = diagnostics.objective_error(prob, state.x_k, state.lam_k, x_star,
+                                                  lam_star, at_star=at_star,
+                                                  gap_value=gap_val)
             energy_val = diagnostics.energy(prob, cfg, state.x_k, state.x_prev,
                                             state.lam_k, state.lam_prev, state.t_k,
-                                            x_star, lam_star,
-                                            at_x=at_x, at_star=at_star)
+                                            x_star, lam_star, at_star=at_star,
+                                            gap_value=gap_val, residual=res)
         else:
             gap_val = obj_err = energy_val = None
         rec = diagnostics.RunRecord(k=state.k, t_k=state.t_k, gap=gap_val,

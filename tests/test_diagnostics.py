@@ -1,15 +1,17 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from falm.diagnostics import (RunRecord, dual_bound_series, energy, gap, q_norm_sq,
-                              rate_fit)
+from falm.diagnostics import (RunRecord, dual_bound_series, energy, gap,
+                              objective_error, q_norm_sq, rate_fit, saddle_terms)
+from falm.benchgen import GenSpec, generate
 from falm.errors import DimensionMismatch
 from falm.inertial import chambolle_dossal, nesterov
 from falm.linalg import dense_map, zero_map
 from falm.oracle import kkt_solve
-from falm.problem import (Problem, aug_lagrangian, kkt_residuals, lagrangian,
+from falm.problem import (Objective, Problem, aug_lagrangian, kkt_residuals, lagrangian,
                           quadratic_objective, value_and_residual)
 from falm.solver import SolverParams, initial_state, run, step, validate
 
@@ -127,25 +129,50 @@ def test_energy_matches_independent_reimplementation(small_instance):
         assert got == pytest.approx(want, abs=1e-10)
 
 
+def _without_data(prob):
+    """The same problem with an objective that keeps no dense description."""
+    obj = prob.objective
+    return Problem(objective=Objective(value=obj.value, gradient=obj.gradient,
+                                       lipschitz=obj.lipschitz),
+                   a_map=prob.a_map, b=prob.b)
+
+
 def test_precomputed_evaluations_change_no_bit(small_instance):
-    prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
-    at_star = value_and_residual(prob, x_star)
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
-    for _ in range(5):
-        st, _ = step(prob, cfg, st)
-        at_x = value_and_residual(prob, st.x_k)
-        assert lagrangian(prob, st.x_k, lam_star, at=at_x) == lagrangian(prob, st.x_k, lam_star)
-        assert (aug_lagrangian(prob, st.x_k, st.lam_k, 0.7, at=at_x)
-                == aug_lagrangian(prob, st.x_k, st.lam_k, 0.7))
-        assert (kkt_residuals(prob, st.x_k, st.lam_k, residual=at_x[1],
-                              adjoint=prob.a_map.adjoint(st.lam_k))
-                == kkt_residuals(prob, st.x_k, st.lam_k, residual=at_x[1])
-                == kkt_residuals(prob, st.x_k, st.lam_k))
-        assert (gap(prob, st.x_k, st.lam_k, x_star, lam_star, at_x=at_x, at_star=at_star)
-                == gap(prob, st.x_k, st.lam_k, x_star, lam_star))
-        args = (prob, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
-                st.t_k, x_star, lam_star)
-        assert energy(*args, at_x=at_x, at_star=at_star) == energy(*args)
+    dense, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
+    for prob in (dense, _without_data(dense)):  # identity form, difference form
+        at_star = saddle_terms(prob, x_star, lam_star)
+        st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+        for _ in range(5):
+            st, _ = step(prob, cfg, st)
+            at_x = value_and_residual(prob, st.x_k)
+            assert lagrangian(prob, st.x_k, lam_star, at=at_x) == lagrangian(prob, st.x_k, lam_star)
+            assert (kkt_residuals(prob, st.x_k, st.lam_k, residual=at_x[1],
+                                  adjoint=prob.a_map.adjoint(st.lam_k))
+                    == kkt_residuals(prob, st.x_k, st.lam_k, residual=at_x[1])
+                    == kkt_residuals(prob, st.x_k, st.lam_k))
+            gap_value = gap(prob, st.x_k, st.lam_k, x_star, lam_star, at_star=at_star)
+            assert gap_value == gap(prob, st.x_k, st.lam_k, x_star, lam_star)
+            assert (objective_error(prob, st.x_k, st.lam_k, x_star, lam_star,
+                                    at_star=at_star, gap_value=gap_value)
+                    == objective_error(prob, st.x_k, st.lam_k, x_star, lam_star))
+            args = (prob, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
+                    st.t_k, x_star, lam_star)
+            assert (energy(*args, at_star=at_star, gap_value=gap_value, residual=at_x[1])
+                    == energy(*args))
+
+
+def test_both_forms_agree_with_the_lagrangian_definitions(small_instance):
+    dense, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
+    for prob in (dense, _without_data(dense)):  # identity form, difference form
+        st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+        for _ in range(20):
+            st, _ = step(prob, cfg, st)
+            want_gap = lagrangian(prob, st.x_k, lam_star) - lagrangian(prob, x_star, st.lam_k)
+            want_obj = abs(prob.objective.value(st.x_k) - prob.objective.value(x_star))
+            assert gap(prob, st.x_k, st.lam_k, x_star, lam_star) == pytest.approx(
+                want_gap, rel=1e-9, abs=1e-15)
+            assert objective_error(prob, st.x_k, st.lam_k, x_star, lam_star) == pytest.approx(
+                want_obj, rel=1e-9, abs=1e-15)
 
 
 def test_summability_witnesses(small_instance):
@@ -171,6 +198,71 @@ def test_summability_witnesses(small_instance):
         assert sum_primal >= prev_primal and sum_dual >= prev_dual
     assert sum_primal <= e1 + 1e-9
     assert sum_dual <= e1 + 1e-9
+
+
+def _exact(v):
+    return [Fraction(e) for e in np.ravel(v).tolist()]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _lincomb(a, u, b, v):
+    return [a * x + b * y for x, y in zip(u, v)]
+
+
+@pytest.mark.parametrize("kind", ["random_qp", "constrained_least_squares"])
+def test_record_diagnostics_match_exact_arithmetic(kind):
+    # gap, obj_err and energy of recorded float iterates against the same
+    # definitions evaluated in exact rational arithmetic on those iterates
+    prob, qp = generate(GenSpec(kind, 50, 10, 7, 100.0))
+    x_star, lam_star = kkt_solve(qp)
+    _, mat, vec = prob.objective.data
+    mat, vec = [_exact(row) for row in mat], _exact(vec)
+    a_rows, b = [_exact(row) for row in prob.a_map.matrix], _exact(prob.b)
+
+    def f(x):
+        if kind == "random_qp":
+            return _dot(x, [_dot(row, x) for row in mat]) / 2 + _dot(vec, x)
+        r = _lincomb(1, [_dot(row, x) for row in mat], -1, vec)
+        return _dot(r, r) / 2
+
+    def aug_lag(x, lam, beta):
+        r = _lincomb(1, [_dot(row, x) for row in a_rows], -1, b)
+        return f(x) + _dot(lam, r) + beta * _dot(r, r) / 2
+
+    xs, ls = _exact(x_star), _exact(lam_star)
+    for rule in (chambolle_dossal(4.0), nesterov()):
+        params = SolverParams(rule=rule, beta=1.0, max_iter=2000, record_every=100)
+        cfg = validate(prob, params)
+        kept = {}
+        run(prob, params, saddle=(x_star, lam_star), cfg=cfg,
+            observer=lambda rec, st: kept.update({rec.k: (rec, st)}))
+        g, sigma, rho, beta = (Fraction(v) for v in (cfg.gamma, cfg.sigma, cfg.rho, cfg.beta))
+
+        def q_norm(u):
+            au = [_dot(row, u) for row in a_rows]
+            return _dot(u, u) / sigma - beta * _dot(au, au)
+
+        for k in (100, 1000, 2001):
+            rec, st = kept[k]
+            x, xp, lam, lp = (_exact(v) for v in (st.x_k, st.x_prev, st.lam_k, st.lam_prev))
+            t = Fraction(st.t_k)
+            dx, dl, dlp = _lincomb(1, x, -1, xs), _lincomb(1, lam, -1, ls), _lincomb(1, lam, -1, lp)
+            dz = _lincomb(g, dx, t - 1, _lincomb(1, x, -1, xp))
+            dnu = _lincomb(g, dl, t - 1, dlp)
+            exact = {
+                "gap": aug_lag(x, ls, 0) - aug_lag(xs, lam, 0),
+                "obj_err": abs(f(x) - f(xs)),
+                "energy": (t * (t - 1 + g) * (aug_lag(x, ls, beta) - aug_lag(xs, lam, beta))
+                           + q_norm(dz) / 2 + _dot(dnu, dnu) / (2 * rho)
+                           + g * (1 - g) * (q_norm(dx) / 2 + _dot(dl, dl) / (2 * rho))
+                           + (1 - g) * (t - 1) * _dot(dlp, dlp) / (2 * rho)),
+            }
+            for name, want in exact.items():
+                err = abs(Fraction(getattr(rec, name)) - want) / abs(want)
+                assert err <= 1e-10, f"{rule.kind} k={k} {name}: relative error {float(err):.2e}"
 
 
 def test_gap_zero_at_saddle(small_instance):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from falm.errors import NonFiniteError
 from falm.linalg import LinearMap, dense_map, zero_map
 from falm.oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
 from falm.problem import Problem, least_squares_objective, quadratic_objective
@@ -63,6 +64,22 @@ def test_qp_instance_validation():
     with pytest.raises(ValueError, match="row rank"):
         QpInstance(q_mat=np.eye(2), c=np.zeros(2),
                    a_mat=np.array([[1.0, 1.0], [2.0, 2.0]]), b=np.ones(2))
+
+
+@pytest.mark.parametrize("bad", ["Q", "A"])
+def test_qp_instance_rejects_non_finite_matrices(bad):
+    q = np.array([[1.0, np.nan], [np.nan, 1.0]]) if bad == "Q" else np.eye(2)
+    a = np.array([[1.0, np.nan]]) if bad == "A" else np.array([[1.0, 1.0]])
+    with pytest.raises(NonFiniteError, match=f"{bad} contains NaN"):
+        QpInstance(q_mat=q, c=np.zeros(2), a_mat=a, b=np.array([2.0]))
+
+
+def test_kkt_solve_rejects_a_nan_solution():
+    # finite data whose elimination overflows: the solve returns NaN and inf
+    qp = QpInstance(q_mat=np.diag([1e308, 1e308]), c=np.array([1e308, -1e308]),
+                    a_mat=np.array([[1.0, 1.0]]), b=np.array([1e308]))
+    with np.errstate(all="ignore"), pytest.raises(OracleError, match="residual nan"):
+        kkt_solve(qp)
 
 
 def test_qp_from_problem_least_squares_arithmetic():

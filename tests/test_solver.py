@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from falm.benchgen import GenSpec, generate
 from falm.cli import load_experiment
-from falm.diagnostics import RunRecord, energy, gap
+from falm.diagnostics import RunRecord, energy, gap, objective_error
 from falm.errors import StepError, ValidationError
 from falm.inertial import attouch_cabot, chambolle_dossal, constant, nesterov, t_value
 from falm.linalg import LinearMap, dense_map
@@ -452,7 +452,6 @@ def _run_with_states(prob, params, saddle, cfg):
 def _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle):
     """Every record equals the public diagnostics of its state, bit for bit."""
     x_star, lam_star = saddle
-    f_star = prob.objective.value(x_star)
     assert [rec for rec, _ in pairs] == res.records
     prev = pairs[0][1]
     for rec, st in pairs:
@@ -460,7 +459,7 @@ def _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle):
         grad_res, feas_res = kkt_residuals(prob, st.x_k, st.lam_k)
         assert (rec.kkt_grad, rec.kkt_feas, rec.feas) == (grad_res, feas_res, feas_res)
         assert rec.gap == gap(prob, st.x_k, st.lam_k, x_star, lam_star)
-        assert rec.obj_err == abs(prob.objective.value(st.x_k) - f_star)
+        assert rec.obj_err == objective_error(prob, st.x_k, st.lam_k, x_star, lam_star)
         assert rec.energy == energy(prob, cfg, st.x_k, prev.x_k, st.lam_k,
                                     prev.lam_k, st.t_k, x_star, lam_star)
         prev = st
