@@ -18,6 +18,7 @@ objective keeps the difference form.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ class RunRecord:
     cg_iters: int
 
 
-@dataclass(frozen=True, eq=False)
-class SaddleTerms:
+class SaddleTerms(NamedTuple):
     """Evaluations at a reference point ``(x*, lam*)`` that every record reuses.
 
     ``residual`` is ``A x* - b`` and ``residual_sq`` its squared norm. For an

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FalmError, NonFiniteError
-from .linalg import Array, as_vector, check_symmetric, read_only
+from .linalg import Array, all_finite, as_vector, check_symmetric, read_only
 from .problem import Problem
 
 
@@ -44,7 +44,7 @@ class QpInstance:
         if a.shape != (b.size, c.size):
             raise ValueError(f"A has shape {a.shape}, expected {(b.size, c.size)}")
         for name, mat in (("Q", q), ("A", a)):
-            if not np.isfinite(mat).all():
+            if not all_finite(mat):
                 raise NonFiniteError(f"{name} contains NaN or infinite entries")
         check_symmetric(q)
         if np.linalg.matrix_rank(a) < b.size:

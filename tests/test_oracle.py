@@ -76,10 +76,11 @@ def test_qp_instance_rejects_non_finite_matrices(bad):
 
 def test_kkt_solve_rejects_a_nan_solution():
     # finite data whose elimination overflows: the solve returns NaN and inf
-    qp = QpInstance(q_mat=np.diag([1e308, 1e308]), c=np.array([1e308, -1e308]),
-                    a_mat=np.array([[1.0, 1.0]]), b=np.array([1e308]))
-    with np.errstate(all="ignore"), pytest.raises(OracleError, match="residual nan"):
-        kkt_solve(qp)
+    with np.errstate(all="ignore"):
+        qp = QpInstance(q_mat=np.diag([1e308, 1e308]), c=np.array([1e308, -1e308]),
+                        a_mat=np.array([[1.0, 1.0]]), b=np.array([1e308]))
+        with pytest.raises(OracleError, match="residual nan"):
+            kkt_solve(qp)
 
 
 def test_qp_from_problem_least_squares_arithmetic():
