@@ -184,7 +184,8 @@ class RateFit:
     """Least-squares slope of log(value) against log(k) over a window.
 
     ``n_used`` records entered the fit, from index ``k_first`` to ``k_last``;
-    ``n_excluded`` records in the window sat in rounding noise.
+    ``n_excluded`` records in the window sat in rounding noise, relative to
+    the field's largest value there.
     """
 
     slope: float
@@ -213,35 +214,39 @@ def _loglog_fit(ks: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     return slope, r2
 
 
+# Relative level, against the largest value of a field in the fit window, at
+# or below which a value is taken as rounding noise.
 NEAR_ZERO = 1e-14
 
 
 def rate_fit(records, field: str, k_min: int, k_max: int) -> RateFit:
     """Fit the decay exponent of ``field`` over recorded indices in [k_min, k_max].
 
-    Values at or below ``1e-14`` sit in rounding noise and are excluded (their
-    count is reported); at least 10 usable records are required.
+    Values at or below ``max(0, NEAR_ZERO * v_max)``, with ``v_max`` the
+    field's largest value in the window, sit in rounding noise and are
+    excluded (their count is reported), so rescaling the data leaves the fit
+    unchanged; at least 10 usable records are required.
     """
     ks = []
     vals = []
-    n_excluded = 0
     for rec in records:
         if not (k_min <= rec.k <= k_max):
             continue
         v = getattr(rec, field)
-        if v is None:
-            continue
-        if v <= NEAR_ZERO:
-            n_excluded += 1
-            continue
-        ks.append(rec.k)
-        vals.append(v)
-    if len(ks) < 10:
+        if v is not None:
+            ks.append(rec.k)
+            vals.append(v)
+    ks = np.array(ks, dtype=float)
+    vals = np.array(vals, dtype=float)
+    keep = vals > max(0.0, NEAR_ZERO * vals.max(initial=0.0))
+    n_excluded = int(keep.size - keep.sum())
+    ks, vals = ks[keep], vals[keep]
+    if ks.size < 10:
         raise ValueError(f"too few usable records in window [{k_min}, {k_max}]: "
-                         f"{len(ks)} usable, {n_excluded} excluded")
-    slope, r2 = _loglog_fit(np.array(ks, dtype=float), np.array(vals))
-    return RateFit(slope=slope, r2=r2, n_used=len(ks), n_excluded=n_excluded,
-                   k_first=min(ks), k_last=max(ks))
+                         f"{ks.size} usable, {n_excluded} excluded")
+    slope, r2 = _loglog_fit(ks, vals)
+    return RateFit(slope=slope, r2=r2, n_used=int(ks.size), n_excluded=n_excluded,
+                   k_first=int(ks.min()), k_last=int(ks.max()))
 
 
 def dual_bound_series(states, lam_star: Array,

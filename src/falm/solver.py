@@ -18,10 +18,12 @@ factor (two products with ``Vt``), corrected by iterative refinement with the
 same factor only if the residual check fails. The same factor gives an upper
 bound on ``||A||^2``, so dense, matrix-free and zero maps take one path.
 
-Oracle budget. A dense step applies the map 7 times (``A y``, the three
-adjoints of the right-hand side, ``A`` and ``A*`` in the inner solve's residual
-check, and ``A z``) and the gradient once; ``A x_k`` is the image the previous
-step's residual check computed. Each refinement correction, when a residual
+Oracle budget. A dense step applies the map 3 times, 1 forward and 2
+adjoints: the one adjoint of the right-hand side, and ``A`` and ``A*`` in the
+inner solve's residual check. It calls the gradient once. The images of
+``y_k`` and ``z_{k+1}`` are linear combinations of carried images:
+``A x_k`` and ``A x_{k-1}`` are what the last two residual checks computed,
+and ``A x_{k+1}`` is this step's. Each refinement correction, when a residual
 check fails, adds one ``A`` and one ``A*`` (its residual check). Rebuilding a
 matrix-free p-by-n map costs p adjoint and 2 forward applies, once per
 :func:`validate`.
@@ -227,9 +229,10 @@ def _is_real(value) -> bool:
 class IterateState:
     """Full recurrence state at index k (two primal and two dual iterates).
 
-    ``ax_k`` caches the image of ``x_k``: when set it is bitwise equal to
-    ``a_map.forward(x_k)``. Only a state built by :func:`initial_state` leaves
-    it None (unknown); a state whose ``x_k`` is replaced must drop it.
+    ``ax_k`` and ``ax_prev`` cache the images of ``x_k`` and ``x_prev``: when
+    set, each is bitwise equal to ``a_map.forward`` of its iterate. Only a
+    state built by :func:`initial_state` leaves them None (unknown); a state
+    whose ``x_k`` or ``x_prev`` is replaced must drop the matching image.
     """
 
     k: int
@@ -240,6 +243,7 @@ class IterateState:
     t_k: float
     t_next: float
     ax_k: Array | None = None
+    ax_prev: Array | None = None
 
 
 def initial_state(rule: InertialRule, x_init: Array, lam_init: Array) -> IterateState:
@@ -271,10 +275,11 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     The primal update solves the subproblem's stationarity system exactly (to
     the configured residual tolerance) by :func:`~falm.linalg.solve_spd` from
     ``cfg.spectral``; for a zero operator that is the accelerated gradient
-    step ``y_k - sigma * grad f(y_k)`` up to rounding. ``A x_k`` is read from
-    ``st.ax_k`` when cached, and the new state caches the image of ``x_{k+1}``
-    that the inner solve's residual check computed. Inner-solve failures raise
-    :class:`StepError` carrying the iteration index.
+    step ``y_k - sigma * grad f(y_k)`` up to rounding. ``A x_k`` and ``A x_{k-1}``
+    are read from ``st.ax_k`` and ``st.ax_prev`` when cached; ``A y_k`` and
+    ``A z_{k+1}`` are formed from them and the image of ``x_{k+1}`` that the
+    inner solve's residual check computed, which the new state caches.
+    Inner-solve failures raise :class:`StepError` carrying the iteration index.
     """
     g = cfg.gamma
     t_k = st.t_k
@@ -284,13 +289,14 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     mu = st.lam_k + momentum * (st.lam_k - st.lam_prev)
     a = prob.a_map
     ax = st.ax_k if st.ax_k is not None else a.forward(st.x_k)
+    ax_prev = st.ax_prev if st.ax_prev is not None else a.forward(st.x_prev)
     eta = ax + (g / (t_k1 - 1.0 + g)) * (prob.b - ax)
     nu = g * st.lam_k + (t_k - 1.0) * (st.lam_k - st.lam_prev)
     s_next = (cfg.rho / g) * t_k1 * (t_k1 - 1.0 + g)
     grad_y = prob.objective.gradient(y)
-    ay = a.forward(y)
-    rhs = (y / cfg.sigma - grad_y - cfg.beta * a.adjoint(ay - prob.b)
-           - a.adjoint(nu) / g + (s_next / g) * a.adjoint(eta))
+    ay = ax + momentum * (ax - ax_prev)
+    dual = cfg.beta * (ay - prob.b) + nu / g - (s_next / g) * eta
+    rhs = y / cfg.sigma - grad_y - a.adjoint(dual)
     if not all_finite(rhs):
         raise StepError(st.k, "subproblem right-hand side is not finite")
     system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a,
@@ -302,7 +308,8 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     x_next = sol.x
 
     z_next = g * x_next + (t_k1 - 1.0) * (x_next - st.x_k)
-    lam_next = mu + (cfg.rho / g) * (a.forward(z_next) - g * prob.b)
+    az = g * sol.ax + (t_k1 - 1.0) * (sol.ax - ax)
+    lam_next = mu + (cfg.rho / g) * (az - g * prob.b)
     if not (all_finite(x_next) and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
 
@@ -310,7 +317,8 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
                       z_next_gamma=z_next, cg_iters=sol.iterations, grad_y=grad_y)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
                              lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
-                             t_next=t_value(cfg.rule, st.k + 2), ax_k=sol.ax)
+                             t_next=t_value(cfg.rule, st.k + 2), ax_k=sol.ax,
+                             ax_prev=ax)
     return new_state, trace
 
 
@@ -374,6 +382,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         cfg = validate(prob, params)
     st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     st.ax_k = prob.a_map.forward(st.x_k)
+    st.ax_prev = st.ax_k
     if saddle is not None:
         x_star = as_vector(saddle[0], prob.n, "x_star")
         lam_star = as_vector(saddle[1], prob.p, "lam_star")

@@ -317,6 +317,20 @@ def test_rate_fit_excludes_rounding_noise():
     assert fit.n_used == 50
 
 
+def test_rate_fit_does_not_depend_on_the_data_scale():
+    # the noise tail sits 1e-17 below the largest value, and nonpositive
+    # values stay excluded at every scale
+    ks = np.arange(1, 200)
+    vals = 1.0 / ks**2
+    vals[150:] = 1e-17
+    vals[-2:] = (0.0, -1e-20)
+    fits = [rate_fit(_records_from(ks, scale * vals), "gap", 1, 200)
+            for scale in (1e-8, 1.0, 1e8)]
+    for fit in fits:
+        assert (fit.n_used, fit.n_excluded) == (150, 49)
+        assert fit.slope == pytest.approx(fits[1].slope, rel=1e-12)
+
+
 def test_rate_fit_too_few_records():
     ks = np.arange(1, 8)
     with pytest.raises(ValueError, match="too few"):

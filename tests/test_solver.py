@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -22,6 +23,26 @@ def _matrix_free(prob):
     return Problem(objective=prob.objective,
                    a_map=LinearMap(forward=a.forward, adjoint=a.adjoint, dims=a.dims),
                    b=prob.b)
+
+
+def _counting(prob):
+    """The same problem with a map that counts its forward and adjoint calls.
+
+    The map keeps ``matrix``, so :func:`validate` factors it without probes.
+    """
+    a = prob.a_map
+    calls = {"forward": 0, "adjoint": 0}
+
+    def forward(x):
+        calls["forward"] += 1
+        return a.forward(x)
+
+    def adjoint(y):
+        calls["adjoint"] += 1
+        return a.adjoint(y)
+
+    counted = LinearMap(forward=forward, adjoint=adjoint, dims=a.dims, matrix=a.matrix)
+    return Problem(objective=prob.objective, a_map=counted, b=prob.b), calls
 
 
 def _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev, t_k, t_k1):
@@ -393,8 +414,8 @@ def test_run_dense_matches_matrix_free(small_instance):
 
 def test_run_refines_the_closed_form_on_a_generated_instance():
     # Refinement is not dead code: on this well-conditioned 20x19 instance the
-    # closed form misses its residual target on 91 of 300 steps at cg_tol
-    # 1e-12 (the first at k = 206) and on 259 at 1e-14. A correction from the
+    # closed form misses its residual target on 86 of 300 steps at cg_tol
+    # 1e-12 (the first at k = 212) and on 259 at 1e-14. A correction from the
     # map's own factor is nearly exact, so no step needs more than 2.
     prob, _ = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
     for cg_tol in (1e-12, 1e-14):
@@ -408,6 +429,25 @@ def test_run_refines_the_closed_form_on_a_generated_instance():
         assert free.records == res.records
         assert free.x.tobytes() == res.x.tobytes()
         assert free.lam.tobytes() == res.lam.tobytes()
+        # between two records: a step (1 forward, 2 adjoints, and one of each
+        # per correction) and the record's A* lam
+        counted, calls = _counting(prob)
+        seen = []
+        observed = run(counted, params, observer=lambda rec, _: seen.append(
+            (rec.cg_iters, calls["forward"], calls["adjoint"])))
+        assert observed.records == res.records
+        for (_, fwd0, adj0), (cg, fwd1, adj1) in zip(seen, seen[1:]):
+            assert (fwd1 - fwd0, adj1 - adj0) == (1 + cg, 3 + cg)
+
+
+def test_dense_step_applies_the_map_three_times():
+    # 1 forward and 2 adjoints per step without refinement; the run adds the
+    # image of x_1 and, for each of its two records (k = 1 and 21), A* lam
+    prob, calls = _counting(generate(GenSpec("random_qp", 50, 10, 7, 1.0))[0])
+    params = SolverParams(rule=chambolle_dossal(4.0), max_iter=20, record_every=1000)
+    res = run(prob, params)
+    assert [rec.k for rec in res.records] == [1, 21]
+    assert calls == {"forward": 1 + 20, "adjoint": 2 + 2 * 20}
 
 
 def test_run_shipped_cd4_needs_no_cg_iterations():
@@ -427,10 +467,15 @@ def test_step_caches_exact_image(small_instance, kind):
     params = SolverParams(rule=chambolle_dossal(4.0))
     cfg = validate(prob, params)
     st = initial_state(cfg.rule, np.ones(prob.n), np.zeros(prob.p))
-    assert st.ax_k is None
+    assert st.ax_k is None and st.ax_prev is None
     for _ in range(5):
+        bare = dataclasses.replace(st, ax_k=None, ax_prev=None)
         st, _ = step(prob, cfg, st)
         assert st.ax_k.tobytes() == prob.a_map.forward(st.x_k).tobytes()
+        assert st.ax_prev.tobytes() == prob.a_map.forward(st.x_prev).tobytes()
+        again, _ = step(prob, cfg, bare)
+        for name in ("x_k", "lam_k", "ax_k", "ax_prev"):
+            assert getattr(again, name).tobytes() == getattr(st, name).tobytes()
 
 
 @pytest.fixture(scope="module")
