@@ -8,8 +8,8 @@ from .errors import (CertificationError, DimensionMismatch, FalmError,
 from .inertial import (CertReport, InertialRule, attouch_cabot, certify,
                        chambolle_dossal, constant, nesterov, phi_m,
                        rule_from_spec, t_value, t_values)
-from .linalg import (LinearMap, OpNormEstimate, SpdSolution, SpdSystem, as_vector,
-                     dense_map, norm, op_norm_sq, solve_spd, zero_map)
+from .linalg import (LinearMap, SpdSolution, SpectralFactor, as_vector, dense_map,
+                     norm, op_norm_sq, solve_spd, zero_map)
 from .oracle import OracleError, QpInstance, kkt_solve
 from .problem import (Objective, Problem, aug_lagrangian, kkt_residuals, lagrangian,
                       least_squares_objective, problem_from_json, problem_to_json,

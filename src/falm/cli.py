@@ -102,32 +102,22 @@ class ExperimentConfig:
     output_dir: str
 
 
-def _number(doc: dict, key: str, where: str, conv=float, default=None):
-    """``doc[key]`` parsed by :func:`json_number`; ``default`` when absent or null."""
-    value = doc.get(key)
-    return default if value is None else json_number(value, conv, f"{where}: {key!r}")
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _params_from_doc(doc: dict, where: str) -> SolverParams:
+    """The run's parameters; a key that is absent or null keeps the default of
+    :class:`SolverParams`."""
     if not isinstance(doc.get("rule"), dict):
         raise ValueError(f"{where}: 'rule' must be an object")
-
-    def num(key, conv=float, default=None):
-        return _number(doc, key, where, conv, default)
-
-    return SolverParams(rule=rule_from_spec(doc["rule"]),
-                        gamma=num("gamma"),
-                        sigma=num("sigma"),
-                        rho=num("rho"),
-                        beta=num("beta", default=1.0),
-                        max_iter=num("max_iter", int, 1000),
-                        kkt_tol=num("kkt_tol"),
-                        cg_tol=num("cg_tol", default=1e-12),
-                        record_every=num("record_every", int, 1))
+    rule = rule_from_spec(doc["rule"])
+    given = {key: json_number(doc[key], conv, f"{where}: {key!r}")
+             for key, conv in (("gamma", float), ("sigma", float), ("rho", float),
+                               ("beta", float), ("max_iter", int), ("kkt_tol", float),
+                               ("cg_tol", float), ("record_every", int))
+             if doc.get(key) is not None}
+    return SolverParams(rule=rule, **given)
 
 
 def load_experiment(path: str) -> ExperimentConfig:

@@ -4,10 +4,11 @@ Vectors are plain 1-d float64 numpy arrays. Operators are wrapped in
 :class:`LinearMap`, which carries a forward and an adjoint procedure; dense
 construction helpers are provided for the desk-scale problems this package
 targets. :func:`op_norm_sq` gives every map, dense or rebuilt from adjoint
-probes, ``||A||^2`` and the spectral factor that solves the systems
-``shift*Id + scale*A*A`` in closed form for every shift and scale;
-:func:`solve_spd` corrects a closed form that misses its residual target by
-iterative refinement with the same factor.
+probes, its :class:`SpectralFactor`: one thin SVD that bounds ``||A||^2``,
+counts the probes it was built from, and solves the systems ``shift*Id +
+scale*A*A`` in closed form for every shift and scale. :func:`solve_spd`
+checks that closed form's residual and corrects a miss by iterative
+refinement with the same factor.
 """
 
 from __future__ import annotations
@@ -105,10 +106,7 @@ def dense_map(a) -> LinearMap:
 
 def zero_map(n: int, p: int) -> LinearMap:
     """The operator sending everything to zero (unconstrained problems)."""
-    m = np.zeros((p, n))
-    m.flags.writeable = False
-    return LinearMap(forward=lambda x: np.zeros(p), adjoint=lambda y: np.zeros(n),
-                     dims=(n, p), matrix=m)
+    return dense_map(np.zeros((p, n)))
 
 
 # Relative rounding allowance, per matrix dimension, of a computed squared
@@ -122,20 +120,35 @@ PROBE_BUDGET_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
-class OpNormEstimate:
-    """Upper bound on ``||A||^2`` and the spectral factor it was read from.
+class SpectralFactor:
+    """Thin SVD factor of a p-by-n map ``A = U S Vt``, with its ``||A||^2`` bound.
 
-    ``factor`` is :func:`spectral_factor` of the map's matrix; a zero map has
-    ``S^2 = 0`` and ``value`` 0. ``iterations`` counts adjoint probes.
+    ``vt`` is min(p, n)-by-n with orthonormal rows and ``s2`` holds the
+    squared singular values in nonincreasing order; both are read-only, and a
+    zero map has ``s2 = 0``. ``value`` is an upper bound on ``||A||^2`` (0 for
+    a zero map) and ``iterations`` counts the adjoint probes the matrix was
+    rebuilt from: 0 when the map's matrix was factored as is.
     """
 
+    vt: Array = field(repr=False, compare=False)
+    s2: Array = field(repr=False, compare=False)
     value: float
     iterations: int
-    factor: tuple[Array, Array] = field(repr=False, compare=False)
+
+    def solve(self, shift: float, scale: float, rhs: Array) -> Array:
+        """Closed-form ``(shift*Id + scale*A*A)^{-1} rhs`` (Woodbury identity).
+
+        With ``A*A = V S^2 Vt``: ``x = rhs/shift + V[(shift + scale*S^2)^{-1}
+        - 1/shift] Vt rhs``; directions outside the row space of ``vt`` see
+        only the shift.
+        """
+        inv_shift = 1.0 / shift
+        gain = 1.0 / (shift + scale * self.s2) - inv_shift
+        return inv_shift * rhs + self.vt.T @ (gain * (self.vt @ rhs))
 
 
-def op_norm_sq(a_map: LinearMap) -> OpNormEstimate:
-    """``||A||^2`` and the spectral factor of any map, from one thin SVD.
+def op_norm_sq(a_map: LinearMap) -> SpectralFactor:
+    """The :class:`SpectralFactor` of any map, and so ``||A||^2``, from one thin SVD.
 
     A map that keeps ``matrix`` is factored as is; a matrix-free p-by-n map is
     first rebuilt from its p adjoint probes ``A* e_i``. A :class:`ValidationError`
@@ -162,54 +175,11 @@ def op_norm_sq(a_map: LinearMap) -> OpNormEstimate:
             if not (fv.shape == (p,) and norm(fv - mat @ v) <= allowance * norm(v)):
                 raise ValidationError("⟨A x, y⟩ = ⟨x, A* y⟩", "forward disagrees with "
                                       "the adjoint probes' matrix; the adjoint is wrong")
-    factor = spectral_factor(mat)
-    value = float(factor[1][0]) * (1.0 + SVD_ROUNDING * max(mat.shape))
-    return OpNormEstimate(value=value, iterations=probes, factor=factor)
-
-
-def spectral_factor(matrix: Array) -> tuple[Array, Array]:
-    """Thin SVD factor ``(Vt, S^2)`` of a dense p-by-n matrix ``A = U S Vt``.
-
-    ``Vt`` is min(p, n)-by-n with orthonormal rows and ``S^2`` holds the
-    squared singular values in nonincreasing order, so ``S^2[0]`` is
-    ``||A||^2`` up to the SVD's rounding. Both arrays are read-only.
-    """
-    _, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float), full_matrices=False)
+    _, s, vt = np.linalg.svd(np.asarray(mat, dtype=float), full_matrices=False)
     s2 = s * s
-    vt.flags.writeable = False
-    s2.flags.writeable = False
-    return vt, s2
-
-
-@dataclass(frozen=True)
-class SpdSystem:
-    """The operator ``shift*Id + scale*A*A`` (symmetric positive definite).
-
-    ``shift`` must be positive and ``scale`` nonnegative; ``factor`` is the
-    spectral factor of ``a_map`` that :func:`op_norm_sq` returns.
-    """
-
-    shift: float
-    scale: float
-    a_map: LinearMap
-    factor: tuple[Array, Array]
-
-    def spectral_solve(self, rhs: Array) -> Array:
-        """Closed-form ``M^{-1} rhs`` from ``factor`` (Woodbury identity).
-
-        With ``A*A = V S^2 Vt``: ``x = rhs/shift + V[(shift + scale*S^2)^{-1}
-        - 1/shift] Vt rhs``; directions outside the row space of ``Vt`` see
-        only the shift.
-        """
-        vt, s2 = self.factor
-        inv_shift = 1.0 / self.shift
-        gain = 1.0 / (self.shift + self.scale * s2) - inv_shift
-        return inv_shift * rhs + vt.T @ (gain * (vt @ rhs))
-
-    def residual(self, x: Array, rhs: Array) -> tuple[Array, Array]:
-        """``(rhs - M x, A x)``, from one forward and one adjoint apply."""
-        ax = self.a_map.forward(x)
-        return rhs - (self.shift * x + self.scale * self.a_map.adjoint(ax)), ax
+    vt.flags.writeable = s2.flags.writeable = False
+    value = float(s2[0]) * (1.0 + SVD_ROUNDING * max(mat.shape))
+    return SpectralFactor(vt=vt, s2=s2, value=value, iterations=probes)
 
 
 # Corrections that iterative refinement may add to the closed form before
@@ -232,26 +202,32 @@ class SpdSolution:
     ax: Array
 
 
-def solve_spd(system: SpdSystem, rhs: Array, *, tol: float = 1e-12) -> SpdSolution:
-    """Solve ``M x = rhs``, returning once ``||M x - rhs|| <= tol * max(1, ||rhs||)``.
+def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: float,
+              rhs: Array, *, tol: float = 1e-12) -> SpdSolution:
+    """Solve ``M x = rhs`` for ``M = shift*Id + scale*A*A``, returning once
+    ``||M x - rhs|| <= tol * max(1, ||rhs||)``.
 
-    The start point is the closed-form :meth:`SpdSystem.spectral_solve`. While
-    its true residual ``r`` misses the target, iterative refinement corrects
-    it with the same factor, ``x += spectral_solve(r)``; a factor of the map
-    itself contracts the residual by about ``n * eps * cond(M)`` per
-    correction. Raises :class:`SpdSolveError` when ``REFINE_STEPS``
-    corrections do not meet the target.
+    ``shift`` must be positive and ``scale`` nonnegative; ``factor`` is the
+    :func:`op_norm_sq` of ``a_map``. The start point is the closed form
+    :meth:`SpectralFactor.solve`. Each residual check takes one forward and
+    one adjoint apply. While the true residual ``r`` misses the target,
+    iterative refinement corrects the start with the same factor, ``x +=
+    factor.solve(shift, scale, r)``; a factor of the map itself contracts the
+    residual by about ``n * eps * cond(M)`` per correction. Raises
+    :class:`SpdSolveError` when ``REFINE_STEPS`` corrections do not meet the
+    target.
     """
-    if system.shift <= 0 or system.scale < 0:
+    if shift <= 0 or scale < 0:
         raise ValueError("solve_spd requires shift > 0 and scale >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
     target = tol * max(1.0, norm(rhs))
-    x = system.spectral_solve(rhs)
+    x = factor.solve(shift, scale, rhs)
     for corrections in range(REFINE_STEPS + 1):
         if corrections:
-            x = x + system.spectral_solve(r)
-        r, ax = system.residual(x, rhs)
+            x = x + factor.solve(shift, scale, r)
+        ax = a_map.forward(x)
+        r = rhs - (shift * x + scale * a_map.adjoint(ax))
         r_norm = norm(r)
         if r_norm <= target:
             return SpdSolution(x=x, iterations=corrections, residual=r_norm, ax=ax)

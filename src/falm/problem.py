@@ -126,7 +126,9 @@ class Problem:
     """Instance of ``min f(x) subject to A x = b``; immutable and shareable.
 
     ``b`` goes through :func:`~falm.linalg.read_only`: a caller's writable
-    array is copied, never frozen in place.
+    array is copied, never frozen in place. A ``b`` that does not match the
+    map's range, or an objective that keeps ``quadratic`` and does not match
+    its domain, raises :class:`~falm.errors.DimensionMismatch`.
     """
 
     objective: Objective
@@ -139,6 +141,10 @@ class Problem:
         if self.a_map.dims[1] != b.size:
             raise DimensionMismatch(f"operator maps into dimension "
                                     f"{self.a_map.dims[1]} but b has dimension {b.size}")
+        quad = self.objective.quadratic
+        if quad is not None and quad[1].size != self.a_map.dims[0]:
+            raise DimensionMismatch(f"objective has dimension {quad[1].size} but the "
+                                    f"operator acts on dimension {self.a_map.dims[0]}")
 
     @property
     def n(self) -> int:

@@ -11,12 +11,14 @@ requested residual tolerance ``cg_tol``) via its normal system
 because the convergence analysis this package verifies assumes the exact
 argmin; an approximate proximal step would void the recorded invariants. The
 system matrix changes only through the scalar ``s_{k+1}/gamma``.
-:func:`validate` takes one thin SVD of the constraint map from
+:func:`validate` keeps the constraint map's
+:class:`~falm.linalg.SpectralFactor`, one thin SVD from
 :func:`~falm.linalg.op_norm_sq`, which rebuilds a matrix-free map from adjoint
-probes first, and every step solves the system in closed form from that
-factor (two products with ``Vt``), corrected by iterative refinement with the
-same factor only if the residual check fails. The same factor gives an upper
-bound on ``||A||^2``, so dense, matrix-free and zero maps take one path.
+probes first. Every step's :func:`~falm.linalg.solve_spd` solves the system in
+closed form from that factor (two products with ``Vt``), corrected by
+iterative refinement with the same factor only if the residual check fails.
+The same factor gives an upper bound on ``||A||^2`` and counts its probes, so
+dense, matrix-free and zero maps take one path.
 
 Oracle budget. A dense step applies the map 3 times, 1 forward and 2
 adjoints: the one adjoint of the right-hand side, and ``A`` and ``A*`` in the
@@ -72,7 +74,7 @@ import numpy as np
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
 from .inertial import InertialRule, t_value
-from .linalg import (Array, SpdSystem, all_finite, as_vector, norm, op_norm_sq,
+from .linalg import (Array, SpectralFactor, all_finite, as_vector, norm, op_norm_sq,
                      solve_spd)
 from .problem import Problem, kkt_residuals
 
@@ -114,8 +116,11 @@ class SolverParams:
 class ValidatedConfig:
     """Resolved, admissibility-checked parameters plus derived constants.
 
-    ``a_norm_probes`` counts the adjoint probes ``a_norm_sq`` was read from:
-    0 when the map's matrix was factored as is, p for a matrix-free p-row map.
+    ``spectral`` is the map's :class:`~falm.linalg.SpectralFactor`, which
+    every step's inner solve reads. ``a_norm_sq`` and ``a_norm_probes`` read
+    from it: the ``||A||^2`` bound ``sigma_bound`` was computed from, and the
+    adjoint probes it was read from (0 when the map's matrix was factored as
+    is, p for a matrix-free p-row map).
     """
 
     rule: InertialRule
@@ -124,22 +129,28 @@ class ValidatedConfig:
     sigma: float
     rho: float
     beta: float
-    a_norm_sq: float
-    a_norm_probes: int
+    spectral: SpectralFactor
     sigma_bound: float
     convergence_certified: bool
     max_iter: int
     kkt_tol: float | None
     cg_tol: float
     record_every: int
-    spectral: tuple[Array, Array] = field(repr=False, compare=False)
+
+    @property
+    def a_norm_sq(self) -> float:
+        return self.spectral.value
+
+    @property
+    def a_norm_probes(self) -> int:
+        return self.spectral.iterations
 
 
 def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
     """Check every admissibility condition and resolve defaulted parameters.
 
     :func:`~falm.linalg.op_norm_sq` gives the map's spectral factor, kept as
-    ``spectral``, and the upper bound on ``||A||^2`` that ``sigma_bound`` is
+    ``spectral``, with the upper bound on ``||A||^2`` that ``sigma_bound`` is
     computed from; it refuses a matrix-free map over its probe budget or with
     a wrong adjoint. Each violated condition, including a ``max_iter`` or
     ``record_every`` that is a boolean or not an integer and a real parameter
@@ -175,8 +186,8 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
                                   f"coupling weight nonpositive; need gamma > "
                                   f"{1.0 - 1.0 / (rule.alpha - 1.0)}")
 
-    estimate = op_norm_sq(prob.a_map)
-    a_norm_sq = estimate.value
+    spectral = op_norm_sq(prob.a_map)
+    a_norm_sq = spectral.value
     lip = prob.objective.lipschitz
     sigma_bound = gamma / (lip + gamma * params.beta * a_norm_sq)
     sigma = params.sigma if params.sigma is not None else 0.99 * sigma_bound
@@ -205,13 +216,11 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
 
     certified = bool(m < gamma < 1.0 and sigma < sigma_bound and params.beta > 0)
     return ValidatedConfig(rule=rule, m=m, gamma=gamma, sigma=sigma, rho=rho,
-                           beta=params.beta, a_norm_sq=a_norm_sq,
-                           a_norm_probes=estimate.iterations,
+                           beta=params.beta, spectral=spectral,
                            sigma_bound=sigma_bound,
                            convergence_certified=certified,
                            max_iter=params.max_iter, kkt_tol=params.kkt_tol,
-                           cg_tol=params.cg_tol, record_every=params.record_every,
-                           spectral=estimate.factor)
+                           cg_tol=params.cg_tol, record_every=params.record_every)
 
 
 def _is_integer(value) -> bool:
@@ -299,10 +308,8 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     rhs = y / cfg.sigma - grad_y - a.adjoint(dual)
     if not all_finite(rhs):
         raise StepError(st.k, "subproblem right-hand side is not finite")
-    system = SpdSystem(shift=1.0 / cfg.sigma, scale=s_next / g, a_map=a,
-                       factor=cfg.spectral)
     try:
-        sol = solve_spd(system, rhs, tol=cfg.cg_tol)
+        sol = solve_spd(a, cfg.spectral, 1.0 / cfg.sigma, s_next / g, rhs, tol=cfg.cg_tol)
     except SpdSolveError as exc:
         raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
     x_next = sol.x

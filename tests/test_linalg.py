@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from falm.errors import NonFiniteError, SpdSolveError, ValidationError
-from falm.linalg import (PROBE_BUDGET_BYTES, REFINE_STEPS, LinearMap, SpdSystem,
-                         all_finite, as_vector, dense_map, op_norm_sq, solve_spd,
-                         spectral_factor, zero_map)
+from falm.linalg import (PROBE_BUDGET_BYTES, REFINE_STEPS, LinearMap, all_finite,
+                         as_vector, dense_map, op_norm_sq, solve_spd, zero_map)
 
 
 def _matrix_free(a_map):
@@ -69,8 +68,7 @@ def test_op_norm_sq_zero_map():
     # A zero map is factored like any other; its squared singular values are 0.
     for a_map in (zero_map(4, 2), _matrix_free(zero_map(4, 2))):
         est = op_norm_sq(a_map)
-        vt, s2 = est.factor
-        assert est.value == 0.0 and vt.shape == (2, 4) and not np.any(s2)
+        assert est.value == 0.0 and est.vt.shape == (2, 4) and not np.any(est.s2)
 
 
 def test_op_norm_sq_known_singular_values():
@@ -104,7 +102,7 @@ def test_op_norm_sq_probes_a_matrix_free_map_bitwise():
     dense, free = op_norm_sq(a_map), op_norm_sq(_matrix_free(a_map))
     assert (dense.iterations, free.iterations) == (0, 7)
     assert free.value == dense.value
-    for got, want in zip(free.factor, dense.factor):
+    for got, want in ((free.vt, dense.vt), (free.s2, dense.s2)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -149,9 +147,9 @@ def test_op_norm_sq_rejects_nonfinite_probes():
     assert err.value.condition == "A* e_i finite"
 
 
-def _dense_residual(system, a, x, rhs):
-    """``rhs - M x`` from the matrix, independent of :meth:`SpdSystem.residual`."""
-    return rhs - (system.shift * x + system.scale * (a.T @ (a @ x)))
+def _dense_residual(a, shift, scale, x, rhs):
+    """``rhs - M x`` from the matrix, independent of :func:`solve_spd`'s check."""
+    return rhs - (shift * x + scale * (a.T @ (a @ x)))
 
 
 def test_spd_system_symmetric_and_definite():
@@ -161,32 +159,32 @@ def test_spd_system_symmetric_and_definite():
         n = int(rng.integers(2, 15))
         p = int(rng.integers(1, n + 1))
         a = rng.standard_normal((p, n))
-        system = SpdSystem(shift=float(rng.uniform(0.1, 5.0)),
-                           scale=float(rng.uniform(0.0, 5.0)),
-                           a_map=dense_map(a), factor=spectral_factor(a))
+        shift = float(rng.uniform(0.1, 5.0))
+        scale = float(rng.uniform(0.0, 5.0))
+        factor = op_norm_sq(dense_map(a))
         for _ in range(10):
             u, v = rng.standard_normal((2, n))
-            lhs = float(np.dot(system.spectral_solve(u), v))
-            rhs = float(np.dot(u, system.spectral_solve(v)))
+            lhs = float(np.dot(factor.solve(shift, scale, u), v))
+            rhs = float(np.dot(u, factor.solve(shift, scale, v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-            assert float(np.dot(system.spectral_solve(u), u)) > 0.0
+            assert float(np.dot(factor.solve(shift, scale, u), u)) > 0.0
 
 
-def _unscaled_system(shift, n):
-    """``shift*Id`` written as a system with a map and ``scale = 0``."""
-    a = np.arange(1.0, n + 1.0)[None, :]
-    return SpdSystem(shift=shift, scale=0.0, a_map=dense_map(a), factor=spectral_factor(a))
+def _unscaled_system(n):
+    """A map and its factor, for ``shift*Id`` written as a system with ``scale = 0``."""
+    a_map = dense_map(np.arange(1.0, n + 1.0)[None, :])
+    return a_map, op_norm_sq(a_map)
 
 
 def test_solve_spd_identity():
     rhs = np.array([1.0, -2.0, 0.5])
-    sol = solve_spd(_unscaled_system(1.0, 3), rhs)
+    sol = solve_spd(*_unscaled_system(3), 1.0, 0.0, rhs)
     assert np.array_equal(sol.x, rhs)
     assert sol.iterations == 0
 
 
 def test_solve_spd_diagonal():
-    sol = solve_spd(_unscaled_system(2.0, 2), np.array([4.0, 6.0]))
+    sol = solve_spd(*_unscaled_system(2), 2.0, 0.0, np.array([4.0, 6.0]))
     np.testing.assert_allclose(sol.x, [2.0, 3.0], rtol=0, atol=0)
 
 
@@ -195,8 +193,8 @@ def test_solve_spd_matches_cholesky_oracle():
     a = rng.standard_normal((4, 9))
     shift, scale = 1.0 / 0.05, 12.0 / 0.9
     rhs = rng.standard_normal(9)
-    sol = solve_spd(SpdSystem(shift=shift, scale=scale, a_map=dense_map(a),
-                              factor=spectral_factor(a)), rhs, tol=1e-13)
+    a_map = dense_map(a)
+    sol = solve_spd(a_map, op_norm_sq(a_map), shift, scale, rhs, tol=1e-13)
     m = shift * np.eye(9) + scale * (a.T @ a)
     chol = np.linalg.cholesky(m)
     x_ref = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
@@ -209,31 +207,30 @@ def test_solve_spd_residual_contract():
         n = int(rng.integers(2, 65))
         p = int(rng.integers(1, n + 1))
         a = rng.standard_normal((p, n))
-        system = SpdSystem(shift=float(rng.uniform(0.1, 10.0)),
-                           scale=float(rng.uniform(0.0, 5.0)),
-                           a_map=dense_map(a), factor=spectral_factor(a))
+        shift = float(rng.uniform(0.1, 10.0))
+        scale = float(rng.uniform(0.0, 5.0))
+        a_map = dense_map(a)
         rhs = rng.standard_normal(n)
         tol = 1e-11
-        sol = solve_spd(system, rhs, tol=tol)
-        resid = np.linalg.norm(_dense_residual(system, a, sol.x, rhs))
+        sol = solve_spd(a_map, op_norm_sq(a_map), shift, scale, rhs, tol=tol)
+        resid = np.linalg.norm(_dense_residual(a, shift, scale, sol.x, rhs))
         assert resid <= tol * max(1.0, np.linalg.norm(rhs))
 
 
 def test_solve_spd_requires_the_factor():
     a_map = dense_map(np.ones((2, 3)))
     with pytest.raises(TypeError, match="factor"):
-        SpdSystem(shift=1.0, scale=1.0, a_map=a_map)
+        solve_spd(a_map, shift=1.0, scale=1.0, rhs=np.ones(3))
 
 
 def test_solve_spd_iteration_budget_error():
     # A target below rounding fails the closed form's residual check, and
     # REFINE_STEPS corrections cannot meet it either.
     rng = np.random.default_rng(4)
-    a = rng.standard_normal((6, 12))
-    system = SpdSystem(shift=0.01, scale=50.0, a_map=dense_map(a),
-                       factor=spectral_factor(a))
+    a_map = dense_map(rng.standard_normal((6, 12)))
     with pytest.raises(SpdSolveError) as err:
-        solve_spd(system, rng.standard_normal(12), tol=1e-300)
+        solve_spd(a_map, op_norm_sq(a_map), 0.01, 50.0, rng.standard_normal(12),
+                  tol=1e-300)
     assert err.value.residual > 0
     assert err.value.iterations == REFINE_STEPS
 
@@ -247,7 +244,8 @@ def test_spectral_factor_shapes_and_norm():
     rng = np.random.default_rng(29)
     for p, n in [(7, 4), (4, 9), (5, 5)]:
         a = rng.standard_normal((p, n))
-        vt, s2 = spectral_factor(a)
+        factor = op_norm_sq(dense_map(a))
+        vt, s2 = factor.vt, factor.s2
         assert vt.shape == (min(p, n), n) and s2.shape == (min(p, n),)
         np.testing.assert_allclose(vt @ vt.T, np.eye(min(p, n)), atol=1e-14)
         assert np.all(np.diff(s2) <= 0.0)
@@ -262,30 +260,30 @@ def test_spectral_solve_matches_cholesky_oracle(p, n, rank):
     rng = np.random.default_rng(100 * p + rank)
     a = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, n))
     a_map = dense_map(a)
-    factor = spectral_factor(a)
-    assert np.sum(factor[1] > 1e-12 * factor[1][0]) == rank
+    factor = op_norm_sq(a_map)
+    assert np.sum(factor.s2 > 1e-12 * factor.s2[0]) == rank
     for _ in range(20):
         shift = float(10.0 ** rng.uniform(-1, 2))
         scale = float(10.0 ** rng.uniform(-2, 2))
         rhs = rng.standard_normal(n)
-        system = SpdSystem(shift=shift, scale=scale, a_map=a_map, factor=factor)
         x_ref = _cholesky_solve(shift * np.eye(n) + scale * (a.T @ a), rhs)
-        np.testing.assert_allclose(system.spectral_solve(rhs), x_ref,
+        np.testing.assert_allclose(factor.solve(shift, scale, rhs), x_ref,
                                    rtol=0, atol=1e-12 * np.linalg.norm(x_ref))
         rng.standard_normal(n)  # keeps the drawn cases those of earlier versions
-        sol = solve_spd(system, rhs, tol=1e-12)
+        sol = solve_spd(a_map, factor, shift, scale, rhs, tol=1e-12)
         assert sol.residual <= 1e-12 * max(1.0, np.linalg.norm(rhs))
         np.testing.assert_allclose(sol.x, x_ref, rtol=0,
                                    atol=1e-12 * np.linalg.norm(x_ref))
 
 
+# A "system" below is the leading arguments of solve_spd: (map, factor, shift, scale).
+
 def _inexact_spectral_system():
     """A system whose factor belongs to a nearby matrix, plus its matrix and rhs."""
     rng = np.random.default_rng(8)
     a = rng.standard_normal((5, 10))
-    system = SpdSystem(shift=2.0, scale=3.0, a_map=dense_map(a),
-                       factor=spectral_factor(a + 1e-3 * rng.standard_normal((5, 10))))
-    return a, system, rng.standard_normal(10)
+    nearby = op_norm_sq(dense_map(a + 1e-3 * rng.standard_normal((5, 10))))
+    return a, (dense_map(a), nearby, 2.0, 3.0), rng.standard_normal(10)
 
 
 def test_solve_spd_refines_inexact_spectral_start():
@@ -293,26 +291,25 @@ def test_solve_spd_refines_inexact_spectral_start():
     # refinement correction contracts the residual by about the factor's
     # relative error, and 5 corrections meet the contract.
     a, system, rhs = _inexact_spectral_system()
-    sol = solve_spd(system, rhs, tol=1e-12)
+    _, _, shift, scale = system
+    sol = solve_spd(*system, rhs, tol=1e-12)
     assert sol.iterations == 5
-    resid = np.linalg.norm(_dense_residual(system, a, sol.x, rhs))
+    resid = np.linalg.norm(_dense_residual(a, shift, scale, sol.x, rhs))
     assert resid <= 1e-12 * max(1.0, np.linalg.norm(rhs))
-    x_ref = _cholesky_solve(2.0 * np.eye(10) + 3.0 * (a.T @ a), rhs)
+    x_ref = _cholesky_solve(shift * np.eye(10) + scale * (a.T @ a), rhs)
     np.testing.assert_allclose(sol.x, x_ref, atol=1e-10)
 
 
 def _exact_spectral_system():
     rng = np.random.default_rng(17)
-    a = rng.standard_normal((4, 9))
-    return SpdSystem(shift=1.5, scale=0.7, a_map=dense_map(a),
-                     factor=spectral_factor(a)), rng.standard_normal(9)
+    a_map = dense_map(rng.standard_normal((4, 9)))
+    return (a_map, op_norm_sq(a_map), 1.5, 0.7), rng.standard_normal(9)
 
 
 def _probed_system():
     rng = np.random.default_rng(19)
     free = _matrix_free(dense_map(rng.standard_normal((4, 9))))
-    return (SpdSystem(shift=1.5, scale=0.7, a_map=free, factor=op_norm_sq(free).factor),
-            rng.standard_normal(9))
+    return (free, op_norm_sq(free), 1.5, 0.7), rng.standard_normal(9)
 
 
 @pytest.mark.parametrize("path, make, refined", [
@@ -322,9 +319,9 @@ def _probed_system():
 ])
 def test_solve_spd_returns_exact_image(path, make, refined):
     system, rhs = make()
-    sol = solve_spd(system, rhs, tol=1e-12)
+    sol = solve_spd(*system, rhs, tol=1e-12)
     assert (sol.iterations > 0) == refined, path
-    assert sol.ax.tobytes() == system.a_map.forward(sol.x).tobytes()
+    assert sol.ax.tobytes() == system[0].forward(sol.x).tobytes()
 
 
 def test_all_finite_keeps_its_meaning():

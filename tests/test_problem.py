@@ -159,6 +159,17 @@ def test_problem_dimension_validation():
                 a_map=dense_map([[1.0, 1.0]]), b=np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("objective", [
+    quadratic_objective(np.eye(3), np.zeros(3)),
+    least_squares_objective(np.ones((4, 3)), np.zeros(4)),
+], ids=["quadratic", "least_squares"])
+def test_problem_rejects_an_objective_of_another_dimension(objective):
+    # The map acts on R^2 but the objective's gradient on R^3: refused at
+    # construction, not at the first gradient of a run.
+    with pytest.raises(DimensionMismatch, match="objective has dimension 3"):
+        Problem(objective=objective, a_map=dense_map(np.ones((1, 2))), b=[1.0])
+
+
 def test_objective_requires_positive_lipschitz():
     with pytest.raises(ValueError):
         Objective(value=lambda x: 0.0, gradient=lambda x: x, lipschitz=0.0)

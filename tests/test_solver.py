@@ -178,7 +178,7 @@ def test_validate_matrix_free_norm_bounds_true_norm():
 def test_validate_zero_map_has_a_zero_factor():
     zero, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
     cfg0 = validate(zero, SolverParams(rule=nesterov()))
-    assert cfg0.a_norm_sq == 0.0 and not np.any(cfg0.spectral[1])
+    assert cfg0.a_norm_sq == 0.0 and not np.any(cfg0.spectral.s2)
     assert cfg0.sigma_bound == cfg0.gamma / zero.objective.lipschitz
 
 
