@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,11 +63,15 @@ def check_symmetric(q: Array) -> float:
 def all_finite(v: Array) -> bool:
     """True when every entry of ``v`` is finite.
 
-    A finite sum proves it without a temporary; the entrywise test decides the
-    rest (a sum of finite entries may overflow). numpy warns when the sum
-    overflows or meets infinities of both signs.
+    A finite reduction proves it without a temporary: ``v.dot(v)`` for a 1-d
+    ``v`` (a NaN or infinite entry makes it NaN or inf, and one BLAS call
+    costs less than a sum), the sum for any other shape. The entrywise test
+    decides the rest (finite entries may overflow either reduction). numpy
+    warns when a reduction overflows, or when a sum meets infinities of both
+    signs.
     """
-    return math.isfinite(float(v.sum())) or bool(np.isfinite(v).all())
+    total = v.dot(v) if v.ndim == 1 else v.sum()
+    return math.isfinite(float(total)) or bool(np.isfinite(v).all())
 
 
 def norm(u: Array) -> float:
@@ -100,7 +104,8 @@ def dense_map(a) -> LinearMap:
         raise NonFiniteError("dense operator contains NaN or infinite entries")
     a.flags.writeable = False
     p, n = a.shape
-    return LinearMap(forward=lambda x: a @ x, adjoint=lambda y: a.T @ y,
+    at = a.T  # one view for every adjoint
+    return LinearMap(forward=lambda x: a @ x, adjoint=lambda y: at @ y,
                      dims=(n, p), matrix=a)
 
 
@@ -127,13 +132,18 @@ class SpectralFactor:
     squared singular values in nonincreasing order; both are read-only, and a
     zero map has ``s2 = 0``. ``value`` is an upper bound on ``||A||^2`` (0 for
     a zero map) and ``iterations`` counts the adjoint probes the matrix was
-    rebuilt from: 0 when the map's matrix was factored as is.
+    rebuilt from: 0 when the map's matrix was factored as is. ``v`` is the
+    view ``vt.T``, built once for every solve.
     """
 
     vt: Array = field(repr=False, compare=False)
     s2: Array = field(repr=False, compare=False)
     value: float
     iterations: int
+    v: Array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "v", self.vt.T)
 
     def solve(self, shift: float, scale: float, rhs: Array) -> Array:
         """Closed-form ``(shift*Id + scale*A*A)^{-1} rhs`` (Woodbury identity).
@@ -144,7 +154,7 @@ class SpectralFactor:
         """
         inv_shift = 1.0 / shift
         gain = 1.0 / (shift + scale * self.s2) - inv_shift
-        return inv_shift * rhs + self.vt.T @ (gain * (self.vt @ rhs))
+        return inv_shift * rhs + self.v @ (gain * (self.vt @ rhs))
 
 
 def op_norm_sq(a_map: LinearMap) -> SpectralFactor:
@@ -152,13 +162,17 @@ def op_norm_sq(a_map: LinearMap) -> SpectralFactor:
 
     A map that keeps ``matrix`` is factored as is; a matrix-free p-by-n map is
     first rebuilt from its p adjoint probes ``A* e_i``. A :class:`ValidationError`
-    refuses it before any probe runs when that matrix would exceed
+    refuses a map with no rows or no columns, which has no singular value, and
+    a matrix-free map before any probe runs when its matrix would exceed
     ``PROBE_BUDGET_BYTES``, and after probing when a row is not finite or
     ``forward`` disagrees with the matrix beyond rounding on two fixed-seed
     vectors. The value is the top squared singular value raised by a relative
     ``SVD_ROUNDING`` margin per matrix dimension, so it bounds the true value.
     """
     n, p = a_map.dims
+    if p < 1 or n < 1:
+        raise ValidationError("p ≥ 1 and n ≥ 1",
+                              f"the map with dims {a_map.dims} has no rows or no columns")
     mat, probes = a_map.matrix, 0
     if mat is None:
         if p * n * 8 > PROBE_BUDGET_BYTES:
@@ -187,8 +201,7 @@ def op_norm_sq(a_map: LinearMap) -> SpectralFactor:
 REFINE_STEPS = 10
 
 
-@dataclass(frozen=True)
-class SpdSolution:
+class SpdSolution(NamedTuple):
     """Solution ``x`` of :func:`solve_spd` and its true residual norm.
 
     ``iterations`` counts refinement corrections, and ``ax`` is the image
@@ -216,12 +229,23 @@ def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: flo
     residual by about ``n * eps * cond(M)`` per correction. Raises
     :class:`SpdSolveError` when ``REFINE_STEPS`` corrections do not meet the
     target.
+
+    A ``rhs`` with a NaN or infinite entry, which makes ``||rhs||`` non-finite,
+    is refused before any apply (``iterations == 0``); a finite ``rhs`` whose
+    norm overflows is solved against an infinite target. A returned ``x``
+    whose ``residual`` is finite is finite, since a NaN or infinite entry of
+    ``x`` makes ``shift * x`` and so ``r`` non-finite; with a finite target,
+    every returned ``x`` is.
     """
     if shift <= 0 or scale < 0:
         raise ValueError("solve_spd requires shift > 0 and scale >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    target = tol * max(1.0, norm(rhs))
+    rhs_norm = norm(rhs)
+    if not math.isfinite(rhs_norm) and not np.isfinite(rhs).all():
+        raise SpdSolveError("right-hand side is not finite", residual=rhs_norm,
+                            iterations=0)
+    target = tol * max(1.0, rhs_norm)
     x = factor.solve(shift, scale, rhs)
     for corrections in range(REFINE_STEPS + 1):
         if corrections:
@@ -230,7 +254,7 @@ def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: flo
         r = rhs - (shift * x + scale * a_map.adjoint(ax))
         r_norm = norm(r)
         if r_norm <= target:
-            return SpdSolution(x=x, iterations=corrections, residual=r_norm, ax=ax)
+            return SpdSolution(x, corrections, r_norm, ax)
     raise SpdSolveError(f"iterative refinement missed its target after {REFINE_STEPS} "
                         f"corrections (residual {r_norm:.3e}, target {target:.3e})",
                         residual=r_norm, iterations=REFINE_STEPS)

@@ -29,6 +29,13 @@ and ``A x_{k+1}`` is this step's. Each refinement correction, when a residual
 check fails, adds one ``A`` and one ``A*`` (its residual check). Rebuilding a
 matrix-free p-by-n map costs p adjoint and 2 forward applies, once per
 :func:`validate`.
+Besides those applies, the gradient and the two products with ``Vt``, a step
+does 14 n-vector and 28 p-vector operations; ``z_{k+1}``, which no run reads,
+is formed only on demand (:attr:`StepTrace.z_next_gamma`). Finiteness costs
+no n-vector pass: :func:`~falm.linalg.solve_spd` refuses a non-finite
+right-hand side from the norm its target needs, a finite solve residual
+proves ``x_{k+1}`` finite (only an overflowing ``||rhs||`` leaves an entrywise
+test to run), and ``lam_{k+1}`` gets one dot product.
 A record applies the map 3 times (``A* lam`` and, when ``beta != 0``, the two
 energy seminorms) and the gradient once. With a saddle point attached and an
 objective that keeps ``data``, the gap, objective error and energy add one
@@ -151,11 +158,11 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
 
     :func:`~falm.linalg.op_norm_sq` gives the map's spectral factor, kept as
     ``spectral``, with the upper bound on ``||A||^2`` that ``sigma_bound`` is
-    computed from; it refuses a matrix-free map over its probe budget or with
-    a wrong adjoint. Each violated condition, including a ``max_iter`` or
-    ``record_every`` that is a boolean or not an integer and a real parameter
-    that is a boolean or not finite, raises a :class:`ValidationError` naming
-    it.
+    computed from; it refuses a map with no rows or no columns, and a
+    matrix-free map over its probe budget or with a wrong adjoint. Each
+    violated condition, including a ``max_iter`` or ``record_every`` that is
+    a boolean or not an integer and a real parameter that is a boolean or not
+    finite, raises a :class:`ValidationError` naming it.
     """
     for name in ("gamma", "sigma", "rho", "beta", "kkt_tol", "cg_tol"):
         value = getattr(params, name)
@@ -266,16 +273,30 @@ def initial_state(rule: InertialRule, x_init: Array, lam_init: Array) -> Iterate
 
 @dataclass
 class StepTrace:
-    """Auxiliary quantities of one iteration, for invariant checks and records."""
+    """Auxiliary quantities of one iteration, for invariant checks and records.
+
+    ``x_k``, ``x_next``, ``gamma`` and ``t_next`` (``t_{k+1}``) are the
+    references :attr:`z_next_gamma` is computed from on demand; a run never
+    reads it.
+    """
 
     y_k: Array
     mu_k: Array
     nu_k_gamma: Array
     eta_k: Array
     s_next: float
-    z_next_gamma: Array
     cg_iters: int
     grad_y: Array
+    x_k: Array
+    x_next: Array
+    gamma: float
+    t_next: float
+
+    @property
+    def z_next_gamma(self) -> Array:
+        """``z_{k+1} = gamma x_{k+1} + (t_{k+1} - 1)(x_{k+1} - x_k)``, the
+        extrapolated primal point the dual step is taken against."""
+        return self.gamma * self.x_next + (self.t_next - 1.0) * (self.x_next - self.x_k)
 
 
 def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[IterateState, StepTrace]:
@@ -288,7 +309,11 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     are read from ``st.ax_k`` and ``st.ax_prev`` when cached; ``A y_k`` and
     ``A z_{k+1}`` are formed from them and the image of ``x_{k+1}`` that the
     inner solve's residual check computed, which the new state caches.
-    Inner-solve failures raise :class:`StepError` carrying the iteration index.
+    Inner-solve failures, a non-finite right-hand side among them, and
+    iterates that leave the finite range raise :class:`StepError` carrying
+    the iteration index. A finite solve residual proves ``x_{k+1}`` finite
+    (see :func:`~falm.linalg.solve_spd`); only an infinite one, which needs a
+    right-hand side whose norm overflows, leaves an entrywise test to run.
     """
     g = cfg.gamma
     t_k = st.t_k
@@ -306,22 +331,21 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     ay = ax + momentum * (ax - ax_prev)
     dual = cfg.beta * (ay - prob.b) + nu / g - (s_next / g) * eta
     rhs = y / cfg.sigma - grad_y - a.adjoint(dual)
-    if not all_finite(rhs):
-        raise StepError(st.k, "subproblem right-hand side is not finite")
     try:
         sol = solve_spd(a, cfg.spectral, 1.0 / cfg.sigma, s_next / g, rhs, tol=cfg.cg_tol)
     except SpdSolveError as exc:
         raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
     x_next = sol.x
 
-    z_next = g * x_next + (t_k1 - 1.0) * (x_next - st.x_k)
     az = g * sol.ax + (t_k1 - 1.0) * (sol.ax - ax)
     lam_next = mu + (cfg.rho / g) * (az - g * prob.b)
-    if not (all_finite(x_next) and all_finite(lam_next)):
+    x_finite = math.isfinite(sol.residual) or all_finite(x_next)
+    if not (x_finite and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
 
     trace = StepTrace(y_k=y, mu_k=mu, nu_k_gamma=nu, eta_k=eta, s_next=s_next,
-                      z_next_gamma=z_next, cg_iters=sol.iterations, grad_y=grad_y)
+                      cg_iters=sol.iterations, grad_y=grad_y, x_k=st.x_k,
+                      x_next=x_next, gamma=g, t_next=t_k1)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
                              lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
                              t_next=t_value(cfg.rule, st.k + 2), ax_k=sol.ax,

@@ -147,6 +147,19 @@ def test_op_norm_sq_rejects_nonfinite_probes():
     assert err.value.condition == "A* e_i finite"
 
 
+def test_op_norm_sq_refuses_a_map_without_rows_or_columns():
+    # Nothing to factor: a named error before any probe or SVD, not an IndexError.
+    def probe(v):
+        raise AssertionError("no apply may run")
+
+    for a_map in (dense_map(np.zeros((0, 3))), dense_map(np.zeros((3, 0))),
+                  LinearMap(forward=probe, adjoint=probe, dims=(3, 0)),
+                  LinearMap(forward=probe, adjoint=probe, dims=(0, 3))):
+        with pytest.raises(ValidationError, match="no rows or no columns") as err:
+            op_norm_sq(a_map)
+        assert err.value.condition == "p ≥ 1 and n ≥ 1"
+
+
 def _dense_residual(a, shift, scale, x, rhs):
     """``rhs - M x`` from the matrix, independent of :func:`solve_spd`'s check."""
     return rhs - (shift * x + scale * (a.T @ (a @ x)))
@@ -221,6 +234,36 @@ def test_solve_spd_requires_the_factor():
     a_map = dense_map(np.ones((2, 3)))
     with pytest.raises(TypeError, match="factor"):
         solve_spd(a_map, shift=1.0, scale=1.0, rhs=np.ones(3))
+
+
+def _counted(a_map, calls):
+    """The same map, matrix-free, appending each apply's name to ``calls``."""
+    return LinearMap(forward=lambda x: calls.append("A") or a_map.forward(x),
+                     adjoint=lambda y: calls.append("A*") or a_map.adjoint(y),
+                     dims=a_map.dims)
+
+
+def test_solve_spd_refuses_a_nonfinite_rhs_before_any_apply():
+    (a_map, factor, shift, scale), rhs = _exact_spectral_system()
+    calls = []
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs_bad = rhs.copy()
+        rhs_bad[3] = bad
+        with pytest.raises(SpdSolveError, match="right-hand side is not finite") as err:
+            solve_spd(_counted(a_map, calls), factor, shift, scale, rhs_bad)
+        assert err.value.iterations == 0
+    assert calls == []
+
+
+def test_solve_spd_solves_a_finite_rhs_whose_norm_overflows():
+    (a_map, factor, shift, scale), rhs = _exact_spectral_system()
+    big = 1e200 * rhs
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(big.dot(big))
+        sol = solve_spd(a_map, factor, shift, scale, big)
+    assert np.isfinite(sol.x).all()
+    np.testing.assert_allclose(sol.x, 1e200 * solve_spd(a_map, factor, shift, scale, rhs).x,
+                               rtol=1e-12)
 
 
 def test_solve_spd_iteration_budget_error():
@@ -333,3 +376,14 @@ def test_all_finite_keeps_its_meaning():
             assert not all_finite(np.array(bad)), bad
     assert all_finite(np.arange(5.0))
     assert all_finite(np.zeros(0))
+
+
+def test_all_finite_on_a_matrix_uses_the_sum():
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = np.full((2, 3), 1e308)
+        assert not np.isfinite(big.sum())  # the sum overflows, the entries do not
+        assert all_finite(big)
+        for bad in (np.nan, np.inf, -np.inf):
+            m = np.ones((2, 3))
+            m[1, 2] = bad
+            assert not all_finite(m), bad

@@ -9,9 +9,9 @@ from hypothesis import strategies as hst
 from falm.benchgen import GenSpec, generate
 from falm.cli import load_experiment
 from falm.diagnostics import RunRecord, energy, gap, objective_error
-from falm.errors import StepError, ValidationError
+from falm.errors import SpdSolveError, StepError, ValidationError
 from falm.inertial import attouch_cabot, chambolle_dossal, constant, nesterov, t_value
-from falm.linalg import LinearMap, dense_map
+from falm.linalg import REFINE_STEPS, LinearMap, dense_map
 from falm.oracle import kkt_solve
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
 from falm.solver import (SolverParams, initial_state, run, step, validate)
@@ -385,6 +385,87 @@ def test_step_rejects_nonfinite_gradient_step(tiny_qp):
             pytest.raises(StepError, match="iterate left the finite range") as err:
         step(tiny_qp, cfg, st)
     assert err.value.iteration == 1
+
+
+def test_step_overflowing_primal_iterate_fails_the_residual_check(tiny_qp):
+    # A finite right-hand side near 1e150 with sigma near 1e200 (tiny L,
+    # beta = 0): the closed form overflows, so the residual is not finite, every
+    # refinement correction misses the target, and the step raises StepError.
+    huge = Problem(objective=Objective(value=lambda x: 0.0,
+                                       gradient=lambda x: np.full(2, -1e150),
+                                       lipschitz=1e-200),
+                   a_map=tiny_qp.a_map, b=tiny_qp.b)
+    cfg = validate(huge, SolverParams(rule=nesterov(), beta=0.0))
+    st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepError, match="primal subproblem solve failed") as err:
+        step(huge, cfg, st)
+    assert err.value.iteration == 1
+    assert isinstance(err.value.__cause__, SpdSolveError)
+    assert err.value.__cause__.iterations == REFINE_STEPS
+
+
+def test_step_rejects_an_infinite_primal_iterate_that_the_map_hides(tiny_qp):
+    # A right-hand side near 1e300, orthogonal to A's row, with sigma near 1e10:
+    # x_{k+1} overflows to (inf, -inf), and so do ||rhs|| and the target, so the
+    # solve returns it with an infinite residual. A map whose image of x_{k+1}
+    # is NaN, masked to 0, keeps lam_{k+1} finite; only the test of x_{k+1} is left.
+    a = tiny_qp.a_map.matrix
+
+    def masked(x):
+        ax = a @ x
+        return np.where(np.isfinite(ax), ax, 0.0)
+
+    prob = Problem(objective=Objective(value=lambda x: 0.0,
+                                       gradient=lambda x: np.array([-1e300, 1e300]),
+                                       lipschitz=1e-10),
+                   a_map=LinearMap(forward=masked, adjoint=lambda y: a.T @ y, dims=(2, 1)),
+                   b=tiny_qp.b)
+    cfg = validate(prob, SolverParams(rule=nesterov(), beta=0.0))
+    st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepError, match="iterate left the finite range") as err:
+        step(prob, cfg, st)
+    assert err.value.iteration == 1
+
+
+def test_step_keeps_a_finite_primal_iterate_whose_residual_norm_overflows(tiny_qp):
+    # A right-hand side near 1e300 with sigma near 1: x_{k+1} near 1e300 is
+    # finite, but ||rhs|| and the norm of the residual's rounding overflow. The
+    # infinite residual alone does not end the step; the entrywise test decides.
+    prob = Problem(objective=Objective(value=lambda x: 0.0,
+                                       gradient=lambda x: np.array([-1e300, 1e300]),
+                                       lipschitz=1.0),
+                   a_map=tiny_qp.a_map, b=tiny_qp.b)
+    cfg = validate(prob, SolverParams(rule=nesterov(), beta=0.0))
+    st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
+    with np.errstate(over="ignore"):
+        new_st, _ = step(prob, cfg, st)
+    assert np.isfinite(new_st.x_k).all() and np.isfinite(new_st.lam_k).all()
+
+
+def test_trace_z_next_is_the_extrapolated_primal_point_bitwise(small_instance):
+    prob, _ = small_instance
+    cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0)))
+    rng = np.random.default_rng(8)
+    st = initial_state(cfg.rule, rng.standard_normal(prob.n), rng.standard_normal(prob.p))
+    st.x_prev = rng.standard_normal(prob.n)
+    for _ in range(3):
+        new_st, trace = step(prob, cfg, st)
+        z = cfg.gamma * new_st.x_k + (st.t_next - 1.0) * (new_st.x_k - st.x_k)
+        assert trace.z_next_gamma.tobytes() == z.tobytes()
+        st = new_st
+
+
+@pytest.mark.parametrize("a_map", [
+    dense_map(np.zeros((0, 3))),
+    LinearMap(forward=lambda x: np.zeros(0), adjoint=lambda y: np.zeros(3), dims=(3, 0)),
+], ids=["dense", "matrix-free"])
+def test_validate_refuses_a_map_without_rows(a_map):
+    prob = Problem(objective=quadratic_objective(np.eye(3), np.zeros(3)), a_map=a_map, b=[])
+    with pytest.raises(ValidationError, match="no rows or no columns") as err:
+        validate(prob, SolverParams(rule=nesterov()))
+    assert err.value.condition == "p ≥ 1 and n ≥ 1"
 
 
 def test_coupling_weight_formula(small_instance):
