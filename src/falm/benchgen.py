@@ -140,11 +140,6 @@ def spec_from_json(doc: dict) -> GenSpec:
                    cond=json_number(doc.get("cond", 1.0), name="cond"))
 
 
-def spec_to_json(spec: GenSpec) -> dict:
-    return {"kind": spec.kind, "n": spec.n, "p": spec.p, "seed": spec.seed,
-            "cond": spec.cond}
-
-
 def _orthogonal_conjugate(diag: np.ndarray, rng: SplitMix64,
                           reflections: int = 3) -> np.ndarray:
     """Conjugate a diagonal matrix by a product of random Householder maps.

@@ -21,11 +21,12 @@ or an inline dense problem document) and a list of labeled runs::
 Per-run entries may pin "gamma", "sigma", "rho", "beta", "max_iter",
 "record_every", "kkt_tol" and "cg_tol"; omitted or null values fall back to
 the solver defaults, so minimally specified runs match the documented
-parameter rules. Numeric fields reject booleans, and integer fields reject
-fractions. ``run`` writes one ``<label>.csv`` per run (17 significant
-digits, '.' decimal separator, LF line endings; reruns are byte-identical)
-plus ``summary.json``, which gives each run's resolved ``parameters``
-(``PARAMETER_FIELDS`` of its validated config) next to its outcome.
+parameter rules. Numeric fields reject booleans and strings, and integer
+fields reject fractions. ``run`` writes one ``<label>.csv`` per run (17
+significant digits, '.' decimal separator, LF line endings; reruns are
+byte-identical) plus ``summary.json``, which gives each run's resolved
+``parameters`` (``PARAMETER_FIELDS`` of its validated config) next to its
+outcome.
 ``compare`` merges runs into one CSV keyed by (label, k) and writes a
 markdown slope table. ``ratecheck`` evaluates a
 thresholds document and exits nonzero on the first violation; see
@@ -64,7 +65,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -100,10 +101,6 @@ class ExperimentConfig:
     problem_doc: dict
     runs: list[RunSpec]
     output_dir: str
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _params_from_doc(doc: dict, where: str) -> SolverParams:
@@ -183,8 +180,8 @@ def load_thresholds(path: str, labels: list[str]) -> dict:
         if "window" in check:
             _check_window(check["window"], where)
         for key in CHECK_NUMBERS:
-            if key in check and not _is_number(check[key]):
-                raise ValueError(f"{where}: {key!r} must be a number")
+            if key in check:
+                json_number(check[key], name=f"{where}: {key!r}")
         json_number(check.get("from_k", 1), int, f"{where}: 'from_k'")
     return doc
 
@@ -269,7 +266,7 @@ def _slopes(records) -> dict:
     out = {}
     for fld in SLOPE_FIELDS:
         try:
-            out[fld] = rate_fit(records, fld, DEFAULT_WINDOW[0], k_last).to_dict()
+            out[fld] = asdict(rate_fit(records, fld, DEFAULT_WINDOW[0], k_last))
         except ValueError as exc:
             out[fld] = {"error": str(exc)}
     return out
@@ -292,7 +289,7 @@ def _summary(config: ExperimentConfig, results: dict[str, RunResult],
             "final_kkt_grad": last.kkt_grad,
             "final_kkt_feas": last.kkt_feas,
             "slopes": _slopes(res.records),
-            "rule_certify": cert.to_dict(),
+            "rule_certify": asdict(cert),
         }
         if res.error is not None:
             runs_doc[spec.label]["error"] = res.error
@@ -348,7 +345,7 @@ def _check_slope(check: dict, records, window) -> dict:
         ok = ok and fit.slope >= check["min_slope"]
     if "min_r2" in check:
         ok = ok and fit.r2 >= check["min_r2"]
-    return {"ok": ok, **fit.to_dict(), "window": list(win)}
+    return {"ok": ok, **asdict(fit), "window": list(win)}
 
 
 def _check_monotone(check: dict, records) -> dict:

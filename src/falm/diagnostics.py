@@ -17,7 +17,7 @@ objective keeps the difference form.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +113,7 @@ def gap(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array, *,
     data = prob.objective.data
     if data is None:
         return (lagrangian(prob, x, lam_star)
-                - lagrangian(prob, x_star, lam, at=(at_star.value, at_star.residual)))
+                - (at_star.value + float(np.dot(lam, at_star.residual))))
     d = x - x_star
     return (half_curvature(data, d) + float(at_star.dual_grad.dot(d))
             + float((lam_star - lam).dot(at_star.residual)))
@@ -194,9 +194,6 @@ class RateFit:
     n_excluded: int
     k_first: int
     k_last: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _loglog_fit(ks: np.ndarray, values: np.ndarray) -> tuple[float, float]:

@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationError
+from .problem import json_number
 
 RULE_KINDS = ("nesterov", "chambolle_dossal", "attouch_cabot", "constant")
 
@@ -50,19 +51,30 @@ class InertialRule:
         if not (0.0 < self.m <= 1.0):
             raise ValueError(f"margin m must lie in (0, 1], got {self.m}")
         if self.kind in ("chambolle_dossal", "attouch_cabot"):
-            if self.alpha is None or self.alpha < 3.0:
+            if self.alpha is None or not self.alpha >= 3.0:  # refuses NaN too
                 raise ValueError(f"{self.kind} requires alpha >= 3")
 
 
+def min_margin(kind: str, alpha: float | None = None) -> float:
+    """The smallest ``m`` for which the rule's sequence meets the quadratic
+    condition: 1 for ``nesterov``, ``2/(alpha-1)`` for the alpha rules, and 0
+    for ``constant``, which admits any margin in (0, 1]."""
+    if kind == "nesterov":
+        return 1.0
+    if kind == "constant":
+        return 0.0
+    return 2.0 / (alpha - 1.0)
+
+
 def nesterov() -> InertialRule:
-    return InertialRule(kind="nesterov", m=1.0)
+    return InertialRule(kind="nesterov", m=min_margin("nesterov"))
 
 
 def _alpha_rule(kind: str, alpha: float) -> InertialRule:
     alpha = float(alpha)
     if not alpha >= 3.0:  # also keeps the margin 2/(alpha - 1) finite
         raise ValueError(f"{kind} requires alpha >= 3, got {alpha}")
-    return InertialRule(kind=kind, alpha=alpha, m=2.0 / (alpha - 1.0))
+    return InertialRule(kind=kind, alpha=alpha, m=min_margin(kind, alpha))
 
 
 def chambolle_dossal(alpha: float) -> InertialRule:
@@ -80,22 +92,16 @@ def constant(m: float = 1.0) -> InertialRule:
 def rule_from_spec(doc: dict) -> InertialRule:
     """Build a rule from its CLI wire format ``{"rule": ..., "alpha": ...}``.
 
-    An unknown rule or a parameter that is not a number raises ``ValueError``.
+    An unknown rule or an ``alpha`` or ``m`` that is not a JSON number raises
+    ``ValueError``.
     """
     kind = doc["rule"]
-    if any(isinstance(doc.get(key), bool) for key in ("alpha", "m")):
-        raise ValueError(f"rule parameters must be numbers, got {doc!r}")
-    try:
-        if kind == "nesterov":
-            return nesterov()
-        if kind == "chambolle_dossal":
-            return chambolle_dossal(doc["alpha"])
-        if kind == "attouch_cabot":
-            return attouch_cabot(doc["alpha"])
-        if kind == "constant":
-            return constant(doc.get("m", 1.0))
-    except (TypeError, OverflowError):
-        raise ValueError(f"rule parameters must be numbers, got {doc!r}") from None
+    if kind == "nesterov":
+        return nesterov()
+    if kind in ("chambolle_dossal", "attouch_cabot"):
+        return _alpha_rule(kind, json_number(doc["alpha"], name="alpha"))
+    if kind == "constant":
+        return constant(json_number(doc.get("m", 1.0), name="m"))
     raise ValueError(f"unknown rule {kind!r}; expected one of {RULE_KINDS}")
 
 
@@ -172,12 +178,6 @@ class CertReport:
     kappa: float            # min of t_k / k (empirical linear-growth ratio)
     k_one: int              # first index with t_k >= 1
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "m": self.m, "K": self.K,
-                "max_slack": self.max_slack, "max_step": self.max_step,
-                "phi": self.phi, "kappa": self.kappa, "k_one": self.k_one,
-                "ok": self.ok}
 
 
 def certify(rule: InertialRule, K: int) -> CertReport:

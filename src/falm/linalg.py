@@ -85,7 +85,7 @@ class LinearMap:
 
     ``forward`` maps dimension ``dims[0]`` to ``dims[1]``; ``adjoint`` goes the
     other way and must satisfy <forward(x), y> == <x, adjoint(y)>. ``matrix``
-    optionally keeps the dense representation for serialization and oracles.
+    optionally keeps the dense representation for factoring and oracles.
     Instances are immutable and safe to share across threads.
     """
 

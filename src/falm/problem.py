@@ -30,8 +30,8 @@ class Objective:
 
     ``lipschitz`` bounds the gradient's Lipschitz constant and must be
     positive. ``data`` optionally keeps the dense description (kind plus
-    matrices) used for serialization and for the identity form of the
-    saddle-point diagnostics; matrix-free objectives leave it None.
+    matrices) used for the identity form of the saddle-point diagnostics;
+    matrix-free objectives leave it None.
     ``quadratic`` optionally keeps the read-only ``(Q, c)`` with ``f(x) =
     0.5 x'Qx + c'x`` up to a constant, the arrays the gradient ``Q x + c``
     itself reads; :func:`~falm.oracle.qp_from_problem` shares them.
@@ -162,31 +162,10 @@ def _check_dims(prob: Problem, x: Array, lam: Array) -> None:
         raise DimensionMismatch(f"multiplier has dimension {lam.size}, expected {prob.p}")
 
 
-def value_and_residual(prob: Problem, x: Array) -> tuple[float, Array]:
-    """``(f(x), A x - b)``, the two evaluations every Lagrangian at ``x`` needs."""
-    return prob.objective.value(x), prob.a_map.forward(x) - prob.b
-
-
-def lagrangian(prob: Problem, x: Array, lam: Array, *,
-               at: tuple[float, Array] | None = None) -> float:
-    """``f(x) + <lam, A x - b>``.
-
-    ``at`` may supply :func:`value_and_residual` of ``x`` when the caller
-    already has it; the result is the same to the bit.
-    """
+def lagrangian(prob: Problem, x: Array, lam: Array) -> float:
+    """``f(x) + <lam, A x - b>``."""
     _check_dims(prob, x, lam)
-    fx, residual = at if at is not None else value_and_residual(prob, x)
-    return fx + float(np.dot(lam, residual))
-
-
-def aug_lagrangian(prob: Problem, x: Array, lam: Array, beta: float) -> float:
-    """Lagrangian plus the quadratic constraint penalty ``(beta/2)||A x - b||^2``."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    _check_dims(prob, x, lam)
-    fx, residual = value_and_residual(prob, x)
-    return (fx + float(np.dot(lam, residual))
-            + 0.5 * beta * float(np.dot(residual, residual)))
+    return prob.objective.value(x) + float(np.dot(lam, prob.a_map.forward(x) - prob.b))
 
 
 def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
@@ -206,49 +185,32 @@ def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
     return norm(grad_res), norm(feas_res)
 
 
-def problem_to_json(prob: Problem) -> dict:
-    """Serialize a dense problem to the documented JSON schema.
-
-    Matrices are emitted as flat row-major lists. Only problems built from a
-    dense operator and a quadratic or least-squares objective are
-    serializable; matrix-free instances raise ``ValueError``.
-    """
-    if prob.a_map.matrix is None:
-        raise ValueError("operator carries no dense matrix; cannot serialize")
-    a = prob.a_map.matrix
-    if prob.objective.data is None:
-        raise ValueError("objective carries no dense data; cannot serialize")
-    kind, m1, v1 = prob.objective.data
-    if kind == "quadratic":
-        obj_doc = {"kind": "quadratic", "Q": m1.ravel().tolist(), "c": v1.tolist()}
-    elif kind == "least_squares":
-        obj_doc = {"kind": "least_squares", "M": m1.ravel().tolist(), "d": v1.tolist()}
-    else:
-        raise ValueError(f"unknown objective kind {kind!r}")
-    return {"n": prob.n, "p": prob.p, "A": a.ravel().tolist(),
-            "b": prob.b.tolist(), "objective": obj_doc}
-
-
 def json_number(value, conv=float, name: str = "value"):
     """A JSON number field parsed by ``conv`` (``float`` or ``int``).
 
-    What ``conv`` rejects, a boolean, and for ``int`` a fraction raise
-    ``ValueError`` naming the field (``float(true)`` is 1, ``int(2.7)`` is 2).
+    Anything but an ``int`` or a ``float`` (a string, a boolean, null), a
+    number ``conv`` cannot convert, and for ``int`` a fraction raise
+    ``ValueError`` naming the field (``float("4")`` is 4, ``float(true)`` is
+    1, ``int(2.7)`` is 2).
     """
-    try:
-        if isinstance(value, bool) or (conv is int and isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError
-        return conv(value)
-    except (TypeError, ValueError, OverflowError):
-        expected = "an integer" if conv is int else "a number"
-        raise ValueError(f"{name} must be {expected}, got {value!r}") from None
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and not (conv is int and isinstance(value, float) and not value.is_integer())):
+        try:
+            return conv(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    expected = "an integer" if conv is int else "a number"
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 def problem_from_json(doc: dict) -> Problem:
-    """Rebuild a Problem from the JSON schema produced by :func:`problem_to_json`.
+    """Build a dense Problem from an inline problem document.
 
-    A field of the wrong type raises ``ValueError``; a missing one ``KeyError``.
+    The document holds ``n`` and ``p``, ``A`` as a flat row-major list of
+    ``p*n`` numbers, ``b`` of length ``p``, and ``objective`` as ``{"kind":
+    "quadratic", "Q": <n*n row-major>, "c": <n>}`` or ``{"kind":
+    "least_squares", "M": <rows*n row-major>, "d": <rows>}``. A field of the
+    wrong type raises ``ValueError``; a missing one ``KeyError``.
     """
     try:
         n = json_number(doc["n"], int, "n")

@@ -20,49 +20,20 @@ iterative refinement with the same factor only if the residual check fails.
 The same factor gives an upper bound on ``||A||^2`` and counts its probes, so
 dense, matrix-free and zero maps take one path.
 
-Oracle budget. A dense step applies the map 3 times, 1 forward and 2
-adjoints: the one adjoint of the right-hand side, and ``A`` and ``A*`` in the
-inner solve's residual check. It calls the gradient once. The images of
-``y_k`` and ``z_{k+1}`` are linear combinations of carried images:
-``A x_k`` and ``A x_{k-1}`` are what the last two residual checks computed,
-and ``A x_{k+1}`` is this step's. Each refinement correction, when a residual
-check fails, adds one ``A`` and one ``A*`` (its residual check). Rebuilding a
-matrix-free p-by-n map costs p adjoint and 2 forward applies, once per
-:func:`validate`.
-Besides those applies, the gradient and the two products with ``Vt``, a step
-does 14 n-vector and 28 p-vector operations; ``z_{k+1}``, which no run reads,
-is formed only on demand (:attr:`StepTrace.z_next_gamma`). Finiteness costs
-no n-vector pass: :func:`~falm.linalg.solve_spd` refuses a non-finite
-right-hand side from the norm its target needs, a finite solve residual
-proves ``x_{k+1}`` finite (only an overflowing ``||rhs||`` leaves an entrywise
-test to run), and ``lam_{k+1}`` gets one dot product.
-A record applies the map 3 times (``A* lam`` and, when ``beta != 0``, the two
-energy seminorms) and the gradient once. With a saddle point attached and an
-objective that keeps ``data``, the gap, objective error and energy add one
-Hessian product (``Q d`` or ``M d`` for ``d = x_k - x*``) and no objective
-value; ``A x* - b``, ``A* lam*`` and ``grad f(x*)`` are evaluated once per run
-(:func:`~falm.diagnostics.saddle_terms`). An objective without ``data`` keeps
-the difference form: two objective values and one forward apply more per
-record, and ``f(x*)`` once per run. Every record equals, bit for bit, what the
-public diagnostics return for its iterates.
-
-Stop-test budget. With ``kkt_tol`` set, an iteration that emits no record
-evaluates the exact KKT residuals (one more gradient) only when neither the
-cached ``||A x_{k+1} - b||`` nor a lower bound on the stationarity residual
-from the step's own gradient rules the stop out (see
-:func:`_kkt_unless_ruled_out`), so the run stops at the same index with the
-same bits as an exact test at every iteration. The bound relies on the
-objective's ``lipschitz`` being a true bound; a too-small L can only delay a
-stop, never cause an early one.
+The README's "Oracle budget", "Diagnostics" and "Stop-test budget" paragraphs
+count the map applies, gradients and objective values of a step, a record and
+the ``kkt_tol`` stop test.
 
 Admissibility of the parameters::
 
     0 < m <= gamma <= 1      and      0 < sigma <= gamma / (L + gamma*beta*||A||^2)
 
-is enforced by :func:`validate`, always with the ``||A||^2`` bound of
-:func:`~falm.linalg.op_norm_sq`. Strict versions (``m < gamma < 1``, strict
-sigma, ``beta > 0``) additionally guarantee convergence of the iterates and
-are flagged in ``ValidatedConfig.convergence_certified``.
+with ``m`` at least the margin of the rule's kind
+(:func:`~falm.inertial.min_margin`), is enforced by :func:`validate`, always
+with the ``||A||^2`` bound of :func:`~falm.linalg.op_norm_sq`. Strict
+versions (``m < gamma < 1``, strict sigma, ``beta > 0``) additionally
+guarantee convergence of the iterates and are flagged in
+``ValidatedConfig.convergence_certified``.
 
 A run is single-threaded and owns its state; several runs may proceed
 concurrently on a shared immutable problem. The observer receives the live
@@ -80,7 +51,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
-from .inertial import InertialRule, t_value
+from .inertial import InertialRule, min_margin, t_value
 from .linalg import (Array, SpectralFactor, all_finite, as_vector, norm, op_norm_sq,
                      solve_spd)
 from .problem import Problem, kkt_residuals
@@ -131,7 +102,6 @@ class ValidatedConfig:
     """
 
     rule: InertialRule
-    m: float
     gamma: float
     sigma: float
     rho: float
@@ -162,7 +132,8 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
     matrix-free map over its probe budget or with a wrong adjoint. Each
     violated condition, including a ``max_iter`` or ``record_every`` that is
     a boolean or not an integer and a real parameter that is a boolean or not
-    finite, raises a :class:`ValidationError` naming it.
+    finite, and a rule whose ``m`` lies below the margin of its kind, raises
+    a :class:`ValidationError` naming it.
     """
     for name in ("gamma", "sigma", "rho", "beta", "kkt_tol", "cg_tol"):
         value = getattr(params, name)
@@ -171,6 +142,11 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
                                   f"{name}={value!r} must be a finite number")
     rule = params.rule
     m = rule.m
+    margin = min_margin(rule.kind, rule.alpha)
+    if m < margin:
+        raise ValidationError("m ≥ margin of the rule",
+                              f"m={m} lies below the margin {margin} of the "
+                              f"{rule.kind} rule")
     gamma = params.gamma if params.gamma is not None else (m + 1.0) / 2.0
     if not gamma > 0:
         raise ValidationError("γ > 0", f"gamma={gamma} must be positive")
@@ -222,7 +198,7 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
         raise ValidationError("kkt_tol > 0", "stopping tolerance must be positive")
 
     certified = bool(m < gamma < 1.0 and sigma < sigma_bound and params.beta > 0)
-    return ValidatedConfig(rule=rule, m=m, gamma=gamma, sigma=sigma, rho=rho,
+    return ValidatedConfig(rule=rule, gamma=gamma, sigma=sigma, rho=rho,
                            beta=params.beta, spectral=spectral,
                            sigma_bound=sigma_bound,
                            convergence_certified=certified,
@@ -273,30 +249,13 @@ def initial_state(rule: InertialRule, x_init: Array, lam_init: Array) -> Iterate
 
 @dataclass
 class StepTrace:
-    """Auxiliary quantities of one iteration, for invariant checks and records.
-
-    ``x_k``, ``x_next``, ``gamma`` and ``t_next`` (``t_{k+1}``) are the
-    references :attr:`z_next_gamma` is computed from on demand; a run never
-    reads it.
-    """
+    """What :func:`run` reads of one iteration besides the new state: the
+    extrapolated point ``y_k`` and ``grad f(y_k)`` for the stop test's lower
+    bound, and the inner solve's refinement corrections for the record."""
 
     y_k: Array
-    mu_k: Array
-    nu_k_gamma: Array
-    eta_k: Array
-    s_next: float
-    cg_iters: int
     grad_y: Array
-    x_k: Array
-    x_next: Array
-    gamma: float
-    t_next: float
-
-    @property
-    def z_next_gamma(self) -> Array:
-        """``z_{k+1} = gamma x_{k+1} + (t_{k+1} - 1)(x_{k+1} - x_k)``, the
-        extrapolated primal point the dual step is taken against."""
-        return self.gamma * self.x_next + (self.t_next - 1.0) * (self.x_next - self.x_k)
+    cg_iters: int
 
 
 def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[IterateState, StepTrace]:
@@ -343,9 +302,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     if not (x_finite and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
 
-    trace = StepTrace(y_k=y, mu_k=mu, nu_k_gamma=nu, eta_k=eta, s_next=s_next,
-                      cg_iters=sol.iterations, grad_y=grad_y, x_k=st.x_k,
-                      x_next=x_next, gamma=g, t_next=t_k1)
+    trace = StepTrace(y_k=y, grad_y=grad_y, cg_iters=sol.iterations)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
                              lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
                              t_next=t_value(cfg.rule, st.k + 2), ax_k=sol.ax,

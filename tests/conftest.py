@@ -14,6 +14,19 @@ def tiny_qp():
     return prob
 
 
+def _aug_lagrangian(prob, x, lam, beta):
+    """``f(x) + <lam, A x - b> + (beta/2)||A x - b||^2``, written out."""
+    residual = prob.a_map.forward(x) - prob.b
+    return (prob.objective.value(x) + float(np.dot(lam, residual))
+            + 0.5 * beta * float(np.dot(residual, residual)))
+
+
+@pytest.fixture(scope="session")
+def aug_lagrangian():
+    """The augmented Lagrangian, the energy tests' independent reference."""
+    return _aug_lagrangian
+
+
 @pytest.fixture(scope="session")
 def small_instance():
     """Seeded 8x3 strictly convex QP for fast solver tests."""

@@ -271,15 +271,6 @@ def test_csv_cells_formatting():
     assert "." in _fmt(0.1) and "," not in _fmt(0.1)
 
 
-def test_threads_env_var_keeps_determinism(tmp_path, monkeypatch):
-    cfg = _small_config(tmp_path)
-    assert cmd_run(cfg) == 0
-    serial = (tmp_path / "out" / "cd4.csv").read_bytes()
-    monkeypatch.setenv("FALM_THREADS", "2")
-    assert cmd_run(cfg) == 0
-    assert (tmp_path / "out" / "cd4.csv").read_bytes() == serial
-
-
 def test_main_exit_codes(tmp_path):
     cfg = _small_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -381,7 +372,7 @@ def _tiny_runs():
 @pytest.mark.parametrize("mutate", [
     lambda doc: doc.update(problem=5),
     lambda doc: doc.update(runs=[5]),
-    lambda doc: doc["runs"][0].update(gamma="0.5"),  # float("0.5") < m = 2/3
+    lambda doc: doc["runs"][0].update(gamma="0.9"),  # m = 2/3 < 0.9 < 1 as a number
     lambda doc: doc["runs"][0].update(label="a/b"),
     lambda doc: doc["runs"][0].update(max_iter=2.7),
     lambda doc: doc["runs"][0].update(max_iter=True),
@@ -389,7 +380,9 @@ def _tiny_runs():
     lambda doc: doc["runs"][0].update(beta=float("nan"), sigma=0.001),
     lambda doc: doc["runs"][0].update(rho=float("inf")),
     lambda doc: doc["runs"][0].update(rule={"rule": "constant", "m": True}),
+    lambda doc: doc["runs"][0].update(rule={"rule": "chambolle_dossal", "alpha": "4"}),
     lambda doc: doc["problem"].update(seed=1.5),
+    lambda doc: doc["problem"].update(n="20"),
     lambda doc: doc.update(problem={**_INLINE_PROBLEM, "n": 2.5}),
     lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
         "kind": "quadratic", "Q": [1.0, 1.0, 0.0, 1.0], "c": [0.0, 0.0]}}),
@@ -397,8 +390,8 @@ def _tiny_runs():
         "kind": "quadratic", "Q": [1.0, 0.0, 0.0, -5.0], "c": [0.0, 0.0]}}),
 ], ids=["problem_not_object", "run_not_object", "gamma_string", "label_not_file_name",
         "max_iter_fraction", "max_iter_bool", "beta_bool", "beta_nan", "rho_inf",
-        "rule_m_bool",
-        "seed_fraction", "inline_n_fraction", "q_asymmetric", "q_indefinite"])
+        "rule_m_bool", "alpha_string",
+        "seed_fraction", "generator_n_string", "inline_n_fraction", "q_asymmetric", "q_indefinite"])
 def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     doc = json.loads(Path(cfg).read_text())
@@ -432,9 +425,10 @@ _GOOD_CHECK = {"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1
     {"window": [400, 100], "checks": [_GOOD_CHECK]},
     {"checks": [{**_GOOD_CHECK, "window": [20, 5]}]},
     {"checks": [{"kind": "monotone", "metric": "energy", "from_k": 2.5}]},
+    {"checks": [{**_GOOD_CHECK, "max_slope": "-1.8"}]},
 ], ids=["not_object", "check_not_object", "window_not_pair", "no_metric",
         "unknown_metric", "unknown_label", "unknown_kind", "window_descending",
-        "check_window_descending", "from_k_fraction"])
+        "check_window_descending", "from_k_fraction", "max_slope_string"])
 def test_bad_thresholds_document_exits_2(tmp_path, capsys, thresholds):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     path = _write(tmp_path / "thresholds.json", thresholds)

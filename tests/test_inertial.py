@@ -48,6 +48,9 @@ def test_rule_constructor_validation():
     for alpha in (1.0, float("nan")):  # 1.0 used to divide by zero
         with pytest.raises(ValueError, match="alpha >= 3"):
             attouch_cabot(alpha)
+    # nan < 3.0 is false, so the constructor used to take a NaN alpha
+    with pytest.raises(ValueError, match="alpha >= 3"):
+        InertialRule("chambolle_dossal", alpha=float("nan"), m=0.5)
     with pytest.raises(ValueError):
         constant(0.0)
     with pytest.raises(ValueError):
@@ -60,9 +63,12 @@ def test_rule_from_spec_wire_format():
     assert rule.m == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
         rule_from_spec({"rule": "fista"})
-    for alpha in (None, [4.0]):
-        with pytest.raises(ValueError, match="must be numbers"):
+    for alpha in (None, [4.0], "4", True):
+        with pytest.raises(ValueError, match="alpha must be a number"):
             rule_from_spec({"rule": "chambolle_dossal", "alpha": alpha})
+    for m in ("0.5", False):
+        with pytest.raises(ValueError, match="m must be a number"):
+            rule_from_spec({"rule": "constant", "m": m})
 
 
 def test_phi_m_at_one():

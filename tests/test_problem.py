@@ -7,9 +7,12 @@ import pytest
 from falm.errors import DimensionMismatch, NonFiniteError
 from falm.linalg import dense_map
 from falm.oracle import QpInstance, kkt_solve
-from falm.problem import (Objective, Problem, aug_lagrangian, kkt_residuals,
-                          lagrangian, least_squares_objective, problem_from_json,
-                          problem_to_json, quadratic_objective)
+from falm.problem import (Objective, Problem, kkt_residuals, lagrangian,
+                          least_squares_objective, problem_from_json, quadratic_objective)
+
+# The tiny_qp fixture as an inline problem document.
+_TINY_DOC = {"n": 2, "p": 1, "A": [1.0, 1.0], "b": [2.0],
+             "objective": {"kind": "quadratic", "Q": [1.0, 0.0, 0.0, 1.0], "c": [0.0, 0.0]}}
 
 
 def test_lagrangian_hand_value(tiny_qp):
@@ -32,13 +35,15 @@ def test_lagrangian_zero_multiplier(small_instance):
         prob.objective.value(x), abs=1e-12)
 
 
-def test_aug_lagrangian_hand_value(tiny_qp):
+# The augmented Lagrangian is the energy tests' reference (a conftest fixture);
+# these pin it to hand values and to the library's Lagrangian.
+def test_aug_lagrangian_hand_value(tiny_qp, aug_lagrangian):
     # lagrangian -2 plus (beta/2)*||Ax-b||^2 = -2 + 1*4 = 2 for beta=2.
     val = aug_lagrangian(tiny_qp, np.zeros(2), np.array([1.0]), beta=2.0)
     assert val == pytest.approx(2.0, abs=1e-15)
 
 
-def test_aug_lagrangian_zero_beta_is_lagrangian(small_instance):
+def test_aug_lagrangian_zero_beta_is_lagrangian(small_instance, aug_lagrangian):
     prob, _ = small_instance
     rng = np.random.default_rng(1)
     x = rng.standard_normal(prob.n)
@@ -46,7 +51,7 @@ def test_aug_lagrangian_zero_beta_is_lagrangian(small_instance):
     assert aug_lagrangian(prob, x, lam, 0.0) == lagrangian(prob, x, lam)
 
 
-def test_aug_lagrangian_feasible_equals_lagrangian(tiny_qp):
+def test_aug_lagrangian_feasible_equals_lagrangian(tiny_qp, aug_lagrangian):
     x = np.array([2.0, 0.0])
     lam = np.array([-4.2])
     assert aug_lagrangian(tiny_qp, x, lam, 3.0) == pytest.approx(
@@ -188,10 +193,12 @@ def test_problem_json_round_trip(kind):
         obj = least_squares_objective(rng.standard_normal((6, 4)),
                                       rng.standard_normal(6))
     prob = Problem(objective=obj, a_map=dense_map(a), b=b)
-    doc = problem_to_json(prob)
+    names = {"quadratic": ("Q", "c"), "least_squares": ("M", "d")}[kind]
+    doc = {"n": 4, "p": 2, "A": a.ravel().tolist(), "b": b.tolist(),
+           "objective": {"kind": kind, names[0]: obj.data[1].ravel().tolist(),
+                         names[1]: obj.data[2].tolist()}}
     # JSON text survives a serialization cycle without losing precision.
-    doc2 = json.loads(json.dumps(doc))
-    back = problem_from_json(doc2)
+    back = problem_from_json(json.loads(json.dumps(doc)))
     assert np.array_equal(back.a_map.matrix, a)
     assert np.array_equal(back.b, b)
     kind2, m2, v2 = back.objective.data
@@ -202,9 +209,8 @@ def test_problem_json_round_trip(kind):
     assert back.objective.value(x) == prob.objective.value(x)
 
 
-def test_problem_json_rejects_unknown_kind(tiny_qp):
-    doc = problem_to_json(tiny_qp)
-    doc["objective"]["kind"] = "cubic"
+def test_problem_json_rejects_unknown_kind():
+    doc = {**_TINY_DOC, "objective": {**_TINY_DOC["objective"], "kind": "cubic"}}
     with pytest.raises(ValueError):
         problem_from_json(doc)
 
@@ -278,7 +284,6 @@ def test_least_squares_rejects_non_finite_m(bad):
 
 @pytest.mark.parametrize("field, value", [("n", 2.5), ("n", True), ("p", 1.5)])
 def test_problem_from_json_rejects_booleans_and_fractions(tiny_qp, field, value):
-    doc = problem_to_json(tiny_qp)
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        problem_from_json({**doc, field: value})
-    assert problem_from_json({**doc, field: float(doc[field])}).n == tiny_qp.n
+        problem_from_json({**_TINY_DOC, field: value})
+    assert problem_from_json({**_TINY_DOC, field: float(_TINY_DOC[field])}).n == tiny_qp.n

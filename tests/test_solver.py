@@ -10,7 +10,8 @@ from falm.benchgen import GenSpec, generate
 from falm.cli import load_experiment
 from falm.diagnostics import RunRecord, energy, gap, objective_error
 from falm.errors import SpdSolveError, StepError, ValidationError
-from falm.inertial import attouch_cabot, chambolle_dossal, constant, nesterov, t_value
+from falm.inertial import (InertialRule, attouch_cabot, chambolle_dossal, constant,
+                           nesterov, t_value)
 from falm.linalg import REFINE_STEPS, LinearMap, dense_map
 from falm.oracle import kkt_solve
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
@@ -61,7 +62,7 @@ def _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev, t_k, t_k1):
     x_next = np.linalg.solve(m, rhs)
     z = g * x_next + (t_k1 - 1.0) * (x_next - x)
     lam_next = mu + (cfg.rho / g) * (a @ z - g * prob.b)
-    return y, mu, eta, nu, s, x_next, z, lam_next
+    return y, x_next, lam_next
 
 
 def _sigma_bound_problem():
@@ -94,6 +95,22 @@ def test_validate_gamma_below_margin_rejected(small_instance):
     with pytest.raises(ValidationError) as err:
         validate(prob, SolverParams(rule=nesterov(), gamma=0.5))
     assert err.value.condition == "m ≤ γ"
+
+
+@pytest.mark.parametrize("rule", [InertialRule("chambolle_dossal", alpha=4.0, m=0.1),
+                                  InertialRule("nesterov", m=0.5)],
+                         ids=["cd4_m_0.1", "nesterov_m_0.5"])
+def test_validate_refuses_a_margin_below_the_rules(small_instance, rule):
+    # such a rule used to validate and be certified (gamma = (m + 1)/2 < 1)
+    # although certify(rule, K) fails on it
+    with pytest.raises(ValidationError) as err:
+        validate(small_instance[0], SolverParams(rule=rule))
+    assert err.value.condition == "m ≥ margin of the rule"
+
+
+def test_validate_keeps_any_margin_of_the_constant_rule(small_instance):
+    for m in (0.01, 0.5, 1.0):
+        assert validate(small_instance[0], SolverParams(rule=constant(m))).gamma == (m + 1) / 2
 
 
 def test_validate_gamma_above_one_rejected(small_instance):
@@ -217,10 +234,14 @@ def test_step_start_has_no_momentum(small_instance):
     x0 = rng.standard_normal(prob.n)
     lam0 = rng.standard_normal(prob.p)
     st = initial_state(cfg.rule, x0, lam0)
-    _, trace = step(prob, cfg, st)
+    new_st, trace = step(prob, cfg, st)
     assert np.array_equal(trace.y_k, x0)
-    assert np.array_equal(trace.mu_k, lam0)
-    np.testing.assert_allclose(trace.nu_k_gamma, cfg.gamma * lam0, rtol=0, atol=0)
+    # with x_prev = x0 and lam_prev = lam0 the dense update has no momentum:
+    # mu_1 = lam0 and nu_1 = gamma lam0
+    _, x_next, lam_next = _dense_step_oracle(prob, cfg, x0, x0, lam0, lam0,
+                                             st.t_k, st.t_next)
+    np.testing.assert_allclose(new_st.x_k, x_next, atol=1e-10)
+    np.testing.assert_allclose(new_st.lam_k, lam_next, atol=1e-10)
 
 
 def test_step_matches_dense_oracle(small_instance):
@@ -239,14 +260,12 @@ def test_step_matches_dense_oracle(small_instance):
         st.t_k = t_value(rule, k)
         st.t_next = t_value(rule, k + 1)
         new_st, trace = step(prob, cfg, st)
-        y, mu, eta, nu, s, x_next, z, lam_next = _dense_step_oracle(
+        y, x_next, lam_next = _dense_step_oracle(
             prob, cfg, x, x_prev, lam, lam_prev, st.t_k, st.t_next)
+        # eta, nu and s enter x_{k+1}; z_{k+1} enters lam_{k+1} through A z
         np.testing.assert_allclose(trace.y_k, y, atol=1e-12)
-        np.testing.assert_allclose(trace.eta_k, eta, atol=1e-12)
-        np.testing.assert_allclose(trace.s_next, s, rtol=1e-12)
         np.testing.assert_allclose(new_st.x_k, x_next, atol=1e-10)
         np.testing.assert_allclose(new_st.lam_k, lam_next, atol=1e-10)
-        np.testing.assert_allclose(trace.z_next_gamma, z, atol=1e-10)
 
 
 def test_extrapolation_identities_along_run(small_instance):
@@ -258,6 +277,7 @@ def test_extrapolation_identities_along_run(small_instance):
     for _ in range(200):
         z_old = st.x_k + (st.t_k - 1.0) * (st.x_k - st.x_prev)
         nu_old = st.lam_k + (st.t_k - 1.0) * (st.lam_k - st.lam_prev)
+        mu = st.lam_k + ((st.t_k - 1.0) / st.t_next) * (st.lam_k - st.lam_prev)
         st, trace = step(prob, cfg, st)
         z_new = st.x_k + (st.t_k - 1.0) * (st.x_k - st.x_prev)
         nu_new = st.lam_k + (st.t_k - 1.0) * (st.lam_k - st.lam_prev)
@@ -265,7 +285,7 @@ def test_extrapolation_identities_along_run(small_instance):
         rhs = (z_new - z_old) / st.t_k
         tol = 1e-9 * max(1.0, float(np.linalg.norm(z_new)))
         assert np.linalg.norm(lhs - rhs) <= tol
-        lhs_d = st.lam_k - trace.mu_k
+        lhs_d = st.lam_k - mu
         rhs_d = (nu_new - nu_old) / st.t_k
         tol_d = 1e-9 * max(1.0, float(np.linalg.norm(nu_new)))
         assert np.linalg.norm(lhs_d - rhs_d) <= tol_d
@@ -279,12 +299,15 @@ def test_stationarity_residual_along_run(small_instance):
     for _ in range(200):
         prev = st
         st, trace = step(prob, cfg, st)
-        g = cfg.gamma
+        g, t_k, t_k1 = cfg.gamma, prev.t_k, prev.t_next
+        nu = g * prev.lam_k + (t_k - 1.0) * (prev.lam_k - prev.lam_prev)
+        eta = a @ prev.x_k + (g / (t_k1 - 1.0 + g)) * (prob.b - a @ prev.x_k)
+        s = (cfg.rho / g) * t_k1 * (t_k1 - 1.0 + g)
         rhs = (trace.y_k / cfg.sigma - prob.objective.gradient(trace.y_k)
                - cfg.beta * a.T @ (a @ trace.y_k - prob.b)
-               - (a.T @ trace.nu_k_gamma) / g
-               + (trace.s_next / g) * (a.T @ trace.eta_k))
-        lhs = st.x_k / cfg.sigma + (trace.s_next / g) * (a.T @ (a @ st.x_k))
+               - (a.T @ nu) / g
+               + (s / g) * (a.T @ eta))
+        lhs = st.x_k / cfg.sigma + (s / g) * (a.T @ (a @ st.x_k))
         resid = np.linalg.norm(lhs - rhs)
         assert resid <= cfg.cg_tol * max(1.0, float(np.linalg.norm(rhs))) * 1.01
         assert prev.k + 1 == st.k
@@ -444,19 +467,6 @@ def test_step_keeps_a_finite_primal_iterate_whose_residual_norm_overflows(tiny_q
     assert np.isfinite(new_st.x_k).all() and np.isfinite(new_st.lam_k).all()
 
 
-def test_trace_z_next_is_the_extrapolated_primal_point_bitwise(small_instance):
-    prob, _ = small_instance
-    cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0)))
-    rng = np.random.default_rng(8)
-    st = initial_state(cfg.rule, rng.standard_normal(prob.n), rng.standard_normal(prob.p))
-    st.x_prev = rng.standard_normal(prob.n)
-    for _ in range(3):
-        new_st, trace = step(prob, cfg, st)
-        z = cfg.gamma * new_st.x_k + (st.t_next - 1.0) * (new_st.x_k - st.x_k)
-        assert trace.z_next_gamma.tobytes() == z.tobytes()
-        st = new_st
-
-
 @pytest.mark.parametrize("a_map", [
     dense_map(np.zeros((0, 3))),
     LinearMap(forward=lambda x: np.zeros(0), adjoint=lambda y: np.zeros(3), dims=(3, 0)),
@@ -466,17 +476,6 @@ def test_validate_refuses_a_map_without_rows(a_map):
     with pytest.raises(ValidationError, match="no rows or no columns") as err:
         validate(prob, SolverParams(rule=nesterov()))
     assert err.value.condition == "p ≥ 1 and n ≥ 1"
-
-
-def test_coupling_weight_formula(small_instance):
-    prob, _ = small_instance
-    cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0)))
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
-    for _ in range(5):
-        t_next = st.t_next
-        st, trace = step(prob, cfg, st)
-        expected = (cfg.rho / cfg.gamma) * t_next * (t_next - 1.0 + cfg.gamma)
-        assert trace.s_next == pytest.approx(expected, rel=1e-15)
 
 
 def test_run_dense_matches_matrix_free(small_instance):
@@ -617,6 +616,17 @@ def test_records_equal_public_diagnostics_matrix_free_and_kkt_tol(shipped_instan
     res, pairs = _run_with_states(prob, params, saddle, cfg)
     assert res.reason == "kkt tolerance"
     _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle)
+
+    # an objective without data: records take the difference form
+    obj = prob.objective
+    plain = Problem(objective=Objective(value=obj.value, gradient=obj.gradient,
+                                        lipschitz=obj.lipschitz),
+                    a_map=prob.a_map, b=prob.b)
+    params = SolverParams(rule=chambolle_dossal(4.0), max_iter=300, record_every=1)
+    cfg = validate(plain, params)
+    res, pairs = _run_with_states(plain, params, saddle, cfg)
+    assert len(res.records) == 301
+    _assert_records_are_public_diagnostics(plain, cfg, res, pairs, saddle)
 
 
 def _reference_kkt_run(prob, cfg):
