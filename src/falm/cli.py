@@ -21,10 +21,11 @@ or an inline dense problem document) and a list of labeled runs::
 Per-run entries may pin "gamma", "sigma", "rho", "beta", "max_iter",
 "record_every", "kkt_tol" and "cg_tol"; omitted or null values fall back to
 the solver defaults, so minimally specified runs match the documented
-parameter rules. Numeric fields reject booleans and strings, and integer
-fields reject fractions. ``run`` writes one ``<label>.csv`` per run (17
-significant digits, '.' decimal separator, LF line endings; reruns are
-byte-identical) plus ``summary.json``, which gives each run's resolved
+parameter rules. Numeric fields, and the entries of an inline problem's
+arrays, reject booleans, strings and null, and integer fields reject
+fractions. A rule spec holds only the keys its rule reads. ``run`` writes
+one ``<label>.csv`` per run (17 significant digits, '.' decimal separator, LF
+line endings; reruns are byte-identical) plus ``summary.json``, which gives each run's resolved
 ``parameters`` (``PARAMETER_FIELDS`` of its validated config) next to its
 outcome.
 ``compare`` merges runs into one CSV keyed by (label, k) and writes a

@@ -34,7 +34,10 @@ import numpy as np
 from .errors import CertificationError
 from .problem import json_number
 
-RULE_KINDS = ("nesterov", "chambolle_dossal", "attouch_cabot", "constant")
+# The keys of the wire format that each rule kind reads besides "rule".
+SPEC_KEYS = {"nesterov": (), "chambolle_dossal": ("alpha",),
+             "attouch_cabot": ("alpha",), "constant": ("m",)}
+RULE_KINDS = tuple(SPEC_KEYS)
 
 
 @dataclass(frozen=True)
@@ -92,17 +95,21 @@ def constant(m: float = 1.0) -> InertialRule:
 def rule_from_spec(doc: dict) -> InertialRule:
     """Build a rule from its CLI wire format ``{"rule": ..., "alpha": ...}``.
 
-    An unknown rule or an ``alpha`` or ``m`` that is not a JSON number raises
-    ``ValueError``.
+    An unknown rule, a key its kind does not read (``SPEC_KEYS``: ``alpha``
+    for the alpha rules, ``m`` for ``constant``, none for ``nesterov``), and
+    an ``alpha`` or ``m`` that is not a JSON number raise ``ValueError``.
     """
     kind = doc["rule"]
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
+        raise ValueError(f"unknown rule {kind!r}; expected one of {RULE_KINDS}")
+    for key in doc:
+        if key != "rule" and key not in SPEC_KEYS[kind]:
+            raise ValueError(f"rule {kind!r} does not read the key {key!r}")
     if kind == "nesterov":
         return nesterov()
-    if kind in ("chambolle_dossal", "attouch_cabot"):
-        return _alpha_rule(kind, json_number(doc["alpha"], name="alpha"))
     if kind == "constant":
         return constant(json_number(doc.get("m", 1.0), name="m"))
-    raise ValueError(f"unknown rule {kind!r}; expected one of {RULE_KINDS}")
+    return _alpha_rule(kind, json_number(doc["alpha"], name="alpha"))
 
 
 # Nesterov values are defined by a recurrence, so they are memoized. The cache

@@ -119,6 +119,13 @@ def zero_map(n: int, p: int) -> LinearMap:
 # dimension * eps * ||A|| of its input) and of a matrix-vector product.
 SVD_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
+# Largest part of b, relative to ||b||, that may lie outside the range of A
+# before op_norm_sq refuses b as infeasible. Rounding leaves about
+# max(p, n) * eps there for a feasible b (at most 2.4e-15 on the generated
+# instances); a constraint row duplicated with a different right-hand side
+# leaves a part of order 1.
+RANGE_TOL = 1e-8
+
 # Largest matrix, in bytes, that op_norm_sq rebuilds from the adjoint probes of
 # a matrix-free map; a larger map is refused before any probe runs.
 PROBE_BUDGET_BYTES = 64 * 2 ** 20
@@ -157,7 +164,7 @@ class SpectralFactor:
         return inv_shift * rhs + self.v @ (gain * (self.vt @ rhs))
 
 
-def op_norm_sq(a_map: LinearMap) -> SpectralFactor:
+def op_norm_sq(a_map: LinearMap, b: Array | None = None) -> SpectralFactor:
     """The :class:`SpectralFactor` of any map, and so ``||A||^2``, from one thin SVD.
 
     A map that keeps ``matrix`` is factored as is; a matrix-free p-by-n map is
@@ -168,6 +175,13 @@ def op_norm_sq(a_map: LinearMap) -> SpectralFactor:
     ``forward`` disagrees with the matrix beyond rounding on two fixed-seed
     vectors. The value is the top squared singular value raised by a relative
     ``SVD_ROUNDING`` margin per matrix dimension, so it bounds the true value.
+
+    Given a right-hand side ``b``, the same SVD's left singular vectors test
+    that ``A x = b`` has a solution: the part of ``b`` outside the span of the
+    ``u_i`` whose singular value lies above the rounding floor ``max(p, n) *
+    eps * s_0`` must not exceed ``RANGE_TOL * ||b||``, or ``ValidationError("b
+    ∈ range(A)")`` is raised. The test is scale-free in A and in b; a zero map
+    admits only ``b = 0``.
     """
     n, p = a_map.dims
     if p < 1 or n < 1:
@@ -189,7 +203,17 @@ def op_norm_sq(a_map: LinearMap) -> SpectralFactor:
             if not (fv.shape == (p,) and norm(fv - mat @ v) <= allowance * norm(v)):
                 raise ValidationError("⟨A x, y⟩ = ⟨x, A* y⟩", "forward disagrees with "
                                       "the adjoint probes' matrix; the adjoint is wrong")
-    _, s, vt = np.linalg.svd(np.asarray(mat, dtype=float), full_matrices=False)
+    u, s, vt = np.linalg.svd(np.asarray(mat, dtype=float), full_matrices=False)
+    b_max = 0.0 if b is None else float(np.max(np.abs(b), initial=0.0))
+    if b_max > 0.0:  # b = 0 lies in every range
+        unit = b / b_max  # so that neither norm underflows or overflows
+        kept = u[:, s > max(p, n) * float(np.finfo(float).eps) * s[0]]
+        outside = norm(unit - kept @ (kept.T @ unit)) / norm(unit)
+        if outside > RANGE_TOL:
+            raise ValidationError("b ∈ range(A)",
+                                  f"the part of b outside the range of A is {outside:.3g} "
+                                  f"of ‖b‖, over RANGE_TOL = {RANGE_TOL:g}; no x solves "
+                                  "A x = b")
     s2 = s * s
     vt.flags.writeable = s2.flags.writeable = False
     value = float(s2[0]) * (1.0 + SVD_ROUNDING * max(mat.shape))

@@ -6,8 +6,11 @@ gradient. The constant is user-supplied and never repaired: the admissible
 step size depends on it and must stay under caller control. No library code
 checks it; the tests' finite-difference and descent-lemma probes do.
 
-Infeasible instances (``b`` outside the range of ``A``) are not detected; the
-solver assumes a primal-dual solution exists.
+An infeasible instance, ``b`` outside the range of ``A``, builds a Problem;
+:func:`~falm.solver.validate` refuses it with ``ValidationError("b ∈
+range(A)")`` from the SVD it computes anyway (:func:`~falm.linalg.op_norm_sq`,
+scale-free, no per-step cost). A feasible instance is assumed to have a
+primal-dual solution.
 """
 
 from __future__ import annotations
@@ -203,6 +206,14 @@ def json_number(value, conv=float, name: str = "value"):
     raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
+def _json_numbers(values, name: str) -> Array:
+    """A flat JSON list of numbers, each entry parsed by :func:`json_number`."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return np.array([json_number(v, name=f"{name}[{i}]") for i, v in enumerate(values)],
+                    dtype=float)
+
+
 def problem_from_json(doc: dict) -> Problem:
     """Build a dense Problem from an inline problem document.
 
@@ -210,25 +221,27 @@ def problem_from_json(doc: dict) -> Problem:
     ``p*n`` numbers, ``b`` of length ``p``, and ``objective`` as ``{"kind":
     "quadratic", "Q": <n*n row-major>, "c": <n>}`` or ``{"kind":
     "least_squares", "M": <rows*n row-major>, "d": <rows>}``. A field of the
-    wrong type raises ``ValueError``; a missing one ``KeyError``.
+    wrong type, an entry of ``A``, ``b``, ``Q``, ``c``, ``M`` or ``d`` that
+    :func:`json_number` refuses (a string, a boolean, null, a nested list)
+    among them, raises ``ValueError``; a missing one ``KeyError``.
     """
     try:
         n = json_number(doc["n"], int, "n")
         p = json_number(doc["p"], int, "p")
         if n < 1 or p < 1:
             raise ValueError(f"dimensions must be positive, got n={n}, p={p}")
-        a = np.array(doc["A"], dtype=float).reshape(p, n)
-        b = np.array(doc["b"], dtype=float)
+        a = _json_numbers(doc["A"], "A").reshape(p, n)
+        b = _json_numbers(doc["b"], "b")
         obj_doc = doc["objective"]
         kind = obj_doc["kind"]
         if kind == "quadratic":
-            q = np.array(obj_doc["Q"], dtype=float).reshape(n, n)
-            objective = quadratic_objective(q, np.array(obj_doc["c"], dtype=float))
+            q = _json_numbers(obj_doc["Q"], "Q").reshape(n, n)
+            objective = quadratic_objective(q, _json_numbers(obj_doc["c"], "c"))
         elif kind == "least_squares":
-            m_flat = np.array(obj_doc["M"], dtype=float)
+            m_flat = _json_numbers(obj_doc["M"], "M")
             rows = m_flat.size // n
             objective = least_squares_objective(m_flat.reshape(rows, n),
-                                                np.array(obj_doc["d"], dtype=float))
+                                                _json_numbers(obj_doc["d"], "d"))
         else:
             raise ValueError(f"unknown objective kind {kind!r}; "
                              f"expected one of {OBJECTIVE_KINDS}")

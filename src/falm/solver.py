@@ -20,6 +20,12 @@ iterative refinement with the same factor only if the residual check fails.
 The same factor gives an upper bound on ``||A||^2`` and counts its probes, so
 dense, matrix-free and zero maps take one path.
 
+The dual side needs no map apply: each dual vector of a step is a linear
+combination, with scalar weights, of the five rows of ``IterateState.hist``
+(``lam_k``, ``A x_k``, ``lam_{k-1}``, ``A x_{k-1}`` and ``b``), so a step
+forms the argument of its one ``A*`` product and ``lam_{k+1}`` as two
+products with that block and builds a fresh block for the next state.
+
 The README's "Oracle budget", "Diagnostics" and "Stop-test budget" paragraphs
 count the map applies, gradients and objective values of a step, a record and
 the ``kkt_tol`` stop test.
@@ -128,8 +134,9 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
 
     :func:`~falm.linalg.op_norm_sq` gives the map's spectral factor, kept as
     ``spectral``, with the upper bound on ``||A||^2`` that ``sigma_bound`` is
-    computed from; it refuses a map with no rows or no columns, and a
-    matrix-free map over its probe budget or with a wrong adjoint. Each
+    computed from; it refuses a map with no rows or no columns, a matrix-free
+    map over its probe budget or with a wrong adjoint, and a ``b`` outside the
+    range of ``A`` (``"b ∈ range(A)"``, from the same SVD). Each
     violated condition, including a ``max_iter`` or ``record_every`` that is
     a boolean or not an integer and a real parameter that is a boolean or not
     finite, and a rule whose ``m`` lies below the margin of its kind, raises
@@ -169,7 +176,7 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
                                   f"coupling weight nonpositive; need gamma > "
                                   f"{1.0 - 1.0 / (rule.alpha - 1.0)}")
 
-    spectral = op_norm_sq(prob.a_map)
+    spectral = op_norm_sq(prob.a_map, prob.b)
     a_norm_sq = spectral.value
     lip = prob.objective.lipschitz
     sigma_bound = gamma / (lip + gamma * params.beta * a_norm_sq)
@@ -221,30 +228,49 @@ def _is_real(value) -> bool:
 class IterateState:
     """Full recurrence state at index k (two primal and two dual iterates).
 
-    ``ax_k`` and ``ax_prev`` cache the images of ``x_k`` and ``x_prev``: when
-    set, each is bitwise equal to ``a_map.forward`` of its iterate. Only a
-    state built by :func:`initial_state` leaves them None (unknown); a state
-    whose ``x_k`` or ``x_prev`` is replaced must drop the matching image.
+    The dual side is one p-row block ``hist`` holding ``lam_k``, ``A x_k``,
+    ``lam_{k-1}``, ``A x_{k-1}`` and ``b`` in that order; ``lam_k``, ``ax_k``,
+    ``lam_prev`` and ``ax_prev`` read its rows as views. Every dual vector of
+    a step is a combination of these five rows with scalar weights, so
+    :func:`step` forms them from products with the block. Each image row is
+    bitwise equal to ``a_map.forward`` of its iterate. A step builds a fresh
+    block and never writes to its input's, so states passed to an observer
+    stay as they were.
     """
 
     k: int
     x_k: Array
     x_prev: Array
-    lam_k: Array
-    lam_prev: Array
     t_k: float
     t_next: float
-    ax_k: Array | None = None
-    ax_prev: Array | None = None
+    hist: Array
+
+    @property
+    def lam_k(self) -> Array:
+        return self.hist[0]
+
+    @property
+    def ax_k(self) -> Array:
+        return self.hist[1]
+
+    @property
+    def lam_prev(self) -> Array:
+        return self.hist[2]
+
+    @property
+    def ax_prev(self) -> Array:
+        return self.hist[3]
 
 
-def initial_state(rule: InertialRule, x_init: Array, lam_init: Array) -> IterateState:
-    """State at k=1; the two trailing iterates coincide with the initial point."""
+def initial_state(prob: Problem, rule: InertialRule, x_init: Array,
+                  lam_init: Array) -> IterateState:
+    """State at k=1; the two trailing iterates coincide with the initial point,
+    whose image is one forward apply."""
     x = np.array(x_init, dtype=float)
-    lam = np.array(lam_init, dtype=float)
-    return IterateState(k=1, x_k=x, x_prev=x.copy(), lam_k=lam,
-                        lam_prev=lam.copy(), t_k=t_value(rule, 1),
-                        t_next=t_value(rule, 2))
+    lam = np.asarray(lam_init, dtype=float)
+    ax = prob.a_map.forward(x)
+    return IterateState(k=1, x_k=x, x_prev=x.copy(), t_k=t_value(rule, 1),
+                        t_next=t_value(rule, 2), hist=np.stack((lam, ax, lam, ax, prob.b)))
 
 
 @dataclass
@@ -264,49 +290,62 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     The primal update solves the subproblem's stationarity system exactly (to
     the configured residual tolerance) by :func:`~falm.linalg.solve_spd` from
     ``cfg.spectral``; for a zero operator that is the accelerated gradient
-    step ``y_k - sigma * grad f(y_k)`` up to rounding. ``A x_k`` and ``A x_{k-1}``
-    are read from ``st.ax_k`` and ``st.ax_prev`` when cached; ``A y_k`` and
-    ``A z_{k+1}`` are formed from them and the image of ``x_{k+1}`` that the
-    inner solve's residual check computed, which the new state caches.
-    Inner-solve failures, a non-finite right-hand side among them, and
-    iterates that leave the finite range raise :class:`StepError` carrying
-    the iteration index. A finite solve residual proves ``x_{k+1}`` finite
-    (see :func:`~falm.linalg.solve_spd`); only an infinite one, which needs a
-    right-hand side whose norm overflows, leaves an entrywise test to run.
+    step ``y_k - sigma * grad f(y_k)`` up to rounding. The argument of the
+    one ``A*`` product is a product of five scalar weights with ``st.hist``;
+    ``lam_{k+1}`` is another plus a multiple of the image of ``x_{k+1}`` that
+    the inner solve's residual check computed, which the new state's block
+    carries. ``mu``, ``nu``, ``eta``, ``A y_k`` and ``A z_{k+1}`` are never
+    formed as vectors. Inner-solve failures, a non-finite right-hand side
+    among them, and iterates that leave the finite range raise
+    :class:`StepError` carrying the iteration index. A finite solve residual
+    proves ``x_{k+1}`` finite (see :func:`~falm.linalg.solve_spd`); only an
+    infinite one, which needs a right-hand side whose norm overflows, leaves
+    an entrywise test to run.
     """
-    g = cfg.gamma
+    g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
     t_k = st.t_k
     t_k1 = st.t_next
     momentum = (t_k - 1.0) / t_k1
     y = st.x_k + momentum * (st.x_k - st.x_prev)
-    mu = st.lam_k + momentum * (st.lam_k - st.lam_prev)
-    a = prob.a_map
-    ax = st.ax_k if st.ax_k is not None else a.forward(st.x_k)
-    ax_prev = st.ax_prev if st.ax_prev is not None else a.forward(st.x_prev)
-    eta = ax + (g / (t_k1 - 1.0 + g)) * (prob.b - ax)
-    nu = g * st.lam_k + (t_k - 1.0) * (st.lam_k - st.lam_prev)
-    s_next = (cfg.rho / g) * t_k1 * (t_k1 - 1.0 + g)
+    s_next = (rho / g) * t_k1 * (t_k1 - 1.0 + g)
     grad_y = prob.objective.gradient(y)
-    ay = ax + momentum * (ax - ax_prev)
-    dual = cfg.beta * (ay - prob.b) + nu / g - (s_next / g) * eta
-    rhs = y / cfg.sigma - grad_y - a.adjoint(dual)
+    hist = st.hist  # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b
+    # dual = beta (A y - b) + nu/gamma - (s/gamma) eta over the block's rows,
+    # with c = (t_k - 1)/gamma and r = rho/gamma:
+    #   A y           = (1 + momentum) A x_k - momentum A x_{k-1}
+    #   nu/gamma      = lam_k + c (lam_k - lam_{k-1})
+    #   (s/gamma) eta = (r/gamma) t_{k+1} (t_{k+1} - 1) A x_k + r t_{k+1} b
+    # since eta = A x_k + gamma/(t_{k+1} - 1 + gamma) (b - A x_k).
+    c = (t_k - 1.0) / g
+    r = rho / g
+    w_ax = beta * (1.0 + momentum) - (r / g) * t_k1 * (t_k1 - 1.0)
+    dual = np.dot(np.array((1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1)), hist)
+    rhs = y / cfg.sigma - grad_y - prob.a_map.adjoint(dual)
     try:
-        sol = solve_spd(a, cfg.spectral, 1.0 / cfg.sigma, s_next / g, rhs, tol=cfg.cg_tol)
+        sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, s_next / g, rhs,
+                        tol=cfg.cg_tol)
     except SpdSolveError as exc:
         raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
     x_next = sol.x
 
-    az = g * sol.ax + (t_k1 - 1.0) * (sol.ax - ax)
-    lam_next = mu + (cfg.rho / g) * (az - g * prob.b)
+    # lam_{k+1} = mu + r (A z - gamma b), with
+    #   mu  = lam_k + momentum (lam_k - lam_{k-1})
+    #   A z = (t_{k+1} - 1 + gamma) A x_{k+1} - (t_{k+1} - 1) A x_k
+    new = np.empty(hist.shape)
+    lam_next = new[0]
+    np.dot(np.array((1.0 + momentum, -r * (t_k1 - 1.0), -momentum, 0.0, -rho)), hist,
+           out=lam_next)
+    lam_next += (r * (t_k1 - 1.0 + g)) * sol.ax
     x_finite = math.isfinite(sol.residual) or all_finite(x_next)
     if not (x_finite and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
+    new[1] = sol.ax
+    new[2:4] = hist[:2]
+    new[4] = hist[4]
 
     trace = StepTrace(y_k=y, grad_y=grad_y, cg_iters=sol.iterations)
-    new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k,
-                             lam_k=lam_next, lam_prev=st.lam_k, t_k=t_k1,
-                             t_next=t_value(cfg.rule, st.k + 2), ax_k=sol.ax,
-                             ax_prev=ax)
+    new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1,
+                             t_next=t_value(cfg.rule, st.k + 2), hist=new)
     return new_state, trace
 
 
@@ -368,9 +407,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     """
     if cfg is None:
         cfg = validate(prob, params)
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
-    st.ax_k = prob.a_map.forward(st.x_k)
-    st.ax_prev = st.ax_k
+    st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     if saddle is not None:
         x_star = as_vector(saddle[0], prob.n, "x_star")
         lam_star = as_vector(saddle[1], prob.p, "lam_star")

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from falm.benchgen import GenSpec, generate
+from falm.inertial import t_value
 from falm.linalg import dense_map
 from falm.problem import Problem, quadratic_objective
+from falm.solver import IterateState
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +33,18 @@ def aug_lagrangian():
 def small_instance():
     """Seeded 8x3 strictly convex QP for fast solver tests."""
     return generate(GenSpec("random_qp", 8, 3, 42, 10.0))
+
+
+def _state_at(prob, rule, k, x, x_prev, lam, lam_prev):
+    """The state at index k of two primal and two dual iterates, with the
+    block of ``IterateState``: the map's images of ``x`` and ``x_prev``, and b."""
+    a = prob.a_map
+    hist = np.stack((lam, a.forward(x), lam_prev, a.forward(x_prev), prob.b))
+    return IterateState(k=k, x_k=x, x_prev=x_prev, t_k=t_value(rule, k),
+                        t_next=t_value(rule, k + 1), hist=hist)
+
+
+@pytest.fixture(scope="session")
+def state_at():
+    """Build a state anywhere in the recurrence, as the step tests need."""
+    return _state_at

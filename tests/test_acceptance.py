@@ -216,7 +216,7 @@ def test_criterion_10_unconstrained_reduction():
     prob, _ = generate(GenSpec("unconstrained", 30, 5, 3, 10.0))
     params = SolverParams(rule=nesterov(), beta=1.0, max_iter=500)
     cfg = validate(prob, params)
-    st = initial_state(cfg.rule, np.zeros(30), np.zeros(5))
+    st = initial_state(prob, cfg.rule, np.zeros(30), np.zeros(5))
     x_prev = np.zeros(30)
     x = np.zeros(30)
     t = 1.0
@@ -250,7 +250,7 @@ def test_criterion_11_rule_certification():
                     f"{nes_resid:.1e}, exact slack margins verified)")
 
 
-def test_criterion_12_single_step_oracle(instance):
+def test_criterion_12_single_step_oracle(instance, state_at):
     prob, _, _ = instance
     a = prob.a_map.matrix
     params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0,
@@ -264,12 +264,7 @@ def test_criterion_12_single_step_oracle(instance):
         t_k1 = t_value(cfg.rule, k + 1)
         x, x_prev = rng.standard_normal((2, N))
         lam, lam_prev = rng.standard_normal((2, P))
-        st = initial_state(cfg.rule, x, lam)
-        st.k = k
-        st.x_prev = x_prev
-        st.lam_prev = lam_prev
-        st.t_k = t_k
-        st.t_next = t_k1
+        st = state_at(prob, cfg.rule, k, x, x_prev, lam, lam_prev)
         new_st, trace = step(prob, cfg, st)
         # straight-line dense transcription of one update
         g = cfg.gamma

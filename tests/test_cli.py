@@ -388,10 +388,20 @@ def _tiny_runs():
         "kind": "quadratic", "Q": [1.0, 1.0, 0.0, 1.0], "c": [0.0, 0.0]}}),
     lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
         "kind": "quadratic", "Q": [1.0, 0.0, 0.0, -5.0], "c": [0.0, 0.0]}}),
+    lambda doc: doc["runs"][0].update(rule={"rule": "chambolle_dossal", "alpha": 4, "m": 0.1}),
+    lambda doc: doc["runs"][0].update(rule={"rule": "nesterov", "alpha": "x"}),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "A": ["1", True], "b": ["2.0"]}),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "b": [None]}),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
+        "kind": "quadratic", "Q": [1, 0, 0, "1e0"], "c": [0, False]}}),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "p": 2, "A": [1.0, 1.0, 1.0, 1.0],
+                                    "b": [1.0, 2.0]}),
 ], ids=["problem_not_object", "run_not_object", "gamma_string", "label_not_file_name",
         "max_iter_fraction", "max_iter_bool", "beta_bool", "beta_nan", "rho_inf",
         "rule_m_bool", "alpha_string",
-        "seed_fraction", "generator_n_string", "inline_n_fraction", "q_asymmetric", "q_indefinite"])
+        "seed_fraction", "generator_n_string", "inline_n_fraction", "q_asymmetric", "q_indefinite",
+        "rule_unread_m", "rule_unread_alpha", "inline_a_strings", "inline_b_null",
+        "inline_q_c_not_numbers", "b_infeasible"])
 def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     doc = json.loads(Path(cfg).read_text())

@@ -101,7 +101,7 @@ def test_energy_gamma_one_drops_distance_terms(small_instance, aug_lagrangian):
 
 def test_energy_matches_independent_reimplementation(small_instance, aug_lagrangian):
     prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
     for _ in range(5):
         st, _ = step(prob, cfg, st)
@@ -141,7 +141,7 @@ def test_precomputed_evaluations_change_no_bit(small_instance):
     dense, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
     for prob in (dense, _without_data(dense)):  # identity form, difference form
         at_star = saddle_terms(prob, x_star, lam_star)
-        st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+        st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
         for _ in range(5):
             st, _ = step(prob, cfg, st)
             residual = prob.a_map.forward(st.x_k) - prob.b
@@ -163,7 +163,7 @@ def test_precomputed_evaluations_change_no_bit(small_instance):
 def test_both_forms_agree_with_the_lagrangian_definitions(small_instance):
     dense, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
     for prob in (dense, _without_data(dense)):  # identity form, difference form
-        st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+        st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
         for _ in range(20):
             st, _ = step(prob, cfg, st)
             want_gap = lagrangian(prob, st.x_k, lam_star) - lagrangian(prob, x_star, st.lam_k)
@@ -179,7 +179,7 @@ def test_summability_witnesses(small_instance):
     # nonnegative and the partial sums stay below the initial energy
     prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
     lip = prob.objective.lipschitz
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     e1 = energy(prob, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
                 st.t_k, x_star, lam_star)
     sum_primal = 0.0

@@ -71,6 +71,25 @@ def test_rule_from_spec_wire_format():
             rule_from_spec({"rule": "constant", "m": m})
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"rule": "chambolle_dossal", "alpha": 4, "m": 0.1}, "m"),
+    ({"rule": "attouch_cabot", "alpha": 4, "m": 0.5}, "m"),
+    ({"rule": "nesterov", "alpha": "x"}, "alpha"),
+    ({"rule": "nesterov", "m": 1.0}, "m"),
+    ({"rule": "constant", "alpha": 4}, "alpha"),
+    ({"rule": "constant", "m": 0.5, "beta": 1.0}, "beta"),
+], ids=["cd_m", "ac_m", "nesterov_alpha", "nesterov_m", "constant_alpha", "constant_beta"])
+def test_rule_from_spec_refuses_keys_its_kind_does_not_read(doc, key):
+    # the first gave m = 2/3 and the third the Nesterov rule, both silently
+    with pytest.raises(ValueError, match=f"does not read the key '{key}'"):
+        rule_from_spec(doc)
+
+
+def test_rule_from_spec_refuses_a_kind_that_is_not_a_name():
+    with pytest.raises(ValueError, match="unknown rule"):
+        rule_from_spec({"rule": ["nesterov"]})
+
+
 def test_phi_m_at_one():
     assert phi_m(1.0) == pytest.approx(GOLDEN_STEP, rel=1e-15)
 

@@ -287,3 +287,31 @@ def test_problem_from_json_rejects_booleans_and_fractions(tiny_qp, field, value)
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         problem_from_json({**_TINY_DOC, field: value})
     assert problem_from_json({**_TINY_DOC, field: float(_TINY_DOC[field])}).n == tiny_qp.n
+
+
+_LS_DOC = {**_TINY_DOC, "objective": {"kind": "least_squares", "M": [1.0, 0.0, 0.0, 1.0],
+                                      "d": [0.0, 0.0]}}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({**_TINY_DOC, "A": ["1", True]}, "A"),
+    ({**_TINY_DOC, "b": ["2.0"]}, "b"),
+    ({**_TINY_DOC, "b": [None]}, "b"),
+    ({**_TINY_DOC, "A": [[1.0, 1.0]]}, "A"),
+    ({**_TINY_DOC, "objective": {"kind": "quadratic", "Q": [1, 0, 0, "1e0"], "c": [0, 0]}}, "Q"),
+    ({**_TINY_DOC, "objective": {"kind": "quadratic", "Q": [1, 0, 0, 1], "c": [0, False]}}, "c"),
+    ({**_LS_DOC, "objective": {"kind": "least_squares", "M": [1, None, 0, 1], "d": [0, 0]}}, "M"),
+    ({**_LS_DOC, "objective": {"kind": "least_squares", "M": [1, 0, 0, 1], "d": [True, 0]}}, "d"),
+    ({**_TINY_DOC, "b": 2.0}, "b"),
+], ids=["A_string_and_bool", "b_string", "b_null", "A_nested", "Q_string", "c_bool",
+        "M_null", "d_bool", "b_not_a_list"])
+def test_problem_from_json_refuses_array_entries_that_are_not_numbers(doc, field):
+    # np.array(..., dtype=float) used to convert "1" and true to 1.0
+    with pytest.raises(ValueError, match=rf"^{field}(\[\d+\])? must be a"):
+        problem_from_json(doc)
+
+
+def test_problem_from_json_reads_integer_and_float_entries():
+    prob = problem_from_json({**_LS_DOC, "A": [1, 2.5], "b": [3]})
+    assert prob.a_map.matrix.tolist() == [[1.0, 2.5]] and prob.b.tolist() == [3.0]
+    assert prob.objective.data[0] == "least_squares"

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 
 import numpy as np
@@ -199,6 +198,67 @@ def test_validate_zero_map_has_a_zero_factor():
     assert cfg0.sigma_bound == cfg0.gamma / zero.objective.lipschitz
 
 
+def _duplicated_row(shift):
+    """The shipped 50x10 instance with row 9 of A set to row 8 and b_9 = b_8 + shift."""
+    prob, _ = generate(GenSpec("random_qp", 50, 10, 7, 100.0))
+    a, b = prob.a_map.matrix.copy(), prob.b.copy()
+    a[9], b[9] = a[8], b[8] + shift
+    return Problem(objective=prob.objective, a_map=dense_map(a), b=b)
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["dense", "matrix_free"])
+def test_validate_refuses_an_infeasible_b(free):
+    # b_9 = b_8 + 0.1 ran to the iteration budget with feas stalled at 0.0707
+    wrap = _matrix_free if free else (lambda prob: prob)
+    params = SolverParams(rule=chambolle_dossal(4.0))
+    with pytest.raises(ValidationError, match="outside the range of A") as err:
+        validate(wrap(_duplicated_row(0.1)), params)
+    assert err.value.condition == "b ∈ range(A)"
+    validate(wrap(_duplicated_row(0.0)), params)  # a consistent duplicate is feasible
+
+
+def test_validate_range_test_is_scale_free():
+    params = SolverParams(rule=chambolle_dossal(4.0))
+    for scale_a, scale_b in ((1e-6, 1.0), (1.0, 1e-6), (1e6, 1e6)):
+        for shift, feasible in ((0.0, True), (0.1, False)):
+            prob = _duplicated_row(shift)
+            scaled = Problem(objective=prob.objective,
+                             a_map=dense_map(scale_a * prob.a_map.matrix),
+                             b=scale_a * scale_b * prob.b if feasible else scale_b * prob.b)
+            if feasible:
+                validate(scaled, params)
+            else:
+                with pytest.raises(ValidationError, match="outside the range of A"):
+                    validate(scaled, params)
+
+
+def test_validate_range_test_on_a_zero_map_and_more_rows_than_columns():
+    params = SolverParams(rule=nesterov())
+    obj = quadratic_objective(np.eye(3), np.zeros(3))
+    zero = dense_map(np.zeros((2, 3)))
+    validate(Problem(objective=obj, a_map=zero, b=np.zeros(2)), params)
+    for tiny_or_huge in (1e-300, 1e300):  # neither norm may underflow or overflow
+        with pytest.raises(ValidationError, match="outside the range of A"):
+            validate(Problem(objective=obj, a_map=zero, b=[0.0, tiny_or_huge]), params)
+    rng = np.random.default_rng(2)
+    tall = rng.standard_normal((8, 3))  # p > n: the thin U has 3 columns
+    validate(Problem(objective=obj, a_map=dense_map(tall), b=tall @ rng.standard_normal(3)),
+             params)
+    with pytest.raises(ValidationError, match="outside the range of A"):
+        validate(Problem(objective=obj, a_map=dense_map(tall), b=rng.standard_normal(8)),
+                 params)
+
+
+def test_validate_accepts_the_generated_instances():
+    params = SolverParams(rule=chambolle_dossal(4.0))
+    for kind in ("random_qp", "constrained_least_squares", "unconstrained"):
+        for n, p in ((50, 10), (20, 19), (200, 40)):
+            for seed in (1, 7, 11):
+                prob, _ = generate(GenSpec(kind, n, p, seed, 100.0))
+                validate(prob, params)
+                validate(_matrix_free(prob), params)
+
+
 def test_validate_defaults(small_instance):
     prob, _ = small_instance
     cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0), beta=1.0))
@@ -216,7 +276,7 @@ def test_step_unconstrained_is_exact_gradient_step():
     cfg = validate(prob, params)
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal(6)
-    st = initial_state(cfg.rule, x0, np.zeros(2))
+    st = initial_state(prob, cfg.rule, x0, np.zeros(2))
     st, trace = step(prob, cfg, st)
     grad = prob.objective.gradient(x0)
     assert np.array_equal(st.x_k, (1.0 / (1.0 / cfg.sigma)) * (x0 / cfg.sigma - grad))
@@ -233,7 +293,7 @@ def test_step_start_has_no_momentum(small_instance):
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(prob.n)
     lam0 = rng.standard_normal(prob.p)
-    st = initial_state(cfg.rule, x0, lam0)
+    st = initial_state(prob, cfg.rule, x0, lam0)
     new_st, trace = step(prob, cfg, st)
     assert np.array_equal(trace.y_k, x0)
     # with x_prev = x0 and lam_prev = lam0 the dense update has no momentum:
@@ -244,7 +304,7 @@ def test_step_start_has_no_momentum(small_instance):
     np.testing.assert_allclose(new_st.lam_k, lam_next, atol=1e-10)
 
 
-def test_step_matches_dense_oracle(small_instance):
+def test_step_matches_dense_oracle(small_instance, state_at):
     prob, _ = small_instance
     cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0), beta=0.7))
     rng = np.random.default_rng(14)
@@ -253,12 +313,7 @@ def test_step_matches_dense_oracle(small_instance):
         k = int(rng.integers(1, 30))
         x, x_prev = rng.standard_normal((2, prob.n))
         lam, lam_prev = rng.standard_normal((2, prob.p))
-        st = initial_state(rule, x, lam)
-        st.k = k
-        st.x_prev = x_prev
-        st.lam_prev = lam_prev
-        st.t_k = t_value(rule, k)
-        st.t_next = t_value(rule, k + 1)
+        st = state_at(prob, rule, k, x, x_prev, lam, lam_prev)
         new_st, trace = step(prob, cfg, st)
         y, x_next, lam_next = _dense_step_oracle(
             prob, cfg, x, x_prev, lam, lam_prev, st.t_k, st.t_next)
@@ -268,12 +323,53 @@ def test_step_matches_dense_oracle(small_instance):
         np.testing.assert_allclose(new_st.lam_k, lam_next, atol=1e-10)
 
 
+_FOUR_RULES = [nesterov(), chambolle_dossal(4.0), attouch_cabot(4.0), constant(0.5)]
+
+
+@pytest.mark.parametrize("rule", _FOUR_RULES, ids=lambda rule: rule.kind)
+def test_step_matches_dense_oracle_late_in_a_run(shipped_instance, state_at, rule):
+    # The block's weights grow like t_{k+1}^2, about 1e7 at k = 10^4 for the
+    # alpha rules and 2.5e7 for Nesterov's; the step must still match the
+    # straight-line update there, to a rounding allowance that grows with them.
+    prob = shipped_instance[0]
+    cfg = validate(prob, SolverParams(rule=rule, beta=0.7))
+    rng = np.random.default_rng(5)
+    for k in (1, 10, 100, 1000, 3000, 10_000):
+        x, x_prev = rng.standard_normal((2, prob.n))
+        lam, lam_prev = rng.standard_normal((2, prob.p))
+        st = state_at(prob, rule, k, x, x_prev, lam, lam_prev)
+        new_st, trace = step(prob, cfg, st)
+        want = _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev, st.t_k, st.t_next)
+        tol = 1e-14 * max(1.0, st.t_next ** 2)
+        for got, ref in zip((trace.y_k, new_st.x_k, new_st.lam_k), want):
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("rule", _FOUR_RULES, ids=lambda rule: rule.kind)
+def test_constrained_run_matches_a_reference_loop(shipped_instance, rule):
+    # 2,000 steps of the paper's update written out with dense products and a
+    # direct solve; rounding alone separates them (at most 4.2e-11 here)
+    prob = shipped_instance[0]
+    params = SolverParams(rule=rule, beta=1.0, max_iter=2000, record_every=2000)
+    cfg = validate(prob, params)
+    res = run(prob, params, cfg=cfg)
+    x = x_prev = np.zeros(prob.n)
+    lam = lam_prev = np.zeros(prob.p)
+    for k in range(1, 2001):
+        _, x_next, lam_next = _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev,
+                                                 t_value(rule, k), t_value(rule, k + 1))
+        x_prev, x, lam_prev, lam = x, x_next, lam, lam_next
+    assert res.iterations == 2000
+    assert np.max(np.abs(res.x - x)) <= 1e-9 * np.max(np.abs(x))
+    assert np.max(np.abs(res.lam - lam)) <= 1e-9 * np.max(np.abs(lam))
+
+
 def test_extrapolation_identities_along_run(small_instance):
     # x_{k+1} - y_k = (z_{k+1} - z_k)/t_{k+1} with z_k = x_k + (t_k-1)(x_k - x_{k-1}),
     # and the dual analogue lam_{k+1} - mu_k = (nu_{k+1} - nu_k)/t_{k+1}.
     prob, _ = small_instance
     cfg = validate(prob, SolverParams(rule=nesterov(), beta=1.0, max_iter=200))
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     for _ in range(200):
         z_old = st.x_k + (st.t_k - 1.0) * (st.x_k - st.x_prev)
         nu_old = st.lam_k + (st.t_k - 1.0) * (st.lam_k - st.lam_prev)
@@ -295,7 +391,7 @@ def test_stationarity_residual_along_run(small_instance):
     prob, _ = small_instance
     cfg = validate(prob, SolverParams(rule=chambolle_dossal(4.0), beta=1.0))
     a = prob.a_map.matrix
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     for _ in range(200):
         prev = st
         st, trace = step(prob, cfg, st)
@@ -343,7 +439,7 @@ def test_run_unconstrained_matches_reference_loop():
     x_prev = np.zeros(12)
     x = np.zeros(12)
     t = 1.0
-    st = initial_state(cfg.rule, np.zeros(12), np.zeros(3))
+    st = initial_state(prob, cfg.rule, np.zeros(12), np.zeros(3))
     for _ in range(300):
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = x + ((t - 1.0) / t_next) * (x - x_prev)
@@ -395,7 +491,7 @@ def test_step_rejects_nonfinite_iterates(small_instance):
                                       lipschitz=1.0),
                   a_map=prob.a_map, b=prob.b)
     cfg = validate(bad, SolverParams(rule=nesterov()))
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    st = initial_state(bad, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     with pytest.raises(StepError, match="right-hand side is not finite"):
         step(bad, cfg, st)
 
@@ -403,7 +499,7 @@ def test_step_rejects_nonfinite_iterates(small_instance):
 def test_step_rejects_nonfinite_gradient_step(tiny_qp):
     # A finite right-hand side whose dual step overflows: the iterate check fires.
     cfg = validate(tiny_qp, SolverParams(rule=nesterov(), rho=1e300))
-    st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
+    st = initial_state(tiny_qp, cfg.rule, np.zeros(2), np.zeros(1))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(StepError, match="iterate left the finite range") as err:
         step(tiny_qp, cfg, st)
@@ -419,7 +515,7 @@ def test_step_overflowing_primal_iterate_fails_the_residual_check(tiny_qp):
                                        lipschitz=1e-200),
                    a_map=tiny_qp.a_map, b=tiny_qp.b)
     cfg = validate(huge, SolverParams(rule=nesterov(), beta=0.0))
-    st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
+    st = initial_state(huge, cfg.rule, np.zeros(2), np.zeros(1))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(StepError, match="primal subproblem solve failed") as err:
         step(huge, cfg, st)
@@ -445,7 +541,7 @@ def test_step_rejects_an_infinite_primal_iterate_that_the_map_hides(tiny_qp):
                    a_map=LinearMap(forward=masked, adjoint=lambda y: a.T @ y, dims=(2, 1)),
                    b=tiny_qp.b)
     cfg = validate(prob, SolverParams(rule=nesterov(), beta=0.0))
-    st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
+    st = initial_state(prob, cfg.rule, np.zeros(2), np.zeros(1))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(StepError, match="iterate left the finite range") as err:
         step(prob, cfg, st)
@@ -461,7 +557,7 @@ def test_step_keeps_a_finite_primal_iterate_whose_residual_norm_overflows(tiny_q
                                        lipschitz=1.0),
                    a_map=tiny_qp.a_map, b=tiny_qp.b)
     cfg = validate(prob, SolverParams(rule=nesterov(), beta=0.0))
-    st = initial_state(cfg.rule, np.zeros(2), np.zeros(1))
+    st = initial_state(prob, cfg.rule, np.zeros(2), np.zeros(1))
     with np.errstate(over="ignore"):
         new_st, _ = step(prob, cfg, st)
     assert np.isfinite(new_st.x_k).all() and np.isfinite(new_st.lam_k).all()
@@ -541,21 +637,26 @@ def test_run_shipped_cd4_needs_no_cg_iterations():
 
 
 @pytest.mark.parametrize("kind", ["dense", "matrix_free", "zero"])
-def test_step_caches_exact_image(small_instance, kind):
+def test_step_caches_exact_image(small_instance, state_at, kind):
+    # the block's image rows are the map's images of their iterates, bit for
+    # bit, and a state rebuilt from its four iterates steps to the same bits
     prob = {"dense": small_instance[0], "matrix_free": _matrix_free(small_instance[0]),
             "zero": generate(GenSpec("unconstrained", 6, 2, 1, 5.0))[0]}[kind]
     params = SolverParams(rule=chambolle_dossal(4.0))
     cfg = validate(prob, params)
-    st = initial_state(cfg.rule, np.ones(prob.n), np.zeros(prob.p))
-    assert st.ax_k is None and st.ax_prev is None
+    st = initial_state(prob, cfg.rule, np.ones(prob.n), np.zeros(prob.p))
     for _ in range(5):
-        bare = dataclasses.replace(st, ax_k=None, ax_prev=None)
-        st, _ = step(prob, cfg, st)
         assert st.ax_k.tobytes() == prob.a_map.forward(st.x_k).tobytes()
         assert st.ax_prev.tobytes() == prob.a_map.forward(st.x_prev).tobytes()
-        again, _ = step(prob, cfg, bare)
-        for name in ("x_k", "lam_k", "ax_k", "ax_prev"):
+        assert st.hist[4].tobytes() == prob.b.tobytes()
+        rebuilt = state_at(prob, cfg.rule, st.k, st.x_k, st.x_prev, st.lam_k, st.lam_prev)
+        assert rebuilt.hist.tobytes() == st.hist.tobytes()
+        hist_before = st.hist.copy()
+        again, _ = step(prob, cfg, rebuilt)
+        st, _ = step(prob, cfg, st)
+        for name in ("x_k", "lam_k", "ax_k", "ax_prev", "lam_prev", "hist"):
             assert getattr(again, name).tobytes() == getattr(st, name).tobytes()
+        assert rebuilt.hist.tobytes() == hist_before.tobytes()  # the step made a fresh block
 
 
 @pytest.fixture(scope="module")
@@ -632,7 +733,7 @@ def test_records_equal_public_diagnostics_matrix_free_and_kkt_tol(shipped_instan
 def _reference_kkt_run(prob, cfg):
     """Exhaustive stop test: the public step, then the exact KKT residuals of
     every iterate; records as ``run`` emits them without a saddle point."""
-    st = initial_state(cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
 
     def record(state, cg_iters, kkt):
         return RunRecord(k=state.k, t_k=state.t_k, gap=None, feas=kkt[1], obj_err=None,
