@@ -11,8 +11,8 @@ from .inertial import (CertReport, InertialRule, attouch_cabot, certify,
 from .linalg import (LinearMap, SpdSolution, SpectralFactor, as_vector, dense_map,
                      norm, op_norm_sq, solve_spd, zero_map)
 from .oracle import OracleError, QpInstance, kkt_solve
-from .problem import (Objective, Problem, kkt_residuals, lagrangian,
-                      least_squares_objective, problem_from_json, quadratic_objective)
+from .problem import (Objective, Problem, kkt_residuals, least_squares_objective,
+                      problem_from_json, quadratic_objective)
 from .solver import (IterateState, RunResult, SolverParams, StepTrace,
                      ValidatedConfig, initial_state, run, step, validate)
 

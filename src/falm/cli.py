@@ -23,7 +23,8 @@ Per-run entries may pin "gamma", "sigma", "rho", "beta", "max_iter",
 the solver defaults, so minimally specified runs match the documented
 parameter rules. Numeric fields, and the entries of an inline problem's
 arrays, reject booleans, strings and null, and integer fields reject
-fractions. A rule spec holds only the keys its rule reads. ``run`` writes
+fractions. Every object of either document holds only the keys that are
+read from it: a misspelled key is refused, never ignored. ``run`` writes
 one ``<label>.csv`` per run (17 significant digits, '.' decimal separator, LF
 line endings; reruns are byte-identical) plus ``summary.json``, which gives each run's resolved
 ``parameters`` (``PARAMETER_FIELDS`` of its validated config) next to its
@@ -44,7 +45,7 @@ Thresholds document::
 
 A "slope" check fits log(metric) against log(k) over the window (two
 integers, the first not above the second) and compares
-against "max_slope"/"min_slope" (and optionally "min_r2"). A "monotone" check
+against at least one of "max_slope", "min_slope" and "min_r2". A "monotone" check
 allows per-step increases up to ``tol * max(1, first value)``, starting at the
 optional index "from_k"; floating-point noise means a strict ``tol = 0`` will
 fail on any real run, so keep the 1e-9 scale.
@@ -76,14 +77,17 @@ from .diagnostics import RunRecord, rate_fit
 from .errors import ValidationError
 from .inertial import certify, rule_from_spec
 from .oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
-from .problem import Problem, json_number, problem_from_json
+from .problem import Problem, _check_keys, json_number, problem_from_json
 from .solver import RunResult, SolverParams, ValidatedConfig, run
 
 CSV_HEADER = "k,t_k,gap,feas,obj_err,kkt_grad,kkt_feas,energy,cg_iters"
 DEFAULT_WINDOW = (100, 10000)
 SLOPE_FIELDS = ("gap", "feas", "obj_err")
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
-CHECK_KINDS = ("slope", "monotone")
+# The keys each check kind reads.
+CHECK_KINDS = {"slope": ("kind", "metric", "label", "window", "max_slope", "min_slope",
+                         "min_r2"),
+               "monotone": ("kind", "metric", "label", "tol", "from_k")}
 CHECK_NUMBERS = ("max_slope", "min_slope", "min_r2", "tol", "from_k")
 PARAMETER_FIELDS = ("gamma", "sigma", "rho", "beta", "a_norm_sq", "a_norm_probes",
                     "sigma_bound", "convergence_certified")
@@ -106,15 +110,16 @@ class ExperimentConfig:
 
 def _params_from_doc(doc: dict, where: str) -> SolverParams:
     """The run's parameters; a key that is absent or null keeps the default of
-    :class:`SolverParams`."""
+    :class:`SolverParams`, and a key nothing reads raises ``ValueError``."""
+    numbers = (("gamma", float), ("sigma", float), ("rho", float), ("beta", float),
+               ("max_iter", int), ("kkt_tol", float), ("cg_tol", float),
+               ("record_every", int))
+    _check_keys(doc, ("label", "rule") + tuple(key for key, _ in numbers), where)
     if not isinstance(doc.get("rule"), dict):
         raise ValueError(f"{where}: 'rule' must be an object")
     rule = rule_from_spec(doc["rule"])
     given = {key: json_number(doc[key], conv, f"{where}: {key!r}")
-             for key, conv in (("gamma", float), ("sigma", float), ("rho", float),
-                               ("beta", float), ("max_iter", int), ("kkt_tol", float),
-                               ("cg_tol", float), ("record_every", int))
-             if doc.get(key) is not None}
+             for key, conv in numbers if doc.get(key) is not None}
     return SolverParams(rule=rule, **given)
 
 
@@ -123,6 +128,7 @@ def load_experiment(path: str) -> ExperimentConfig:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
+    _check_keys(doc, ("problem", "output_dir", "runs"), "config")
     prob_doc = doc["problem"]
     if not isinstance(prob_doc, dict):
         raise ValueError("'problem' must be an object")
@@ -166,6 +172,7 @@ def load_thresholds(path: str, labels: list[str]) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("thresholds document must be a JSON object")
+    _check_keys(doc, ("window", "checks"), "thresholds")
     _check_window(doc.get("window", DEFAULT_WINDOW), "thresholds")
     checks = doc.get("checks", [])
     if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
@@ -176,8 +183,13 @@ def load_thresholds(path: str, labels: list[str]) -> dict:
             raise ValueError(f"{where}: 'metric' must be one of {list(RECORD_FIELDS)}")
         if "label" in check and check["label"] not in labels:
             raise ValueError(f"{where}: no run labeled {check['label']!r}")
-        if check.get("kind", "slope") not in CHECK_KINDS:
+        kind = check.get("kind", "slope")
+        if not isinstance(kind, str) or kind not in CHECK_KINDS:
             raise ValueError(f"{where}: 'kind' must be one of {list(CHECK_KINDS)}")
+        _check_keys(check, CHECK_KINDS[kind], where)
+        if kind == "slope" and not {"max_slope", "min_slope", "min_r2"} & check.keys():
+            raise ValueError(f"{where}: a slope check needs 'max_slope', 'min_slope' "
+                             f"or 'min_r2'")
         if "window" in check:
             _check_window(check["window"], where)
         for key in CHECK_NUMBERS:

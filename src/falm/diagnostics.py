@@ -8,23 +8,23 @@ velocity term. Along a valid run it is nonincreasing when evaluated at a
 saddle point, which is what the acceptance suite verifies.
 
 The gap, objective error and energy compare nearly equal Lagrangian values,
-and the energy scales the gap by ``t_k^2``. For an objective that keeps its
-dense description (``Objective.data``) they are computed in identity form,
-from ``d = x - x*``, one Hessian product and the vectors at ``(x*, lam*)``
-that :func:`saddle_terms` forms once, so no large terms cancel. Any other
-objective keeps the difference form.
+and the energy scales the gap by ``t_k^2``. So they are computed from ``d =
+x - x*``, the vectors at ``(x*, lam*)`` that :func:`saddle_terms` forms once,
+and the Bregman distance ``D_f(x, x*)``. Only the Bregman term depends on
+the objective's form (:func:`_bregman`): exact from ``Objective.data`` with
+no large terms cancelling, and a difference of values without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import Array, LinearMap
-from .problem import Problem, _check_dims, half_curvature, lagrangian
+from .problem import Problem, _check_dims
 
 
 def q_norm_sq(prob: Problem, params, u: Array) -> float:
@@ -67,109 +67,110 @@ class RunRecord:
 
 
 class SaddleTerms(NamedTuple):
-    """Evaluations at a reference point ``(x*, lam*)`` that every record reuses.
+    """A reference point ``(x*, lam*)`` and the evaluations there that every
+    record reuses.
 
-    ``residual`` is ``A x* - b`` and ``residual_sq`` its squared norm. For an
-    objective that keeps ``data`` (the identity form) ``adjoint`` is ``A*
-    lam*``, ``dual_grad`` is ``grad f(x*) + A* lam*`` and ``value`` is None.
-    For any other objective (the difference form) ``value`` is ``f(x*)`` and
-    the two vectors are None.
+    ``x`` and ``lam`` are the point, ``residual`` is ``A x* - b`` and
+    ``residual_sq`` its squared norm, ``adjoint`` is ``A* lam*`` and
+    ``dual_grad`` is ``grad f(x*) + A* lam*``. ``bregman(x, d)`` is the
+    Bregman distance ``D_f(x, x*)`` with ``d = x - x*``; it holds ``f(x*)``
+    only for an objective without ``data``.
     """
 
+    x: Array
+    lam: Array
     residual: Array
     residual_sq: float
-    value: float | None
-    adjoint: Array | None
-    dual_grad: Array | None
+    adjoint: Array
+    dual_grad: Array
+    bregman: Callable[[Array, Array], float]
+
+
+def _bregman(prob: Problem, x_star: Array,
+             grad_star: Array) -> Callable[[Array, Array], float]:
+    """``D_f(x, x*) = f(x) - f(x*) - <grad f(x*), d>`` as a function of ``x``
+    and ``d = x - x*``; the only code that reads ``Objective.data``.
+
+    With ``data`` it is ``0.5 d'Qd`` for a quadratic and ``0.5 ||M d||^2`` for
+    least squares: one Hessian product, no value call, and no cancellation.
+    Without, it is a difference of values: ``f(x*)`` is taken here, once,
+    and each call takes ``f(x)``.
+    """
+    obj = prob.objective
+    if obj.data is None:
+        f_star = obj.value(x_star)
+        return lambda x, d: obj.value(x) - f_star - float(grad_star.dot(d))
+    kind, mat, _ = obj.data
+    if kind == "quadratic":
+        return lambda x, d: 0.5 * float(d.dot(mat @ d))
+
+    def least_squares(x: Array, d: Array) -> float:
+        md = mat @ d
+        return 0.5 * float(md.dot(md))
+    return least_squares
 
 
 def saddle_terms(prob: Problem, x_star: Array, lam_star: Array) -> SaddleTerms:
     """The :class:`SaddleTerms` of ``(x_star, lam_star)``: one forward apply,
-    plus one gradient and one adjoint (identity form) or one value (difference
-    form)."""
+    one adjoint, one gradient, and one value for an objective without
+    ``data``."""
     residual = prob.a_map.forward(x_star) - prob.b
-    residual_sq = float(residual.dot(residual))
-    if prob.objective.data is None:
-        return SaddleTerms(residual, residual_sq, prob.objective.value(x_star), None, None)
     adjoint = prob.a_map.adjoint(lam_star)
-    return SaddleTerms(residual, residual_sq, None, adjoint,
-                       prob.objective.gradient(x_star) + adjoint)
+    grad = prob.objective.gradient(x_star)
+    return SaddleTerms(x_star, lam_star, residual, float(residual.dot(residual)),
+                       adjoint, grad + adjoint, _bregman(prob, x_star, grad))
 
 
-def gap(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array, *,
-        at_star: SaddleTerms | None = None) -> float:
+def gap(prob: Problem, x: Array, lam: Array, star: SaddleTerms) -> float:
     """Primal-dual gap ``L(x, lam*) - L(x*, lam)``; nonnegative at saddle points.
 
-    With ``d = x - x*`` and ``H`` the objective's Hessian, the identity form
-    is ``0.5 d'Hd + <grad f(x*) + A* lam*, d> + <lam* - lam, A x* - b>``:
-    exact for a quadratic objective and free of the cancellation between the
-    two nearly equal Lagrangian values. It needs one Hessian product and no
-    value oracle. An objective without ``data`` keeps the difference form.
-    ``at_star`` may supply :func:`saddle_terms` of ``(x_star, lam_star)``.
+    With ``d = x - x*`` it is ``D_f(x, x*) + <grad f(x*) + A* lam*, d> +
+    <lam* - lam, A x* - b>`` for any f, the Bregman term ``D_f`` from
+    ``star.bregman``. The two inner products are small near a saddle point,
+    where ``grad f(x*) + A* lam*`` and ``A x* - b`` vanish.
     """
     _check_dims(prob, x, lam)
-    if at_star is None:
-        at_star = saddle_terms(prob, x_star, lam_star)
-    data = prob.objective.data
-    if data is None:
-        return (lagrangian(prob, x, lam_star)
-                - (at_star.value + float(np.dot(lam, at_star.residual))))
-    d = x - x_star
-    return (half_curvature(data, d) + float(at_star.dual_grad.dot(d))
-            + float((lam_star - lam).dot(at_star.residual)))
+    d = x - star.x
+    return (star.bregman(x, d) + float(star.dual_grad.dot(d))
+            + float((star.lam - lam).dot(star.residual)))
 
 
-def objective_error(prob: Problem, x: Array, lam: Array, x_star: Array, lam_star: Array,
-                    *, at_star: SaddleTerms | None = None,
-                    gap_value: float | None = None) -> float:
-    """Objective error ``|f(x) - f(x*)|``.
+def objective_error(prob: Problem, x: Array, lam: Array, star: SaddleTerms,
+                    gap_value: float) -> float:
+    """Objective error ``|f(x) - f(x*)|`` read off ``gap_value``, the
+    :func:`gap` of ``(x, lam)``.
 
-    In the identity form it is read off the gap: ``f(x) - f(x*) = gap - <A*
-    lam*, d> - <lam* - lam, A x* - b>`` with ``d = x - x*``, so it needs no
-    Hessian product of its own; ``lam`` enters only through rounding. An
-    objective without ``data`` takes the difference of two values.
-    ``at_star`` is as in :func:`gap`; ``gap_value`` may supply :func:`gap` of
-    ``(x, lam)``, with the same result to the bit.
+    With ``d = x - x*``, ``f(x) - f(x*) = gap - <A* lam*, d> - <lam* - lam, A
+    x* - b>``, so it needs no oracle call of its own; ``lam`` enters only
+    through rounding.
     """
-    if at_star is None:
-        at_star = saddle_terms(prob, x_star, lam_star)
-    if prob.objective.data is None:
-        return abs(prob.objective.value(x) - at_star.value)
-    if gap_value is None:
-        gap_value = gap(prob, x, lam, x_star, lam_star, at_star=at_star)
-    return abs(gap_value - float(at_star.adjoint.dot(x - x_star))
-               - float((lam_star - lam).dot(at_star.residual)))
+    return abs(gap_value - float(star.adjoint.dot(x - star.x))
+               - float((star.lam - lam).dot(star.residual)))
 
 
-def energy(prob: Problem, params, x_k: Array, x_prev: Array, lam_k: Array,
-           lam_prev: Array, t_k: float, x_star: Array, lam_star: Array, *,
-           at_star: SaddleTerms | None = None, gap_value: float | None = None,
-           residual: Array | None = None) -> float:
-    """Energy of the iterate pair ``(x_k, x_prev, lam_k, lam_prev)`` at index k.
+def energy(prob: Problem, params, state, star: SaddleTerms, gap_value: float,
+           residual: Array) -> float:
+    """Energy of ``state`` at the reference point of ``star``.
 
-    ``params`` must expose ``gamma``, ``sigma``, ``rho`` and ``beta`` (a
-    validated solver config does). The reference ``(x_star, lam_star)`` must
-    be a saddle point for the monotonicity and bound properties to hold. The
-    augmented gap is :func:`gap` plus ``(beta/2)(||A x_k - b||^2 - ||A x* -
-    b||^2)``. ``at_star`` is as in :func:`gap`; ``gap_value`` may supply
-    :func:`gap` of ``(x_k, lam_k)`` and ``residual`` may supply ``A x_k - b``.
-    The result is the same to the bit.
+    ``state`` exposes ``x_k``, ``x_prev``, ``lam_k``, ``lam_prev`` and
+    ``t_k``, as an :class:`~falm.solver.IterateState` does; ``params`` must
+    expose ``gamma``, ``sigma``, ``rho`` and ``beta`` (a validated solver
+    config does). ``gap_value`` is the :func:`gap` of ``(x_k, lam_k)`` and
+    ``residual`` is ``A x_k - b``. The reference point must be a saddle point
+    for the monotonicity and bound properties to hold. The augmented gap is
+    the gap plus ``(beta/2)(||A x_k - b||^2 - ||A x* - b||^2)``.
     """
-    if at_star is None:
-        at_star = saddle_terms(prob, x_star, lam_star)
-    if gap_value is None:
-        gap_value = gap(prob, x_k, lam_k, x_star, lam_star, at_star=at_star)
-    if residual is None:
-        residual = prob.a_map.forward(x_k) - prob.b
     g = params.gamma
     rho = params.rho
+    t_k = state.t_k
     t1 = t_k - 1.0
     gap_beta = gap_value + 0.5 * params.beta * (float(residual.dot(residual))
-                                                - at_star.residual_sq)
-    d_x = x_k - x_star
-    d_z = g * d_x + t1 * (x_k - x_prev)  # z_k - gamma x*
-    d_lam = lam_k - lam_star
-    d_lam_prev = lam_k - lam_prev
+                                                - star.residual_sq)
+    x_k, lam_k = state.x_k, state.lam_k
+    d_x = x_k - star.x
+    d_z = g * d_x + t1 * (x_k - state.x_prev)  # z_k - gamma x*
+    d_lam = lam_k - star.lam
+    d_lam_prev = lam_k - state.lam_prev
     d_nu = g * d_lam + t1 * d_lam_prev  # nu_k - gamma lam*
     return (t_k * (t1 + g) * gap_beta
             + 0.5 * q_norm_sq(prob, params, d_z)

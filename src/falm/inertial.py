@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationError
-from .problem import json_number
+from .problem import _check_keys, json_number
 
 # The keys of the wire format that each rule kind reads besides "rule".
 SPEC_KEYS = {"nesterov": (), "chambolle_dossal": ("alpha",),
@@ -102,9 +102,7 @@ def rule_from_spec(doc: dict) -> InertialRule:
     kind = doc["rule"]
     if not isinstance(kind, str) or kind not in SPEC_KEYS:
         raise ValueError(f"unknown rule {kind!r}; expected one of {RULE_KINDS}")
-    for key in doc:
-        if key != "rule" and key not in SPEC_KEYS[kind]:
-            raise ValueError(f"rule {kind!r} does not read the key {key!r}")
+    _check_keys(doc, ("rule",) + SPEC_KEYS[kind], f"rule {kind!r}")
     if kind == "nesterov":
         return nesterov()
     if kind == "constant":

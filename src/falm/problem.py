@@ -1,4 +1,4 @@
-"""Constrained problem instances and their Lagrangian evaluations.
+"""Constrained problem instances and their KKT residuals.
 
 A :class:`Problem` is ``min f(x) subject to A x = b`` with a smooth convex
 objective supplied as value/gradient oracles plus a Lipschitz constant for the
@@ -32,9 +32,10 @@ class Objective:
     """Smooth convex objective given by value/gradient oracles.
 
     ``lipschitz`` bounds the gradient's Lipschitz constant and must be
-    positive. ``data`` optionally keeps the dense description (kind plus
-    matrices) used for the identity form of the saddle-point diagnostics;
-    matrix-free objectives leave it None.
+    positive. ``data`` optionally keeps the dense description ``(kind, mat,
+    vec)``, from which the saddle-point diagnostics take the Bregman distance
+    exactly (``0.5 d'Qd`` or ``0.5 ||M d||^2``); without it they take a
+    difference of values.
     ``quadratic`` optionally keeps the read-only ``(Q, c)`` with ``f(x) =
     0.5 x'Qx + c'x`` up to a constant, the arrays the gradient ``Q x + c``
     itself reads; :func:`~falm.oracle.qp_from_problem` shares them.
@@ -114,16 +115,6 @@ def least_squares_objective(m, d, lipschitz: float | None = None) -> Objective:
     return _quadratic(gram, c, lipschitz, value=value, data=("least_squares", m, d))
 
 
-def half_curvature(data: tuple, d: Array) -> float:
-    """``0.5 d'Hd`` for the Hessian ``H`` of an objective's ``data``: ``0.5
-    d'Qd`` for a quadratic, ``0.5 ||M d||^2`` for least squares."""
-    kind, mat, _ = data
-    if kind == "quadratic":
-        return 0.5 * float(d.dot(mat @ d))
-    md = mat @ d
-    return 0.5 * float(md.dot(md))
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Instance of ``min f(x) subject to A x = b``; immutable and shareable.
@@ -165,12 +156,6 @@ def _check_dims(prob: Problem, x: Array, lam: Array) -> None:
         raise DimensionMismatch(f"multiplier has dimension {lam.size}, expected {prob.p}")
 
 
-def lagrangian(prob: Problem, x: Array, lam: Array) -> float:
-    """``f(x) + <lam, A x - b>``."""
-    _check_dims(prob, x, lam)
-    return prob.objective.value(x) + float(np.dot(lam, prob.a_map.forward(x) - prob.b))
-
-
 def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
                   residual: Array | None = None,
                   adjoint: Array | None = None) -> tuple[float, float]:
@@ -206,6 +191,14 @@ def json_number(value, conv=float, name: str = "value"):
     raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
+def _check_keys(doc: dict, keys, where: str) -> None:
+    """Refuse a key of ``doc`` outside ``keys`` with ``ValueError``: nothing
+    reads it, so it is a misspelling or a field the caller thinks has effect."""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"{where} does not read the key {key!r}")
+
+
 def _json_numbers(values, name: str) -> Array:
     """A flat JSON list of numbers, each entry parsed by :func:`json_number`."""
     if not isinstance(values, list):
@@ -223,9 +216,11 @@ def problem_from_json(doc: dict) -> Problem:
     "least_squares", "M": <rows*n row-major>, "d": <rows>}``. A field of the
     wrong type, an entry of ``A``, ``b``, ``Q``, ``c``, ``M`` or ``d`` that
     :func:`json_number` refuses (a string, a boolean, null, a nested list)
-    among them, raises ``ValueError``; a missing one ``KeyError``.
+    among them, and a key the document or its objective does not read raise
+    ``ValueError``; a missing one ``KeyError``.
     """
     try:
+        _check_keys(doc, ("n", "p", "A", "b", "objective"), "problem")
         n = json_number(doc["n"], int, "n")
         p = json_number(doc["p"], int, "p")
         if n < 1 or p < 1:
@@ -235,9 +230,11 @@ def problem_from_json(doc: dict) -> Problem:
         obj_doc = doc["objective"]
         kind = obj_doc["kind"]
         if kind == "quadratic":
+            _check_keys(obj_doc, ("kind", "Q", "c"), "objective 'quadratic'")
             q = _json_numbers(obj_doc["Q"], "Q").reshape(n, n)
             objective = quadratic_objective(q, _json_numbers(obj_doc["c"], "c"))
         elif kind == "least_squares":
+            _check_keys(obj_doc, ("kind", "M", "d"), "objective 'least_squares'")
             m_flat = _json_numbers(obj_doc["M"], "M")
             rows = m_flat.size // n
             objective = least_squares_objective(m_flat.reshape(rows, n),

@@ -409,9 +409,8 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         cfg = validate(prob, params)
     st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     if saddle is not None:
-        x_star = as_vector(saddle[0], prob.n, "x_star")
-        lam_star = as_vector(saddle[1], prob.p, "lam_star")
-        at_star = diagnostics.saddle_terms(prob, x_star, lam_star)
+        star = diagnostics.saddle_terms(prob, as_vector(saddle[0], prob.n, "x_star"),
+                                        as_vector(saddle[1], prob.p, "lam_star"))
     records: list[diagnostics.RunRecord] = []
 
     def emit(state: IterateState, cg_iters: int, res: Array | None = None,
@@ -422,15 +421,10 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
             kkt = kkt_residuals(prob, state.x_k, state.lam_k, residual=res)
         feas = kkt[1]
         if saddle is not None:
-            gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, x_star, lam_star,
-                                      at_star=at_star)
-            obj_err = diagnostics.objective_error(prob, state.x_k, state.lam_k, x_star,
-                                                  lam_star, at_star=at_star,
-                                                  gap_value=gap_val)
-            energy_val = diagnostics.energy(prob, cfg, state.x_k, state.x_prev,
-                                            state.lam_k, state.lam_prev, state.t_k,
-                                            x_star, lam_star, at_star=at_star,
-                                            gap_value=gap_val, residual=res)
+            gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, star)
+            obj_err = diagnostics.objective_error(prob, state.x_k, state.lam_k, star,
+                                                  gap_val)
+            energy_val = diagnostics.energy(prob, cfg, state, star, gap_val, res)
         else:
             gap_val = obj_err = energy_val = None
         rec = diagnostics.RunRecord(k=state.k, t_k=state.t_k, gap=gap_val,

@@ -396,12 +396,23 @@ def _tiny_runs():
         "kind": "quadratic", "Q": [1, 0, 0, "1e0"], "c": [0, False]}}),
     lambda doc: doc.update(problem={**_INLINE_PROBLEM, "p": 2, "A": [1.0, 1.0, 1.0, 1.0],
                                     "b": [1.0, 2.0]}),
+    lambda doc: doc["runs"][0].update(max_iters=5),
+    lambda doc: doc["runs"][0].update(record_evry=1),
+    lambda doc: doc["problem"].update(cnd=5.0),
+    lambda doc: doc.update(ouput_dir="elsewhere"),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "kind_": "quadratic"}),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
+        **_INLINE_PROBLEM["objective"], "M": [1.0, 0.0]}}),
+    lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
+        "kind": "least_squares", "M": [1.0, 0.0], "d": [1.0], "c": [0.0, 0.0]}}),
 ], ids=["problem_not_object", "run_not_object", "gamma_string", "label_not_file_name",
         "max_iter_fraction", "max_iter_bool", "beta_bool", "beta_nan", "rho_inf",
         "rule_m_bool", "alpha_string",
         "seed_fraction", "generator_n_string", "inline_n_fraction", "q_asymmetric", "q_indefinite",
         "rule_unread_m", "rule_unread_alpha", "inline_a_strings", "inline_b_null",
-        "inline_q_c_not_numbers", "b_infeasible"])
+        "inline_q_c_not_numbers", "b_infeasible", "run_unread_max_iters",
+        "run_unread_record_evry", "generator_unread_cnd", "config_unread_ouput_dir",
+        "inline_unread_key", "quadratic_unread_m", "least_squares_unread_c"])
 def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     doc = json.loads(Path(cfg).read_text())
@@ -436,9 +447,18 @@ _GOOD_CHECK = {"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1
     {"checks": [{**_GOOD_CHECK, "window": [20, 5]}]},
     {"checks": [{"kind": "monotone", "metric": "energy", "from_k": 2.5}]},
     {"checks": [{**_GOOD_CHECK, "max_slope": "-1.8"}]},
+    {"checks": [_GOOD_CHECK], "windw": [1, 20]},
+    {"checks": [{"kind": "slope", "metric": "gap", "label": "cd4", "max_slop": -1.8}]},
+    {"checks": [{"kind": "slope", "metric": "gap", "label": "cd4"}]},
+    {"checks": [{"metric": "gap", "window": [1, 20]}]},
+    {"checks": [{"kind": "monotone", "metric": "energy", "tol": 1e-9, "max_slope": 0.0}]},
+    {"checks": [{"kind": "monotone", "metric": "energy", "window": [1, 20]}]},
 ], ids=["not_object", "check_not_object", "window_not_pair", "no_metric",
         "unknown_metric", "unknown_label", "unknown_kind", "window_descending",
-        "check_window_descending", "from_k_fraction", "max_slope_string"])
+        "check_window_descending", "from_k_fraction", "max_slope_string",
+        "unread_document_key", "slope_unread_max_slop", "slope_without_bound",
+        "default_kind_without_bound", "monotone_unread_max_slope",
+        "monotone_unread_window"])
 def test_bad_thresholds_document_exits_2(tmp_path, capsys, thresholds):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     path = _write(tmp_path / "thresholds.json", thresholds)

@@ -11,8 +11,7 @@ from falm.errors import DimensionMismatch
 from falm.inertial import chambolle_dossal, nesterov
 from falm.linalg import dense_map, zero_map
 from falm.oracle import kkt_solve
-from falm.problem import (Objective, Problem, kkt_residuals, lagrangian,
-                          quadratic_objective)
+from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
 from falm.solver import SolverParams, initial_state, run, step, validate
 
 
@@ -69,14 +68,21 @@ def _cfg_and_saddle(small_instance, **kw):
     return prob, cfg, x_star, lam_star
 
 
-def test_energy_zero_at_saddle_start(small_instance):
+def _energy(prob, cfg, st, star):
+    """:func:`energy` of ``st`` with its gap and residual evaluated here."""
+    return energy(prob, cfg, st, star, gap(prob, st.x_k, st.lam_k, star),
+                  prob.a_map.forward(st.x_k) - prob.b)
+
+
+def test_energy_zero_at_saddle_start(small_instance, state_at):
     prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
-    val = energy(prob, cfg, x_star, x_star, lam_star, lam_star, 1.0,
-                 x_star, lam_star)
+    st = state_at(prob, cfg.rule, 1, x_star, x_star, lam_star, lam_star)
+    assert st.t_k == 1.0
+    val = _energy(prob, cfg, st, saddle_terms(prob, x_star, lam_star))
     assert abs(val) <= 1e-10
 
 
-def test_energy_gamma_one_drops_distance_terms(small_instance, aug_lagrangian):
+def test_energy_gamma_one_drops_distance_terms(small_instance, aug_lagrangian, state_at):
     prob, qp = small_instance
     params = SolverParams(rule=nesterov(), beta=0.5)
     cfg = validate(prob, params)
@@ -85,9 +91,9 @@ def test_energy_gamma_one_drops_distance_terms(small_instance, aug_lagrangian):
     rng = np.random.default_rng(2)
     x_k, x_prev = x_star + 0.1 * rng.standard_normal((2, prob.n))
     lam_k, lam_prev = lam_star + 0.1 * rng.standard_normal((2, prob.p))
-    t_k = 3.0
-    got = energy(prob, cfg, x_k, x_prev, lam_k, lam_prev, t_k,
-                 x_star, lam_star)
+    st = state_at(prob, cfg.rule, 4, x_k, x_prev, lam_k, lam_prev)
+    t_k = st.t_k
+    got = _energy(prob, cfg, st, saddle_terms(prob, x_star, lam_star))
     # independent evaluation of the three surviving terms
     gap_beta = (aug_lagrangian(prob, x_k, lam_star, cfg.beta)
                 - aug_lagrangian(prob, x_star, lam_k, cfg.beta))
@@ -101,12 +107,12 @@ def test_energy_gamma_one_drops_distance_terms(small_instance, aug_lagrangian):
 
 def test_energy_matches_independent_reimplementation(small_instance, aug_lagrangian):
     prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
+    star = saddle_terms(prob, x_star, lam_star)
     st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
     g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
     for _ in range(5):
         st, _ = step(prob, cfg, st)
-        got = energy(prob, cfg, st.x_k, st.x_prev, st.lam_k,
-                     st.lam_prev, st.t_k, x_star, lam_star)
+        got = _energy(prob, cfg, st, star)
         # term-by-term duplicate, written against the dense matrices
         a = prob.a_map.matrix
         q_dense = np.eye(prob.n) / cfg.sigma - beta * (a.T @ a)
@@ -138,40 +144,51 @@ def _without_data(prob):
 
 
 def test_precomputed_evaluations_change_no_bit(small_instance):
-    dense, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
-    for prob in (dense, _without_data(dense)):  # identity form, difference form
-        at_star = saddle_terms(prob, x_star, lam_star)
-        st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
-        for _ in range(5):
-            st, _ = step(prob, cfg, st)
-            residual = prob.a_map.forward(st.x_k) - prob.b
-            assert (kkt_residuals(prob, st.x_k, st.lam_k, residual=residual,
-                                  adjoint=prob.a_map.adjoint(st.lam_k))
-                    == kkt_residuals(prob, st.x_k, st.lam_k, residual=residual)
-                    == kkt_residuals(prob, st.x_k, st.lam_k))
-            gap_value = gap(prob, st.x_k, st.lam_k, x_star, lam_star, at_star=at_star)
-            assert gap_value == gap(prob, st.x_k, st.lam_k, x_star, lam_star)
-            assert (objective_error(prob, st.x_k, st.lam_k, x_star, lam_star,
-                                    at_star=at_star, gap_value=gap_value)
-                    == objective_error(prob, st.x_k, st.lam_k, x_star, lam_star))
-            args = (prob, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
-                    st.t_k, x_star, lam_star)
-            assert (energy(*args, at_star=at_star, gap_value=gap_value, residual=residual)
-                    == energy(*args))
+    prob, cfg, _, _ = _cfg_and_saddle(small_instance, beta=0.7)
+    st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    for _ in range(5):
+        st, _ = step(prob, cfg, st)
+        residual = prob.a_map.forward(st.x_k) - prob.b
+        assert (kkt_residuals(prob, st.x_k, st.lam_k, residual=residual,
+                              adjoint=prob.a_map.adjoint(st.lam_k))
+                == kkt_residuals(prob, st.x_k, st.lam_k, residual=residual)
+                == kkt_residuals(prob, st.x_k, st.lam_k))
 
 
-def test_both_forms_agree_with_the_lagrangian_definitions(small_instance):
+def test_both_forms_agree_with_the_lagrangian_definitions(small_instance, aug_lagrangian):
     dense, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=0.7)
-    for prob in (dense, _without_data(dense)):  # identity form, difference form
+    for prob in (dense, _without_data(dense)):  # exact Bregman term, difference of values
+        star = saddle_terms(prob, x_star, lam_star)
         st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
         for _ in range(20):
             st, _ = step(prob, cfg, st)
-            want_gap = lagrangian(prob, st.x_k, lam_star) - lagrangian(prob, x_star, st.lam_k)
+            want_gap = (aug_lagrangian(prob, st.x_k, lam_star, 0.0)
+                        - aug_lagrangian(prob, x_star, st.lam_k, 0.0))
             want_obj = abs(prob.objective.value(st.x_k) - prob.objective.value(x_star))
-            assert gap(prob, st.x_k, st.lam_k, x_star, lam_star) == pytest.approx(
-                want_gap, rel=1e-9, abs=1e-15)
-            assert objective_error(prob, st.x_k, st.lam_k, x_star, lam_star) == pytest.approx(
+            got_gap = gap(prob, st.x_k, st.lam_k, star)
+            assert got_gap == pytest.approx(want_gap, rel=1e-9, abs=1e-15)
+            assert objective_error(prob, st.x_k, st.lam_k, star, got_gap) == pytest.approx(
                 want_obj, rel=1e-9, abs=1e-15)
+
+
+def test_data_less_run_takes_one_value_per_record(small_instance):
+    # the Bregman term of an objective without data takes f(x) once per record
+    # and f(x*) once per run; the gap and objective error share it
+    prob, qp = small_instance
+    obj = prob.objective
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return obj.value(x)
+
+    counted = Problem(objective=Objective(value=value, gradient=obj.gradient,
+                                          lipschitz=obj.lipschitz),
+                      a_map=prob.a_map, b=prob.b)
+    res = run(counted, SolverParams(rule=nesterov(), max_iter=40, record_every=3),
+              saddle=kkt_solve(qp))
+    assert len(res.records) == 15
+    assert len(calls) == len(res.records) + 1
 
 
 def test_summability_witnesses(small_instance):
@@ -180,8 +197,7 @@ def test_summability_witnesses(small_instance):
     prob, cfg, x_star, lam_star = _cfg_and_saddle(small_instance, beta=1.0)
     lip = prob.objective.lipschitz
     st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
-    e1 = energy(prob, cfg, st.x_k, st.x_prev, st.lam_k, st.lam_prev,
-                st.t_k, x_star, lam_star)
+    e1 = _energy(prob, cfg, st, saddle_terms(prob, x_star, lam_star))
     sum_primal = 0.0
     sum_dual = 0.0
     for _ in range(2000):
@@ -268,7 +284,7 @@ def test_record_diagnostics_match_exact_arithmetic(kind):
 def test_gap_zero_at_saddle(small_instance):
     prob, qp = small_instance
     x_star, lam_star = kkt_solve(qp)
-    assert abs(gap(prob, x_star, lam_star, x_star, lam_star)) <= 1e-12
+    assert abs(gap(prob, x_star, lam_star, saddle_terms(prob, x_star, lam_star))) <= 1e-12
 
 
 def test_gap_nonnegative_on_run_records(small_instance):
@@ -283,7 +299,7 @@ def test_gap_feasible_point_reduces_to_objective_excess(tiny_qp):
     x_star = np.array([1.0, 1.0])
     lam_star = np.array([-1.0])
     x = np.array([2.0, 0.0])  # feasible
-    val = gap(tiny_qp, x, np.array([5.0]), x_star, lam_star)
+    val = gap(tiny_qp, x, np.array([5.0]), saddle_terms(tiny_qp, x_star, lam_star))
     f_excess = tiny_qp.objective.value(x) - tiny_qp.objective.value(x_star)
     assert val == pytest.approx(f_excess, abs=1e-12)
     assert val >= 0.0

@@ -7,55 +7,47 @@ import pytest
 from falm.errors import DimensionMismatch, NonFiniteError
 from falm.linalg import dense_map
 from falm.oracle import QpInstance, kkt_solve
-from falm.problem import (Objective, Problem, kkt_residuals, lagrangian,
-                          least_squares_objective, problem_from_json, quadratic_objective)
+from falm.problem import (Objective, Problem, kkt_residuals, least_squares_objective,
+                          problem_from_json, quadratic_objective)
 
 # The tiny_qp fixture as an inline problem document.
 _TINY_DOC = {"n": 2, "p": 1, "A": [1.0, 1.0], "b": [2.0],
              "objective": {"kind": "quadratic", "Q": [1.0, 0.0, 0.0, 1.0], "c": [0.0, 0.0]}}
 
 
-def test_lagrangian_hand_value(tiny_qp):
+# The augmented Lagrangian is the energy tests' reference (a conftest fixture);
+# these pin it, and at beta = 0 the Lagrangian, to hand values.
+def test_lagrangian_hand_value(tiny_qp, aug_lagrangian):
     # f=0.5||x||^2, A=[1 1], b=2 at x=(0,0), lam=1: 0 + 1*(0-2) = -2.
-    val = lagrangian(tiny_qp, np.zeros(2), np.array([1.0]))
+    val = aug_lagrangian(tiny_qp, np.zeros(2), np.array([1.0]), 0.0)
     assert val == pytest.approx(-2.0, abs=1e-15)
 
 
-def test_lagrangian_feasible_point_equals_objective(tiny_qp):
+def test_lagrangian_feasible_point_equals_objective(tiny_qp, aug_lagrangian):
     x = np.array([0.5, 1.5])  # on the constraint line
     for lam in (np.array([0.0]), np.array([3.7]), np.array([-2.0])):
-        assert lagrangian(tiny_qp, x, lam) == pytest.approx(
+        assert aug_lagrangian(tiny_qp, x, lam, 0.0) == pytest.approx(
             tiny_qp.objective.value(x), abs=1e-12)
 
 
-def test_lagrangian_zero_multiplier(small_instance):
+def test_lagrangian_zero_multiplier(small_instance, aug_lagrangian):
     prob, _ = small_instance
     x = np.arange(prob.n, dtype=float) / prob.n
-    assert lagrangian(prob, x, np.zeros(prob.p)) == pytest.approx(
+    assert aug_lagrangian(prob, x, np.zeros(prob.p), 0.0) == pytest.approx(
         prob.objective.value(x), abs=1e-12)
 
 
-# The augmented Lagrangian is the energy tests' reference (a conftest fixture);
-# these pin it to hand values and to the library's Lagrangian.
 def test_aug_lagrangian_hand_value(tiny_qp, aug_lagrangian):
     # lagrangian -2 plus (beta/2)*||Ax-b||^2 = -2 + 1*4 = 2 for beta=2.
     val = aug_lagrangian(tiny_qp, np.zeros(2), np.array([1.0]), beta=2.0)
     assert val == pytest.approx(2.0, abs=1e-15)
 
 
-def test_aug_lagrangian_zero_beta_is_lagrangian(small_instance, aug_lagrangian):
-    prob, _ = small_instance
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(prob.n)
-    lam = rng.standard_normal(prob.p)
-    assert aug_lagrangian(prob, x, lam, 0.0) == lagrangian(prob, x, lam)
-
-
 def test_aug_lagrangian_feasible_equals_lagrangian(tiny_qp, aug_lagrangian):
     x = np.array([2.0, 0.0])
     lam = np.array([-4.2])
     assert aug_lagrangian(tiny_qp, x, lam, 3.0) == pytest.approx(
-        lagrangian(tiny_qp, x, lam), abs=1e-12)
+        aug_lagrangian(tiny_qp, x, lam, 0.0), abs=1e-12)
 
 
 def test_kkt_residuals_closed_form_solution(tiny_qp):
@@ -120,16 +112,20 @@ def test_objective_convexity_and_descent_witness(small_instance):
         assert fy <= upper + 1e-9 * scale
 
 
-def test_saddle_inequality_witness(small_instance):
+def test_saddle_inequality_witness(small_instance, aug_lagrangian):
     prob, qp = small_instance
     x_star, lam_star = kkt_solve(qp)
-    l_star = lagrangian(prob, x_star, lam_star)
+
+    def lagrangian(x, lam):
+        return aug_lagrangian(prob, x, lam, 0.0)
+
+    l_star = lagrangian(x_star, lam_star)
     rng = np.random.default_rng(31)
     for _ in range(100):
         x = x_star + rng.standard_normal(prob.n)
         lam = lam_star + rng.standard_normal(prob.p)
-        assert lagrangian(prob, x_star, lam) <= l_star + 1e-10
-        assert lagrangian(prob, x, lam_star) >= l_star - 1e-10
+        assert lagrangian(x_star, lam) <= l_star + 1e-10
+        assert lagrangian(x, lam_star) >= l_star - 1e-10
 
 
 def test_problem_copies_a_writable_b(tiny_qp):

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from falm.benchgen import GenSpec, generate
 from falm.cli import load_experiment
-from falm.diagnostics import RunRecord, energy, gap, objective_error
+from falm.diagnostics import RunRecord, energy, gap, objective_error, saddle_terms
 from falm.errors import SpdSolveError, StepError, ValidationError
 from falm.inertial import (InertialRule, attouch_cabot, chambolle_dossal, constant,
                            nesterov, t_value)
@@ -677,17 +677,20 @@ def _run_with_states(prob, params, saddle, cfg):
 
 def _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle):
     """Every record equals the public diagnostics of its state, bit for bit."""
-    x_star, lam_star = saddle
+    star = saddle_terms(prob, *saddle)
     assert [rec for rec, _ in pairs] == res.records
     prev = pairs[0][1]
     for rec, st in pairs:
         assert (rec.k, rec.t_k) == (st.k, st.t_k)
+        assert st.x_prev.tobytes() == prev.x_k.tobytes()
+        assert st.lam_prev.tobytes() == prev.lam_k.tobytes()
         grad_res, feas_res = kkt_residuals(prob, st.x_k, st.lam_k)
         assert (rec.kkt_grad, rec.kkt_feas, rec.feas) == (grad_res, feas_res, feas_res)
-        assert rec.gap == gap(prob, st.x_k, st.lam_k, x_star, lam_star)
-        assert rec.obj_err == objective_error(prob, st.x_k, st.lam_k, x_star, lam_star)
-        assert rec.energy == energy(prob, cfg, st.x_k, prev.x_k, st.lam_k,
-                                    prev.lam_k, st.t_k, x_star, lam_star)
+        gap_value = gap(prob, st.x_k, st.lam_k, star)
+        assert rec.gap == gap_value
+        assert rec.obj_err == objective_error(prob, st.x_k, st.lam_k, star, gap_value)
+        assert rec.energy == energy(prob, cfg, st, star, gap_value,
+                                    prob.a_map.forward(st.x_k) - prob.b)
         prev = st
 
 
@@ -718,7 +721,7 @@ def test_records_equal_public_diagnostics_matrix_free_and_kkt_tol(shipped_instan
     assert res.reason == "kkt tolerance"
     _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle)
 
-    # an objective without data: records take the difference form
+    # an objective without data: the Bregman term is a difference of values
     obj = prob.objective
     plain = Problem(objective=Objective(value=obj.value, gradient=obj.gradient,
                                         lipschitz=obj.lipschitz),
