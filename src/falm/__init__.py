@@ -6,7 +6,7 @@ from .diagnostics import (RateFit, RunRecord, SaddleTerms, dual_bound_series, en
 from .errors import (CertificationError, DimensionMismatch, FalmError,
                      NonFiniteError, SpdSolveError, StepError, ValidationError)
 from .inertial import (CertReport, InertialRule, attouch_cabot, certify,
-                       chambolle_dossal, constant, nesterov, phi_m,
+                       chambolle_dossal, constant, nesterov, next_t, phi_m,
                        rule_from_spec, t_value, t_values)
 from .linalg import (LinearMap, SpdSolution, SpectralFactor, as_vector, dense_map,
                      norm, op_norm_sq, solve_spd, zero_map)

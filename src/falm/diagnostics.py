@@ -11,8 +11,9 @@ The gap, objective error and energy compare nearly equal Lagrangian values,
 and the energy scales the gap by ``t_k^2``. So they are computed from ``d =
 x - x*``, the vectors at ``(x*, lam*)`` that :func:`saddle_terms` forms once,
 and the Bregman distance ``D_f(x, x*)``. Only the Bregman term depends on
-the objective's form (:func:`_bregman`): exact from ``Objective.data`` with
-no large terms cancelling, and a difference of values without it.
+the objective's form (:func:`_bregman`): ``0.5 d'Qd`` from
+``Objective.data``, exact with no large terms cancelling, and a difference of
+values without it.
 """
 
 from __future__ import annotations
@@ -89,25 +90,19 @@ class SaddleTerms(NamedTuple):
 def _bregman(prob: Problem, x_star: Array,
              grad_star: Array) -> Callable[[Array, Array], float]:
     """``D_f(x, x*) = f(x) - f(x*) - <grad f(x*), d>`` as a function of ``x``
-    and ``d = x - x*``; the only code that reads ``Objective.data``.
+    and ``d = x - x*``; the only diagnostics code that reads
+    ``Objective.data``.
 
-    With ``data`` it is ``0.5 d'Qd`` for a quadratic and ``0.5 ||M d||^2`` for
-    least squares: one Hessian product, no value call, and no cancellation.
-    Without, it is a difference of values: ``f(x*)`` is taken here, once,
-    and each call takes ``f(x)``.
+    With ``data = ("quadratic", Q, c)`` it is ``0.5 d'Qd``: one Hessian
+    product, no value call, and no cancellation. Without, it is a difference
+    of values: ``f(x*)`` is taken here, once, and each call takes ``f(x)``.
     """
     obj = prob.objective
     if obj.data is None:
         f_star = obj.value(x_star)
         return lambda x, d: obj.value(x) - f_star - float(grad_star.dot(d))
-    kind, mat, _ = obj.data
-    if kind == "quadratic":
-        return lambda x, d: 0.5 * float(d.dot(mat @ d))
-
-    def least_squares(x: Array, d: Array) -> float:
-        md = mat @ d
-        return 0.5 * float(md.dot(md))
-    return least_squares
+    q = obj.data[1]
+    return lambda x, d: 0.5 * float(d.dot(q @ d))
 
 
 def saddle_terms(prob: Problem, x_star: Array, lam_star: Array) -> SaddleTerms:

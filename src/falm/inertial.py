@@ -13,6 +13,9 @@ condition ``t_{k+1}^2 - m*t_{k+1} <= t_k^2`` while staying nondecreasing:
 * ``constant``: ``t_k = 1``, the non-accelerated baseline; admits any margin
   in (0, 1].
 
+:func:`next_t` takes any rule from ``t_k`` to ``t_{k+1}``; a run's steps and
+:func:`t_values` share it, and nothing is cached between calls.
+
 :func:`certify` measures the quadratic slack, the per-step growth against the
 bound :func:`phi_m`, and the empirical linear-growth ratio ``min_k t_k/k``.
 For the closed-form rules the slack is evaluated in exact rational arithmetic
@@ -25,7 +28,6 @@ floating point and judged relative to ``t_{k+1}^2``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,8 +56,8 @@ class InertialRule:
         if not (0.0 < self.m <= 1.0):
             raise ValueError(f"margin m must lie in (0, 1], got {self.m}")
         if self.kind in ("chambolle_dossal", "attouch_cabot"):
-            if self.alpha is None or not self.alpha >= 3.0:  # refuses NaN too
-                raise ValueError(f"{self.kind} requires alpha >= 3")
+            if self.alpha is None or not 3.0 <= self.alpha < math.inf:  # refuses NaN too
+                raise ValueError(f"{self.kind} requires a finite alpha >= 3, got {self.alpha}")
 
 
 def min_margin(kind: str, alpha: float | None = None) -> float:
@@ -75,8 +77,8 @@ def nesterov() -> InertialRule:
 
 def _alpha_rule(kind: str, alpha: float) -> InertialRule:
     alpha = float(alpha)
-    if not alpha >= 3.0:  # also keeps the margin 2/(alpha - 1) finite
-        raise ValueError(f"{kind} requires alpha >= 3, got {alpha}")
+    if not 3.0 <= alpha < math.inf:  # keeps the margin 2/(alpha - 1) in (0, 1]
+        raise ValueError(f"{kind} requires a finite alpha >= 3, got {alpha}")
     return InertialRule(kind=kind, alpha=alpha, m=min_margin(kind, alpha))
 
 
@@ -110,28 +112,11 @@ def rule_from_spec(doc: dict) -> InertialRule:
     return _alpha_rule(kind, json_number(doc["alpha"], name="alpha"))
 
 
-# Nesterov values are defined by a recurrence, so they are memoized. The cache
-# only ever grows and is guarded for concurrent extension; t_value stays
-# observably pure.
-_NES_CACHE: list[float] = [1.0]
-_NES_LOCK = threading.Lock()
-
-
-def _nesterov_t(k: int) -> float:
-    if k <= len(_NES_CACHE):
-        return _NES_CACHE[k - 1]
-    with _NES_LOCK:
-        while len(_NES_CACHE) < k:
-            t = _NES_CACHE[-1]
-            _NES_CACHE.append((1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0)
-    return _NES_CACHE[k - 1]
-
-
 def _closed_form(kind: str, k, alpha):
     """t_k of a rule other than Nesterov, in the type of ``k``.
 
-    ``k`` and ``alpha`` are floats (``k`` may be a float array) or Fractions,
-    which make the value exact; ``constant`` ignores ``alpha`` and gives 1.
+    ``k`` and ``alpha`` are floats or Fractions, which make the value exact;
+    ``constant`` ignores ``alpha`` and gives 1.
     """
     if kind == "chambolle_dossal":
         return (k + alpha - 2) / (alpha - 1)
@@ -140,23 +125,30 @@ def _closed_form(kind: str, k, alpha):
     return k ** 0
 
 
+def next_t(rule: InertialRule, t: float, k: int) -> float:
+    """t_{k+1} of the rule from ``t = t_k``: Nesterov's ``(1 + sqrt(1 +
+    4t^2))/2``, or the closed form of the other rules, which ignores ``t``."""
+    if rule.kind == "nesterov":
+        return (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+    return _closed_form(rule.kind, float(k + 1), rule.alpha)
+
+
+def t_values(rule: InertialRule, count: int) -> np.ndarray:
+    """The first ``count`` inertial parameters as an array, each from the
+    one before by :func:`next_t`, as a run's steps take them."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    ts = [1.0 if rule.kind == "nesterov" else _closed_form(rule.kind, 1.0, rule.alpha)]
+    for k in range(1, count):
+        ts.append(next_t(rule, ts[-1], k))
+    return np.array(ts)
+
+
 def t_value(rule: InertialRule, k: int) -> float:
     """The k-th inertial parameter of the rule (k >= 1)."""
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    if rule.kind == "nesterov":
-        return _nesterov_t(k)
-    return _closed_form(rule.kind, float(k), rule.alpha)
-
-
-def t_values(rule: InertialRule, count: int) -> np.ndarray:
-    """The first ``count`` inertial parameters as an array."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if rule.kind == "nesterov":
-        _nesterov_t(count)
-        return np.array(_NES_CACHE[:count])
-    return _closed_form(rule.kind, np.arange(1, count + 1, dtype=float), rule.alpha)
+    return float(t_values(rule, k)[-1])
 
 
 def phi_m(m: float) -> float:

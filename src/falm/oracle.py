@@ -66,17 +66,17 @@ class QpInstance:
 def qp_from_problem(prob: Problem) -> QpInstance | None:
     """The QP of a problem with a quadratic form and a dense nonzero map.
 
-    The QP reads the objective's ``quadratic`` ``(Q, c)`` and shares its
-    arrays; for a least-squares objective that is the Gram matrix ``M'M``
+    The QP reads the objective's ``data`` ``("quadratic", Q, c)`` and shares
+    its arrays; for a least-squares objective that is the Gram matrix ``M'M``
     the gradient uses, and ``c = -M'd``. Returns None when the objective
-    keeps no quadratic form, the map keeps no dense matrix or is zero, or
+    keeps no ``data``, the map keeps no dense matrix or is zero, or
     :class:`QpInstance` rejects the data (for example ``A`` without full row
     rank).
     """
     a = prob.a_map.matrix
-    if prob.objective.quadratic is None or a is None or not np.any(a):
+    if prob.objective.data is None or a is None or not np.any(a):
         return None
-    q, c = prob.objective.quadratic
+    _, q, c = prob.objective.data
     try:
         return QpInstance(q_mat=q, c=c, a_mat=a, b=prob.b)
     except ValueError:

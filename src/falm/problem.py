@@ -4,7 +4,10 @@ A :class:`Problem` is ``min f(x) subject to A x = b`` with a smooth convex
 objective supplied as value/gradient oracles plus a Lipschitz constant for the
 gradient. The constant is user-supplied and never repaired: the admissible
 step size depends on it and must stay under caller control. No library code
-checks it; the tests' finite-difference and descent-lemma probes do.
+checks it; the tests' finite-difference and descent-lemma probes do. The
+quadratic and least-squares objectives keep one quadratic form,
+``Objective.data = ("quadratic", Q, c)``: the arrays their gradient reads,
+which the diagnostics and the KKT oracle read too.
 
 An infeasible instance, ``b`` outside the range of ``A``, builds a Problem;
 :func:`~falm.solver.validate` refuses it with ``ValidationError("b ∈
@@ -32,13 +35,12 @@ class Objective:
     """Smooth convex objective given by value/gradient oracles.
 
     ``lipschitz`` bounds the gradient's Lipschitz constant and must be
-    positive. ``data`` optionally keeps the dense description ``(kind, mat,
-    vec)``, from which the saddle-point diagnostics take the Bregman distance
-    exactly (``0.5 d'Qd`` or ``0.5 ||M d||^2``); without it they take a
-    difference of values.
-    ``quadratic`` optionally keeps the read-only ``(Q, c)`` with ``f(x) =
-    0.5 x'Qx + c'x`` up to a constant, the arrays the gradient ``Q x + c``
-    itself reads; :func:`~falm.oracle.qp_from_problem` shares them.
+    positive. ``data`` optionally keeps ``("quadratic", Q, c)`` with ``f(x) =
+    0.5 x'Qx + c'x`` up to a constant: the read-only arrays the gradient ``Q x
+    + c`` itself reads. The saddle-point diagnostics take the Bregman
+    distance ``0.5 d'Qd`` from it, and :func:`~falm.oracle.qp_from_problem`
+    shares its arrays; without it they take a difference of values and there
+    is no QP. Any other ``data`` layout raises ``ValueError``.
     Oracles must be reentrant: callers may share a Problem across threads.
     """
 
@@ -46,19 +48,21 @@ class Objective:
     gradient: Callable[[Array], Array]
     lipschitz: float
     data: tuple | None = None
-    quadratic: tuple[Array, Array] | None = None
 
     def __post_init__(self):
         if not (self.lipschitz > 0 and np.isfinite(self.lipschitz)):
             raise ValueError(f"lipschitz must be a positive finite scalar, "
                              f"got {self.lipschitz}")
+        kind = self.data[0] if isinstance(self.data, tuple) and len(self.data) == 3 else None
+        if self.data is not None and not (isinstance(kind, str) and kind == "quadratic"):
+            raise ValueError("data must be ('quadratic', Q, c) or None")
 
 
-def _quadratic(q: Array, c: Array, lipschitz: float, value: Callable[[Array], float],
-               data: tuple) -> Objective:
+def _quadratic(q: Array, c: Array, lipschitz: float,
+               value: Callable[[Array], float]) -> Objective:
     """The objective whose gradient is ``q x + c``: the one gradient path."""
     return Objective(value=value, gradient=lambda x: q @ x + c, lipschitz=lipschitz,
-                     data=data, quadratic=(q, c))
+                     data=("quadratic", q, c))
 
 
 def quadratic_objective(q, c, lipschitz: float | None = None) -> Objective:
@@ -83,17 +87,17 @@ def quadratic_objective(q, c, lipschitz: float | None = None) -> Objective:
             raise ValueError(f"Q has the negative eigenvalue {eigs[0]:.6g}")
         lipschitz = float(eigs[-1])
     return _quadratic(q, c, lipschitz,
-                      value=lambda x: float(0.5 * np.dot(x, q @ x) + np.dot(c, x)),
-                      data=("quadratic", q, c))
+                      value=lambda x: float(0.5 * np.dot(x, q @ x) + np.dot(c, x)))
 
 
 def least_squares_objective(m, d, lipschitz: float | None = None) -> Objective:
     """Objective ``f(x) = 0.5 ||M x - d||^2`` with Lipschitz constant ``||M||^2``.
 
-    The Gram matrix ``G = M'M`` and ``c = -M'd`` are formed once, so the
-    gradient ``G x + c`` is one pass over an n-by-n matrix; the value keeps
-    the residual form. The default constant is the largest eigenvalue of
-    ``G``. A non-finite ``M`` raises :class:`~falm.errors.NonFiniteError`.
+    The Gram matrix ``G = M'M`` and ``c = -M'd`` are formed once and kept as
+    the objective's ``data``, so the gradient ``G x + c`` is one pass over an
+    n-by-n matrix; the value keeps the residual form. The default constant is
+    the largest eigenvalue of ``G``. A non-finite ``M`` raises
+    :class:`~falm.errors.NonFiniteError`.
     """
     m = read_only(m)
     d = read_only(as_vector(d, name="d"))
@@ -112,7 +116,7 @@ def least_squares_objective(m, d, lipschitz: float | None = None) -> Objective:
         r = m @ x - d
         return float(0.5 * np.dot(r, r))
 
-    return _quadratic(gram, c, lipschitz, value=value, data=("least_squares", m, d))
+    return _quadratic(gram, c, lipschitz, value=value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +125,8 @@ class Problem:
 
     ``b`` goes through :func:`~falm.linalg.read_only`: a caller's writable
     array is copied, never frozen in place. A ``b`` that does not match the
-    map's range, or an objective that keeps ``quadratic`` and does not match
-    its domain, raises :class:`~falm.errors.DimensionMismatch`.
+    map's range, or an objective whose ``data`` does not match the map's
+    domain, raises :class:`~falm.errors.DimensionMismatch`.
     """
 
     objective: Objective
@@ -135,9 +139,9 @@ class Problem:
         if self.a_map.dims[1] != b.size:
             raise DimensionMismatch(f"operator maps into dimension "
                                     f"{self.a_map.dims[1]} but b has dimension {b.size}")
-        quad = self.objective.quadratic
-        if quad is not None and quad[1].size != self.a_map.dims[0]:
-            raise DimensionMismatch(f"objective has dimension {quad[1].size} but the "
+        data = self.objective.data
+        if data is not None and data[2].size != self.a_map.dims[0]:
+            raise DimensionMismatch(f"objective has dimension {data[2].size} but the "
                                     f"operator acts on dimension {self.a_map.dims[0]}")
 
     @property

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
-from .inertial import InertialRule, min_margin, t_value
+from .inertial import InertialRule, min_margin, next_t, t_value
 from .linalg import (Array, SpectralFactor, all_finite, as_vector, norm, op_norm_sq,
                      solve_spd)
 from .problem import Problem, kkt_residuals
@@ -345,7 +345,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
 
     trace = StepTrace(y_k=y, grad_y=grad_y, cg_iters=sol.iterations)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1,
-                             t_next=t_value(cfg.rule, st.k + 2), hist=new)
+                             t_next=next_t(cfg.rule, t_k1, st.k + 1), hist=new)
     return new_state, trace
 
 
@@ -403,7 +403,9 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
 
     Two runs with identical configuration produce bit-identical records. An
     inner-solve failure returns a partial result with ``reason`` set to
-    "inner solve failure" and the error message attached.
+    "inner solve failure" and the error message attached; its last record is
+    the state before the failed step, with the corrections of the step that
+    produced it.
     """
     if cfg is None:
         cfg = validate(prob, params)
@@ -463,7 +465,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         if stop:
             reason = "kkt tolerance"
             break
-    if last_recorded != st.k:
-        emit(st, 0)
+    if last_recorded != st.k:  # a failed step left the last good state unrecorded
+        emit(st, trace.cg_iters)
     return RunResult(x=st.x_k.copy(), lam=st.lam_k.copy(), iterations=st.k - 1,
                      reason=reason, records=records, error=error)

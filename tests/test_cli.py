@@ -423,6 +423,16 @@ def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
 
 
 
+def test_infinite_alpha_exits_2_naming_alpha(tmp_path, capsys):
+    cfg = _small_config(tmp_path, runs=_tiny_runs())
+    doc = json.loads(Path(cfg).read_text())
+    doc["runs"][0]["rule"]["alpha"] = float("inf")  # written as the JSON token Infinity
+    _write(tmp_path / "config.json", doc)
+    assert "Infinity" in Path(cfg).read_text()
+    assert cmd_run(cfg) == 2
+    assert "requires a finite alpha >= 3, got inf" in capsys.readouterr().err
+
+
 def test_inline_least_squares_with_nan_m_exits_2(tmp_path, capsys):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     doc = json.loads(Path(cfg).read_text())

@@ -238,11 +238,8 @@ def test_record_diagnostics_match_exact_arithmetic(kind):
     mat, vec = [_exact(row) for row in mat], _exact(vec)
     a_rows, b = [_exact(row) for row in prob.a_map.matrix], _exact(prob.b)
 
-    def f(x):
-        if kind == "random_qp":
-            return _dot(x, [_dot(row, x) for row in mat]) / 2 + _dot(vec, x)
-        r = _lincomb(1, [_dot(row, x) for row in mat], -1, vec)
-        return _dot(r, r) / 2
+    def f(x):  # 0.5 x'Qx + c'x for both kinds: least squares keeps its Gram matrix
+        return _dot(x, [_dot(row, x) for row in mat]) / 2 + _dot(vec, x)
 
     def aug_lag(x, lam, beta):
         r = _lincomb(1, [_dot(row, x) for row in a_rows], -1, b)

@@ -45,12 +45,17 @@ def test_t_value_rejects_bad_index():
 def test_rule_constructor_validation():
     with pytest.raises(ValueError):
         chambolle_dossal(2.5)
-    for alpha in (1.0, float("nan")):  # 1.0 used to divide by zero
-        with pytest.raises(ValueError, match="alpha >= 3"):
-            attouch_cabot(alpha)
-    # nan < 3.0 is false, so the constructor used to take a NaN alpha
-    with pytest.raises(ValueError, match="alpha >= 3"):
-        InertialRule("chambolle_dossal", alpha=float("nan"), m=0.5)
+    # 1.0 used to divide by zero; inf made the margin 2/(inf - 1) = 0,
+    # refused as a bad m
+    for alpha in (1.0, float("nan"), float("inf")):
+        for factory in (chambolle_dossal, attouch_cabot):
+            with pytest.raises(ValueError, match=f"finite alpha >= 3, got {alpha}"):
+                factory(alpha)
+    # nan < 3.0 is false and inf >= 3.0 is true, so the constructor used to
+    # take both; an infinite alpha certified and ran with t_1 = NaN
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"finite alpha >= 3, got {alpha}"):
+            InertialRule("chambolle_dossal", alpha=alpha, m=0.5)
     with pytest.raises(ValueError):
         constant(0.0)
     with pytest.raises(ValueError):
@@ -66,6 +71,8 @@ def test_rule_from_spec_wire_format():
     for alpha in (None, [4.0], "4", True):
         with pytest.raises(ValueError, match="alpha must be a number"):
             rule_from_spec({"rule": "chambolle_dossal", "alpha": alpha})
+    with pytest.raises(ValueError, match="finite alpha >= 3, got inf"):  # JSON Infinity
+        rule_from_spec({"rule": "attouch_cabot", "alpha": float("inf")})
     for m in ("0.5", False):
         with pytest.raises(ValueError, match="m must be a number"):
             rule_from_spec({"rule": "constant", "m": m})

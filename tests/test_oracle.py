@@ -105,7 +105,7 @@ def test_qp_from_problem_shares_the_objective_gram():
                    a_map=dense_map(rng.standard_normal((3, 12))),
                    b=rng.standard_normal(3))
     qp = qp_from_problem(prob)
-    gram, c = prob.objective.quadratic
+    _, gram, c = prob.objective.data
     assert np.shares_memory(qp.q_mat, gram) and np.shares_memory(qp.c, c)
     assert np.shares_memory(qp.a_mat, prob.a_map.matrix)
 

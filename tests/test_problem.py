@@ -176,6 +176,18 @@ def test_objective_requires_positive_lipschitz():
         Objective(value=lambda x: 0.0, gradient=lambda x: x, lipschitz=0.0)
 
 
+@pytest.mark.parametrize("data", [
+    ("least_squares", np.eye(2), np.zeros(2)),  # the layout least squares used to keep
+    ("quadratic", np.eye(2)),
+    ["quadratic", np.eye(2), np.zeros(2)],
+    (np.eye(2), np.eye(2), np.zeros(2)),
+    "quadratic",
+], ids=["least_squares_kind", "two_entries", "list", "array_kind", "string"])
+def test_objective_refuses_a_data_layout_other_than_quadratic(data):
+    with pytest.raises(ValueError, match=r"data must be \('quadratic', Q, c\)"):
+        Objective(value=lambda x: 0.0, gradient=lambda x: x, lipschitz=1.0, data=data)
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "least_squares"])
 def test_problem_json_round_trip(kind):
     rng = np.random.default_rng(40)
@@ -183,24 +195,25 @@ def test_problem_json_round_trip(kind):
     b = rng.standard_normal(2)
     if kind == "quadratic":
         m = rng.standard_normal((4, 4))
-        obj = quadratic_objective((m + m.T) / 2 + 5 * np.eye(4),
-                                  rng.standard_normal(4))
+        mat, vec = (m + m.T) / 2 + 5 * np.eye(4), rng.standard_normal(4)
+        obj = quadratic_objective(mat, vec)
     else:
-        obj = least_squares_objective(rng.standard_normal((6, 4)),
-                                      rng.standard_normal(6))
+        mat, vec = rng.standard_normal((6, 4)), rng.standard_normal(6)
+        obj = least_squares_objective(mat, vec)
     prob = Problem(objective=obj, a_map=dense_map(a), b=b)
     names = {"quadratic": ("Q", "c"), "least_squares": ("M", "d")}[kind]
     doc = {"n": 4, "p": 2, "A": a.ravel().tolist(), "b": b.tolist(),
-           "objective": {"kind": kind, names[0]: obj.data[1].ravel().tolist(),
-                         names[1]: obj.data[2].tolist()}}
+           "objective": {"kind": kind, names[0]: mat.ravel().tolist(),
+                         names[1]: vec.tolist()}}
     # JSON text survives a serialization cycle without losing precision.
     back = problem_from_json(json.loads(json.dumps(doc)))
     assert np.array_equal(back.a_map.matrix, a)
     assert np.array_equal(back.b, b)
-    kind2, m2, v2 = back.objective.data
-    assert kind2 == kind
-    assert np.array_equal(m2, obj.data[1])
-    assert np.array_equal(v2, obj.data[2])
+    # both kinds keep the quadratic form their gradient reads, bitwise
+    kind2, q2, c2 = back.objective.data
+    assert kind2 == "quadratic"
+    assert np.array_equal(q2, obj.data[1])
+    assert np.array_equal(c2, obj.data[2])
     x = rng.standard_normal(4)
     assert back.objective.value(x) == prob.objective.value(x)
 
@@ -258,7 +271,8 @@ def test_least_squares_gradient_reads_its_quadratic_form():
     m = rng.standard_normal((6, 4))
     d = rng.standard_normal(6)
     obj = least_squares_objective(m, d)
-    gram, c = obj.quadratic
+    kind, gram, c = obj.data
+    assert kind == "quadratic"
     assert np.array_equal(gram, m.T @ m) and np.array_equal(gram, gram.T)
     assert np.array_equal(c, -(m.T @ d))
     assert not (gram.flags.writeable or c.flags.writeable)
@@ -266,7 +280,7 @@ def test_least_squares_gradient_reads_its_quadratic_form():
     assert np.array_equal(obj.gradient(x), gram @ x + c)
     q = np.diag([1.0, 2.0])
     quad = quadratic_objective(q, np.ones(2))
-    assert np.array_equal(quad.quadratic[0], q) and np.array_equal(quad.quadratic[1], np.ones(2))
+    assert np.array_equal(quad.data[1], q) and np.array_equal(quad.data[2], np.ones(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -310,4 +324,6 @@ def test_problem_from_json_refuses_array_entries_that_are_not_numbers(doc, field
 def test_problem_from_json_reads_integer_and_float_entries():
     prob = problem_from_json({**_LS_DOC, "A": [1, 2.5], "b": [3]})
     assert prob.a_map.matrix.tolist() == [[1.0, 2.5]] and prob.b.tolist() == [3.0]
-    assert prob.objective.data[0] == "least_squares"
+    kind, gram, c = prob.objective.data  # the Gram matrix M'M and c = -M'd of M = I, d = 0
+    assert kind == "quadratic" and gram.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert c.tolist() == [0.0, 0.0]

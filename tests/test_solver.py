@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -10,9 +11,9 @@ from falm.cli import load_experiment
 from falm.diagnostics import RunRecord, energy, gap, objective_error, saddle_terms
 from falm.errors import SpdSolveError, StepError, ValidationError
 from falm.inertial import (InertialRule, attouch_cabot, chambolle_dossal, constant,
-                           nesterov, t_value)
+                           nesterov, t_values)
 from falm.linalg import REFINE_STEPS, LinearMap, dense_map
-from falm.oracle import kkt_solve
+from falm.oracle import kkt_solve, qp_from_problem
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
 from falm.solver import (SolverParams, initial_state, run, step, validate)
 
@@ -355,9 +356,10 @@ def test_constrained_run_matches_a_reference_loop(shipped_instance, rule):
     res = run(prob, params, cfg=cfg)
     x = x_prev = np.zeros(prob.n)
     lam = lam_prev = np.zeros(prob.p)
+    ts = t_values(rule, 2001)
     for k in range(1, 2001):
         _, x_next, lam_next = _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev,
-                                                 t_value(rule, k), t_value(rule, k + 1))
+                                                 ts[k - 1], ts[k])
         x_prev, x, lam_prev, lam = x, x_next, lam, lam_next
     assert res.iterations == 2000
     assert np.max(np.abs(res.x - x)) <= 1e-9 * np.max(np.abs(x))
@@ -482,6 +484,66 @@ def test_run_inner_solve_failure_is_partial(small_instance):
     assert res.reason == "inner solve failure"
     assert res.error is not None
     assert res.records  # at least the initial record survives
+
+
+def test_trailing_record_after_a_failed_step_carries_its_corrections():
+    # The gradient turns NaN at its 251st call: the record at k = 1 takes one
+    # call and each step one, so the step to k = 251 fails and k = 250 is
+    # recorded after the loop, with the refinement corrections of the step
+    # to k = 250 (one here; the trailing record used to say 0).
+    prob, _ = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
+    obj = prob.objective
+    calls = itertools.count(1)
+
+    def gradient(x):
+        g = obj.gradient(x)
+        return g if next(calls) <= 250 else np.full_like(g, np.nan)
+
+    bad = Problem(objective=Objective(obj.value, gradient, obj.lipschitz, obj.data),
+                  a_map=prob.a_map, b=prob.b)
+    params = SolverParams(rule=chambolle_dossal(4.0), cg_tol=1e-14, max_iter=300,
+                          record_every=1000)
+    res = run(bad, params)
+    assert res.reason == "inner solve failure" and res.iterations == 249
+    every = run(prob, SolverParams(rule=chambolle_dossal(4.0), cg_tol=1e-14,
+                                   max_iter=250, record_every=1))
+    assert every.records[249].k == 250 and every.records[249].cg_iters == 1
+    assert [(rec.k, rec.cg_iters) for rec in res.records] == [(1, 0), (250, 1)]
+
+
+@pytest.mark.parametrize("rule", _FOUR_RULES, ids=lambda rule: rule.kind)
+def test_recorded_t_k_equals_t_values_bitwise(rule):
+    # a run carries t_k from step to step by next_t; t_values builds the
+    # same recurrence from t_1
+    prob, _ = generate(GenSpec("unconstrained", 3, 1, 5, 4.0))
+    params = SolverParams(rule=rule, beta=1.0, max_iter=10_000, record_every=1)
+    res = run(prob, params)
+    assert len(res.records) == 10_001
+    recorded = np.array([rec.t_k for rec in res.records])
+    assert recorded.tobytes() == t_values(rule, 10_001).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random_qp", "constrained_least_squares"])
+def test_objective_rebuilt_from_its_fields_runs_the_same(kind):
+    # value, gradient, lipschitz and data are all an objective holds: one
+    # rebuilt from them (with wrapped oracles, as a call counter does) gives
+    # the same KKT oracle, sharing its arrays, and bitwise-equal records
+    prob, qp = generate(GenSpec(kind, 30, 6, 3, 50.0))
+    obj = prob.objective
+    rebuilt = Problem(objective=Objective(value=lambda x: obj.value(x),
+                                          gradient=lambda x: obj.gradient(x),
+                                          lipschitz=obj.lipschitz, data=obj.data),
+                      a_map=prob.a_map, b=prob.b)
+    qp2 = qp_from_problem(rebuilt)
+    assert qp2 is not None
+    for got, want in ((qp2.q_mat, qp.q_mat), (qp2.c, qp.c), (qp2.a_mat, qp.a_mat),
+                      (qp2.b, qp.b)):
+        assert got.tobytes() == want.tobytes() and np.shares_memory(got, want)
+    params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
+                          record_every=7)
+    saddle = kkt_solve(qp)
+    assert run(rebuilt, params, saddle=saddle).records == run(prob, params,
+                                                              saddle=saddle).records
 
 
 def test_step_rejects_nonfinite_iterates(small_instance):
