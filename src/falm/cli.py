@@ -6,6 +6,10 @@ Subcommands::
     falm compare <config.json>
     falm ratecheck <config.json> <thresholds.json>
 
+``main`` parses the command line and exits with the code that
+:func:`execute` returns for it; library callers call ``execute`` and get
+the code back.
+
 The experiment config names a problem (a generator spec with a "kind" field,
 or an inline dense problem document) and a list of labeled runs::
 
@@ -24,13 +28,14 @@ the solver defaults, so minimally specified runs match the documented
 parameter rules. Numeric fields, and the entries of an inline problem's
 arrays, reject booleans, strings and null, and integer fields reject
 fractions. Every object of either document holds only the keys that are
-read from it: a misspelled key is refused, never ignored. ``run`` writes
-one ``<label>.csv`` per run (17 significant digits, '.' decimal separator, LF
-line endings; reruns are byte-identical) plus ``summary.json``, which gives each run's resolved
-``parameters`` (``PARAMETER_FIELDS`` of its validated config) next to its
-outcome.
-``compare`` merges runs into one CSV keyed by (label, k) and writes a
-markdown slope table. ``ratecheck`` evaluates a
+read from it: a misspelled key is refused, never ignored. A run label names
+files, CSV and markdown table cells and ``--runs`` entries, so it holds none
+of ``LABEL_REFUSED``. ``run`` writes one ``<label>.csv`` per run (the
+columns ``RECORD_FIELDS``, 17 significant digits, '.' decimal separator, LF
+line endings; reruns are byte-identical) plus ``summary.json``, which gives
+each run's resolved ``parameters`` (``PARAMETER_FIELDS`` of its validated
+config) next to its outcome. ``compare`` merges runs into one CSV keyed by
+(label, k) and writes a markdown slope table. ``ratecheck`` evaluates a
 thresholds document and exits nonzero on the first violation; see
 ``DEFAULT_WINDOW`` and the check kinds below.
 
@@ -45,10 +50,11 @@ Thresholds document::
 
 A "slope" check fits log(metric) against log(k) over the window (two
 integers, the first not above the second) and compares
-against at least one of "max_slope", "min_slope" and "min_r2". A "monotone" check
-allows per-step increases up to ``tol * max(1, first value)``, starting at the
-optional index "from_k"; floating-point noise means a strict ``tol = 0`` will
-fail on any real run, so keep the 1e-9 scale.
+against at least one of "max_slope", "min_slope" and "min_r2". A "monotone"
+check allows per-step increases up to ``tol * max(1, first value)``, starting
+at the optional index "from_k"; floating-point noise means a strict ``tol =
+0`` will fail on any real run, so keep the 1e-9 scale. Every bound and "tol"
+is a finite number.
 
 Before any run starts, both documents are checked for shape (objects,
 lists, string labels, numeric fields, known metrics and check kinds, check
@@ -68,6 +74,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,15 +87,18 @@ from .oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
 from .problem import Problem, _check_keys, json_number, problem_from_json
 from .solver import RunResult, SolverParams, ValidatedConfig, run
 
-CSV_HEADER = "k,t_k,gap,feas,obj_err,kkt_grad,kkt_feas,energy,cg_iters"
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+CSV_HEADER = ",".join(RECORD_FIELDS)
 DEFAULT_WINDOW = (100, 10000)
 SLOPE_FIELDS = ("gap", "feas", "obj_err")
-RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 # The keys each check kind reads.
 CHECK_KINDS = {"slope": ("kind", "metric", "label", "window", "max_slope", "min_slope",
                          "min_r2"),
                "monotone": ("kind", "metric", "label", "tol", "from_k")}
 CHECK_NUMBERS = ("max_slope", "min_slope", "min_r2", "tol", "from_k")
+# A label names its CSV file, a comparison.csv cell, a comparison.md table
+# cell and a --runs entry.
+LABEL_REFUSED = "/\\\0,|\n\r"
 PARAMETER_FIELDS = ("gamma", "sigma", "rho", "beta", "a_norm_sq", "a_norm_probes",
                     "sigma_bound", "convergence_certified")
 
@@ -146,8 +156,9 @@ def load_experiment(path: str) -> ExperimentConfig:
             raise ValueError(f"each run must be an object with a string 'label', "
                              f"got {entry!r}")
         label = entry["label"]
-        if not label or set(label) & set("/\\\0"):
-            raise ValueError(f"run label {label!r} must be a non-empty file name")
+        if not label or set(label) & set(LABEL_REFUSED):
+            raise ValueError(f"run label {label!r} must be a non-empty file name "
+                             f"without any of {LABEL_REFUSED!r}")
         if any(spec.label == label for spec in runs):
             raise ValueError(f"duplicate run label {label!r}")
         runs.append(RunSpec(label=label,
@@ -193,27 +204,28 @@ def load_thresholds(path: str, labels: list[str]) -> dict:
         if "window" in check:
             _check_window(check["window"], where)
         for key in CHECK_NUMBERS:
-            if key in check:
-                json_number(check[key], name=f"{where}: {key!r}")
+            if key in check and not np.isfinite(json_number(check[key],
+                                                            name=f"{where}: {key!r}")):
+                raise ValueError(f"{where}: {key!r} must be finite, got {check[key]!r}")
         json_number(check.get("from_k", 1), int, f"{where}: 'from_k'")
     return doc
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
+    if type(value) is float:  # most cells; the cheapest test, so it comes first
+        return format(value, ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    return "" if value is None else format(float(value), ".17g")
+
+
+_record_values = attrgetter(*RECORD_FIELDS)
 
 
 def _record_row(rec: RunRecord, label: str | None = None) -> str:
-    cells = [str(rec.k), _fmt(rec.t_k), _fmt(rec.gap), _fmt(rec.feas),
-             _fmt(rec.obj_err), _fmt(rec.kkt_grad), _fmt(rec.kkt_feas),
-             _fmt(rec.energy), str(rec.cg_iters)]
-    if label is not None:
-        cells.insert(0, label)
-    return ",".join(cells)
+    """The record's ``CSV_HEADER`` cells, after ``label`` when one is given."""
+    row = ",".join([_fmt(value) for value in _record_values(rec)])
+    return row if label is None else f"{label},{row}"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -223,9 +235,10 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _execute(command: str, config_path: str, labels_filter: str | None = None,
-             thresholds_path: str | None = None) -> int:
-    """The one path of every subcommand: load, check, execute, report.
+def execute(command: str, config_path: str, labels_filter: str | None = None,
+            thresholds_path: str | None = None) -> int:
+    """Run the subcommand ``command`` and return its exit code: load, check,
+    execute, report.
 
     Whatever can reject a document or a run's parameters happens before the
     first run starts and exits 2. The selected runs then execute in config
@@ -256,12 +269,10 @@ def _execute(command: str, config_path: str, labels_filter: str | None = None,
     except (ValidationError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    saddle = None
-    if config.qp is not None:
-        try:
-            saddle = kkt_solve(config.qp)
-        except OracleError:
-            saddle = None
+    try:
+        saddle = None if config.qp is None else kkt_solve(config.qp)
+    except OracleError:
+        saddle = None
     results = {spec.label: run(config.problem, spec.params, saddle=saddle,
                                cfg=cfgs[spec.label])
                for spec in specs}
@@ -288,14 +299,11 @@ def _slopes(records) -> dict:
 def _summary(config: ExperimentConfig, results: dict[str, RunResult],
              cfgs: dict[str, ValidatedConfig]) -> dict:
     runs_doc = {}
-    for spec in config.runs:
-        if spec.label not in results:
-            continue
-        res = results[spec.label]
+    for label, res in results.items():
+        cfg = cfgs[label]
         last = res.records[-1]
-        cert = certify(spec.params.rule, max(2, min(10000, spec.params.max_iter)))
-        cfg = cfgs[spec.label]
-        runs_doc[spec.label] = {
+        cert = certify(cfg.rule, max(2, min(10000, cfg.max_iter)))
+        runs_doc[label] = {
             "parameters": {name: getattr(cfg, name) for name in PARAMETER_FIELDS},
             "iterations": res.iterations,
             "reason": res.reason,
@@ -305,7 +313,7 @@ def _summary(config: ExperimentConfig, results: dict[str, RunResult],
             "rule_certify": asdict(cert),
         }
         if res.error is not None:
-            runs_doc[spec.label]["error"] = res.error
+            runs_doc[label]["error"] = res.error
     return {"problem": config.problem_doc, "oracle": config.qp is not None,
             "runs": runs_doc}
 
@@ -413,45 +421,27 @@ _WRITERS = {"run": _write_run, "compare": _write_compare,
             "ratecheck": _write_ratecheck}
 
 
-def cmd_run(config_path: str, labels_filter: str | None = None) -> int:
-    return _execute("run", config_path, labels_filter=labels_filter)
-
-
-def cmd_compare(config_path: str) -> int:
-    return _execute("compare", config_path)
-
-
-def cmd_ratecheck(config_path: str, thresholds_path: str) -> int:
-    return _execute("ratecheck", config_path, thresholds_path=thresholds_path)
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(prog="falm",
                                      description="benchmark front-end for the "
                                                  "inertial augmented Lagrangian solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each argument's dest is the name of the execute parameter it fills.
     p_run = sub.add_parser("run", help="execute runs, write per-run CSV + summary")
-    p_run.add_argument("config")
-    p_run.add_argument("--runs", default=None,
+    p_run.add_argument("config_path", metavar="config")
+    p_run.add_argument("--runs", dest="labels_filter", metavar="RUNS",
                        help="comma-separated labels to execute (default all)")
 
     p_cmp = sub.add_parser("compare", help="merged CSV and slope table across runs")
-    p_cmp.add_argument("config")
+    p_cmp.add_argument("config_path", metavar="config")
 
     p_rc = sub.add_parser("ratecheck", help="evaluate rate thresholds, exit nonzero "
                                             "on violation")
-    p_rc.add_argument("config")
-    p_rc.add_argument("thresholds")
+    p_rc.add_argument("config_path", metavar="config")
+    p_rc.add_argument("thresholds_path", metavar="thresholds")
 
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        code = cmd_run(args.config, args.runs)
-    elif args.command == "compare":
-        code = cmd_compare(args.config)
-    else:
-        code = cmd_ratecheck(args.config, args.thresholds)
-    sys.exit(code)
+    sys.exit(execute(**vars(parser.parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -115,7 +115,8 @@ def rule_from_spec(doc: dict) -> InertialRule:
 def _closed_form(kind: str, k, alpha):
     """t_k of a rule other than Nesterov, in the type of ``k``.
 
-    ``k`` and ``alpha`` are floats or Fractions, which make the value exact;
+    ``k`` and ``alpha`` are floats, Fractions, which make the value exact,
+    or a float array ``k``, which gives every value at once;
     ``constant`` ignores ``alpha`` and gives 1.
     """
     if kind == "chambolle_dossal":
@@ -134,11 +135,15 @@ def next_t(rule: InertialRule, t: float, k: int) -> float:
 
 
 def t_values(rule: InertialRule, count: int) -> np.ndarray:
-    """The first ``count`` inertial parameters as an array, each from the
-    one before by :func:`next_t`, as a run's steps take them."""
+    """The first ``count`` inertial parameters as an array, as a run's steps
+    take them: Nesterov's each from the one before by :func:`next_t`, the
+    other rules' from their closed form at k = 1, ..., count, which are the
+    values ``next_t`` gives."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    ts = [1.0 if rule.kind == "nesterov" else _closed_form(rule.kind, 1.0, rule.alpha)]
+    if rule.kind != "nesterov":
+        return _closed_form(rule.kind, np.arange(1.0, count + 1.0), rule.alpha)
+    ts = [1.0]
     for k in range(1, count):
         ts.append(next_t(rule, ts[-1], k))
     return np.array(ts)

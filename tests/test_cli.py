@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from falm import cli
-from falm.cli import (CSV_HEADER, _check_monotone, _fmt, cmd_compare,
-                      cmd_ratecheck, cmd_run, main)
+from falm.cli import CSV_HEADER, _check_monotone, _fmt, execute, main
 from falm.diagnostics import RunRecord
 from falm.linalg import LinearMap
 from falm.problem import Problem
@@ -47,7 +46,7 @@ def _read_csv(path):
 
 def test_run_writes_expected_files(tmp_path):
     cfg = _small_config(tmp_path)
-    assert cmd_run(cfg) == 0
+    assert execute("run", cfg) == 0
     out = tmp_path / "out"
     header, rows = _read_csv(out / "cd4.csv")
     assert ",".join(header) == CSV_HEADER
@@ -65,7 +64,7 @@ def test_summary_gives_the_parameters_each_run_used(tmp_path):
              "gamma": 0.9, "beta": 0.5, "max_iter": 50},
             {"label": "nesterov", "rule": {"rule": "nesterov"}, "max_iter": 50}]
     path = _small_config(tmp_path, runs=runs)
-    assert cmd_run(path) == 0
+    assert execute("run", path) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     config = cli.load_experiment(path)
     for spec in config.runs:
@@ -82,7 +81,7 @@ def test_summary_gives_the_parameters_each_run_used(tmp_path):
 
 def test_summary_says_how_a_norm_sq_was_obtained(tmp_path, monkeypatch):
     path = _small_config(tmp_path, max_iter=50)
-    assert cmd_run(path) == 0
+    assert execute("run", path) == 0
     out = tmp_path / "out"
     dense = json.loads((out / "summary.json").read_text())
     csv = (out / "cd4.csv").read_bytes()
@@ -97,7 +96,7 @@ def test_summary_says_how_a_norm_sq_was_obtained(tmp_path, monkeypatch):
         return config
 
     monkeypatch.setattr(cli, "load_experiment", load_matrix_free)
-    assert cmd_run(path) == 0
+    assert execute("run", path) == 0
     probed = json.loads((out / "summary.json").read_text())
     for label in ("cd4", "baseline"):
         assert dense["runs"][label]["parameters"]["a_norm_probes"] == 0
@@ -109,7 +108,7 @@ def test_summary_says_how_a_norm_sq_was_obtained(tmp_path, monkeypatch):
 
 def test_run_energy_column_monotone(tmp_path):
     cfg = _small_config(tmp_path)
-    assert cmd_run(cfg, labels_filter="cd4") == 0
+    assert execute("run", cfg, labels_filter="cd4") == 0
     _, rows = _read_csv(tmp_path / "out" / "cd4.csv")
     idx = CSV_HEADER.split(",").index("energy")
     energies = [float(r[idx]) for r in rows]
@@ -119,17 +118,17 @@ def test_run_energy_column_monotone(tmp_path):
 
 def test_run_byte_identical_reruns(tmp_path):
     cfg = _small_config(tmp_path)
-    assert cmd_run(cfg) == 0
+    assert execute("run", cfg) == 0
     first = (tmp_path / "out" / "cd4.csv").read_bytes()
     first_summary = (tmp_path / "out" / "summary.json").read_bytes()
-    assert cmd_run(cfg) == 0
+    assert execute("run", cfg) == 0
     assert (tmp_path / "out" / "cd4.csv").read_bytes() == first
     assert (tmp_path / "out" / "summary.json").read_bytes() == first_summary
 
 
 def test_run_label_filter(tmp_path):
     cfg = _small_config(tmp_path)
-    assert cmd_run(cfg, labels_filter="baseline") == 0
+    assert execute("run", cfg, labels_filter="baseline") == 0
     out = tmp_path / "out"
     assert (out / "baseline.csv").exists()
     assert not (out / "cd4.csv").exists()
@@ -137,7 +136,7 @@ def test_run_label_filter(tmp_path):
 
 def test_run_unknown_label(tmp_path, capsys):
     cfg = _small_config(tmp_path)
-    assert cmd_run(cfg, labels_filter="nope") == 2
+    assert execute("run", cfg, labels_filter="nope") == 2
     assert "unknown run labels" in capsys.readouterr().err
 
 
@@ -155,7 +154,7 @@ def test_run_rejects_invalid_sigma(tmp_path, capsys):
     runs = [{"label": "bad", "rule": {"rule": "nesterov"}, "beta": 1.0,
              "sigma": 10.0, "max_iter": 10, "record_every": 1}]
     cfg = _small_config(tmp_path, runs=runs)
-    assert cmd_run(cfg) == 2
+    assert execute("run", cfg) == 2
     err = capsys.readouterr().err
     assert "σ ≤ γ/(L + γβ‖A‖²)" in err
 
@@ -164,7 +163,7 @@ def test_run_rejects_duplicate_labels(tmp_path):
     runs = [{"label": "x", "rule": {"rule": "nesterov"}, "max_iter": 5},
             {"label": "x", "rule": {"rule": "constant"}, "max_iter": 5}]
     cfg = _small_config(tmp_path, runs=runs)
-    assert cmd_run(cfg) == 2
+    assert execute("run", cfg) == 2
 
 
 def test_run_inline_problem(tmp_path):
@@ -179,7 +178,7 @@ def test_run_inline_problem(tmp_path):
            "runs": [{"label": "r", "rule": {"rule": "nesterov"},
                      "beta": 1.0, "max_iter": 200, "record_every": 10}]}
     cfg = _write(tmp_path / "inline.json", doc)
-    assert cmd_run(cfg) == 0
+    assert execute("run", cfg) == 0
     _, rows = _read_csv(tmp_path / "out" / "r.csv")
     gap_idx = CSV_HEADER.split(",").index("gap")
     assert rows[-1][gap_idx] != ""  # oracle recovered from the inline QP
@@ -193,7 +192,7 @@ def test_compare_outputs(tmp_path):
          "beta": 1.0, "max_iter": 300, "record_every": 5},
     ]
     cfg = _small_config(tmp_path, runs=runs)
-    assert cmd_compare(cfg) == 0
+    assert execute("compare", cfg) == 0
     out = tmp_path / "out"
     lines = (out / "comparison.csv").read_text().splitlines()
     assert lines[0] == "label," + CSV_HEADER
@@ -208,13 +207,13 @@ def test_compare_outputs(tmp_path):
 def test_compare_needs_two_runs(tmp_path, capsys):
     runs = [{"label": "only", "rule": {"rule": "nesterov"}, "max_iter": 5}]
     cfg = _small_config(tmp_path, runs=runs)
-    assert cmd_compare(cfg) == 2
+    assert execute("compare", cfg) == 2
     assert "at least 2" in capsys.readouterr().err
 
 
 def test_compare_empty_runs(tmp_path):
     cfg = _small_config(tmp_path, runs=[])
-    assert cmd_compare(cfg) == 2
+    assert execute("compare", cfg) == 2
 
 
 def test_ratecheck_pass_and_fail(tmp_path, capsys):
@@ -225,7 +224,7 @@ def test_ratecheck_pass_and_fail(tmp_path, capsys):
             {"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1.8},
             {"kind": "monotone", "metric": "energy", "label": "cd4", "tol": 1e-9},
         ]})
-    assert cmd_ratecheck(cfg, good) == 0
+    assert execute("ratecheck", cfg, thresholds_path=good) == 0
     report = json.loads((tmp_path / "out" / "ratecheck.json").read_text())
     assert report["ok"] is True
     capsys.readouterr()
@@ -234,7 +233,7 @@ def test_ratecheck_pass_and_fail(tmp_path, capsys):
         "window": [20, 600],
         "checks": [{"kind": "slope", "metric": "gap", "label": "baseline",
                     "max_slope": -30.0}]})
-    assert cmd_ratecheck(cfg, impossible) == 1
+    assert execute("ratecheck", cfg, thresholds_path=impossible) == 1
     err = capsys.readouterr().err
     assert "FAILED" in err and "gap" in err and "baseline" in err
 
@@ -273,12 +272,24 @@ def test_csv_cells_formatting():
 
 def test_main_exit_codes(tmp_path):
     cfg = _small_config(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["run", cfg, "--runs", "cd4"])
-    assert exc.value.code == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["run", str(tmp_path / "missing.json")])
-    assert exc.value.code == 2
+    impossible = _write(tmp_path / "impossible.json", {
+        "window": [10, 400],
+        "checks": [{"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -50.0}]})
+    for argv, code in ((["run", cfg, "--runs", "cd4"], 0),
+                       (["run", str(tmp_path / "missing.json")], 2),
+                       (["compare", cfg], 0),
+                       (["ratecheck", cfg, impossible], 1),
+                       (["ratecheck", cfg, str(tmp_path / "missing.json")], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code, argv
+    assert (tmp_path / "out" / "comparison.csv").is_file()
+    assert json.loads((tmp_path / "out" / "ratecheck.json").read_text())["ok"] is False
+
+
+def test_csv_header_is_the_reference_records_schema():
+    path = Path(__file__).parent / "data" / "reference_records.json"
+    assert CSV_HEADER.split(",") == json.loads(path.read_text())["columns"]
 
 
 def test_shipped_config_round(tmp_path, monkeypatch):
@@ -289,7 +300,7 @@ def test_shipped_config_round(tmp_path, monkeypatch):
     doc["runs"] = [r for r in doc["runs"] if r["label"] == "cd4"]
     doc["runs"][0]["max_iter"] = 2000
     cfg = _write(tmp_path / "qp_cd.json", doc)
-    assert cmd_run(cfg) == 0
+    assert execute("run", cfg) == 0
     _, rows = _read_csv(tmp_path / "out" / "cd4.csv")
     idx = CSV_HEADER.split(",").index("energy")
     energies = [float(r[idx]) for r in rows]
@@ -310,24 +321,24 @@ def test_ratecheck_reports_what_each_slope_fit_used(tmp_path):
         "window": [100, 10000],
         "checks": [{"kind": "slope", "metric": "gap", "label": "cd4",
                     "max_slope": -1.8, "min_r2": 0.9}]})
-    assert cmd_ratecheck(cfg, thresholds) == 0
+    assert execute("ratecheck", cfg, thresholds_path=thresholds) == 0
     report = (tmp_path / "out" / "ratecheck.json").read_bytes()
     entry = json.loads(report)["results"][0]
     assert (entry["n_used"], entry["n_excluded"]) == (991, 0)
     assert (entry["k_first"], entry["k_last"]) == (100, 10000)
-    assert cmd_ratecheck(cfg, thresholds) == 0
+    assert execute("ratecheck", cfg, thresholds_path=thresholds) == 0
     assert (tmp_path / "out" / "ratecheck.json").read_bytes() == report
 
 
 def test_run_subset_writes_same_bytes(tmp_path):
     # a run's records do not depend on which other runs the config holds
     cfg = _small_config(tmp_path)
-    assert cmd_run(cfg) == 0
+    assert execute("run", cfg) == 0
     full = {label: (tmp_path / "out" / f"{label}.csv").read_bytes()
             for label in ("cd4", "baseline")}
     for label, data in full.items():
         shutil.rmtree(tmp_path / "out")
-        assert cmd_run(cfg, labels_filter=label) == 0
+        assert execute("run", cfg, labels_filter=label) == 0
         assert (tmp_path / "out" / f"{label}.csv").read_bytes() == data
 
 
@@ -338,8 +349,8 @@ def test_failed_run_exits_1_in_every_command(tmp_path, capsys):
             {"label": "b", "rule": {"rule": "constant"}, "max_iter": 20}]
     cfg = _small_config(tmp_path, runs=runs)
     thresholds = _write(tmp_path / "thresholds.json", {"checks": []})
-    for command in (lambda: cmd_run(cfg), lambda: cmd_compare(cfg),
-                    lambda: cmd_ratecheck(cfg, thresholds)):
+    for command in (lambda: execute("run", cfg), lambda: execute("compare", cfg),
+                    lambda: execute("ratecheck", cfg, thresholds_path=thresholds)):
         assert command() == 1
         assert "runs failed: ['a']" in capsys.readouterr().err
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -354,7 +365,7 @@ def test_run_checks_every_run_before_the_first_starts(tmp_path, capsys,
             {"label": "bad", "rule": {"rule": "nesterov"}, "sigma": 10.0,
              "max_iter": 5}]
     cfg = _small_config(tmp_path, runs=runs)
-    assert cmd_run(cfg) == 2
+    assert execute("run", cfg) == 2
     assert "σ ≤ γ/(L + γβ‖A‖²)" in capsys.readouterr().err
     assert started == [] and not (tmp_path / "out").exists()
 
@@ -405,6 +416,10 @@ def _tiny_runs():
         **_INLINE_PROBLEM["objective"], "M": [1.0, 0.0]}}),
     lambda doc: doc.update(problem={**_INLINE_PROBLEM, "objective": {
         "kind": "least_squares", "M": [1.0, 0.0], "d": [1.0], "c": [0.0, 0.0]}}),
+    lambda doc: doc["runs"][0].update(label="a,b"),
+    lambda doc: doc["runs"][0].update(label="a|b"),
+    lambda doc: doc["runs"][0].update(label="a\nb"),
+    lambda doc: doc["runs"][0].update(label="a\rb"),
 ], ids=["problem_not_object", "run_not_object", "gamma_string", "label_not_file_name",
         "max_iter_fraction", "max_iter_bool", "beta_bool", "beta_nan", "rho_inf",
         "rule_m_bool", "alpha_string",
@@ -412,13 +427,14 @@ def _tiny_runs():
         "rule_unread_m", "rule_unread_alpha", "inline_a_strings", "inline_b_null",
         "inline_q_c_not_numbers", "b_infeasible", "run_unread_max_iters",
         "run_unread_record_evry", "generator_unread_cnd", "config_unread_ouput_dir",
-        "inline_unread_key", "quadratic_unread_m", "least_squares_unread_c"])
+        "inline_unread_key", "quadratic_unread_m", "least_squares_unread_c",
+        "label_comma", "label_pipe", "label_newline", "label_carriage_return"])
 def test_bad_config_document_exits_2(tmp_path, capsys, mutate):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     doc = json.loads(Path(cfg).read_text())
     mutate(doc)
     _write(tmp_path / "config.json", doc)
-    assert cmd_run(cfg) == 2
+    assert execute("run", cfg) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -429,7 +445,7 @@ def test_infinite_alpha_exits_2_naming_alpha(tmp_path, capsys):
     doc["runs"][0]["rule"]["alpha"] = float("inf")  # written as the JSON token Infinity
     _write(tmp_path / "config.json", doc)
     assert "Infinity" in Path(cfg).read_text()
-    assert cmd_run(cfg) == 2
+    assert execute("run", cfg) == 2
     assert "requires a finite alpha >= 3, got inf" in capsys.readouterr().err
 
 
@@ -439,7 +455,7 @@ def test_inline_least_squares_with_nan_m_exits_2(tmp_path, capsys):
     doc["problem"] = {**_INLINE_PROBLEM, "objective": {
         "kind": "least_squares", "M": [1.0, float("nan"), 0.0, 1.0], "d": [0.0, 0.0]}}
     _write(tmp_path / "config.json", doc)
-    assert cmd_run(cfg) == 2
+    assert execute("run", cfg) == 2
     assert "error: M contains NaN or infinite entries" in capsys.readouterr().err
 
 _GOOD_CHECK = {"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1.8}
@@ -463,16 +479,19 @@ _GOOD_CHECK = {"kind": "slope", "metric": "gap", "label": "cd4", "max_slope": -1
     {"checks": [{"metric": "gap", "window": [1, 20]}]},
     {"checks": [{"kind": "monotone", "metric": "energy", "tol": 1e-9, "max_slope": 0.0}]},
     {"checks": [{"kind": "monotone", "metric": "energy", "window": [1, 20]}]},
+    {"checks": [{"kind": "monotone", "metric": "energy", "tol": float("nan")}]},
+    {"checks": [{"kind": "monotone", "metric": "energy", "tol": float("inf")}]},
+    {"checks": [{**_GOOD_CHECK, "max_slope": float("nan")}]},
 ], ids=["not_object", "check_not_object", "window_not_pair", "no_metric",
         "unknown_metric", "unknown_label", "unknown_kind", "window_descending",
         "check_window_descending", "from_k_fraction", "max_slope_string",
         "unread_document_key", "slope_unread_max_slop", "slope_without_bound",
         "default_kind_without_bound", "monotone_unread_max_slope",
-        "monotone_unread_window"])
+        "monotone_unread_window", "tol_nan", "tol_infinite", "max_slope_nan"])
 def test_bad_thresholds_document_exits_2(tmp_path, capsys, thresholds):
     cfg = _small_config(tmp_path, runs=_tiny_runs())
     path = _write(tmp_path / "thresholds.json", thresholds)
-    assert cmd_ratecheck(cfg, path) == 2
+    assert execute("ratecheck", cfg, thresholds_path=path) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "ratecheck.json").exists()
 
@@ -556,5 +575,5 @@ def test_malformed_documents_never_raise(case):
         cfg = _write(Path(tmp) / "config.json", config)
         thr = _write(Path(tmp) / "thresholds.json", thresholds)
         if name != "thresholds":
-            assert cmd_run(cfg) in (0, 1, 2)
-        assert cmd_ratecheck(cfg, thr) in (0, 1, 2)
+            assert execute("run", cfg) in (0, 1, 2)
+        assert execute("ratecheck", cfg, thresholds_path=thr) in (0, 1, 2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from falm.errors import CertificationError
 from falm.inertial import (InertialRule, attouch_cabot, certify,
-                           chambolle_dossal, constant, nesterov, phi_m,
+                           chambolle_dossal, constant, nesterov, next_t, phi_m,
                            rule_from_spec, t_value, t_values)
 
 GOLDEN_STEP = (math.sqrt(5.0) - 1.0) / 2.0
@@ -205,6 +205,18 @@ def test_t_values_matches_t_value():
     for rule in ALL_RULES:
         ts = t_values(rule, 50)
         assert all(ts[k - 1] == t_value(rule, k) for k in range(1, 51))
+
+
+@pytest.mark.parametrize("rule", ALL_RULES[1:] + [chambolle_dossal(7.3), attouch_cabot(7.3)],
+                         ids=lambda r: r.kind + str(r.alpha or ""))
+def test_closed_form_t_values_equal_the_next_t_chain_bitwise(rule):
+    # t_values evaluates a closed-form rule on a whole index array; a run
+    # takes each value from the one before by next_t
+    count = 20_001
+    chain = [t_value(rule, 1)]
+    for k in range(1, count):
+        chain.append(next_t(rule, chain[-1], k))
+    assert t_values(rule, count).tobytes() == np.array(chain).tobytes()
 
 
 def _loop_slack(rule, K):

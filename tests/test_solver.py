@@ -513,8 +513,8 @@ def test_trailing_record_after_a_failed_step_carries_its_corrections():
 
 @pytest.mark.parametrize("rule", _FOUR_RULES, ids=lambda rule: rule.kind)
 def test_recorded_t_k_equals_t_values_bitwise(rule):
-    # a run carries t_k from step to step by next_t; t_values builds the
-    # same recurrence from t_1
+    # a run carries t_k from step to step by next_t; t_values gives the same
+    # values, from that recurrence or from the closed form
     prob, _ = generate(GenSpec("unconstrained", 3, 1, 5, 4.0))
     params = SolverParams(rule=rule, beta=1.0, max_iter=10_000, record_every=1)
     res = run(prob, params)
