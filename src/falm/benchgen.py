@@ -25,6 +25,14 @@ about 0.2% of draws) and depends on the CPU's vector unit, and a different
 bit would change the instance. The square root, the products and ``2 pi u2``
 are correctly rounded in numpy as in ``math``, so numpy computes them.
 
+A symmetric matrix with a drawn spectrum ``d`` is ``diag(d)`` conjugated by
+three Householder reflections ``H = I - 2 v v'``. Each ``v`` is a fresh draw
+of ``n`` normals divided by its Euclidean norm, and each reflection is the
+rank-2 update ``M <- M - v a' - a v'`` with ``w = M v`` and
+``a = 2 w - 2 (v'w) v``: first the outer product ``v a'`` is subtracted, then
+``a v'``. The result is ``(M + M') / 2``. It equals the explicit product
+``H M H'`` to rounding, not bitwise.
+
 Constrained instances are always feasible by construction: the right-hand
 side is ``A @ x_anchor`` for a drawn anchor point, never sampled directly.
 Two normalizations keep desk-scale runs inside the polynomial-rate regime
@@ -146,17 +154,22 @@ def _orthogonal_conjugate(diag: np.ndarray, rng: SplitMix64,
                           reflections: int = 3) -> np.ndarray:
     """Conjugate a diagonal matrix by a product of random Householder maps.
 
-    The first product ``h @ diag(d)`` is taken as the column scaling
-    ``h * d``: each of its entries has one nonzero term, so the two agree
-    bitwise and one n^3 product is saved.
+    Each reflection ``H = I - 2 v v'`` is applied as the rank-2 update
+    ``H M H = M - v a' - a v'`` with ``w = M v`` and ``a = 2 w - 2 (v'w) v``,
+    O(n^2) work and no n-by-n ``H``. The result is fresh and read-only, so
+    the objective constructors share it instead of copying it.
     """
-    mat = None
+    mat = np.diag(diag)
     for _ in range(reflections):
         v = rng.normals(diag.size)
         v /= np.linalg.norm(v)
-        h = np.eye(diag.size) - 2.0 * np.outer(v, v)
-        mat = (h * diag) @ h.T if mat is None else h @ mat @ h.T
-    return (mat + mat.T) / 2.0
+        w = mat @ v
+        a = 2.0 * w - 2.0 * np.dot(v, w) * v
+        mat -= np.outer(v, a)
+        mat -= np.outer(a, v)
+    mat = (mat + mat.T) / 2.0
+    mat.flags.writeable = False
+    return mat
 
 
 def _constraints(spec: GenSpec, rng: SplitMix64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -214,9 +214,11 @@ def load_thresholds(path: str, labels: list[str]) -> dict:
 def _fmt(value) -> str:
     if type(value) is float:  # most cells; the cheapest test, so it comes first
         return format(value, ".17g")
+    if value is None:  # the empty cells of a record without a saddle point
+        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return "" if value is None else format(float(value), ".17g")
+    return format(float(value), ".17g")
 
 
 _record_values = attrgetter(*RECORD_FIELDS)

@@ -60,7 +60,8 @@ class _ScalarDraws:
 
 
 def _reference_conjugate(diag, rng, reflections=3):
-    """Householder conjugation with the diagonal as an explicit matrix."""
+    """Householder conjugation in textbook form: explicit n-by-n reflections
+    and matrix products."""
     mat = np.diag(diag)
     for _ in range(reflections):
         v = rng.normals(diag.size)
@@ -134,8 +135,34 @@ def test_generate_matches_scalar_reference(monkeypatch, kind, n, p, seed, cond):
     spec = GenSpec(kind, n, p, seed, cond)
     fast = _instance_arrays(*generate(spec))
     monkeypatch.setattr(benchgen, "SplitMix64", _ScalarDraws)
-    monkeypatch.setattr(benchgen, "_orthogonal_conjugate", _reference_conjugate)
     assert _instance_arrays(*generate(spec)) == fast
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 50])
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+def test_orthogonal_conjugate_matches_householder_product(n, seed):
+    # three decades of magnitude and both signs, so no entry of d is special
+    diag = 1000.0 ** SplitMix64(seed + 1).uniforms(n) * np.where(np.arange(n) % 3, 1.0, -1.0)
+    got = benchgen._orthogonal_conjugate(diag, SplitMix64(seed))
+    want = _reference_conjugate(diag, SplitMix64(seed))
+    bound = 8 * n * np.finfo(float).eps * np.abs(diag).max()
+    assert np.abs(got - want).max() <= bound
+    assert np.array_equal(got, got.T)
+    assert np.abs(np.linalg.eigvalsh(got) - np.sort(diag)).max() <= bound
+    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["random_qp", "unconstrained"])
+def test_generated_matrix_is_shared_not_copied(monkeypatch, kind):
+    made, conjugate = [], benchgen._orthogonal_conjugate
+
+    def recorded(*args):
+        made.append(conjugate(*args))
+        return made[-1]
+
+    monkeypatch.setattr(benchgen, "_orthogonal_conjugate", recorded)
+    prob, _ = generate(GenSpec(kind, 12, 4, 3, 10.0))
+    assert prob.objective.data[1] is made[0]
 
 
 def test_splitmix_uniform_range():

@@ -4,6 +4,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,6 +269,12 @@ def test_csv_cells_formatting():
     assert _fmt(None) == ""
     assert _fmt(7) == "7"
     assert "." in _fmt(0.1) and "," not in _fmt(0.1)
+    assert _fmt(np.float64(0.1)) == _fmt(0.1) == "0.10000000000000001"
+    assert _fmt(np.float64(-2.5e-300)) == "-2.5e-300"
+    assert _fmt(np.int64(7)) == "7"
+    assert _fmt(np.int64(-3)) == "-3"
+    assert [_fmt(v) for v in (None, np.float64(1.0), np.int64(0), 1e300)] == \
+        ["", "1", "0", "1.0000000000000001e+300"]
 
 
 def test_main_exit_codes(tmp_path):
