@@ -54,8 +54,7 @@ import numpy as np
 
 from .linalg import dense_map, zero_map
 from .oracle import QpInstance, qp_from_problem
-from .problem import (Problem, _check_keys, json_number, least_squares_objective,
-                      quadratic_objective)
+from .problem import Problem, least_squares_objective, quadratic_objective
 
 GEN_KINDS = ("random_qp", "constrained_least_squares", "unconstrained")
 
@@ -139,15 +138,6 @@ class GenSpec:
             raise ValueError("constrained instances require p <= n")
         if not (np.isfinite(self.cond) and self.cond >= 1.0):
             raise ValueError(f"cond must be a finite scalar >= 1, got {self.cond}")
-
-
-def spec_from_json(doc: dict) -> GenSpec:
-    """Parse a generator spec; a field of the wrong type, and a key other than
-    ``kind``, ``n``, ``p``, ``seed`` and ``cond``, raise ``ValueError``."""
-    _check_keys(doc, ("kind", "n", "p", "seed", "cond"), "generator spec")
-    n, p, seed = (json_number(doc[key], int, key) for key in ("n", "p", "seed"))
-    return GenSpec(kind=doc["kind"], n=n, p=p, seed=seed,
-                   cond=json_number(doc.get("cond", 1.0), name="cond"))
 
 
 def _orthogonal_conjugate(diag: np.ndarray, rng: SplitMix64,

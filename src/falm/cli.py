@@ -56,6 +56,17 @@ at the optional index "from_k"; floating-point noise means a strict ``tol =
 0`` will fail on any real run, so keep the 1e-9 scale. Every bound and "tol"
 is a finite number.
 
+This module is the one reader of both documents. Each object of either
+goes through :func:`_read`: a key that nothing reads is refused, then each
+field is parsed once by its reader, under the name its error message gives
+it. The defaults live in one place each: ``CHECK_DEFAULTS`` for a check (the
+document's ``window`` is the default of a check's own), and
+:class:`~falm.solver.SolverParams`, :class:`~falm.benchgen.GenSpec` and the
+rule constructors of :mod:`falm.inertial` for the rest. :func:`rule_from_spec`,
+:func:`spec_from_json` and :func:`problem_from_json` read a rule, a generator
+spec and an inline problem; the package exports them. A document with more
+than one fault is refused naming one of them.
+
 Before any run starts, both documents are checked for shape (objects,
 lists, string labels, numeric fields, known metrics and check kinds, check
 labels that name a run) and every selected run's parameters are checked for
@@ -71,36 +82,205 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
 from . import solver
-from .benchgen import generate, spec_from_json
+from .benchgen import GenSpec, generate
 from .diagnostics import RunRecord, rate_fit
 from .errors import ValidationError
-from .inertial import certify, rule_from_spec
+from .inertial import (RULE_KINDS, SPEC_KEYS, InertialRule, attouch_cabot, certify,
+                       chambolle_dossal, constant, nesterov)
+from .linalg import dense_map
 from .oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
-from .problem import Problem, _check_keys, json_number, problem_from_json
+from .problem import Problem, least_squares_objective, quadratic_objective
 from .solver import RunResult, SolverParams, ValidatedConfig, run
 
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 CSV_HEADER = ",".join(RECORD_FIELDS)
 DEFAULT_WINDOW = (100, 10000)
 SLOPE_FIELDS = ("gap", "feas", "obj_err")
-# The keys each check kind reads.
+# The arrays each objective kind of an inline problem reads, a matrix and a
+# vector, and the objective they build.
+OBJECTIVE_KINDS = {"quadratic": ("Q", "c", quadratic_objective),
+                   "least_squares": ("M", "d", least_squares_objective)}
+_RULES = {"nesterov": nesterov, "chambolle_dossal": chambolle_dossal,
+          "attouch_cabot": attouch_cabot, "constant": constant}
+# The keys each check kind reads, in the order they are parsed.
 CHECK_KINDS = {"slope": ("kind", "metric", "label", "window", "max_slope", "min_slope",
                          "min_r2"),
                "monotone": ("kind", "metric", "label", "tol", "from_k")}
-CHECK_NUMBERS = ("max_slope", "min_slope", "min_r2", "tol", "from_k")
+# What an absent key of a check reads as; an absent metric reads as null,
+# which names no metric.
+CHECK_DEFAULTS = {"kind": "slope", "metric": None, "tol": 1e-9, "from_k": 1}
 # A label names its CSV file, a comparison.csv cell, a comparison.md table
 # cell and a --runs entry.
 LABEL_REFUSED = "/\\\0,|\n\r"
 PARAMETER_FIELDS = ("gamma", "sigma", "rho", "beta", "a_norm_sq", "a_norm_probes",
                     "sigma_bound", "convergence_certified")
+
+
+# Readers of one field of a document: each takes the value as written and the
+# name that an error message gives the field, and returns the parsed value.
+
+def _as_is(value, name: str):
+    return value
+
+
+def _number(value, name: str, conv=float):
+    """A JSON number parsed by ``conv`` (``float`` or ``int``).
+
+    Anything but an ``int`` or a ``float`` (a string, a boolean, null), a
+    number ``conv`` cannot convert, and for ``int`` a fraction raise
+    ``ValueError`` naming the field (``float("4")`` is 4, ``float(true)`` is
+    1, ``int(2.7)`` is 2).
+    """
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and not (conv is int and isinstance(value, float) and not value.is_integer())):
+        try:
+            return conv(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    expected = "an integer" if conv is int else "a number"
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def _finite(value, name: str, conv=float):
+    """A :func:`_number` that is finite and, for ``conv=int``, has no fraction."""
+    number = _number(value, name)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if conv is int and not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return conv(value)
+
+
+_integer, _index = partial(_number, conv=int), partial(_finite, conv=int)
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """A flat list of numbers, each entry parsed by :func:`_number`."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return np.array([_number(v, f"{name}[{i}]") for i, v in enumerate(values)],
+                    dtype=float)
+
+
+def _of_type(kind: type, what: str):
+    """The reader that refuses a value that is not a ``kind`` as not ``what``."""
+    def read(value, name: str):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}")
+        return value
+    return read
+
+
+_object, _list, _string = (_of_type(dict, "an object"), _of_type(list, "a list"),
+                           _of_type(str, "a string"))
+
+
+def _window(value, name: str) -> tuple[int, int]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(k, int) and not isinstance(k, bool) for k in value)
+            and value[0] <= value[1]):
+        raise ValueError(f"{name} must be two ascending integers, got {value!r}")
+    return tuple(value)
+
+
+def _metric(value, name: str) -> str:
+    if value not in RECORD_FIELDS:
+        raise ValueError(f"{name} must be one of {list(RECORD_FIELDS)}")
+    return value
+
+
+def _read(doc: dict, where: str, readers: dict, *, defaults: dict | None = None,
+          required=(), prefix: str | None = None) -> dict:
+    """The fields of the document object ``doc``, each parsed by its reader.
+
+    A key of ``doc`` that no reader reads raises ``ValueError`` naming
+    ``where``: it is a misspelling or a field the writer thinks has effect.
+    Then each reader, in the order of ``readers``, parses its field under the
+    name ``key``, or ``prefix + repr(key)`` when a prefix is given. An absent
+    key reads as its entry of ``defaults``; without one it raises
+    ``KeyError`` when it is ``required`` and is left out otherwise.
+    """
+    for key in doc:
+        if key not in readers:
+            raise ValueError(f"{where} does not read the key {key!r}")
+    given = {**(defaults or {}), **doc}
+    return {key: read(given[key], key if prefix is None else f"{prefix}{key!r}")
+            for key, read in readers.items() if key in given or key in required}
+
+
+def _load(path: str, what: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return doc
+
+
+def rule_from_spec(doc: dict) -> InertialRule:
+    """Build a rule from its wire format ``{"rule": ..., "alpha": ...}``.
+
+    An unknown rule, a key its kind does not read (``SPEC_KEYS``: ``alpha``
+    for the alpha rules, ``m`` for ``constant``, none for ``nesterov``), and
+    an ``alpha`` or ``m`` that is not a JSON number raise ``ValueError``.
+    """
+    kind = doc["rule"]
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
+        raise ValueError(f"unknown rule {kind!r}; expected one of {RULE_KINDS}")
+    readers = {"rule": _as_is, **dict.fromkeys(SPEC_KEYS[kind], _number)}
+    params = _read(doc, f"rule {kind!r}", readers, required=("alpha",))
+    del params["rule"]
+    return _RULES[kind](**params)
+
+
+def spec_from_json(doc: dict) -> GenSpec:
+    """Parse a generator spec; a field of the wrong type, and a key other than
+    ``kind``, ``n``, ``p``, ``seed`` and ``cond``, raise ``ValueError``."""
+    readers = {"n": _integer, "p": _integer, "seed": _integer, "kind": _as_is, "cond": _number}
+    spec = _read(doc, "generator spec", readers, required=("n", "p", "seed", "kind"))
+    return GenSpec(**spec)
+
+
+def problem_from_json(doc: dict) -> Problem:
+    """Build a dense Problem from an inline problem document.
+
+    The document holds ``n`` and ``p``, ``A`` as a flat row-major list of
+    ``p*n`` numbers, ``b`` of length ``p``, and ``objective`` as ``{"kind":
+    "quadratic", "Q": <n*n row-major>, "c": <n>}`` or ``{"kind":
+    "least_squares", "M": <rows*n row-major>, "d": <rows>}``. A field of the
+    wrong type, an entry of ``A``, ``b``, ``Q``, ``c``, ``M`` or ``d`` that
+    :func:`_number` refuses (a string, a boolean, null, a nested list)
+    among them, and a key the document or its objective does not read raise
+    ``ValueError``; a missing one ``KeyError``.
+    """
+    readers = {"n": _integer, "p": _integer, "A": _numbers, "b": _numbers, "objective": _as_is}
+    try:
+        parsed = _read(doc, "problem", readers, required=tuple(readers))
+        n, p = parsed["n"], parsed["p"]
+        if n < 1 or p < 1:
+            raise ValueError(f"dimensions must be positive, got n={n}, p={p}")
+        a = parsed["A"].reshape(p, n)
+        kind = parsed["objective"]["kind"]
+        if not (isinstance(kind, str) and kind in OBJECTIVE_KINDS):
+            raise ValueError(f"unknown objective kind {kind!r}; "
+                             f"expected one of {tuple(OBJECTIVE_KINDS)}")
+        mat, vec, build = OBJECTIVE_KINDS[kind]
+        obj = _read(parsed["objective"], f"objective {kind!r}",
+                    {"kind": _as_is, mat: _numbers, vec: _numbers}, required=(mat, vec))
+        rows = n if kind == "quadratic" else obj[mat].size // n  # Q is n-by-n
+        objective = build(obj[mat].reshape(rows, n), obj[vec])
+    except (TypeError, OverflowError):
+        raise ValueError(f"malformed problem document {doc!r}") from None
+    return Problem(objective=objective, a_map=dense_map(a), b=parsed["b"])
 
 
 @dataclass
@@ -118,40 +298,24 @@ class ExperimentConfig:
     output_dir: str
 
 
-def _params_from_doc(doc: dict, where: str) -> SolverParams:
-    """The run's parameters; a key that is absent or null keeps the default of
-    :class:`SolverParams`, and a key nothing reads raises ``ValueError``."""
-    numbers = (("gamma", float), ("sigma", float), ("rho", float), ("beta", float),
-               ("max_iter", int), ("kkt_tol", float), ("cg_tol", float),
-               ("record_every", int))
-    _check_keys(doc, ("label", "rule") + tuple(key for key, _ in numbers), where)
-    if not isinstance(doc.get("rule"), dict):
-        raise ValueError(f"{where}: 'rule' must be an object")
-    rule = rule_from_spec(doc["rule"])
-    given = {key: json_number(doc[key], conv, f"{where}: {key!r}")
-             for key, conv in numbers if doc.get(key) is not None}
-    return SolverParams(rule=rule, **given)
+def _problem(doc, name: str) -> tuple[Problem, QpInstance | None]:
+    """The problem and its QP: generated from a spec with a "kind", else inline."""
+    if "kind" in _object(doc, name):
+        return generate(spec_from_json(doc))
+    prob = problem_from_json(doc)
+    return prob, qp_from_problem(prob)
 
 
-def load_experiment(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    _check_keys(doc, ("problem", "output_dir", "runs"), "config")
-    prob_doc = doc["problem"]
-    if not isinstance(prob_doc, dict):
-        raise ValueError("'problem' must be an object")
-    if "kind" in prob_doc:
-        prob, qp = generate(spec_from_json(prob_doc))
-    else:
-        prob = problem_from_json(prob_doc)
-        qp = qp_from_problem(prob)
-    runs_doc = doc.get("runs", [])
-    if not isinstance(runs_doc, list):
-        raise ValueError("'runs' must be a list")
+# A run's fields in the order they are parsed; an absent rule reads as null.
+_RUN_READERS = {"label": _as_is, "rule": lambda doc, name: rule_from_spec(_object(doc, name)),
+                "gamma": _number, "sigma": _number, "rho": _number, "beta": _number,
+                "max_iter": _integer, "kkt_tol": _number, "cg_tol": _number,
+                "record_every": _integer}
+
+
+def _runs(entries, name: str) -> list[RunSpec]:
     runs = []
-    for entry in runs_doc:
+    for entry in _list(entries, name):
         if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)):
             raise ValueError(f"each run must be an object with a string 'label', "
                              f"got {entry!r}")
@@ -161,54 +325,58 @@ def load_experiment(path: str) -> ExperimentConfig:
                              f"without any of {LABEL_REFUSED!r}")
         if any(spec.label == label for spec in runs):
             raise ValueError(f"duplicate run label {label!r}")
-        runs.append(RunSpec(label=label,
-                            params=_params_from_doc(entry, f"run {label!r}")))
-    out_dir = doc.get("output_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ValueError("'output_dir' must be a string")
-    return ExperimentConfig(problem=prob, qp=qp, problem_doc=prob_doc,
-                            runs=runs, output_dir=out_dir)
+        # A field that is null keeps the default of SolverParams, as an absent
+        # one does; a key that no reader reads is refused whatever its value.
+        given = {k: v for k, v in entry.items() if v is not None or k not in _RUN_READERS}
+        where = f"run {label!r}"
+        params = _read(given, where, _RUN_READERS, defaults={"rule": None},
+                       prefix=f"{where}: ")
+        del params["label"]
+        runs.append(RunSpec(label=label, params=SolverParams(**params)))
+    return runs
 
 
-def _check_window(win, where: str) -> None:
-    if not (isinstance(win, (list, tuple)) and len(win) == 2
-            and all(isinstance(k, int) and not isinstance(k, bool) for k in win)
-            and win[0] <= win[1]):
-        raise ValueError(f"{where}: 'window' must be two ascending integers, got {win!r}")
+def load_experiment(path: str) -> ExperimentConfig:
+    doc = _load(path, "config")
+    config = _read(doc, "config", {"problem": _problem, "runs": _runs, "output_dir": _string},
+                   defaults={"runs": [], "output_dir": "."}, required=("problem",),
+                   prefix="")
+    return ExperimentConfig(*config["problem"], problem_doc=doc["problem"],
+                            runs=config["runs"], output_dir=config["output_dir"])
 
 
-def load_thresholds(path: str, labels: list[str]) -> dict:
-    """Read a thresholds document and check its shape against the run labels."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("thresholds document must be a JSON object")
-    _check_keys(doc, ("window", "checks"), "thresholds")
-    _check_window(doc.get("window", DEFAULT_WINDOW), "thresholds")
-    checks = doc.get("checks", [])
+# The reader of each field that a check may hold.
+_CHECK_READERS = {"kind": _as_is, "metric": _metric, "label": _as_is, "window": _window,
+                  "max_slope": _finite, "min_slope": _finite, "min_r2": _finite,
+                  "tol": _finite, "from_k": _index}
+
+
+def _read_check(doc: dict, window: tuple[int, int], labels: list[str]) -> dict:
+    """The fields of one check, parsed, with ``window`` as the default of its
+    own; a field that its kind does not read is absent."""
+    where = f"check {doc!r}"
+    kind = doc.get("kind", CHECK_DEFAULTS["kind"])
+    if not isinstance(kind, str) or kind not in CHECK_KINDS:
+        raise ValueError(f"{where}: 'kind' must be one of {list(CHECK_KINDS)}")
+    check = _read(doc, where, {key: _CHECK_READERS[key] for key in CHECK_KINDS[kind]},
+                  defaults={**CHECK_DEFAULTS, "window": window}, prefix=f"{where}: ")
+    if "label" in check and check["label"] not in labels:
+        raise ValueError(f"{where}: no run labeled {check['label']!r}")
+    if kind == "slope" and not {"max_slope", "min_slope", "min_r2"} & check.keys():
+        raise ValueError(f"{where}: a slope check needs 'max_slope', 'min_slope' or 'min_r2'")
+    return check
+
+
+def load_thresholds(path: str, labels: list[str]) -> list[tuple[dict, dict]]:
+    """Each check of a thresholds document as written, with its parsed fields
+    (:func:`_read_check`); the labels are those of the config's runs."""
+    doc = _read(_load(path, "thresholds document"), "thresholds",
+                {"window": _window, "checks": _as_is},
+                defaults={"window": DEFAULT_WINDOW, "checks": []}, prefix="thresholds: ")
+    checks = doc["checks"]
     if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
         raise ValueError("'checks' must be a list of objects")
-    for check in checks:
-        where = f"check {check!r}"
-        if check.get("metric") not in RECORD_FIELDS:
-            raise ValueError(f"{where}: 'metric' must be one of {list(RECORD_FIELDS)}")
-        if "label" in check and check["label"] not in labels:
-            raise ValueError(f"{where}: no run labeled {check['label']!r}")
-        kind = check.get("kind", "slope")
-        if not isinstance(kind, str) or kind not in CHECK_KINDS:
-            raise ValueError(f"{where}: 'kind' must be one of {list(CHECK_KINDS)}")
-        _check_keys(check, CHECK_KINDS[kind], where)
-        if kind == "slope" and not {"max_slope", "min_slope", "min_r2"} & check.keys():
-            raise ValueError(f"{where}: a slope check needs 'max_slope', 'min_slope' "
-                             f"or 'min_r2'")
-        if "window" in check:
-            _check_window(check["window"], where)
-        for key in CHECK_NUMBERS:
-            if key in check and not np.isfinite(json_number(check[key],
-                                                            name=f"{where}: {key!r}")):
-                raise ValueError(f"{where}: {key!r} must be finite, got {check[key]!r}")
-        json_number(check.get("from_k", 1), int, f"{where}: 'from_k'")
-    return doc
+    return [(check, _read_check(check, doc["window"], labels)) for check in checks]
 
 
 def _fmt(value) -> str:
@@ -261,8 +429,8 @@ def execute(command: str, config_path: str, labels_filter: str | None = None,
             raise ValueError("compare needs at least 2 runs")
         if not config.runs:
             raise ValueError("config declares no runs")
-        thresholds = (None if thresholds_path is None else
-                      load_thresholds(thresholds_path, [s.label for s in config.runs]))
+        checks = (None if thresholds_path is None else
+                  load_thresholds(thresholds_path, [s.label for s in config.runs]))
         # solver.validate is looked up at call time, like run and kkt_solve,
         # so a wrapper installed on the solver module sees these calls.
         cfgs = {spec.label: solver.validate(config.problem, spec.params)
@@ -278,7 +446,7 @@ def execute(command: str, config_path: str, labels_filter: str | None = None,
     results = {spec.label: run(config.problem, spec.params, saddle=saddle,
                                cfg=cfgs[spec.label])
                for spec in specs}
-    code = _WRITERS[command](config, results, cfgs, thresholds)
+    code = _WRITERS[command](config, results, cfgs, checks)
     failed = [label for label, res in results.items() if res.error is not None]
     if failed:
         print(f"error: runs failed: {failed}", file=sys.stderr)
@@ -321,7 +489,7 @@ def _summary(config: ExperimentConfig, results: dict[str, RunResult],
 
 
 def _write_run(config: ExperimentConfig, results: dict[str, RunResult],
-               cfgs: dict[str, ValidatedConfig], thresholds: dict | None) -> int:
+               cfgs: dict[str, ValidatedConfig], checks: list | None) -> int:
     for label, res in results.items():
         rows = [CSV_HEADER] + [_record_row(r) for r in res.records]
         _write_atomic(os.path.join(config.output_dir, f"{label}.csv"),
@@ -334,7 +502,7 @@ def _write_run(config: ExperimentConfig, results: dict[str, RunResult],
 
 
 def _write_compare(config: ExperimentConfig, results: dict[str, RunResult],
-                   cfgs: dict[str, ValidatedConfig], thresholds: dict | None) -> int:
+                   cfgs: dict[str, ValidatedConfig], checks: list | None) -> int:
     rows = ["label," + CSV_HEADER]
     for label, res in results.items():
         rows.extend(_record_row(r, label) for r in res.records)
@@ -358,52 +526,43 @@ def _write_compare(config: ExperimentConfig, results: dict[str, RunResult],
     return 0
 
 
-def _check_slope(check: dict, records, window) -> dict:
-    win = check.get("window", list(window))
-    fit = rate_fit(records, check["metric"], win[0], win[1])
-    ok = True
-    if "max_slope" in check:
-        ok = ok and fit.slope <= check["max_slope"]
-    if "min_slope" in check:
-        ok = ok and fit.slope >= check["min_slope"]
-    if "min_r2" in check:
-        ok = ok and fit.r2 >= check["min_r2"]
-    return {"ok": ok, **asdict(fit), "window": list(win)}
+def _check_slope(check: dict, records) -> dict:
+    fit = rate_fit(records, check["metric"], *check["window"])
+    ok = ((check.get("max_slope") is None or fit.slope <= check["max_slope"])
+          and (check.get("min_slope") is None or fit.slope >= check["min_slope"])
+          and (check.get("min_r2") is None or fit.r2 >= check["min_r2"]))
+    return {"ok": ok, **asdict(fit), "window": list(check["window"])}
 
 
 def _check_monotone(check: dict, records) -> dict:
-    tol = float(check.get("tol", 1e-9))
-    from_k = int(check.get("from_k", 1))
     field = check["metric"]
     values = [(r.k, getattr(r, field)) for r in records
               if getattr(r, field) is not None]
     if not values:
         return {"ok": False, "error": f"metric {field!r} not recorded"}
-    allowance = tol * max(1.0, values[0][1])
-    scoped = [(k, v) for k, v in values if k >= from_k]
+    allowance = check["tol"] * max(1.0, values[0][1])
+    scoped = [(k, v) for k, v in values if k >= check["from_k"]]
     for (_, prev), (k, cur) in zip(scoped, scoped[1:]):
         if cur > prev + allowance:
             return {"ok": False, "violation_k": k, "increase": cur - prev}
     return {"ok": True}
 
 
+_CHECKS = {"slope": _check_slope, "monotone": _check_monotone}
+
+
 def _write_ratecheck(config: ExperimentConfig, results: dict[str, RunResult],
-                     cfgs: dict[str, ValidatedConfig], thresholds: dict) -> int:
-    window = tuple(thresholds.get("window", DEFAULT_WINDOW))
+                     cfgs: dict[str, ValidatedConfig],
+                     checks: list[tuple[dict, dict]]) -> int:
     report = []
     first_violation = None
-    for check in thresholds.get("checks", []):
-        targets = [check["label"]] if "label" in check else list(results)
-        for label in targets:
-            records = results[label].records
+    for doc, check in checks:
+        for label in [check["label"]] if "label" in check else list(results):
             try:
-                if check.get("kind", "slope") == "slope":
-                    outcome = _check_slope(check, records, window)
-                else:
-                    outcome = _check_monotone(check, records)
+                outcome = _CHECKS[check["kind"]](check, results[label].records)
             except ValueError as exc:
                 outcome = {"ok": False, "error": str(exc)}
-            entry = {"check": check, "label": label, **outcome}
+            entry = {"check": doc, "label": label, **outcome}
             report.append(entry)
             if not outcome["ok"] and first_violation is None:
                 first_violation = entry

@@ -16,6 +16,9 @@ condition ``t_{k+1}^2 - m*t_{k+1} <= t_k^2`` while staying nondecreasing:
 :func:`next_t` takes any rule from ``t_k`` to ``t_{k+1}``; a run's steps and
 :func:`t_values` share it, and nothing is cached between calls.
 
+``SPEC_KEYS`` names the parameters each kind takes besides its name; the
+rule's document form is read by :func:`falm.cli.rule_from_spec`.
+
 :func:`certify` measures the quadratic slack, the per-step growth against the
 bound :func:`phi_m`, and the empirical linear-growth ratio ``min_k t_k/k``.
 For the closed-form rules the slack is evaluated in exact rational arithmetic
@@ -28,15 +31,15 @@ floating point and judged relative to ``t_{k+1}^2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CertificationError
-from .problem import _check_keys, json_number
 
-# The keys of the wire format that each rule kind reads besides "rule".
+# The parameters each rule kind takes besides its name: the keys that its
+# document form reads besides "rule".
 SPEC_KEYS = {"nesterov": (), "chambolle_dossal": ("alpha",),
              "attouch_cabot": ("alpha",), "constant": ("m",)}
 RULE_KINDS = tuple(SPEC_KEYS)
@@ -76,10 +79,8 @@ def nesterov() -> InertialRule:
 
 
 def _alpha_rule(kind: str, alpha: float) -> InertialRule:
-    alpha = float(alpha)
-    if not 3.0 <= alpha < math.inf:  # keeps the margin 2/(alpha - 1) in (0, 1]
-        raise ValueError(f"{kind} requires a finite alpha >= 3, got {alpha}")
-    return InertialRule(kind=kind, alpha=alpha, m=min_margin(kind, alpha))
+    rule = InertialRule(kind=kind, alpha=float(alpha))  # checks alpha before the margin
+    return replace(rule, m=min_margin(kind, rule.alpha))
 
 
 def chambolle_dossal(alpha: float) -> InertialRule:
@@ -92,24 +93,6 @@ def attouch_cabot(alpha: float) -> InertialRule:
 
 def constant(m: float = 1.0) -> InertialRule:
     return InertialRule(kind="constant", m=float(m))
-
-
-def rule_from_spec(doc: dict) -> InertialRule:
-    """Build a rule from its CLI wire format ``{"rule": ..., "alpha": ...}``.
-
-    An unknown rule, a key its kind does not read (``SPEC_KEYS``: ``alpha``
-    for the alpha rules, ``m`` for ``constant``, none for ``nesterov``), and
-    an ``alpha`` or ``m`` that is not a JSON number raise ``ValueError``.
-    """
-    kind = doc["rule"]
-    if not isinstance(kind, str) or kind not in SPEC_KEYS:
-        raise ValueError(f"unknown rule {kind!r}; expected one of {RULE_KINDS}")
-    _check_keys(doc, ("rule",) + SPEC_KEYS[kind], f"rule {kind!r}")
-    if kind == "nesterov":
-        return nesterov()
-    if kind == "constant":
-        return constant(json_number(doc.get("m", 1.0), name="m"))
-    return _alpha_rule(kind, json_number(doc["alpha"], name="alpha"))
 
 
 def _closed_form(kind: str, k, alpha):
@@ -147,13 +130,6 @@ def t_values(rule: InertialRule, count: int) -> np.ndarray:
     for k in range(1, count):
         ts.append(next_t(rule, ts[-1], k))
     return np.array(ts)
-
-
-def t_value(rule: InertialRule, k: int) -> float:
-    """The k-th inertial parameter of the rule (k >= 1)."""
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    return float(t_values(rule, k)[-1])
 
 
 def phi_m(m: float) -> float:

@@ -168,13 +168,15 @@ def op_norm_sq(a_map: LinearMap, b: Array | None = None) -> SpectralFactor:
     """The :class:`SpectralFactor` of any map, and so ``||A||^2``, from one thin SVD.
 
     A map that keeps ``matrix`` is factored as is; a matrix-free p-by-n map is
-    first rebuilt from its p adjoint probes ``A* e_i``. A :class:`ValidationError`
-    refuses a map with no rows or no columns, which has no singular value, and
-    a matrix-free map before any probe runs when its matrix would exceed
-    ``PROBE_BUDGET_BYTES``, and after probing when a row is not finite or
-    ``forward`` disagrees with the matrix beyond rounding on two fixed-seed
-    vectors. The value is the top squared singular value raised by a relative
-    ``SVD_ROUNDING`` margin per matrix dimension, so it bounds the true value.
+    first rebuilt from its p adjoint probes ``A* e_i``. Either matrix is checked
+    the same way before the SVD: it must be p-by-n and finite, and ``forward``
+    must agree with it to rounding on two fixed-seed vectors (two forward
+    applies). A :class:`ValidationError` names a failed check; it also refuses
+    a map with no rows or no columns, which has no singular value, and a
+    matrix-free map before any probe runs when its matrix would exceed
+    ``PROBE_BUDGET_BYTES``. The value is the top squared singular value raised
+    by a relative ``SVD_ROUNDING`` margin per matrix dimension, so it bounds
+    the true value of the map that ``forward`` applies.
 
     Given a right-hand side ``b``, the same SVD's left singular vectors test
     that ``A x = b`` has a solution: the part of ``b`` outside the span of the
@@ -195,15 +197,21 @@ def op_norm_sq(a_map: LinearMap, b: Array | None = None) -> SpectralFactor:
         mat = np.array([a_map.adjoint(np.eye(1, p, i)[0]) for i in range(p)],
                        dtype=float).reshape(p, n)
         probes = p
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("A* e_i finite", "an adjoint probe is not finite")
-        allowance = SVD_ROUNDING * max(p, n) * float(np.linalg.norm(mat))
-        for v in np.random.default_rng(0).standard_normal((2, n)):
-            fv = np.asarray(a_map.forward(v), dtype=float)
-            if not (fv.shape == (p,) and norm(fv - mat @ v) <= allowance * norm(v)):
-                raise ValidationError("⟨A x, y⟩ = ⟨x, A* y⟩", "forward disagrees with "
-                                      "the adjoint probes' matrix; the adjoint is wrong")
-    u, s, vt = np.linalg.svd(np.asarray(mat, dtype=float), full_matrices=False)
+    mat = np.asarray(mat, dtype=float)
+    held = "the adjoint probes' matrix" if probes else "the map's matrix"
+    if mat.shape != (p, n):
+        raise ValidationError("matrix is p×n", f"{held} has shape {mat.shape}, not {(p, n)}")
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError("A* e_i finite" if probes else "matrix finite",
+                              f"{held} is not finite")
+    allowance = SVD_ROUNDING * max(p, n) * float(np.linalg.norm(mat))
+    for v in np.random.default_rng(0).standard_normal((2, n)):
+        fv = np.asarray(a_map.forward(v), dtype=float)
+        if not (fv.shape == (p,) and norm(fv - mat @ v) <= allowance * norm(v)):
+            raise ValidationError("⟨A x, y⟩ = ⟨x, A* y⟩" if probes else "A x = matrix·x",
+                                  f"forward disagrees with {held}"
+                                  + ("; the adjoint is wrong" if probes else ""))
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
     b_max = 0.0 if b is None else float(np.max(np.abs(b), initial=0.0))
     if b_max > 0.0:  # b = 0 lies in every range
         unit = b / b_max  # so that neither norm underflows or overflows

@@ -9,6 +9,10 @@ quadratic and least-squares objectives keep one quadratic form,
 ``Objective.data = ("quadratic", Q, c)``: the arrays their gradient reads,
 which the diagnostics and the KKT oracle read too.
 
+Problems are built in code from these constructors; the CLI's inline
+problem document is read by :func:`falm.cli.problem_from_json`, which calls
+them.
+
 An infeasible instance, ``b`` outside the range of ``A``, builds a Problem;
 :func:`~falm.solver.validate` refuses it with ``ValidationError("b ∈
 range(A)")`` from the SVD it computes anyway (:func:`~falm.linalg.op_norm_sq`,
@@ -24,10 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError
-from .linalg import (Array, LinearMap, as_vector, check_symmetric, dense_map, norm,
-                     read_only)
-
-OBJECTIVE_KINDS = ("quadratic", "least_squares")
+from .linalg import Array, LinearMap, as_vector, check_symmetric, norm, read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,77 +176,3 @@ def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
     grad_res = prob.objective.gradient(x) + adj
     feas_res = residual if residual is not None else prob.a_map.forward(x) - prob.b
     return norm(grad_res), norm(feas_res)
-
-
-def json_number(value, conv=float, name: str = "value"):
-    """A JSON number field parsed by ``conv`` (``float`` or ``int``).
-
-    Anything but an ``int`` or a ``float`` (a string, a boolean, null), a
-    number ``conv`` cannot convert, and for ``int`` a fraction raise
-    ``ValueError`` naming the field (``float("4")`` is 4, ``float(true)`` is
-    1, ``int(2.7)`` is 2).
-    """
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and not (conv is int and isinstance(value, float) and not value.is_integer())):
-        try:
-            return conv(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    expected = "an integer" if conv is int else "a number"
-    raise ValueError(f"{name} must be {expected}, got {value!r}")
-
-
-def _check_keys(doc: dict, keys, where: str) -> None:
-    """Refuse a key of ``doc`` outside ``keys`` with ``ValueError``: nothing
-    reads it, so it is a misspelling or a field the caller thinks has effect."""
-    for key in doc:
-        if key not in keys:
-            raise ValueError(f"{where} does not read the key {key!r}")
-
-
-def _json_numbers(values, name: str) -> Array:
-    """A flat JSON list of numbers, each entry parsed by :func:`json_number`."""
-    if not isinstance(values, list):
-        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
-    return np.array([json_number(v, name=f"{name}[{i}]") for i, v in enumerate(values)],
-                    dtype=float)
-
-
-def problem_from_json(doc: dict) -> Problem:
-    """Build a dense Problem from an inline problem document.
-
-    The document holds ``n`` and ``p``, ``A`` as a flat row-major list of
-    ``p*n`` numbers, ``b`` of length ``p``, and ``objective`` as ``{"kind":
-    "quadratic", "Q": <n*n row-major>, "c": <n>}`` or ``{"kind":
-    "least_squares", "M": <rows*n row-major>, "d": <rows>}``. A field of the
-    wrong type, an entry of ``A``, ``b``, ``Q``, ``c``, ``M`` or ``d`` that
-    :func:`json_number` refuses (a string, a boolean, null, a nested list)
-    among them, and a key the document or its objective does not read raise
-    ``ValueError``; a missing one ``KeyError``.
-    """
-    try:
-        _check_keys(doc, ("n", "p", "A", "b", "objective"), "problem")
-        n = json_number(doc["n"], int, "n")
-        p = json_number(doc["p"], int, "p")
-        if n < 1 or p < 1:
-            raise ValueError(f"dimensions must be positive, got n={n}, p={p}")
-        a = _json_numbers(doc["A"], "A").reshape(p, n)
-        b = _json_numbers(doc["b"], "b")
-        obj_doc = doc["objective"]
-        kind = obj_doc["kind"]
-        if kind == "quadratic":
-            _check_keys(obj_doc, ("kind", "Q", "c"), "objective 'quadratic'")
-            q = _json_numbers(obj_doc["Q"], "Q").reshape(n, n)
-            objective = quadratic_objective(q, _json_numbers(obj_doc["c"], "c"))
-        elif kind == "least_squares":
-            _check_keys(obj_doc, ("kind", "M", "d"), "objective 'least_squares'")
-            m_flat = _json_numbers(obj_doc["M"], "M")
-            rows = m_flat.size // n
-            objective = least_squares_objective(m_flat.reshape(rows, n),
-                                                _json_numbers(obj_doc["d"], "d"))
-        else:
-            raise ValueError(f"unknown objective kind {kind!r}; "
-                             f"expected one of {OBJECTIVE_KINDS}")
-    except (TypeError, OverflowError):
-        raise ValueError(f"malformed problem document {doc!r}") from None
-    return Problem(objective=objective, a_map=dense_map(a), b=b)

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
-from .inertial import InertialRule, min_margin, next_t, t_value
+from .inertial import InertialRule, min_margin, next_t, t_values
 from .linalg import (Array, SpectralFactor, all_finite, as_vector, norm, op_norm_sq,
                      solve_spd)
 from .problem import Problem, kkt_residuals
@@ -169,7 +169,7 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
         # The coupling weight of the first subproblem, s_2 proportional to
         # t_2*(t_2 - 1 + gamma), must be positive or the subproblem is not
         # strongly convex; this pins gamma above 1 - 1/(alpha - 1).
-        t2 = t_value(rule, 2)
+        t2 = t_values(rule, 2)[-1]
         if t2 - 1.0 + gamma <= 0.0:
             raise ValidationError("γ > 1 − 1/(α − 1)",
                                   f"gamma={gamma} makes the first subproblem "
@@ -242,7 +242,6 @@ class IterateState:
     x_k: Array
     x_prev: Array
     t_k: float
-    t_next: float
     hist: Array
 
     @property
@@ -269,8 +268,8 @@ def initial_state(prob: Problem, rule: InertialRule, x_init: Array,
     x = np.array(x_init, dtype=float)
     lam = np.asarray(lam_init, dtype=float)
     ax = prob.a_map.forward(x)
-    return IterateState(k=1, x_k=x, x_prev=x.copy(), t_k=t_value(rule, 1),
-                        t_next=t_value(rule, 2), hist=np.stack((lam, ax, lam, ax, prob.b)))
+    return IterateState(k=1, x_k=x, x_prev=x.copy(), t_k=float(t_values(rule, 1)[0]),
+                        hist=np.stack((lam, ax, lam, ax, prob.b)))
 
 
 @dataclass
@@ -304,7 +303,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     """
     g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
     t_k = st.t_k
-    t_k1 = st.t_next
+    t_k1 = next_t(cfg.rule, t_k, st.k)
     momentum = (t_k - 1.0) / t_k1
     y = st.x_k + momentum * (st.x_k - st.x_prev)
     s_next = (rho / g) * t_k1 * (t_k1 - 1.0 + g)
@@ -344,8 +343,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     new[4] = hist[4]
 
     trace = StepTrace(y_k=y, grad_y=grad_y, cg_iters=sol.iterations)
-    new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1,
-                             t_next=next_t(cfg.rule, t_k1, st.k + 1), hist=new)
+    new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1, hist=new)
     return new_state, trace
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from falm.benchgen import GenSpec, generate
-from falm.inertial import t_value
+from falm.inertial import t_values
 from falm.linalg import dense_map
 from falm.problem import Problem, quadratic_objective
 from falm.solver import IterateState
@@ -40,8 +40,8 @@ def _state_at(prob, rule, k, x, x_prev, lam, lam_prev):
     block of ``IterateState``: the map's images of ``x`` and ``x_prev``, and b."""
     a = prob.a_map
     hist = np.stack((lam, a.forward(x), lam_prev, a.forward(x_prev), prob.b))
-    return IterateState(k=k, x_k=x, x_prev=x_prev, t_k=t_value(rule, k),
-                        t_next=t_value(rule, k + 1), hist=hist)
+    return IterateState(k=k, x_k=x, x_prev=x_prev, t_k=float(t_values(rule, k)[-1]),
+                        hist=hist)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import pytest
 from falm.benchgen import GenSpec, generate
 from falm.diagnostics import dual_bound_series, rate_fit
 from falm.inertial import (attouch_cabot, certify, chambolle_dossal, constant,
-                           nesterov, t_value, t_values)
+                           nesterov, t_values)
 from falm.oracle import kkt_solve
 from falm.solver import SolverParams, initial_state, run, step, validate
 
@@ -260,8 +260,7 @@ def test_criterion_12_single_step_oracle(instance, state_at):
     worst = 0.0
     for _ in range(20):
         k = int(rng.integers(1, 40))
-        t_k = t_value(cfg.rule, k)
-        t_k1 = t_value(cfg.rule, k + 1)
+        t_k, t_k1 = t_values(cfg.rule, k + 1)[-2:]
         x, x_prev = rng.standard_normal((2, N))
         lam, lam_prev = rng.standard_normal((2, P))
         st = state_at(prob, cfg.rule, k, x, x_prev, lam, lam_prev)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from falm import benchgen
-from falm.benchgen import GenSpec, SplitMix64, generate, spec_from_json
+from falm.benchgen import GenSpec, SplitMix64, generate
+from falm.cli import spec_from_json
 from falm.linalg import op_norm_sq
 from falm.oracle import kkt_solve
 from falm.problem import kkt_residuals

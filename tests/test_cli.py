@@ -239,15 +239,21 @@ def test_ratecheck_pass_and_fail(tmp_path, capsys):
     assert "FAILED" in err and "gap" in err and "baseline" in err
 
 
+def _monotone(**fields):
+    """An energy monotone check, read as a thresholds document holds it."""
+    doc = {"kind": "monotone", "metric": "energy", **fields}
+    return cli._read_check(doc, cli.DEFAULT_WINDOW, [])
+
+
 def test_monotone_check_requires_scaled_tolerance():
     # strict tol=0 trips on rounding-level wiggle; the 1e-9 scale absorbs it
     records = [RunRecord(k=k, t_k=1.0, gap=None, feas=0.0, obj_err=None,
                          kkt_grad=0.0, kkt_feas=0.0,
                          energy=e, cg_iters=0)
                for k, e in [(1, 2.0), (2, 1.0), (3, 1.0 + 1e-12), (4, 0.5)]]
-    strict = _check_monotone({"metric": "energy", "tol": 0.0}, records)
+    strict = _check_monotone(_monotone(tol=0.0), records)
     assert not strict["ok"] and strict["violation_k"] == 3
-    scaled = _check_monotone({"metric": "energy", "tol": 1e-9}, records)
+    scaled = _check_monotone(_monotone(tol=1e-9), records)
     assert scaled["ok"]
 
 
@@ -255,9 +261,8 @@ def test_monotone_check_from_k():
     records = [RunRecord(k=k, t_k=1.0, gap=None, feas=0.0, obj_err=None,
                          kkt_grad=0.0, kkt_feas=0.0, energy=e, cg_iters=0)
                for k, e in [(1, 1.0), (2, 5.0), (3, 4.0), (4, 3.0)]]
-    assert not _check_monotone({"metric": "energy", "tol": 1e-9}, records)["ok"]
-    assert _check_monotone({"metric": "energy", "tol": 1e-9, "from_k": 2},
-                           records)["ok"]
+    assert not _check_monotone(_monotone(tol=1e-9), records)["ok"]
+    assert _check_monotone(_monotone(tol=1e-9, from_k=2), records)["ok"]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -8,7 +8,7 @@ from falm.diagnostics import (RunRecord, dual_bound_series, energy, gap,
                               objective_error, q_norm_sq, rate_fit, saddle_terms)
 from falm.benchgen import GenSpec, generate
 from falm.errors import DimensionMismatch
-from falm.inertial import chambolle_dossal, nesterov
+from falm.inertial import chambolle_dossal, nesterov, next_t
 from falm.linalg import dense_map, zero_map
 from falm.oracle import kkt_solve
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
@@ -201,7 +201,7 @@ def test_summability_witnesses(small_instance):
     sum_primal = 0.0
     sum_dual = 0.0
     for _ in range(2000):
-        t_next = st.t_next
+        t_next = next_t(cfg.rule, st.t_k, st.k)
         mu = st.lam_k + ((st.t_k - 1.0) / t_next) * (st.lam_k - st.lam_prev)
         st, trace = step(prob, cfg, st)
         d = st.x_k - trace.y_k

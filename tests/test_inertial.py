@@ -7,39 +7,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from falm.errors import CertificationError
+from falm.cli import rule_from_spec
 from falm.inertial import (InertialRule, attouch_cabot, certify,
                            chambolle_dossal, constant, nesterov, next_t, phi_m,
-                           rule_from_spec, t_value, t_values)
+                           t_values)
 
 GOLDEN_STEP = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def test_nesterov_first_values():
     rule = nesterov()
-    assert t_value(rule, 1) == 1.0
-    assert t_value(rule, 2) == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
+    assert t_values(rule, 2)[0] == 1.0
+    assert t_values(rule, 2)[1] == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
 
 
 def test_chambolle_dossal_values():
     rule = chambolle_dossal(3.0)
-    assert t_value(rule, 3) == pytest.approx(2.0, abs=1e-15)
+    assert t_values(rule, 3)[2] == pytest.approx(2.0, abs=1e-15)
     assert rule.m == 1.0
 
 
 def test_attouch_cabot_values():
     rule = attouch_cabot(4.0)
-    assert t_value(rule, 1) == 0.0
-    assert t_value(rule, 4) == pytest.approx(1.0, abs=1e-15)
+    assert t_values(rule, 4)[0] == 0.0
+    assert t_values(rule, 4)[3] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_constant_rule_is_one():
     rule = constant(0.5)
-    assert all(t_value(rule, k) == 1.0 for k in (1, 2, 10, 1000))
+    assert np.all(t_values(rule, 1000) == 1.0)
 
 
-def test_t_value_rejects_bad_index():
+def test_t_values_rejects_bad_count():
     with pytest.raises(ValueError):
-        t_value(nesterov(), 0)
+        t_values(nesterov(), 0)
 
 
 def test_rule_constructor_validation():
@@ -201,10 +202,10 @@ def test_constant_rule_certifies_for_any_margin(m):
     assert report.max_slack == pytest.approx(-m, rel=1e-12)
 
 
-def test_t_values_matches_t_value():
+def test_t_values_of_a_smaller_count_are_a_prefix():
     for rule in ALL_RULES:
         ts = t_values(rule, 50)
-        assert all(ts[k - 1] == t_value(rule, k) for k in range(1, 51))
+        assert all(np.array_equal(t_values(rule, k), ts[:k]) for k in range(1, 51))
 
 
 @pytest.mark.parametrize("rule", ALL_RULES[1:] + [chambolle_dossal(7.3), attouch_cabot(7.3)],
@@ -213,7 +214,7 @@ def test_closed_form_t_values_equal_the_next_t_chain_bitwise(rule):
     # t_values evaluates a closed-form rule on a whole index array; a run
     # takes each value from the one before by next_t
     count = 20_001
-    chain = [t_value(rule, 1)]
+    chain = [t_values(rule, 1)[0]]
     for k in range(1, count):
         chain.append(next_t(rule, chain[-1], k))
     assert t_values(rule, count).tobytes() == np.array(chain).tobytes()

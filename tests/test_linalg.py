@@ -147,6 +147,38 @@ def test_op_norm_sq_rejects_nonfinite_probes():
     assert err.value.condition == "A* e_i finite"
 
 
+def _kept(matrix, forward):
+    """A 1-row, 2-column map that keeps ``matrix`` and applies ``forward``."""
+    return LinearMap(forward=forward, adjoint=lambda y: matrix.T @ y, dims=(2, 1),
+                     matrix=matrix)
+
+
+def test_op_norm_sq_checks_a_kept_matrix_against_forward():
+    # The SVD reads the kept matrix, so it must be the map's: against a forward
+    # that applies 2a, a kept a would bound ||A||^2 by 1 where it is 4.
+    a = np.array([[0.6, 0.8]])
+    with pytest.raises(ValidationError, match="forward disagrees") as err:
+        op_norm_sq(_kept(a, lambda x: 2.0 * (a @ x)))
+    assert err.value.condition == "A x = matrix·x"
+    assert op_norm_sq(_kept(a, lambda x: a @ x)).value == pytest.approx(1.0)
+
+
+def test_op_norm_sq_refuses_a_nonfinite_kept_matrix():
+    # a named error, not numpy's "SVD did not converge"
+    a = np.array([[1.0, np.nan]])
+    with pytest.raises(ValidationError) as err:
+        op_norm_sq(_kept(a, lambda x: a @ x))
+    assert err.value.condition == "matrix finite"
+
+
+def test_op_norm_sq_refuses_a_kept_matrix_of_the_wrong_shape():
+    # a 3x2 matrix for a 1-row map once gave a_norm_sq 6 from its own SVD
+    a = np.ones((3, 2))
+    with pytest.raises(ValidationError, match=r"has shape \(3, 2\), not \(1, 2\)") as err:
+        op_norm_sq(_kept(a, lambda x: a[:1] @ x))
+    assert err.value.condition == "matrix is p×n"
+
+
 def test_op_norm_sq_refuses_a_map_without_rows_or_columns():
     # Nothing to factor: a named error before any probe or SVD, not an IndexError.
     def probe(v):

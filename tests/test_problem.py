@@ -7,8 +7,9 @@ import pytest
 from falm.errors import DimensionMismatch, NonFiniteError
 from falm.linalg import dense_map
 from falm.oracle import QpInstance, kkt_solve
+from falm.cli import problem_from_json
 from falm.problem import (Objective, Problem, kkt_residuals, least_squares_objective,
-                          problem_from_json, quadratic_objective)
+                          quadratic_objective)
 
 # The tiny_qp fixture as an inline problem document.
 _TINY_DOC = {"n": 2, "p": 1, "A": [1.0, 1.0], "b": [2.0],

@@ -11,7 +11,7 @@ from falm.cli import load_experiment
 from falm.diagnostics import RunRecord, energy, gap, objective_error, saddle_terms
 from falm.errors import SpdSolveError, StepError, ValidationError
 from falm.inertial import (InertialRule, attouch_cabot, chambolle_dossal, constant,
-                           nesterov, t_values)
+                           nesterov, next_t, t_values)
 from falm.linalg import REFINE_STEPS, LinearMap, dense_map
 from falm.oracle import kkt_solve, qp_from_problem
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
@@ -300,7 +300,7 @@ def test_step_start_has_no_momentum(small_instance):
     # with x_prev = x0 and lam_prev = lam0 the dense update has no momentum:
     # mu_1 = lam0 and nu_1 = gamma lam0
     _, x_next, lam_next = _dense_step_oracle(prob, cfg, x0, x0, lam0, lam0,
-                                             st.t_k, st.t_next)
+                                             st.t_k, next_t(cfg.rule, st.t_k, st.k))
     np.testing.assert_allclose(new_st.x_k, x_next, atol=1e-10)
     np.testing.assert_allclose(new_st.lam_k, lam_next, atol=1e-10)
 
@@ -317,7 +317,7 @@ def test_step_matches_dense_oracle(small_instance, state_at):
         st = state_at(prob, rule, k, x, x_prev, lam, lam_prev)
         new_st, trace = step(prob, cfg, st)
         y, x_next, lam_next = _dense_step_oracle(
-            prob, cfg, x, x_prev, lam, lam_prev, st.t_k, st.t_next)
+            prob, cfg, x, x_prev, lam, lam_prev, st.t_k, next_t(rule, st.t_k, k))
         # eta, nu and s enter x_{k+1}; z_{k+1} enters lam_{k+1} through A z
         np.testing.assert_allclose(trace.y_k, y, atol=1e-12)
         np.testing.assert_allclose(new_st.x_k, x_next, atol=1e-10)
@@ -340,8 +340,9 @@ def test_step_matches_dense_oracle_late_in_a_run(shipped_instance, state_at, rul
         lam, lam_prev = rng.standard_normal((2, prob.p))
         st = state_at(prob, rule, k, x, x_prev, lam, lam_prev)
         new_st, trace = step(prob, cfg, st)
-        want = _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev, st.t_k, st.t_next)
-        tol = 1e-14 * max(1.0, st.t_next ** 2)
+        t_k1 = next_t(rule, st.t_k, k)
+        want = _dense_step_oracle(prob, cfg, x, x_prev, lam, lam_prev, st.t_k, t_k1)
+        tol = 1e-14 * max(1.0, t_k1 ** 2)
         for got, ref in zip((trace.y_k, new_st.x_k, new_st.lam_k), want):
             assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
@@ -375,7 +376,8 @@ def test_extrapolation_identities_along_run(small_instance):
     for _ in range(200):
         z_old = st.x_k + (st.t_k - 1.0) * (st.x_k - st.x_prev)
         nu_old = st.lam_k + (st.t_k - 1.0) * (st.lam_k - st.lam_prev)
-        mu = st.lam_k + ((st.t_k - 1.0) / st.t_next) * (st.lam_k - st.lam_prev)
+        mu = st.lam_k + ((st.t_k - 1.0) / next_t(cfg.rule, st.t_k, st.k)) * (
+            st.lam_k - st.lam_prev)
         st, trace = step(prob, cfg, st)
         z_new = st.x_k + (st.t_k - 1.0) * (st.x_k - st.x_prev)
         nu_new = st.lam_k + (st.t_k - 1.0) * (st.lam_k - st.lam_prev)
@@ -397,7 +399,7 @@ def test_stationarity_residual_along_run(small_instance):
     for _ in range(200):
         prev = st
         st, trace = step(prob, cfg, st)
-        g, t_k, t_k1 = cfg.gamma, prev.t_k, prev.t_next
+        g, t_k, t_k1 = cfg.gamma, prev.t_k, next_t(cfg.rule, prev.t_k, prev.k)
         nu = g * prev.lam_k + (t_k - 1.0) * (prev.lam_k - prev.lam_prev)
         eta = a @ prev.x_k + (g / (t_k1 - 1.0 + g)) * (prob.b - a @ prev.x_k)
         s = (cfg.rho / g) * t_k1 * (t_k1 - 1.0 + g)
@@ -680,12 +682,13 @@ def test_run_refines_the_closed_form_on_a_generated_instance():
 
 def test_dense_step_applies_the_map_three_times():
     # 1 forward and 2 adjoints per step without refinement; the run adds the
-    # image of x_1 and, for each of its two records (k = 1 and 21), A* lam
+    # image of x_1 and, for each of its two records (k = 1 and 21), A* lam,
+    # and validate checks the kept matrix against 2 forward applies
     prob, calls = _counting(generate(GenSpec("random_qp", 50, 10, 7, 1.0))[0])
     params = SolverParams(rule=chambolle_dossal(4.0), max_iter=20, record_every=1000)
     res = run(prob, params)
     assert [rec.k for rec in res.records] == [1, 21]
-    assert calls == {"forward": 1 + 20, "adjoint": 2 + 2 * 20}
+    assert calls == {"forward": 2 + 1 + 20, "adjoint": 2 + 2 * 20}
 
 
 def test_run_shipped_cd4_needs_no_cg_iterations():
