@@ -51,10 +51,11 @@ Thresholds document::
 A "slope" check fits log(metric) against log(k) over the window (two
 integers, the first not above the second) and compares
 against at least one of "max_slope", "min_slope" and "min_r2". A "monotone"
-check allows per-step increases up to ``tol * max(1, first value)``, starting
-at the optional index "from_k"; floating-point noise means a strict ``tol =
-0`` will fail on any real run, so keep the 1e-9 scale. Every bound and "tol"
-is a finite number.
+check allows per-step increases up to ``tol * |first value|``, starting at
+the optional index "from_k"; the allowance scales with the data, so the
+verdict does not depend on the data's scale. Floating-point noise means a
+strict ``tol = 0`` will fail on any real run, so keep the 1e-9 scale. Every
+bound and "tol" is a finite number.
 
 This module is the one reader of both documents. Each object of either
 goes through :func:`_read`: a key that nothing reads is refused, then each
@@ -540,7 +541,7 @@ def _check_monotone(check: dict, records) -> dict:
               if getattr(r, field) is not None]
     if not values:
         return {"ok": False, "error": f"metric {field!r} not recorded"}
-    allowance = check["tol"] * max(1.0, values[0][1])
+    allowance = check["tol"] * abs(values[0][1])
     scoped = [(k, v) for k, v in values if k >= check["from_k"]]
     for (_, prev), (k, cur) in zip(scoped, scoped[1:]):
         if cur > prev + allowance:

@@ -48,18 +48,6 @@ def read_only(x) -> Array:
     return x
 
 
-def check_symmetric(q: Array) -> float:
-    """The allowance ``1e-12 * max(1, max|Q_ij|)`` of a square ``Q``, after
-    checking ``max|Q - Q'|`` against it; a larger asymmetry raises
-    ``ValueError``. Needs one n-by-n temporary."""
-    allowance = 1e-12 * max(1.0, float(q.max(initial=0.0)), -float(q.min(initial=0.0)))
-    d = q - q.T
-    np.abs(d, out=d)
-    if float(d.max(initial=0.0)) > allowance:
-        raise ValueError("Q is not symmetric within 1e-12")
-    return allowance
-
-
 def all_finite(v: Array) -> bool:
     """True when every entry of ``v`` is finite.
 

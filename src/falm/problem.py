@@ -28,7 +28,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError
-from .linalg import Array, LinearMap, as_vector, check_symmetric, norm, read_only
+from .linalg import Array, LinearMap, as_vector, norm, read_only
+
+
+def _check_symmetric(q: Array) -> float:
+    """The allowance ``1e-12 * max(1, max|Q_ij|)`` of a square ``Q``, after
+    checking ``max|Q - Q'|`` against it; a larger asymmetry raises
+    ``ValueError``. Needs one n-by-n temporary."""
+    allowance = 1e-12 * max(1.0, float(q.max(initial=0.0)), -float(q.min(initial=0.0)))
+    d = q - q.T
+    np.abs(d, out=d)
+    if float(d.max(initial=0.0)) > allowance:
+        raise ValueError("Q is not symmetric within 1e-12")
+    return allowance
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,58 +49,67 @@ class Objective:
 
     ``lipschitz`` bounds the gradient's Lipschitz constant and must be
     positive. ``data`` optionally keeps ``("quadratic", Q, c)`` with ``f(x) =
-    0.5 x'Qx + c'x`` up to a constant: the read-only arrays the gradient ``Q x
-    + c`` itself reads. The saddle-point diagnostics take the Bregman
-    distance ``0.5 d'Qd`` from it, and :func:`~falm.oracle.qp_from_problem`
-    shares its arrays; without it they take a difference of values and there
-    is no QP. Any other ``data`` layout raises ``ValueError``.
+    0.5 x'Qx + c'x`` up to a constant: the arrays the gradient ``Q x + c``
+    itself reads. The saddle-point diagnostics take the Bregman distance
+    ``0.5 d'Qd`` from it, and :class:`~falm.oracle.QpInstance` reads it;
+    without it they take a difference of values and there is no QP.
+
+    This is the one check of quadratic data. Any other ``data`` layout raises
+    ``ValueError``; ``Q`` must be n-by-n for the n of ``c``
+    (:class:`~falm.errors.DimensionMismatch`), finite
+    (:class:`~falm.errors.NonFiniteError`) and symmetric within ``1e-12 *
+    max(1, max|Q_ij|)`` (``ValueError``), or ``Qx + c`` is no gradient of f.
+    Both arrays go through :func:`~falm.linalg.read_only`. With ``data``, a
+    ``lipschitz`` of None takes the largest eigenvalue of ``Q``; its smallest
+    must then not be below minus the symmetry allowance, or f is not convex.
     Oracles must be reentrant: callers may share a Problem across threads.
     """
 
     value: Callable[[Array], float]
     gradient: Callable[[Array], Array]
-    lipschitz: float
+    lipschitz: float | None
     data: tuple | None = None
 
     def __post_init__(self):
-        if not (self.lipschitz > 0 and np.isfinite(self.lipschitz)):
+        if self.data is not None:
+            if not (isinstance(self.data, tuple) and len(self.data) == 3
+                    and isinstance(self.data[0], str) and self.data[0] == "quadratic"):
+                raise ValueError("data must be ('quadratic', Q, c) or None")
+            q = read_only(self.data[1])
+            c = read_only(as_vector(self.data[2], name="c"))
+            if q.shape != (c.size, c.size):
+                raise DimensionMismatch(f"Q has shape {q.shape}, expected {(c.size, c.size)}")
+            if not np.all(np.isfinite(q)):
+                raise NonFiniteError("Q contains NaN or infinite entries")
+            allowance = _check_symmetric(q)
+            object.__setattr__(self, "data", ("quadratic", q, c))
+            if self.lipschitz is None:
+                eigs = np.linalg.eigvalsh(q)
+                if eigs[0] < -allowance:
+                    raise ValueError(f"Q has the negative eigenvalue {eigs[0]:.6g}")
+                object.__setattr__(self, "lipschitz", float(eigs[-1]))
+        lipschitz = self.lipschitz
+        if not (lipschitz is not None and lipschitz > 0 and np.isfinite(lipschitz)):
             raise ValueError(f"lipschitz must be a positive finite scalar, "
-                             f"got {self.lipschitz}")
-        kind = self.data[0] if isinstance(self.data, tuple) and len(self.data) == 3 else None
-        if self.data is not None and not (isinstance(kind, str) and kind == "quadratic"):
-            raise ValueError("data must be ('quadratic', Q, c) or None")
+                             f"got {lipschitz}")
 
 
-def _quadratic(q: Array, c: Array, lipschitz: float,
-               value: Callable[[Array], float]) -> Objective:
-    """The objective whose gradient is ``q x + c``: the one gradient path."""
-    return Objective(value=value, gradient=lambda x: q @ x + c, lipschitz=lipschitz,
-                     data=("quadratic", q, c))
+def _quadratic(q, c, lipschitz: float | None,
+               value: Callable[[Array], float] | None = None) -> Objective:
+    """The objective whose gradient is ``q x + c``: the one gradient path.
+    Without ``value``, f is ``0.5 x'qx + c'x``."""
+    obj = Objective(value=value or (lambda x: float(0.5 * np.dot(x, q @ x) + np.dot(c, x))),
+                    gradient=lambda x: q @ x + c, lipschitz=lipschitz,
+                    data=("quadratic", q, c))
+    _, q, c = obj.data  # the oracles read the checked arrays Objective keeps
+    return obj
 
 
 def quadratic_objective(q, c, lipschitz: float | None = None) -> Objective:
-    """Objective ``f(x) = 0.5 x'Qx + c'x`` for symmetric PSD ``Q``.
-
-    ``Q`` must be finite and symmetric within ``1e-12 * max(1, max|Q_ij|)`` (the
-    test of :class:`~falm.oracle.QpInstance`), or ``Qx + c`` is no gradient of f.
-    The default Lipschitz constant is the largest eigenvalue of the symmetrized
-    ``Q``; its smallest must then not be below minus that allowance, or f is
-    not convex. Either violation raises ``ValueError``.
-    """
-    q = read_only(q)
-    c = read_only(as_vector(c, name="c"))
-    if q.shape != (c.size, c.size):
-        raise DimensionMismatch(f"Q has shape {q.shape}, expected {(c.size, c.size)}")
-    if not np.all(np.isfinite(q)):
-        raise NonFiniteError("Q contains NaN or infinite entries")
-    allowance = check_symmetric(q)
-    if lipschitz is None:
-        eigs = np.linalg.eigvalsh((q + q.T) / 2.0)
-        if eigs[0] < -allowance:
-            raise ValueError(f"Q has the negative eigenvalue {eigs[0]:.6g}")
-        lipschitz = float(eigs[-1])
-    return _quadratic(q, c, lipschitz,
-                      value=lambda x: float(0.5 * np.dot(x, q @ x) + np.dot(c, x)))
+    """Objective ``f(x) = 0.5 x'Qx + c'x`` for symmetric PSD ``Q``; the
+    default Lipschitz constant is the largest eigenvalue of ``Q``.
+    :class:`Objective` checks ``Q`` and ``c``."""
+    return _quadratic(q, c, lipschitz)
 
 
 def least_squares_objective(m, d, lipschitz: float | None = None) -> Objective:
@@ -107,17 +128,15 @@ def least_squares_objective(m, d, lipschitz: float | None = None) -> Objective:
                                 f"dimension {d.size}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("M contains NaN or infinite entries")
-    gram = m.T @ m  # numpy uses syrk: exactly symmetric, so the QP shares it as is
+    gram = m.T @ m  # numpy uses syrk: exactly symmetric
     c = -(m.T @ d)
     gram.flags.writeable = c.flags.writeable = False
-    if lipschitz is None:
-        lipschitz = float(np.linalg.eigvalsh(gram)[-1])
 
     def value(x: Array) -> float:
         r = m @ x - d
         return float(0.5 * np.dot(r, r))
 
-    return _quadratic(gram, c, lipschitz, value=value)
+    return _quadratic(gram, c, lipschitz, value)
 
 
 @dataclass(frozen=True, eq=False)

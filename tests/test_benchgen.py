@@ -76,8 +76,7 @@ def _instance_arrays(prob, qp):
     kind, mat, vec = prob.objective.data
     arrays = [mat, vec, prob.a_map.matrix, prob.b,
               np.float64(prob.objective.lipschitz)]
-    if qp is not None:
-        arrays += [qp.q_mat, qp.c, qp.a_mat, qp.b]
+    assert qp is None or qp.problem is prob
     return kind, [np.asarray(a).tobytes() for a in arrays]
 
 
@@ -185,8 +184,7 @@ def test_generate_deterministic_bitwise():
     p2, q2 = generate(spec)
     arrays = [(p.a_map.matrix, p.b, *p.objective.data[1:]) for p in (p1, p2)]
     assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
-    assert np.array_equal(q1.q_mat, q2.q_mat)
-    assert np.array_equal(q1.b, q2.b)
+    assert q1.problem is p1 and q2.problem is p2
 
 
 def test_generate_seeds_differ():
@@ -205,16 +203,17 @@ def test_generate_random_qp_is_solvable():
 def test_generate_feasible_by_construction():
     # b must lie in the range of A: the least-squares residual is rounding-level
     for kind in ("random_qp", "constrained_least_squares"):
-        prob, qp = generate(GenSpec(kind, 20, 6, 3, 10.0))
-        x_ls, residual, rank, _ = np.linalg.lstsq(qp.a_mat, qp.b, rcond=None)
+        prob, _ = generate(GenSpec(kind, 20, 6, 3, 10.0))
+        a = prob.a_map.matrix
+        x_ls, residual, rank, _ = np.linalg.lstsq(a, prob.b, rcond=None)
         assert rank == 6
-        assert np.linalg.norm(qp.a_mat @ x_ls - qp.b) <= 1e-12
+        assert np.linalg.norm(a @ x_ls - prob.b) <= 1e-12
 
 
 def test_generate_eigenvalue_range():
     spec = GenSpec("random_qp", 30, 5, 11, 50.0)
-    _, qp = generate(spec)
-    eigs = np.linalg.eigvalsh(qp.q_mat)
+    prob, _ = generate(spec)
+    eigs = np.linalg.eigvalsh(prob.objective.data[1])
     assert eigs[0] >= 1.0 - 1e-9
     assert eigs[-1] <= 50.0 + 1e-9
 
@@ -233,7 +232,8 @@ def test_generate_least_squares_oracle_agrees():
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((2, 15))
     f = prob.objective.value
-    quad = lambda v: 0.5 * v @ qp.q_mat @ v + qp.c @ v
+    _, q, c = qp.problem.objective.data
+    quad = lambda v: 0.5 * v @ q @ v + c @ v
     assert f(x) - f(y) == pytest.approx(quad(x) - quad(y), rel=1e-9, abs=1e-12)
 
 

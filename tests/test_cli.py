@@ -113,7 +113,7 @@ def test_run_energy_column_monotone(tmp_path):
     _, rows = _read_csv(tmp_path / "out" / "cd4.csv")
     idx = CSV_HEADER.split(",").index("energy")
     energies = [float(r[idx]) for r in rows]
-    tol = 1e-9 * max(1.0, energies[0])
+    tol = 1e-9 * abs(energies[0])
     assert all(b <= a + tol for a, b in zip(energies, energies[1:]))
 
 
@@ -257,6 +257,18 @@ def test_monotone_check_requires_scaled_tolerance():
     assert scaled["ok"]
 
 
+def test_monotone_allowance_scales_with_the_first_value():
+    # energies near 1e-8 that rise by 1e-10: a rise of 1% of the first value,
+    # far above tol * |first value| = 1e-17, so the check fails at any scale
+    energies = [(1, 1.0e-8), (2, 0.9e-8), (3, 0.9e-8 + 1e-10), (4, 0.5e-8)]
+    for scale in (1.0, 1e8):
+        records = [RunRecord(k=k, t_k=1.0, gap=None, feas=0.0, obj_err=None,
+                             kkt_grad=0.0, kkt_feas=0.0, energy=scale * e, cg_iters=0)
+                   for k, e in energies]
+        verdict = _check_monotone(_monotone(tol=1e-9), records)
+        assert not verdict["ok"] and verdict["violation_k"] == 3
+
+
 def test_monotone_check_from_k():
     records = [RunRecord(k=k, t_k=1.0, gap=None, feas=0.0, obj_err=None,
                          kkt_grad=0.0, kkt_feas=0.0, energy=e, cg_iters=0)
@@ -316,7 +328,7 @@ def test_shipped_config_round(tmp_path, monkeypatch):
     _, rows = _read_csv(tmp_path / "out" / "cd4.csv")
     idx = CSV_HEADER.split(",").index("energy")
     energies = [float(r[idx]) for r in rows]
-    tol = 1e-9 * max(1.0, energies[0])
+    tol = 1e-9 * abs(energies[0])
     assert all(b <= a + tol for a, b in zip(energies, energies[1:]))
 
 

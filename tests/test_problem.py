@@ -6,7 +6,7 @@ import pytest
 
 from falm.errors import DimensionMismatch, NonFiniteError
 from falm.linalg import dense_map
-from falm.oracle import QpInstance, kkt_solve
+from falm.oracle import kkt_solve
 from falm.cli import problem_from_json
 from falm.problem import (Objective, Problem, kkt_residuals, least_squares_objective,
                           quadratic_objective)
@@ -140,19 +140,48 @@ def test_problem_copies_a_writable_b(tiny_qp):
     assert again.b is prob.b
 
 
+def _hand_built(q, c):
+    """An objective built by hand around ``("quadratic", q, c)``."""
+    return Objective(value=lambda x: 0.0, gradient=lambda x: x, lipschitz=1.0,
+                     data=("quadratic", q, c))
+
+
 @pytest.mark.parametrize("excess, symmetric", [(0.9, True), (1.1, False)])
 def test_symmetry_allowance_of_both_entry_points(excess, symmetric):
     # max|Q_ij| = 4, so both accept max|Q - Q'| up to 4e-12
     q = np.array([[4.0, 1.0], [1.0 + excess * 4e-12, 2.0]])
     build = [lambda: quadratic_objective(q, np.zeros(2)),
-             lambda: QpInstance(q_mat=q, c=np.zeros(2), a_mat=np.array([[1.0, 1.0]]),
-                                b=np.array([2.0]))]
+             lambda: _hand_built(q, np.zeros(2))]
     for make in build:
         if symmetric:
             make()
         else:
             with pytest.raises(ValueError, match="not symmetric within 1e-12"):
                 make()
+
+
+@pytest.mark.parametrize("q, c, error, match", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), ValueError, "not symmetric"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros(2), NonFiniteError, "Q contains NaN"),
+    (np.eye(3), np.zeros(2), DimensionMismatch, r"Q has shape \(3, 3\), expected \(2, 2\)"),
+], ids=["asymmetric", "nan", "3x3_q_for_2_c"])
+def test_hand_built_objective_checks_its_quadratic_data(q, c, error, match):
+    with pytest.raises(error, match=match):
+        _hand_built(q, c)
+
+
+def test_objective_copies_a_writable_q():
+    q, c = np.eye(2), np.array([1.0, -1.0])
+    hand, quad = _hand_built(q, c), quadratic_objective(q, c)
+    for obj in (hand, quad):
+        _, kept, kept_c = obj.data
+        assert not kept.flags.writeable and not np.shares_memory(kept, q)
+        assert not kept_c.flags.writeable and not np.shares_memory(kept_c, c)
+    q[0, 0], c[0] = 5.0, 7.0
+    # the constructor's oracles read the objective's own copies too
+    assert np.array_equal(quad.gradient(np.ones(2)), [2.0, 0.0])
+    assert quad.value(np.ones(2)) == 1.0
+    assert hand.data[1][0, 0] == 1.0 and quad.lipschitz == 1.0
 
 
 def test_problem_dimension_validation():
