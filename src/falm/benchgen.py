@@ -33,6 +33,16 @@ rank-2 update ``M <- M - v a' - a v'`` with ``w = M v`` and
 ``a v'``. The result is ``(M + M') / 2``. It equals the explicit product
 ``H M H'`` to rounding, not bitwise.
 
+Every kind takes its draws in one order. First the spectrum ``cond **
+uniforms(n)``, square-rooted for least squares, where it gives the singular
+values of ``M``; then the three reflections' normals; then ``n`` normals,
+which are the tilt of a constrained kind and ``c`` of ``unconstrained``.
+Only the constrained kinds draw on: ``p*n`` normals for ``A`` in row-major
+order, each row then scaled to length ``ROW_NORM``, and ``n`` normals that
+``DATA_SCALE`` scales to the anchor. With the tilt normals ``g`` they get
+``c = -Q x_anchor + TILT*DATA_SCALE*g`` or ``d = M x_anchor +
+TILT*DATA_SCALE*g``.
+
 Constrained instances are always feasible by construction: the right-hand
 side is ``A @ x_anchor`` for a drawn anchor point, never sampled directly.
 Two normalizations keep desk-scale runs inside the polynomial-rate regime
@@ -140,9 +150,8 @@ class GenSpec:
             raise ValueError(f"cond must be a finite scalar >= 1, got {self.cond}")
 
 
-def _orthogonal_conjugate(diag: np.ndarray, rng: SplitMix64,
-                          reflections: int = 3) -> np.ndarray:
-    """Conjugate a diagonal matrix by a product of random Householder maps.
+def _orthogonal_conjugate(diag: np.ndarray, rng: SplitMix64) -> np.ndarray:
+    """Conjugate a diagonal matrix by three random Householder maps.
 
     Each reflection ``H = I - 2 v v'`` is applied as the rank-2 update
     ``H M H = M - v a' - a v'`` with ``w = M v`` and ``a = 2 w - 2 (v'w) v``,
@@ -150,7 +159,7 @@ def _orthogonal_conjugate(diag: np.ndarray, rng: SplitMix64,
     the objective constructors share it instead of copying it.
     """
     mat = np.diag(diag)
-    for _ in range(reflections):
+    for _ in range(3):
         v = rng.normals(diag.size)
         v /= np.linalg.norm(v)
         w = mat @ v
@@ -183,31 +192,24 @@ def generate(spec: GenSpec) -> tuple[Problem, QpInstance | None]:
     * ``unconstrained``: the quadratic objective with the zero operator and
       zero right-hand side (no companion QP oracle).
 
-    The same seed yields the same instance bitwise.
+    Every kind draws in the order of the module docstring: the spectrum, the
+    reflections of :func:`_orthogonal_conjugate`, ``n`` normals (the tilt, or
+    ``c`` of ``unconstrained``), then for the constrained kinds
+    :func:`_constraints`. The same seed yields the same instance bitwise.
     """
     rng = SplitMix64(spec.seed)
-    if spec.kind == "random_qp":
-        eigs = spec.cond ** rng.uniforms(spec.n)
-        q = _orthogonal_conjugate(eigs, rng)
-        tilt = rng.normals(spec.n)
-        a, b, x_anchor = _constraints(spec, rng)
-        c = -(q @ x_anchor) + TILT * DATA_SCALE * tilt
-        objective = quadratic_objective(q, c)
-        a_map = dense_map(a)
-    elif spec.kind == "constrained_least_squares":
-        # Singular values are square roots of the target Gram eigenvalues.
-        gram_eigs = spec.cond ** rng.uniforms(spec.n)
-        m = _orthogonal_conjugate(np.sqrt(gram_eigs), rng)
-        tilt = rng.normals(spec.n)
-        a, b, x_anchor = _constraints(spec, rng)
-        d = m @ x_anchor + TILT * DATA_SCALE * tilt
-        objective = least_squares_objective(m, d)
-        a_map = dense_map(a)
-    else:
-        eigs = spec.cond ** rng.uniforms(spec.n)
-        q = _orthogonal_conjugate(eigs, rng)
-        c = rng.normals(spec.n)
-        objective = quadratic_objective(q, c)
+    spectrum = spec.cond ** rng.uniforms(spec.n)
+    least_squares = spec.kind == "constrained_least_squares"
+    mat = _orthogonal_conjugate(np.sqrt(spectrum) if least_squares else spectrum, rng)
+    normals = rng.normals(spec.n)
+    if spec.kind == "unconstrained":
+        objective = quadratic_objective(mat, normals)
         a_map, b = zero_map(spec.n, spec.p), np.zeros(spec.p)
+    else:
+        a, b, x_anchor = _constraints(spec, rng)
+        tilt = TILT * DATA_SCALE * normals
+        objective = (least_squares_objective(mat, mat @ x_anchor + tilt) if least_squares
+                     else quadratic_objective(mat, -(mat @ x_anchor) + tilt))
+        a_map = dense_map(a)
     prob = Problem(objective=objective, a_map=a_map, b=b)
     return prob, qp_from_problem(prob)

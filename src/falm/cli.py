@@ -62,8 +62,8 @@ goes through :func:`_read`: a key that nothing reads is refused, then each
 field is parsed once by its reader, under the name its error message gives
 it. The defaults live in one place each: ``CHECK_DEFAULTS`` for a check (the
 document's ``window`` is the default of a check's own), and
-:class:`~falm.solver.SolverParams`, :class:`~falm.benchgen.GenSpec` and the
-rule constructors of :mod:`falm.inertial` for the rest. :func:`rule_from_spec`,
+:class:`~falm.solver.SolverParams`, :class:`~falm.benchgen.GenSpec` and
+:class:`~falm.inertial.InertialRule` for the rest. :func:`rule_from_spec`,
 :func:`spec_from_json` and :func:`problem_from_json` read a rule, a generator
 spec and an inline problem; the package exports them. A document with more
 than one fault is refused naming one of them.
@@ -96,8 +96,7 @@ from . import solver
 from .benchgen import GenSpec, generate
 from .diagnostics import RunRecord, rate_fit
 from .errors import ValidationError
-from .inertial import (RULE_KINDS, SPEC_KEYS, InertialRule, attouch_cabot, certify,
-                       chambolle_dossal, constant, nesterov)
+from .inertial import RULE_KINDS, SPEC_KEYS, InertialRule, certify
 from .linalg import dense_map
 from .oracle import OracleError, QpInstance, kkt_solve, qp_from_problem
 from .problem import Problem, least_squares_objective, quadratic_objective
@@ -111,8 +110,6 @@ SLOPE_FIELDS = ("gap", "feas", "obj_err")
 # vector, and the objective they build.
 OBJECTIVE_KINDS = {"quadratic": ("Q", "c", quadratic_objective),
                    "least_squares": ("M", "d", least_squares_objective)}
-_RULES = {"nesterov": nesterov, "chambolle_dossal": chambolle_dossal,
-          "attouch_cabot": attouch_cabot, "constant": constant}
 # The keys each check kind reads, in the order they are parsed.
 CHECK_KINDS = {"slope": ("kind", "metric", "label", "window", "max_slope", "min_slope",
                          "min_r2"),
@@ -221,10 +218,7 @@ def _read(doc: dict, where: str, readers: dict, *, defaults: dict | None = None,
 
 def _load(path: str, what: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    return doc
+        return _of_type(dict, "a JSON object")(json.load(fh), what)
 
 
 def rule_from_spec(doc: dict) -> InertialRule:
@@ -240,7 +234,7 @@ def rule_from_spec(doc: dict) -> InertialRule:
     readers = {"rule": _as_is, **dict.fromkeys(SPEC_KEYS[kind], _number)}
     params = _read(doc, f"rule {kind!r}", readers, required=("alpha",))
     del params["rule"]
-    return _RULES[kind](**params)
+    return InertialRule(kind=kind, **params)
 
 
 def spec_from_json(doc: dict) -> GenSpec:
@@ -381,13 +375,9 @@ def load_thresholds(path: str, labels: list[str]) -> list[tuple[dict, dict]]:
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells; the cheapest test, so it comes first
-        return format(value, ".17g")
-    if value is None:  # the empty cells of a record without a saddle point
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    """A CSV cell: empty for None, else 17 significant digits, which is every
+    integer below 10^17 as written and every double as it round-trips."""
+    return "" if value is None else format(value, ".17g")
 
 
 _record_values = attrgetter(*RECORD_FIELDS)
@@ -411,11 +401,17 @@ def execute(command: str, config_path: str, labels_filter: str | None = None,
     """Run the subcommand ``command`` and return its exit code: load, check,
     execute, report.
 
-    Whatever can reject a document or a run's parameters happens before the
-    first run starts and exits 2. The selected runs then execute in config
-    order and the command's writer reports them; a failed run exits 1.
+    Whatever can reject the command (one of ``run``, ``compare`` and
+    ``ratecheck``, which needs ``thresholds_path``), a document or a run's
+    parameters happens before the first run starts and exits 2. The selected
+    runs then execute in config order and the command's writer reports them;
+    a failed run exits 1.
     """
     try:
+        if command not in _WRITERS:
+            raise ValueError(f"unknown command {command!r}; expected one of {list(_WRITERS)}")
+        if command == "ratecheck" and thresholds_path is None:
+            raise ValueError("ratecheck needs a thresholds document")
         config = load_experiment(config_path)
         specs = config.runs
         if labels_filter is not None:

@@ -1,8 +1,10 @@
 """Inertial parameter sequences and their certification.
 
-Four rules are supported. Each rule carries its certified margin ``m``, the
-constant for which the sequence provably satisfies the one-step quadratic
-condition ``t_{k+1}^2 - m*t_{k+1} <= t_k^2`` while staying nondecreasing:
+Four rules are supported. Each rule carries its margin ``m``, the constant
+for which the sequence provably satisfies the one-step quadratic condition
+``t_{k+1}^2 - m*t_{k+1} <= t_k^2`` while staying nondecreasing. ``m``
+defaults to the kind's certified margin (:func:`min_margin`), whichever
+constructor builds the rule:
 
 * ``nesterov``: the square-root recurrence, margin 1 (condition tight).
 * ``chambolle_dossal(alpha)``: ``t_k = 1 + (k-1)/(alpha-1)``, margin
@@ -11,7 +13,7 @@ condition ``t_{k+1}^2 - m*t_{k+1} <= t_k^2`` while staying nondecreasing:
   the sequence starts at 0 and only reaches 1 at index ``k1`` (reported by
   :func:`certify`), so rate estimates downstream start there.
 * ``constant``: ``t_k = 1``, the non-accelerated baseline; admits any margin
-  in (0, 1].
+  in (0, 1], and ``m`` defaults to 1.
 
 :func:`next_t` takes any rule from ``t_k`` to ``t_{k+1}``; a run's steps and
 :func:`t_values` share it, and nothing is cached between calls.
@@ -31,7 +33,7 @@ floating point and judged relative to ``t_{k+1}^2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,20 +49,28 @@ RULE_KINDS = tuple(SPEC_KEYS)
 
 @dataclass(frozen=True)
 class InertialRule:
-    """One of the supported inertial parameter rules, with its margin ``m``."""
+    """One of the supported inertial parameter rules, with its margin ``m``.
+
+    ``m`` defaults to the margin of the kind (:func:`min_margin`), or to 1
+    for ``constant``, which admits any margin in (0, 1].
+    """
 
     kind: str
     alpha: float | None = None
-    m: float = 1.0
+    m: float | None = None
 
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if not (0.0 < self.m <= 1.0):
-            raise ValueError(f"margin m must lie in (0, 1], got {self.m}")
         if self.kind in ("chambolle_dossal", "attouch_cabot"):
             if self.alpha is None or not 3.0 <= self.alpha < math.inf:  # refuses NaN too
                 raise ValueError(f"{self.kind} requires a finite alpha >= 3, got {self.alpha}")
+        # After the alpha check, since the margin divides by alpha - 1. The
+        # margin 0 of constant, which admits any m, gives the default m = 1.
+        if self.m is None:
+            object.__setattr__(self, "m", min_margin(self.kind, self.alpha) or 1.0)
+        if not (0.0 < self.m <= 1.0):
+            raise ValueError(f"margin m must lie in (0, 1], got {self.m}")
 
 
 def min_margin(kind: str, alpha: float | None = None) -> float:
@@ -75,24 +85,19 @@ def min_margin(kind: str, alpha: float | None = None) -> float:
 
 
 def nesterov() -> InertialRule:
-    return InertialRule(kind="nesterov", m=min_margin("nesterov"))
-
-
-def _alpha_rule(kind: str, alpha: float) -> InertialRule:
-    rule = InertialRule(kind=kind, alpha=float(alpha))  # checks alpha before the margin
-    return replace(rule, m=min_margin(kind, rule.alpha))
+    return InertialRule("nesterov")
 
 
 def chambolle_dossal(alpha: float) -> InertialRule:
-    return _alpha_rule("chambolle_dossal", alpha)
+    return InertialRule("chambolle_dossal", float(alpha))
 
 
 def attouch_cabot(alpha: float) -> InertialRule:
-    return _alpha_rule("attouch_cabot", alpha)
+    return InertialRule("attouch_cabot", float(alpha))
 
 
 def constant(m: float = 1.0) -> InertialRule:
-    return InertialRule(kind="constant", m=float(m))
+    return InertialRule("constant", m=float(m))
 
 
 def _closed_form(kind: str, k, alpha):

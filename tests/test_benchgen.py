@@ -60,16 +60,38 @@ class _ScalarDraws:
         return np.array([self.normal() for _ in range(count)])
 
 
-def _reference_conjugate(diag, rng, reflections=3):
-    """Householder conjugation in textbook form: explicit n-by-n reflections
-    and matrix products."""
+def _reference_conjugate(diag, rng):
+    """Householder conjugation in textbook form: three explicit n-by-n
+    reflections and matrix products."""
     mat = np.diag(diag)
-    for _ in range(reflections):
+    for _ in range(3):
         v = rng.normals(diag.size)
         v /= np.linalg.norm(v)
         h = np.eye(diag.size) - 2.0 * np.outer(v, v)
         mat = h @ mat @ h.T
     return (mat + mat.T) / 2.0
+
+
+def _reference_instance(spec):
+    """Independent transcription of the draw order that the benchgen module
+    documents: the objective's ``(Q, c)``, or ``(M, d)`` for least squares,
+    then ``A`` and ``b``, from the scalar draws and textbook reflections."""
+    rng = _ScalarDraws(spec.seed)
+    n, p = spec.n, spec.p
+    spectrum = np.array([spec.cond ** u for u in rng.uniforms(n)])
+    if spec.kind == "constrained_least_squares":
+        spectrum = np.sqrt(spectrum)
+    mat = _reference_conjugate(spectrum, rng)
+    tilt = rng.normals(n)
+    if spec.kind == "unconstrained":
+        return mat, tilt, np.zeros((p, n)), np.zeros(p)
+    a = rng.normals(p * n).reshape(p, n)
+    a = np.array([benchgen.ROW_NORM * row / np.linalg.norm(row) for row in a])
+    anchor = benchgen.DATA_SCALE * rng.normals(n)
+    offset = benchgen.TILT * benchgen.DATA_SCALE * tilt
+    if spec.kind == "constrained_least_squares":
+        return mat, mat @ anchor + offset, a, a @ anchor
+    return mat, offset - mat @ anchor, a, a @ anchor
 
 
 def _instance_arrays(prob, qp):
@@ -133,7 +155,21 @@ def test_zero_first_uniform_is_replaced_in_box_muller():
                                               (33, 5, 1007, 30.0)])
 def test_generate_matches_scalar_reference(monkeypatch, kind, n, p, seed, cond):
     spec = GenSpec(kind, n, p, seed, cond)
-    fast = _instance_arrays(*generate(spec))
+    prob, qp = generate(spec)
+    fast = _instance_arrays(prob, qp)
+    # the documented draw order, transcribed, to rounding
+    mat, vec, a, b = _reference_instance(spec)
+    bound = 8 * n * np.finfo(float).eps
+    if kind == "constrained_least_squares":
+        # the objective keeps M'M and -M'd, and its value reads M and d
+        x = np.linspace(-1.0, 1.0, n)
+        residual = mat @ x - vec
+        assert prob.objective.value(x) == pytest.approx(0.5 * residual @ residual, rel=bound)
+        mat, vec = mat.T @ mat, -(mat.T @ vec)
+    _, q, c = prob.objective.data
+    for got, want in ((q, mat), (c, vec), (prob.a_map.matrix, a), (prob.b, b)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
     monkeypatch.setattr(benchgen, "SplitMix64", _ScalarDraws)
     assert _instance_arrays(*generate(spec)) == fast
 

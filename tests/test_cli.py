@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -392,6 +394,33 @@ def test_run_checks_every_run_before_the_first_starts(tmp_path, capsys,
     assert execute("run", cfg) == 2
     assert "σ ≤ γ/(L + γβ‖A‖²)" in capsys.readouterr().err
     assert started == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("ratecheck", "ratecheck needs a thresholds document"),
+    ("check", "unknown command 'check'; expected one of ['run', 'compare', 'ratecheck']"),
+], ids=["ratecheck_without_thresholds", "unknown_command"])
+def test_execute_refuses_a_command_it_cannot_finish_before_any_run(tmp_path, capsys,
+                                                                   monkeypatch, command,
+                                                                   message):
+    # both used to execute every run, then raise TypeError or KeyError
+    started = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: started.append(args))
+    assert execute(command, _small_config(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert started == [] and not (tmp_path / "out").exists()
+
+
+def test_help_runs_without_warnings():
+    # runpy warns when the package imports the module it runs as __main__,
+    # so the package must export the CLI's readers lazily
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "falm.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: falm")
 
 
 _INLINE_PROBLEM = {"n": 2, "p": 1, "A": [1.0, 1.0], "b": [1.0],

@@ -63,6 +63,17 @@ def test_rule_constructor_validation():
         constant(1.5)
 
 
+@pytest.mark.parametrize("alpha", [3.0, 4.0, 7.3])
+def test_a_rule_built_from_its_kind_has_its_kinds_margin(alpha):
+    # InertialRule used to default every kind to m = 1, so an alpha rule
+    # built from its kind ran with another default gamma than its constructor's
+    assert InertialRule(kind="chambolle_dossal", alpha=alpha) == chambolle_dossal(alpha)
+    assert InertialRule(kind="attouch_cabot", alpha=alpha) == attouch_cabot(alpha)
+    assert chambolle_dossal(alpha).m == 2.0 / (alpha - 1.0)
+    assert InertialRule("nesterov") == nesterov() and nesterov().m == 1.0
+    assert InertialRule("constant") == constant() and constant().m == 1.0
+
+
 def test_rule_from_spec_wire_format():
     assert rule_from_spec({"rule": "nesterov"}).kind == "nesterov"
     rule = rule_from_spec({"rule": "chambolle_dossal", "alpha": 4.0})

@@ -98,8 +98,9 @@ def test_validate_gamma_below_margin_rejected(small_instance):
 
 
 @pytest.mark.parametrize("rule", [InertialRule("chambolle_dossal", alpha=4.0, m=0.1),
-                                  InertialRule("nesterov", m=0.5)],
-                         ids=["cd4_m_0.1", "nesterov_m_0.5"])
+                                  InertialRule("nesterov", m=0.5),
+                                  InertialRule("attouch_cabot", alpha=4.0, m=0.5)],
+                         ids=["cd4_m_0.1", "nesterov_m_0.5", "ac4_m_0.5"])
 def test_validate_refuses_a_margin_below_the_rules(small_instance, rule):
     # such a rule used to validate and be certified (gamma = (m + 1)/2 < 1)
     # although certify(rule, K) fails on it
