@@ -52,7 +52,9 @@ class InertialRule:
     """One of the supported inertial parameter rules, with its margin ``m``.
 
     ``m`` defaults to the margin of the kind (:func:`min_margin`), or to 1
-    for ``constant``, which admits any margin in (0, 1].
+    for ``constant``, which admits any margin in (0, 1]. An ``alpha`` on a
+    kind that does not read it (``nesterov``, ``constant``) and a boolean
+    ``m`` raise ``ValueError`` naming the field.
     """
 
     kind: str
@@ -62,9 +64,13 @@ class InertialRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind in ("chambolle_dossal", "attouch_cabot"):
+        if "alpha" in SPEC_KEYS[self.kind]:
             if self.alpha is None or not 3.0 <= self.alpha < math.inf:  # refuses NaN too
                 raise ValueError(f"{self.kind} requires a finite alpha >= 3, got {self.alpha}")
+        elif self.alpha is not None:
+            raise ValueError(f"{self.kind} does not read alpha, got {self.alpha!r}")
+        if isinstance(self.m, (bool, np.bool_)):
+            raise ValueError(f"margin m must be a number, got {self.m!r}")
         # After the alpha check, since the margin divides by alpha - 1. The
         # margin 0 of constant, which admits any m, gives the default m = 1.
         if self.m is None:

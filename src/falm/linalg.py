@@ -224,15 +224,16 @@ REFINE_STEPS = 10
 class SpdSolution(NamedTuple):
     """Solution ``x`` of :func:`solve_spd` and its true residual norm.
 
-    ``iterations`` counts refinement corrections, and ``ax`` is the image
-    ``A x`` computed by the final residual check, bitwise equal to
-    ``a_map.forward(x)``.
+    ``iterations`` counts refinement corrections. ``ax`` and ``atax`` are the
+    images ``A x`` and ``A*A x`` computed by the final residual check, bitwise
+    equal to ``a_map.forward(x)`` and ``a_map.adjoint(ax)``.
     """
 
     x: Array
     iterations: int
     residual: float
     ax: Array
+    atax: Array
 
 
 def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: float,
@@ -271,10 +272,11 @@ def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: flo
         if corrections:
             x = x + factor.solve(shift, scale, r)
         ax = a_map.forward(x)
-        r = rhs - (shift * x + scale * a_map.adjoint(ax))
+        atax = a_map.adjoint(ax)
+        r = rhs - (shift * x + scale * atax)
         r_norm = norm(r)
         if r_norm <= target:
-            return SpdSolution(x, corrections, r_norm, ax)
+            return SpdSolution(x, corrections, r_norm, ax, atax)
     raise SpdSolveError(f"iterative refinement missed its target after {REFINE_STEPS} "
                         f"corrections (residual {r_norm:.3e}, target {target:.3e})",
                         residual=r_norm, iterations=REFINE_STEPS)

@@ -187,8 +187,9 @@ def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
 
     Returns ``(||grad f(x) + A* lam||, ||A x - b||)``; both vanish exactly at
     a primal-dual solution. ``residual`` may supply ``A x - b`` and
-    ``adjoint`` may supply ``A* lam`` when the caller already has them; the
-    result is the same to the bit.
+    ``adjoint`` may supply ``A* lam`` when the caller already has them, as
+    the solver's state does (``IterateState.ax_k`` and ``adj[0]``, each
+    bitwise the apply); the result is the same to the bit.
     """
     _check_dims(prob, x, lam)
     adj = adjoint if adjoint is not None else prob.a_map.adjoint(lam)

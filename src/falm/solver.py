@@ -20,11 +20,16 @@ iterative refinement with the same factor only if the residual check fails.
 The same factor gives an upper bound on ``||A||^2`` and counts its probes, so
 dense, matrix-free and zero maps take one path.
 
-The dual side needs no map apply: each dual vector of a step is a linear
-combination, with scalar weights, of the five rows of ``IterateState.hist``
-(``lam_k``, ``A x_k``, ``lam_{k-1}``, ``A x_{k-1}`` and ``b``), so a step
-forms the argument of its one ``A*`` product and ``lam_{k+1}`` as two
-products with that block and builds a fresh block for the next state.
+The dual side needs no forward apply: each dual vector of a step is a
+linear combination, with scalar weights, of the five rows of
+``IterateState.hist`` (``lam_k``, ``A x_k``, ``lam_{k-1}``, ``A x_{k-1}`` and
+``b``), so a step forms ``lam_{k+1}`` as a product with that block.
+``IterateState.adj`` carries the ``A*`` image of every row, each from one
+apply (by linearity the images' rounding would drift with k), so the ``A*``
+image of the step's dual argument is the same weights times that block, and
+the stop test and the records read ``A* lam_k`` from it. A step applies
+``A*`` twice: to ``A x_{k+1}`` in the inner solve's residual check, and to
+``lam_{k+1}``.
 
 The README's "Oracle budget", "Diagnostics" and "Stop-test budget" paragraphs
 count the map applies, gradients and objective values of a step, a record and
@@ -233,9 +238,10 @@ class IterateState:
     ``lam_prev`` and ``ax_prev`` read its rows as views. Every dual vector of
     a step is a combination of these five rows with scalar weights, so
     :func:`step` forms them from products with the block. Each image row is
-    bitwise equal to ``a_map.forward`` of its iterate. A step builds a fresh
-    block and never writes to its input's, so states passed to an observer
-    stay as they were.
+    bitwise equal to ``a_map.forward`` of its iterate. The n-column block
+    ``adj`` holds the ``A*`` images of the five rows, row i bitwise equal to
+    ``a_map.adjoint(hist[i])``. A step builds fresh blocks and never writes
+    to its input's, so states passed to an observer stay as they were.
     """
 
     k: int
@@ -243,6 +249,7 @@ class IterateState:
     x_prev: Array
     t_k: float
     hist: Array
+    adj: Array
 
     @property
     def lam_k(self) -> Array:
@@ -264,12 +271,16 @@ class IterateState:
 def initial_state(prob: Problem, rule: InertialRule, x_init: Array,
                   lam_init: Array) -> IterateState:
     """State at k=1; the two trailing iterates coincide with the initial point,
-    whose image is one forward apply."""
+    whose image is one forward apply. The ``A*`` images of ``lam``, ``A x``
+    and ``b`` are three adjoint applies."""
     x = np.array(x_init, dtype=float)
     lam = np.asarray(lam_init, dtype=float)
-    ax = prob.a_map.forward(x)
+    a_map = prob.a_map
+    ax = a_map.forward(x)
+    at_lam, atax, atb = (a_map.adjoint(v) for v in (lam, ax, prob.b))
     return IterateState(k=1, x_k=x, x_prev=x.copy(), t_k=float(t_values(rule, 1)[0]),
-                        hist=np.stack((lam, ax, lam, ax, prob.b)))
+                        hist=np.stack((lam, ax, lam, ax, prob.b)),
+                        adj=np.stack((at_lam, atax, at_lam, atax, atb)))
 
 
 @dataclass
@@ -289,14 +300,16 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     The primal update solves the subproblem's stationarity system exactly (to
     the configured residual tolerance) by :func:`~falm.linalg.solve_spd` from
     ``cfg.spectral``; for a zero operator that is the accelerated gradient
-    step ``y_k - sigma * grad f(y_k)`` up to rounding. The argument of the
-    one ``A*`` product is a product of five scalar weights with ``st.hist``;
-    ``lam_{k+1}`` is another plus a multiple of the image of ``x_{k+1}`` that
-    the inner solve's residual check computed, which the new state's block
-    carries. ``mu``, ``nu``, ``eta``, ``A y_k`` and ``A z_{k+1}`` are never
-    formed as vectors. Inner-solve failures, a non-finite right-hand side
-    among them, and iterates that leave the finite range raise
-    :class:`StepError` carrying the iteration index. A finite solve residual
+    step ``y_k - sigma * grad f(y_k)`` up to rounding. The ``A*`` image of
+    the dual argument is a product of five scalar weights with ``st.adj``;
+    ``lam_{k+1}`` is a product of five others with ``st.hist`` plus a
+    multiple of the image of ``x_{k+1}`` that the inner solve's residual
+    check computed. The new state's blocks carry that image, its ``A*``
+    image from the same check, and one adjoint apply to ``lam_{k+1}``.
+    ``mu``, ``nu``, ``eta``, ``A y_k``, ``A z_{k+1}`` and the dual argument
+    are never formed as vectors. Inner-solve failures, a non-finite
+    right-hand side among them, and iterates that leave the finite range
+    raise :class:`StepError` carrying the iteration index. A finite solve residual
     proves ``x_{k+1}`` finite (see :func:`~falm.linalg.solve_spd`); only an
     infinite one, which needs a right-hand side whose norm overflows, leaves
     an entrywise test to run.
@@ -308,7 +321,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     y = st.x_k + momentum * (st.x_k - st.x_prev)
     s_next = (rho / g) * t_k1 * (t_k1 - 1.0 + g)
     grad_y = prob.objective.gradient(y)
-    hist = st.hist  # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b
+    hist, adj = st.hist, st.adj  # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b
     # dual = beta (A y - b) + nu/gamma - (s/gamma) eta over the block's rows,
     # with c = (t_k - 1)/gamma and r = rho/gamma:
     #   A y           = (1 + momentum) A x_k - momentum A x_{k-1}
@@ -318,8 +331,9 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     c = (t_k - 1.0) / g
     r = rho / g
     w_ax = beta * (1.0 + momentum) - (r / g) * t_k1 * (t_k1 - 1.0)
-    dual = np.dot(np.array((1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1)), hist)
-    rhs = y / cfg.sigma - grad_y - prob.a_map.adjoint(dual)
+    # and A* dual is the same weights over the rows of adj
+    adj_dual = np.dot(np.array((1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1)), adj)
+    rhs = y / cfg.sigma - grad_y - adj_dual
     try:
         sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, s_next / g, rhs,
                         tol=cfg.cg_tol)
@@ -330,7 +344,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     # lam_{k+1} = mu + r (A z - gamma b), with
     #   mu  = lam_k + momentum (lam_k - lam_{k-1})
     #   A z = (t_{k+1} - 1 + gamma) A x_{k+1} - (t_{k+1} - 1) A x_k
-    new = np.empty(hist.shape)
+    new = hist.take((0, 1, 0, 1, 4), axis=0)
     lam_next = new[0]
     np.dot(np.array((1.0 + momentum, -r * (t_k1 - 1.0), -momentum, 0.0, -rho)), hist,
            out=lam_next)
@@ -339,11 +353,13 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     if not (x_finite and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
     new[1] = sol.ax
-    new[2:4] = hist[:2]
-    new[4] = hist[4]
+    new_adj = adj.take((0, 1, 0, 1, 4), axis=0)
+    new_adj[0] = prob.a_map.adjoint(lam_next)
+    new_adj[1] = sol.atax
 
     trace = StepTrace(y_k=y, grad_y=grad_y, cg_iters=sol.iterations)
-    new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1, hist=new)
+    new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1, hist=new,
+                             adj=new_adj)
     return new_state, trace
 
 
@@ -355,15 +371,16 @@ def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
     ``residual`` is ``A x_{k+1} - b``; its norm is the feasibility value the
     exact test compares, so a larger one rules the stop out at no cost.
     Otherwise the stationarity residual is bounded below from the step's
-    ``grad f(y_k)``: ``||grad f(x) + A* lam|| >= ||grad f(y) + A* lam|| -
-    L||x - y||`` for a gradient with Lipschitz constant L, less a
-    ``STOP_MARGIN`` allowance for the rounding of both gradients, the adjoint
-    and the norms.
+    ``grad f(y_k)`` and the state's ``A* lam`` (``st.adj[0]``): ``||grad f(x)
+    + A* lam|| >= ||grad f(y) + A* lam|| - L||x - y||`` for a gradient with
+    Lipschitz constant L, less a ``STOP_MARGIN`` allowance for the rounding of
+    both gradients, the adjoint and the norms. The bound applies no map and
+    calls no gradient; the exact test calls one gradient.
     """
     tol = cfg.kkt_tol
     if norm(residual) > tol:
         return None
-    adj = prob.a_map.adjoint(st.lam_k)
+    adj = st.adj[0]
     grad_y = trace.grad_y
     lip = prob.objective.lipschitz
     margin = STOP_MARGIN * (norm(grad_y) + norm(adj)
@@ -418,7 +435,8 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         if res is None:
             res = state.ax_k - prob.b
         if kkt is None:
-            kkt = kkt_residuals(prob, state.x_k, state.lam_k, residual=res)
+            kkt = kkt_residuals(prob, state.x_k, state.lam_k, residual=res,
+                                adjoint=state.adj[0])
         feas = kkt[1]
         if saddle is not None:
             gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, star)
@@ -451,7 +469,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         res = kkt = None
         if due:
             res = st.ax_k - prob.b
-            kkt = kkt_residuals(prob, st.x_k, st.lam_k, residual=res)
+            kkt = kkt_residuals(prob, st.x_k, st.lam_k, residual=res, adjoint=st.adj[0])
         elif cfg.kkt_tol is not None:
             res = st.ax_k - prob.b
             kkt = _kkt_unless_ruled_out(prob, cfg, st, trace, res)

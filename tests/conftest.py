@@ -37,11 +37,12 @@ def small_instance():
 
 def _state_at(prob, rule, k, x, x_prev, lam, lam_prev):
     """The state at index k of two primal and two dual iterates, with the
-    block of ``IterateState``: the map's images of ``x`` and ``x_prev``, and b."""
+    blocks of ``IterateState``: the map's images of ``x`` and ``x_prev``, and
+    b, then the adjoint of each of those five rows, one apply each."""
     a = prob.a_map
     hist = np.stack((lam, a.forward(x), lam_prev, a.forward(x_prev), prob.b))
     return IterateState(k=k, x_k=x, x_prev=x_prev, t_k=float(t_values(rule, k)[-1]),
-                        hist=hist)
+                        hist=hist, adj=np.stack([a.adjoint(row) for row in hist]))
 
 
 @pytest.fixture(scope="session")

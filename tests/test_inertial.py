@@ -74,6 +74,23 @@ def test_a_rule_built_from_its_kind_has_its_kinds_margin(alpha):
     assert InertialRule("constant") == constant() and constant().m == 1.0
 
 
+@pytest.mark.parametrize("kind", ["nesterov", "constant"])
+def test_a_rule_refuses_an_alpha_its_kind_does_not_read(kind):
+    # it was kept, and made the rule compare unequal to one running the same
+    # sequence
+    with pytest.raises(ValueError, match=f"{kind} does not read alpha, got 4.0"):
+        InertialRule(kind, alpha=4.0)
+
+
+@pytest.mark.parametrize("kind", ["nesterov", "chambolle_dossal", "constant"])
+@pytest.mark.parametrize("m", [True, np.bool_(True)], ids=["bool", "numpy_bool"])
+def test_a_rule_refuses_a_boolean_margin(kind, m):
+    # True passed 0 < m <= 1 and reached summary.json as "m": true
+    alpha = 4.0 if kind == "chambolle_dossal" else None
+    with pytest.raises(ValueError, match="margin m must be a number, got "):
+        InertialRule(kind, alpha=alpha, m=m)
+
+
 def test_rule_from_spec_wire_format():
     assert rule_from_spec({"rule": "nesterov"}).kind == "nesterov"
     rule = rule_from_spec({"rule": "chambolle_dossal", "alpha": 4.0})

@@ -397,6 +397,7 @@ def test_solve_spd_returns_exact_image(path, make, refined):
     sol = solve_spd(*system, rhs, tol=1e-12)
     assert (sol.iterations > 0) == refined, path
     assert sol.ax.tobytes() == system[0].forward(sol.x).tobytes()
+    assert sol.atax.tobytes() == system[0].adjoint(sol.ax).tobytes()
 
 
 def test_all_finite_keeps_its_meaning():

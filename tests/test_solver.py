@@ -15,6 +15,7 @@ from falm.inertial import (InertialRule, attouch_cabot, chambolle_dossal, consta
 from falm.linalg import REFINE_STEPS, LinearMap, dense_map
 from falm.oracle import kkt_solve, qp_from_problem
 from falm.problem import Objective, Problem, kkt_residuals, quadratic_objective
+from falm import solver
 from falm.solver import (SolverParams, initial_state, run, step, validate)
 
 
@@ -670,25 +671,26 @@ def test_run_refines_the_closed_form_on_a_generated_instance():
         assert free.x.tobytes() == res.x.tobytes()
         assert free.lam.tobytes() == res.lam.tobytes()
         # between two records: a step (1 forward, 2 adjoints, and one of each
-        # per correction) and the record's A* lam
+        # per correction); the record reads A* lam from the state
         counted, calls = _counting(prob)
         seen = []
         observed = run(counted, params, observer=lambda rec, _: seen.append(
             (rec.cg_iters, calls["forward"], calls["adjoint"])))
         assert observed.records == res.records
         for (_, fwd0, adj0), (cg, fwd1, adj1) in zip(seen, seen[1:]):
-            assert (fwd1 - fwd0, adj1 - adj0) == (1 + cg, 3 + cg)
+            assert (fwd1 - fwd0, adj1 - adj0) == (1 + cg, 2 + cg)
 
 
 def test_dense_step_applies_the_map_three_times():
     # 1 forward and 2 adjoints per step without refinement; the run adds the
-    # image of x_1 and, for each of its two records (k = 1 and 21), A* lam,
-    # and validate checks the kept matrix against 2 forward applies
+    # image of x_1 and the A* images of lam_1, A x_1 and b, its two records
+    # (k = 1 and 21) read A* lam from their states, and validate checks the
+    # kept matrix against 2 forward applies
     prob, calls = _counting(generate(GenSpec("random_qp", 50, 10, 7, 1.0))[0])
     params = SolverParams(rule=chambolle_dossal(4.0), max_iter=20, record_every=1000)
     res = run(prob, params)
     assert [rec.k for rec in res.records] == [1, 21]
-    assert calls == {"forward": 2 + 1 + 20, "adjoint": 2 + 2 * 20}
+    assert calls == {"forward": 2 + 1 + 20, "adjoint": 3 + 2 * 20}
 
 
 def test_run_shipped_cd4_needs_no_cg_iterations():
@@ -701,27 +703,48 @@ def test_run_shipped_cd4_needs_no_cg_iterations():
     assert all(rec.cg_iters == 0 for rec in res.records)
 
 
-@pytest.mark.parametrize("kind", ["dense", "matrix_free", "zero"])
+@pytest.mark.parametrize("kind", ["dense", "matrix_free", "zero", "refining"])
 def test_step_caches_exact_image(small_instance, state_at, kind):
-    # the block's image rows are the map's images of their iterates, bit for
-    # bit, and a state rebuilt from its four iterates steps to the same bits
+    # the blocks' image rows are the map's images of their rows, bit for bit,
+    # also after steps that refine their inner solve; a state rebuilt from its
+    # four iterates steps to the same bits, and a step builds fresh blocks
     prob = {"dense": small_instance[0], "matrix_free": _matrix_free(small_instance[0]),
-            "zero": generate(GenSpec("unconstrained", 6, 2, 1, 5.0))[0]}[kind]
-    params = SolverParams(rule=chambolle_dossal(4.0))
+            "zero": generate(GenSpec("unconstrained", 6, 2, 1, 5.0))[0],
+            "refining": generate(GenSpec("random_qp", 20, 19, 7, 1.0))[0]}[kind]
+    params = SolverParams(rule=chambolle_dossal(4.0),
+                          cg_tol=1e-14 if kind == "refining" else 1e-12)
     cfg = validate(prob, params)
+    a = prob.a_map
     st = initial_state(prob, cfg.rule, np.ones(prob.n), np.zeros(prob.p))
+    if kind == "refining":  # the closed form first misses 1e-14 on the step from k = 41
+        while st.k < 41:
+            st, _ = step(prob, cfg, st)
+
+    def assert_images_exact(state):
+        assert state.ax_k.tobytes() == a.forward(state.x_k).tobytes()
+        assert state.ax_prev.tobytes() == a.forward(state.x_prev).tobytes()
+        assert state.hist[4].tobytes() == prob.b.tobytes()
+        for row, image in zip(state.hist, state.adj):
+            assert image.tobytes() == a.adjoint(row).tobytes()
+
+    corrections = 0
     for _ in range(5):
-        assert st.ax_k.tobytes() == prob.a_map.forward(st.x_k).tobytes()
-        assert st.ax_prev.tobytes() == prob.a_map.forward(st.x_prev).tobytes()
-        assert st.hist[4].tobytes() == prob.b.tobytes()
+        assert_images_exact(st)
         rebuilt = state_at(prob, cfg.rule, st.k, st.x_k, st.x_prev, st.lam_k, st.lam_prev)
         assert rebuilt.hist.tobytes() == st.hist.tobytes()
-        hist_before = st.hist.copy()
+        assert rebuilt.adj.tobytes() == st.adj.tobytes()
+        before = (st.hist.copy(), st.adj.copy())
         again, _ = step(prob, cfg, rebuilt)
-        st, _ = step(prob, cfg, st)
-        for name in ("x_k", "lam_k", "ax_k", "ax_prev", "lam_prev", "hist"):
-            assert getattr(again, name).tobytes() == getattr(st, name).tobytes()
-        assert rebuilt.hist.tobytes() == hist_before.tobytes()  # the step made a fresh block
+        new, trace = step(prob, cfg, st)
+        corrections += trace.cg_iters
+        for name in ("x_k", "lam_k", "ax_k", "ax_prev", "lam_prev", "hist", "adj"):
+            assert getattr(again, name).tobytes() == getattr(new, name).tobytes()
+        for old, kept in zip((st.hist, st.adj), before):
+            assert old.tobytes() == kept.tobytes()
+            assert not np.shares_memory(old, new.hist) and not np.shares_memory(old, new.adj)
+        st = new
+    assert_images_exact(st)
+    assert (corrections > 0) == (kind == "refining")
 
 
 @pytest.fixture(scope="module")
@@ -867,3 +890,33 @@ def test_kkt_tol_run_calls_the_gradient_about_once_per_iteration():
     assert res.reason == "kkt tolerance" and res.iterations > 100
     # one gradient per step; an exact stop test (a second one) only near the stop
     assert len(calls) <= 1.3 * res.iterations
+
+
+def test_kkt_tol_run_applies_the_adjoint_only_in_its_steps(monkeypatch):
+    # after validate: A* of lam_1, A x_1 and b at the start, then 2 + cg_k in
+    # step k; the stop test and the records read A* lam from the state
+    prob, _ = generate(GenSpec("constrained_least_squares", 200, 40, 3, 10.0))
+    a = prob.a_map
+    calls = []
+
+    def adjoint(y):
+        calls.append(1)
+        return a.adjoint(y)
+
+    free = Problem(objective=prob.objective, b=prob.b,
+                   a_map=LinearMap(forward=a.forward, adjoint=adjoint, dims=a.dims))
+    params = SolverParams(rule=chambolle_dossal(4.0), kkt_tol=1e-4, max_iter=5000,
+                          record_every=100)
+    cfg = validate(free, params)
+    corrections = []
+
+    def traced_step(*args):
+        new, trace = step(*args)
+        corrections.append(trace.cg_iters)
+        return new, trace
+
+    monkeypatch.setattr(solver, "step", traced_step)
+    calls.clear()
+    res = run(free, params, cfg=cfg)
+    assert res.reason == "kkt tolerance" and res.iterations == len(corrections) > 100
+    assert len(calls) == 3 + sum(2 + cg for cg in corrections)
