@@ -1,8 +1,8 @@
 """Inertial augmented Lagrangian solver with a rate-verification harness."""
 
 from .benchgen import GenSpec, SplitMix64, generate
-from .diagnostics import (RateFit, RunRecord, SaddleTerms, dual_bound_series, energy,
-                          gap, objective_error, q_norm_sq, rate_fit, saddle_terms)
+from .diagnostics import (RateFit, RunRecord, SaddleTerms, energy, gap, objective_error,
+                          q_norm_sq, rate_fit, saddle_terms)
 from .errors import (CertificationError, DimensionMismatch, FalmError,
                      NonFiniteError, SpdSolveError, StepError, ValidationError)
 from .inertial import (CertReport, InertialRule, attouch_cabot, certify,

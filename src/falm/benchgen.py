@@ -98,9 +98,6 @@ class SplitMix64:
         z = (z ^ (z >> 27)) * _MIX2
         return z ^ (z >> 31)
 
-    def next_u64(self) -> int:
-        return int(self._stream(1)[0])
-
     def uniforms(self, count: int) -> np.ndarray:
         """Doubles in [0, 1) with 53 random bits."""
         return (self._stream(count) >> 11).astype(np.float64) * 2.0 ** -53

@@ -14,6 +14,11 @@ and the Bregman distance ``D_f(x, x*)``. Only the Bregman term depends on
 the objective's form (:func:`_bregman`): ``0.5 d'Qd`` from
 ``Objective.data``, exact with no large terms cancelling, and a difference of
 values without it.
+
+Only :func:`saddle_terms` applies the constraint map, once each way per run.
+The energy's seminorms take their images from the caller: ``A (x_k - x*)``
+is ``(A x_k - b) - (A x* - b)``, and ``A (x_k - x_{k-1})`` is the difference
+of the images an :class:`~falm.solver.IterateState` carries.
 """
 
 from __future__ import annotations
@@ -23,26 +28,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import Array, LinearMap
+from .linalg import Array
 from .problem import Problem, _check_dims
 
 
-def q_norm_sq(prob: Problem, params, u: Array) -> float:
-    """Squared seminorm ``<u,u>/sigma - beta ||A u||^2`` of a primal vector.
+def q_norm_sq(params, u: Array, au: Array) -> float:
+    """Squared seminorm ``<u,u>/sigma - beta ||A u||^2`` of a primal vector
+    ``u`` whose image ``au = A u`` the caller already holds.
 
     ``params`` must expose ``sigma`` and ``beta`` (a validated solver config
-    does) and ``A`` is ``prob.a_map``. The operator ``(1/sigma) Id - beta A*A``
-    is positive semidefinite whenever sigma satisfies its admissibility bound
-    (then ``1/sigma >= L/gamma + beta ||A||^2``).
+    does). The operator ``(1/sigma) Id - beta A*A`` is positive semidefinite
+    whenever sigma satisfies its admissibility bound (then ``1/sigma >= L/gamma
+    + beta ||A||^2``).
     """
-    if u.size != prob.n:
-        raise DimensionMismatch(f"vector has dimension {u.size}, expected {prob.n}")
-    out = (1.0 / params.sigma) * float(u.dot(u))
-    if params.beta != 0.0:
-        au = prob.a_map.forward(u)
-        out -= params.beta * float(au.dot(au))
-    return out
+    return (1.0 / params.sigma) * float(u.dot(u)) - params.beta * float(au.dot(au))
 
 
 @dataclass
@@ -143,17 +142,19 @@ def objective_error(prob: Problem, x: Array, lam: Array, star: SaddleTerms,
                - float((star.lam - lam).dot(star.residual)))
 
 
-def energy(prob: Problem, params, state, star: SaddleTerms, gap_value: float,
-           residual: Array) -> float:
+def energy(params, state, star: SaddleTerms, gap_value: float, residual: Array) -> float:
     """Energy of ``state`` at the reference point of ``star``.
 
-    ``state`` exposes ``x_k``, ``x_prev``, ``lam_k``, ``lam_prev`` and
-    ``t_k``, as an :class:`~falm.solver.IterateState` does; ``params`` must
-    expose ``gamma``, ``sigma``, ``rho`` and ``beta`` (a validated solver
-    config does). ``gap_value`` is the :func:`gap` of ``(x_k, lam_k)`` and
-    ``residual`` is ``A x_k - b``. The reference point must be a saddle point
-    for the monotonicity and bound properties to hold. The augmented gap is
-    the gap plus ``(beta/2)(||A x_k - b||^2 - ||A x* - b||^2)``.
+    ``state`` exposes ``x_k``, ``x_prev``, ``lam_k``, ``lam_prev``, ``t_k``
+    and the images ``ax_k`` and ``ax_prev``, as an
+    :class:`~falm.solver.IterateState` does; ``params`` must expose
+    ``gamma``, ``sigma``, ``rho`` and ``beta`` (a validated solver config
+    does). ``gap_value`` is the :func:`gap` of ``(x_k, lam_k)`` and
+    ``residual`` is ``A x_k - b``. No map is applied: ``A (x_k - x*)`` is
+    ``residual - star.residual`` and ``A (x_k - x_prev)`` is ``ax_k -
+    ax_prev``. The reference point must be a saddle point for the
+    monotonicity and bound properties to hold. The augmented gap is the gap
+    plus ``(beta/2)(||A x_k - b||^2 - ||A x* - b||^2)``.
     """
     g = params.gamma
     rho = params.rho
@@ -163,14 +164,16 @@ def energy(prob: Problem, params, state, star: SaddleTerms, gap_value: float,
                                                 - star.residual_sq)
     x_k, lam_k = state.x_k, state.lam_k
     d_x = x_k - star.x
+    a_dx = residual - star.residual
     d_z = g * d_x + t1 * (x_k - state.x_prev)  # z_k - gamma x*
+    a_dz = g * a_dx + t1 * (state.ax_k - state.ax_prev)
     d_lam = lam_k - star.lam
     d_lam_prev = lam_k - state.lam_prev
     d_nu = g * d_lam + t1 * d_lam_prev  # nu_k - gamma lam*
     return (t_k * (t1 + g) * gap_beta
-            + 0.5 * q_norm_sq(prob, params, d_z)
+            + 0.5 * q_norm_sq(params, d_z, a_dz)
             + 0.5 / rho * float(d_nu.dot(d_nu))
-            + 0.5 * g * (1.0 - g) * q_norm_sq(prob, params, d_x)
+            + 0.5 * g * (1.0 - g) * q_norm_sq(params, d_x, a_dx)
             + 0.5 * g * (1.0 - g) / rho * float(d_lam.dot(d_lam))
             + 0.5 * (1.0 - g) / rho * t1 * float(d_lam_prev.dot(d_lam_prev)))
 
@@ -241,17 +244,3 @@ def rate_fit(records, field: str, k_min: int, k_max: int) -> RateFit:
     return RateFit(slope=slope, r2=r2, n_used=int(ks.size), n_excluded=n_excluded,
                    k_first=int(ks.min()), k_last=int(ks.max()))
 
-
-def dual_bound_series(states, lam_star: Array,
-                      a_map: LinearMap) -> tuple[np.ndarray, np.ndarray]:
-    """Series ``t_k * ||A*(lam_k - lam*)||`` over iterate states.
-
-    Each state exposes ``k``, ``t_k`` and ``lam_k``, as the
-    :class:`~falm.solver.IterateState` a run passes to its observer does. The
-    series' supremum estimates the constant of the dual decay bound; a run
-    that honors the bound shows no upward trend.
-    """
-    ks = np.array([s.k for s in states], dtype=float)
-    vals = np.array([s.t_k * float(np.linalg.norm(a_map.adjoint(s.lam_k - lam_star)))
-                     for s in states])
-    return ks, vals

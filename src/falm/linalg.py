@@ -258,9 +258,9 @@ def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: flo
     ``x`` makes ``shift * x`` and so ``r`` non-finite; with a finite target,
     every returned ``x`` is.
     """
-    if shift <= 0 or scale < 0:
+    if not (shift > 0 and scale >= 0):
         raise ValueError("solve_spd requires shift > 0 and scale >= 0")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     rhs_norm = norm(rhs)
     if not math.isfinite(rhs_norm) and not np.isfinite(rhs).all():

@@ -26,10 +26,11 @@ linear combination, with scalar weights, of the five rows of
 ``b``), so a step forms ``lam_{k+1}`` as a product with that block.
 ``IterateState.adj`` carries the ``A*`` image of every row, each from one
 apply (by linearity the images' rounding would drift with k), so the ``A*``
-image of the step's dual argument is the same weights times that block, and
-the stop test and the records read ``A* lam_k`` from it. A step applies
-``A*`` twice: to ``A x_{k+1}`` in the inner solve's residual check, and to
-``lam_{k+1}``.
+image of the step's dual argument is the same weights times that block. A
+step applies ``A*`` twice: to ``A x_{k+1}`` in the inner solve's residual
+check, and to ``lam_{k+1}``. After :func:`initial_state`, only :func:`step`
+applies the map: the stop test and every record, its energy included, read
+``A x_k``, ``A x_{k-1}`` and ``A* lam_k`` from the state.
 
 The README's "Oracle budget", "Diagnostics" and "Stop-test budget" paragraphs
 count the map applies, gradients and objective values of a step, a record and
@@ -416,6 +417,9 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     state)`` when given, together with the :class:`IterateState` it was
     computed from, for diagnostics that need the raw vectors.
 
+    Every recorded state is measured one way, from the images it carries:
+    ``A x_k - b`` and :func:`kkt_residuals` with ``A* lam_k``, and with a
+    saddle point the gap, objective error and energy, which apply no map.
     Two runs with identical configuration produce bit-identical records. An
     inner-solve failure returns a partial result with ``reason`` set to
     "inner solve failure" and the error message attached; its last record is
@@ -430,19 +434,19 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
                                         as_vector(saddle[1], prob.p, "lam_star"))
     records: list[diagnostics.RunRecord] = []
 
-    def emit(state: IterateState, cg_iters: int, res: Array | None = None,
-             kkt: tuple[float, float] | None = None) -> None:
-        if res is None:
-            res = state.ax_k - prob.b
-        if kkt is None:
-            kkt = kkt_residuals(prob, state.x_k, state.lam_k, residual=res,
-                                adjoint=state.adj[0])
+    def measured(state: IterateState) -> tuple[Array, tuple[float, float]]:
+        res = state.ax_k - prob.b
+        return res, kkt_residuals(prob, state.x_k, state.lam_k, residual=res,
+                                  adjoint=state.adj[0])
+
+    def emit(state: IterateState, cg_iters: int, res: Array,
+             kkt: tuple[float, float]) -> None:
         feas = kkt[1]
         if saddle is not None:
             gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, star)
             obj_err = diagnostics.objective_error(prob, state.x_k, state.lam_k, star,
                                                   gap_val)
-            energy_val = diagnostics.energy(prob, cfg, state, star, gap_val, res)
+            energy_val = diagnostics.energy(cfg, state, star, gap_val, res)
         else:
             gap_val = obj_err = energy_val = None
         rec = diagnostics.RunRecord(k=state.k, t_k=state.t_k, gap=gap_val,
@@ -453,10 +457,9 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         if observer is not None:
             observer(rec, state)
 
-    emit(st, 0)
+    emit(st, 0, *measured(st))
     reason = "iteration budget"
     error = None
-    last_recorded = st.k
     for i in range(cfg.max_iter):
         try:
             st, trace = step(prob, cfg, st)
@@ -464,12 +467,10 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
             reason = "inner solve failure"
             error = str(exc)
             break
-        k = st.k
-        due = (k % cfg.record_every == 0) or i == cfg.max_iter - 1
-        res = kkt = None
+        due = (st.k % cfg.record_every == 0) or i == cfg.max_iter - 1
+        kkt = None
         if due:
-            res = st.ax_k - prob.b
-            kkt = kkt_residuals(prob, st.x_k, st.lam_k, residual=res, adjoint=st.adj[0])
+            res, kkt = measured(st)
         elif cfg.kkt_tol is not None:
             res = st.ax_k - prob.b
             kkt = _kkt_unless_ruled_out(prob, cfg, st, trace, res)
@@ -477,11 +478,10 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
                 and kkt[0] <= cfg.kkt_tol and kkt[1] <= cfg.kkt_tol)
         if due or stop:
             emit(st, trace.cg_iters, res, kkt)
-            last_recorded = k
         if stop:
             reason = "kkt tolerance"
             break
-    if last_recorded != st.k:  # a failed step left the last good state unrecorded
-        emit(st, trace.cg_iters)
+    if records[-1].k != st.k:  # a failed step left the last good state unrecorded
+        emit(st, trace.cg_iters, *measured(st))
     return RunResult(x=st.x_k.copy(), lam=st.lam_k.copy(), iterations=st.k - 1,
                      reason=reason, records=records, error=error)

@@ -105,7 +105,9 @@ def _instance_arrays(prob, qp):
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 11])
 def test_splitmix_matches_reference(seed):
     rng = SplitMix64(seed)
-    assert [rng.next_u64() for _ in range(100)] == _splitmix_reference(seed, 100)
+    # one output at a time, then in bulk: both advance the state alike
+    got = [int(rng._stream(1)[0]) for _ in range(50)] + rng._stream(50).tolist()
+    assert got == _splitmix_reference(seed, 100)
 
 
 _CALL_SEQUENCES = [
@@ -132,14 +134,14 @@ def test_bulk_draws_match_scalar_transcription(seed, calls):
         want = ref.uniforms(count) if kind == "u" else ref.normals(count)
         assert got.dtype == np.float64 and got.shape == (count,)
         assert got.tobytes() == want.tobytes(), (kind, count)
-    assert rng.next_u64() == _splitmix_reference(ref.state, 1)[0]
+    assert int(rng._stream(1)[0]) == _splitmix_reference(ref.state, 1)[0]
 
 
 def test_zero_first_uniform_is_replaced_in_box_muller():
     # The mixer inverted at output 5: the first state's output is 5, whose
     # top 53 bits are all zero.
     seed = 9496213449905971121
-    assert SplitMix64(seed).next_u64() == 5
+    assert int(SplitMix64(seed)._stream(1)[0]) == 5
     assert SplitMix64(seed).uniforms(2)[0] == 0.0
     z = SplitMix64(seed).normals(2)
     u2 = SplitMix64(seed).uniforms(2)[1]

@@ -287,6 +287,17 @@ def test_solve_spd_refuses_a_nonfinite_rhs_before_any_apply():
     assert calls == []
 
 
+def test_solve_spd_refuses_nan_parameters_before_any_apply():
+    a_map = dense_map(np.eye(2, 3))
+    factor = op_norm_sq(a_map)
+    calls = []
+    for shift, scale, tol in ((np.nan, 1.0, 1e-12), (1.0, np.nan, 1e-12),
+                              (1.0, 1.0, np.nan)):
+        with pytest.raises(ValueError):
+            solve_spd(_counted(a_map, calls), factor, shift, scale, np.ones(3), tol=tol)
+    assert calls == []
+
+
 def test_solve_spd_solves_a_finite_rhs_whose_norm_overflows():
     (a_map, factor, shift, scale), rhs = _exact_spectral_system()
     big = 1e200 * rhs

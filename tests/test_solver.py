@@ -1,5 +1,6 @@
 import itertools
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -658,7 +659,7 @@ def test_run_refines_the_closed_form_on_a_generated_instance():
     # closed form misses its residual target on 86 of 300 steps at cg_tol
     # 1e-12 (the first at k = 212) and on 259 at 1e-14. A correction from the
     # map's own factor is nearly exact, so no step needs more than 2.
-    prob, _ = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
+    prob, qp = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
     for cg_tol in (1e-12, 1e-14):
         params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
                               record_every=1, cg_tol=cg_tol)
@@ -671,14 +672,18 @@ def test_run_refines_the_closed_form_on_a_generated_instance():
         assert free.x.tobytes() == res.x.tobytes()
         assert free.lam.tobytes() == res.lam.tobytes()
         # between two records: a step (1 forward, 2 adjoints, and one of each
-        # per correction); the record reads A* lam from the state
-        counted, calls = _counting(prob)
-        seen = []
-        observed = run(counted, params, observer=lambda rec, _: seen.append(
-            (rec.cg_iters, calls["forward"], calls["adjoint"])))
-        assert observed.records == res.records
-        for (_, fwd0, adj0), (cg, fwd1, adj1) in zip(seen, seen[1:]):
-            assert (fwd1 - fwd0, adj1 - adj0) == (1 + cg, 2 + cg)
+        # per correction); the record, with or without a saddle point, reads
+        # the images the state carries
+        for saddle in (None, kkt_solve(qp)):
+            counted, calls = _counting(prob)
+            seen = []
+            observed = run(counted, params, saddle=saddle,
+                           observer=lambda rec, _: seen.append(
+                               (rec.cg_iters, calls["forward"], calls["adjoint"])))
+            assert [replace(rec, gap=None, obj_err=None, energy=None)
+                    for rec in observed.records] == res.records
+            for (_, fwd0, adj0), (cg, fwd1, adj1) in zip(seen, seen[1:]):
+                assert (fwd1 - fwd0, adj1 - adj0) == (1 + cg, 2 + cg)
 
 
 def test_dense_step_applies_the_map_three_times():
@@ -777,7 +782,7 @@ def _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle):
         gap_value = gap(prob, st.x_k, st.lam_k, star)
         assert rec.gap == gap_value
         assert rec.obj_err == objective_error(prob, st.x_k, st.lam_k, star, gap_value)
-        assert rec.energy == energy(prob, cfg, st, star, gap_value,
+        assert rec.energy == energy(cfg, st, star, gap_value,
                                     prob.a_map.forward(st.x_k) - prob.b)
         prev = st
 
