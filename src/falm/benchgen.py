@@ -43,6 +43,22 @@ order, each row then scaled to length ``ROW_NORM``, and ``n`` normals that
 ``c = -Q x_anchor + TILT*DATA_SCALE*g`` or ``d = M x_anchor +
 TILT*DATA_SCALE*g``.
 
+Every objective states its Lipschitz constant from the spectrum it drew, not
+from an eigensolve: ``L = max(spectrum) * (1 + LIPSCHITZ_ROUNDING * n)``. The
+spectrum is that of ``Q``, or of ``M'M`` for least squares, in exact
+arithmetic; by Weyl's inequality, rounding moves the top eigenvalue by at most
+the norm of the rounding error (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2002, §3.5). The conjugation's eigenvalues lie within ``8 n eps
+max|d|`` of ``d`` (``test_orthogonal_conjugate_matches_householder_product``
+asserts it), which is ``8 n eps L`` for ``Q`` and, squared, ``16 n eps L`` for
+the singular values of ``M``. The Gram product ``M'M`` adds at most
+``(n eps / 2) || |M|'|M| ||`` (componentwise rounding of inner products of
+length n). ``M`` differs from its diagonal by a rank-6 matrix of norm at most
+``max sqrt(d)``, so ``|| |M| || <= (1 + sqrt 6) ||M||`` and that term is below
+``6 n eps L``. Together that is under ``22 n eps L``; ``LIPSCHITZ_ROUNDING``
+is ``32 eps``. So L bounds the gradient's Lipschitz constant, as the step
+condition needs, at no n^3 cost.
+
 Constrained instances are always feasible by construction: the right-hand
 side is ``A @ x_anchor`` for a drawn anchor point, never sampled directly.
 Two normalizations keep desk-scale runs inside the polynomial-rate regime
@@ -76,6 +92,10 @@ GEN_KINDS = ("random_qp", "constrained_least_squares", "unconstrained")
 ROW_NORM = 0.4
 DATA_SCALE = 0.003
 TILT = 0.1
+
+# Relative allowance per dimension of the Lipschitz constant an instance
+# states over the top of its drawn spectrum; the module docstring derives it.
+LIPSCHITZ_ROUNDING = 32.0 * float(np.finfo(float).eps)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -193,20 +213,26 @@ def generate(spec: GenSpec) -> tuple[Problem, QpInstance | None]:
     reflections of :func:`_orthogonal_conjugate`, ``n`` normals (the tilt, or
     ``c`` of ``unconstrained``), then for the constrained kinds
     :func:`_constraints`. The same seed yields the same instance bitwise.
+
+    Every kind's objective gets the Lipschitz constant ``max(spectrum) * (1 +
+    LIPSCHITZ_ROUNDING * n)``, an upper bound on the top eigenvalue of ``Q``
+    or ``M'M`` as rounded (module docstring), so no eigensolve runs.
     """
     rng = SplitMix64(spec.seed)
     spectrum = spec.cond ** rng.uniforms(spec.n)
+    lipschitz = float(spectrum.max()) * (1.0 + LIPSCHITZ_ROUNDING * spec.n)
     least_squares = spec.kind == "constrained_least_squares"
     mat = _orthogonal_conjugate(np.sqrt(spectrum) if least_squares else spectrum, rng)
     normals = rng.normals(spec.n)
     if spec.kind == "unconstrained":
-        objective = quadratic_objective(mat, normals)
+        objective = quadratic_objective(mat, normals, lipschitz)
         a_map, b = zero_map(spec.n, spec.p), np.zeros(spec.p)
     else:
         a, b, x_anchor = _constraints(spec, rng)
         tilt = TILT * DATA_SCALE * normals
-        objective = (least_squares_objective(mat, mat @ x_anchor + tilt) if least_squares
-                     else quadratic_objective(mat, -(mat @ x_anchor) + tilt))
+        objective = (least_squares_objective(mat, mat @ x_anchor + tilt, lipschitz)
+                     if least_squares else
+                     quadratic_objective(mat, -(mat @ x_anchor) + tilt, lipschitz))
         a_map = dense_map(a)
     prob = Problem(objective=objective, a_map=a_map, b=b)
     return prob, qp_from_problem(prob)

@@ -120,8 +120,8 @@ CHECK_DEFAULTS = {"kind": "slope", "metric": None, "tol": 1e-9, "from_k": 1}
 # A label names its CSV file, a comparison.csv cell, a comparison.md table
 # cell and a --runs entry.
 LABEL_REFUSED = "/\\\0,|\n\r"
-PARAMETER_FIELDS = ("gamma", "sigma", "rho", "beta", "a_norm_sq", "a_norm_probes",
-                    "sigma_bound", "convergence_certified")
+PARAMETER_FIELDS = ("gamma", "sigma", "rho", "beta", "lipschitz", "a_norm_sq",
+                    "a_norm_probes", "sigma_bound", "convergence_certified")
 
 
 # Readers of one field of a document: each takes the value as written and the

@@ -45,8 +45,11 @@ class CertificationError(FalmError, ValueError):
 
 
 class StepError(FalmError, RuntimeError):
-    """A solver iteration failed; carries the iteration index."""
+    """A solver iteration failed; carries the iteration index and the
+    ``reason`` a run that it ends reports: "non-finite iterate" or "inner
+    solve failure"."""
 
-    def __init__(self, iteration: int, message: str):
+    def __init__(self, iteration: int, message: str, reason: str):
         super().__init__(f"iteration {iteration}: {message}")
         self.iteration = iteration
+        self.reason = reason

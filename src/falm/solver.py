@@ -69,6 +69,7 @@ from .linalg import (Array, SpectralFactor, all_finite, as_vector, norm, op_norm
 from .problem import Problem, kkt_residuals
 
 SIGMA_CONDITION = "σ ≤ γ/(L + γβ‖A‖²)"
+NON_FINITE = "non-finite iterate"
 
 # Relative rounding allowance of the lower bound that lets ``run`` skip the
 # exact KKT stop test. An affine gradient ``G v + c`` evaluated at v, with G
@@ -110,7 +111,8 @@ class ValidatedConfig:
     every step's inner solve reads. ``a_norm_sq`` and ``a_norm_probes`` read
     from it: the ``||A||^2`` bound ``sigma_bound`` was computed from, and the
     adjoint probes it was read from (0 when the map's matrix was factored as
-    is, p for a matrix-free p-row map).
+    is, p for a matrix-free p-row map). ``lipschitz`` is the objective's L
+    that ``sigma_bound`` was computed from; it only reports.
     """
 
     rule: InertialRule
@@ -119,6 +121,7 @@ class ValidatedConfig:
     rho: float
     beta: float
     spectral: SpectralFactor
+    lipschitz: float
     sigma_bound: float
     convergence_certified: bool
     max_iter: int
@@ -184,7 +187,7 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
 
     spectral = op_norm_sq(prob.a_map, prob.b)
     a_norm_sq = spectral.value
-    lip = prob.objective.lipschitz
+    lip = float(prob.objective.lipschitz)
     sigma_bound = gamma / (lip + gamma * params.beta * a_norm_sq)
     sigma = params.sigma if params.sigma is not None else 0.99 * sigma_bound
     if not sigma > 0:
@@ -212,7 +215,7 @@ def validate(prob: Problem, params: SolverParams) -> ValidatedConfig:
 
     certified = bool(m < gamma < 1.0 and sigma < sigma_bound and params.beta > 0)
     return ValidatedConfig(rule=rule, gamma=gamma, sigma=sigma, rho=rho,
-                           beta=params.beta, spectral=spectral,
+                           beta=params.beta, spectral=spectral, lipschitz=lip,
                            sigma_bound=sigma_bound,
                            convergence_certified=certified,
                            max_iter=params.max_iter, kkt_tol=params.kkt_tol,
@@ -308,12 +311,15 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     check computed. The new state's blocks carry that image, its ``A*``
     image from the same check, and one adjoint apply to ``lam_{k+1}``.
     ``mu``, ``nu``, ``eta``, ``A y_k``, ``A z_{k+1}`` and the dual argument
-    are never formed as vectors. Inner-solve failures, a non-finite
-    right-hand side among them, and iterates that leave the finite range
-    raise :class:`StepError` carrying the iteration index. A finite solve residual
-    proves ``x_{k+1}`` finite (see :func:`~falm.linalg.solve_spd`); only an
-    infinite one, which needs a right-hand side whose norm overflows, leaves
-    an entrywise test to run.
+    are never formed as vectors. A failed step raises :class:`StepError`
+    carrying the iteration index and a reason. It is "non-finite iterate" when
+    an iterate leaves the finite range, or when the inner solve fails with a
+    residual that is not finite, as for a right-hand side with a NaN entry
+    (a NaN gradient) or a closed form that overflows. A solve that misses its
+    target with a finite residual is "inner solve failure". A finite solve
+    residual proves ``x_{k+1}`` finite (see :func:`~falm.linalg.solve_spd`);
+    only an infinite one, which needs a right-hand side whose norm overflows,
+    leaves an entrywise test to run.
     """
     g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
     t_k = st.t_k
@@ -339,7 +345,8 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
         sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, s_next / g, rhs,
                         tol=cfg.cg_tol)
     except SpdSolveError as exc:
-        raise StepError(st.k, f"primal subproblem solve failed: {exc}") from exc
+        reason = "inner solve failure" if math.isfinite(exc.residual) else NON_FINITE
+        raise StepError(st.k, f"primal subproblem solve failed: {exc}", reason) from exc
     x_next = sol.x
 
     # lam_{k+1} = mu + r (A z - gamma b), with
@@ -352,7 +359,7 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     lam_next += (r * (t_k1 - 1.0 + g)) * sol.ax
     x_finite = math.isfinite(sol.residual) or all_finite(x_next)
     if not (x_finite and all_finite(lam_next)):
-        raise StepError(st.k, "iterate left the finite range (NaN or overflow)")
+        raise StepError(st.k, "iterate left the finite range (NaN or overflow)", NON_FINITE)
     new[1] = sol.ax
     new_adj = adj.take((0, 1, 0, 1, 4), axis=0)
     new_adj[0] = prob.a_map.adjoint(lam_next)
@@ -383,7 +390,7 @@ def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
         return None
     adj = st.adj[0]
     grad_y = trace.grad_y
-    lip = prob.objective.lipschitz
+    lip = cfg.lipschitz
     margin = STOP_MARGIN * (norm(grad_y) + norm(adj)
                             + lip * (norm(st.x_k) + norm(trace.y_k)))
     lower = norm(grad_y + adj) - lip * norm(st.x_k - trace.y_k) - margin
@@ -420,10 +427,11 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     Every recorded state is measured one way, from the images it carries:
     ``A x_k - b`` and :func:`kkt_residuals` with ``A* lam_k``, and with a
     saddle point the gap, objective error and energy, which apply no map.
-    Two runs with identical configuration produce bit-identical records. An
-    inner-solve failure returns a partial result with ``reason`` set to
-    "inner solve failure" and the error message attached; its last record is
-    the state before the failed step, with the corrections of the step that
+    Two runs with identical configuration produce bit-identical records. A
+    failed step returns a partial result with ``reason`` set to the
+    :class:`StepError`'s, "non-finite iterate" or "inner solve failure" (see
+    :func:`step`), and the error message attached; its last record is the
+    state before the failed step, with the corrections of the step that
     produced it.
     """
     if cfg is None:
@@ -464,7 +472,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         try:
             st, trace = step(prob, cfg, st)
         except StepError as exc:
-            reason = "inner solve failure"
+            reason = exc.reason
             error = str(exc)
             break
         due = (st.k % cfg.record_every == 0) or i == cfg.max_iter - 1

@@ -275,14 +275,38 @@ def test_generate_least_squares_oracle_agrees():
     assert f(x) - f(y) == pytest.approx(quad(x) - quad(y), rel=1e-9, abs=1e-12)
 
 
+def _assert_lipschitz_bounds_top_eigenvalue(spec):
+    # The stated L bounds the top eigenvalue of the Q the gradient reads (the
+    # kept M'M of least squares) and exceeds it by at most twice the allowance.
+    prob, _ = generate(spec)
+    top = float(np.linalg.eigvalsh(prob.objective.data[1])[-1])
+    allowance = benchgen.LIPSCHITZ_ROUNDING * spec.n
+    assert top <= prob.objective.lipschitz <= top * (1.0 + 2.0 * allowance)
+
+
 @pytest.mark.parametrize("kind", ["random_qp", "constrained_least_squares",
                                   "unconstrained"])
-def test_generated_lipschitz_is_exact(kind):
-    # The objective's default constant is the top eigenvalue of Q (or M'M).
-    prob, _ = generate(GenSpec(kind, 20, 5, 13, 30.0))
-    obj_kind, mat, _ = prob.objective.data
-    gram = mat if obj_kind == "quadratic" else mat.T @ mat
-    assert prob.objective.lipschitz == float(np.linalg.eigvalsh(gram)[-1])
+def test_generated_lipschitz_bounds_the_top_eigenvalue(kind):
+    for n, p in ((20, 5), (50, 10), (200, 40)):
+        for cond in (1.0, 100.0, 1e8):
+            for seed in (3, 13, 2**63 + 11):
+                _assert_lipschitz_bounds_top_eigenvalue(GenSpec(kind, n, p, seed, cond))
+
+
+def test_generated_lipschitz_bounds_the_top_eigenvalue_at_benchmark_scale():
+    _assert_lipschitz_bounds_top_eigenvalue(
+        GenSpec("constrained_least_squares", 1000, 200, 7, 100.0))
+
+
+def test_generate_runs_no_eigensolve(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("generate ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    for kind in benchgen.GEN_KINDS:
+        prob, _ = generate(GenSpec(kind, 30, 6, 5, 100.0))
+        assert prob.objective.lipschitz > 0
 
 
 def test_spec_validation():

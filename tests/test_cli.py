@@ -74,8 +74,8 @@ def test_summary_gives_the_parameters_each_run_used(tmp_path):
         cfg = validate(config.problem, spec.params)
         assert summary["runs"][spec.label]["parameters"] == {
             name: getattr(cfg, name) for name in
-            ("gamma", "sigma", "rho", "beta", "a_norm_sq", "a_norm_probes",
-             "sigma_bound", "convergence_certified")}
+            ("gamma", "sigma", "rho", "beta", "lipschitz", "a_norm_sq",
+             "a_norm_probes", "sigma_bound", "convergence_certified")}
     assert summary["runs"]["cd4"]["parameters"]["gamma"] == 0.9
     assert summary["runs"]["cd4"]["parameters"]["convergence_certified"] is True
     # the Nesterov rule forces gamma = 1, so iterate convergence is not certified

@@ -495,7 +495,8 @@ def test_trailing_record_after_a_failed_step_carries_its_corrections():
     # The gradient turns NaN at its 251st call: the record at k = 1 takes one
     # call and each step one, so the step to k = 251 fails and k = 250 is
     # recorded after the loop, with the refinement corrections of the step
-    # to k = 250 (one here; the trailing record used to say 0).
+    # to k = 250 (one here; the trailing record used to say 0). The NaN
+    # right-hand side names the run's end "non-finite iterate".
     prob, _ = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
     obj = prob.objective
     calls = itertools.count(1)
@@ -509,7 +510,7 @@ def test_trailing_record_after_a_failed_step_carries_its_corrections():
     params = SolverParams(rule=chambolle_dossal(4.0), cg_tol=1e-14, max_iter=300,
                           record_every=1000)
     res = run(bad, params)
-    assert res.reason == "inner solve failure" and res.iterations == 249
+    assert res.reason == "non-finite iterate" and res.iterations == 249
     every = run(prob, SolverParams(rule=chambolle_dossal(4.0), cg_tol=1e-14,
                                    max_iter=250, record_every=1))
     assert every.records[249].k == 250 and every.records[249].cg_iters == 1
@@ -558,8 +559,9 @@ def test_step_rejects_nonfinite_iterates(small_instance):
                   a_map=prob.a_map, b=prob.b)
     cfg = validate(bad, SolverParams(rule=nesterov()))
     st = initial_state(bad, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
-    with pytest.raises(StepError, match="right-hand side is not finite"):
+    with pytest.raises(StepError, match="right-hand side is not finite") as err:
         step(bad, cfg, st)
+    assert err.value.reason == "non-finite iterate"
 
 
 def test_step_rejects_nonfinite_gradient_step(tiny_qp):
@@ -569,7 +571,7 @@ def test_step_rejects_nonfinite_gradient_step(tiny_qp):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(StepError, match="iterate left the finite range") as err:
         step(tiny_qp, cfg, st)
-    assert err.value.iteration == 1
+    assert err.value.iteration == 1 and err.value.reason == "non-finite iterate"
 
 
 def test_step_overflowing_primal_iterate_fails_the_residual_check(tiny_qp):
@@ -588,6 +590,7 @@ def test_step_overflowing_primal_iterate_fails_the_residual_check(tiny_qp):
     assert err.value.iteration == 1
     assert isinstance(err.value.__cause__, SpdSolveError)
     assert err.value.__cause__.iterations == REFINE_STEPS
+    assert err.value.reason == "non-finite iterate"
 
 
 def test_step_rejects_an_infinite_primal_iterate_that_the_map_hides(tiny_qp):
