@@ -50,9 +50,15 @@ class Objective:
     ``lipschitz`` bounds the gradient's Lipschitz constant and must be
     positive. ``data`` optionally keeps ``("quadratic", Q, c)`` with ``f(x) =
     0.5 x'Qx + c'x`` up to a constant: the arrays the gradient ``Q x + c``
-    itself reads. The saddle-point diagnostics take the Bregman distance
-    ``0.5 d'Qd`` from it, and :class:`~falm.oracle.QpInstance` reads it;
-    without it they take a difference of values and there is no QP.
+    itself reads. Giving ``data`` promises that ``gradient(x)`` is exactly
+    ``Q x + c`` of these arrays, an affine map, and nothing else: a gradient
+    that reads other arrays, or arrays a caller may still write, breaks it.
+    :func:`~falm.solver.step` relies on this, forming ``grad f(y_k)`` as a
+    combination of the gradients at the last two iterates. The saddle-point
+    diagnostics take the Bregman distance ``0.5 d'Qd`` from it, and
+    :class:`~falm.oracle.QpInstance` reads it; without it they take a
+    difference of values, :func:`~falm.solver.step` calls the gradient at
+    ``y_k``, and there is no QP.
 
     This is the one check of quadratic data. Any other ``data`` layout raises
     ``ValueError``; ``Q`` must be n-by-n for the n of ``c``
@@ -182,17 +188,21 @@ def _check_dims(prob: Problem, x: Array, lam: Array) -> None:
 
 def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
                   residual: Array | None = None,
-                  adjoint: Array | None = None) -> tuple[float, float]:
+                  adjoint: Array | None = None,
+                  gradient: Array | None = None) -> tuple[float, float]:
     """Norms of the stationarity and feasibility equations.
 
     Returns ``(||grad f(x) + A* lam||, ||A x - b||)``; both vanish exactly at
-    a primal-dual solution. ``residual`` may supply ``A x - b`` and
-    ``adjoint`` may supply ``A* lam`` when the caller already has them, as
-    the solver's state does (``IterateState.ax_k`` and ``adj[0]``, each
-    bitwise the apply); the result is the same to the bit.
+    a primal-dual solution. ``residual`` may supply ``A x - b``, ``adjoint``
+    ``A* lam`` and ``gradient`` ``grad f(x)`` when the caller already has
+    them, as the solver's state does (``IterateState.ax_k``, ``adj[0]`` and,
+    for an objective with ``data``, ``grad_k``, each bitwise the apply or the
+    call); the result is the same to the bit. With all three given, it
+    applies no map and calls no oracle.
     """
     _check_dims(prob, x, lam)
     adj = adjoint if adjoint is not None else prob.a_map.adjoint(lam)
-    grad_res = prob.objective.gradient(x) + adj
+    grad = gradient if gradient is not None else prob.objective.gradient(x)
+    grad_res = grad + adj
     feas_res = residual if residual is not None else prob.a_map.forward(x) - prob.b
     return norm(grad_res), norm(feas_res)

@@ -32,6 +32,17 @@ check, and to ``lam_{k+1}``. After :func:`initial_state`, only :func:`step`
 applies the map: the stop test and every record, its energy included, read
 ``A x_k``, ``A x_{k-1}`` and ``A* lam_k`` from the state.
 
+For an objective with quadratic ``data`` the gradient is affine, so
+``grad f(y_k) = (1 + m_k) grad f(x_k) - m_k grad f(x_{k-1})`` for the
+momentum ratio ``m_k``. ``adj`` then carries two more rows, ``grad f(x_k)``
+and ``grad f(x_{k-1})``, each one call at the iterate it belongs to, and the
+same product with the block gives ``A*`` of the dual argument plus ``grad
+f(y_k)``. A step calls the gradient once, at ``x_{k+1}``, and the stop test
+and every record read ``grad f(x_k)`` from the state, so the stop test is
+exact on every step. An objective without ``data`` has no such identity: a
+step calls its gradient at ``y_k``, and the stop test bounds the
+stationarity residual from it before it calls the gradient at ``x_k``.
+
 The README's "Oracle budget", "Diagnostics" and "Stop-test budget" paragraphs
 count the map applies, gradients and objective values of a step, a record and
 the ``kkt_tol`` stop test.
@@ -72,11 +83,11 @@ SIGMA_CONDITION = "σ ≤ γ/(L + γβ‖A‖²)"
 NON_FINITE = "non-finite iterate"
 
 # Relative rounding allowance of the lower bound that lets ``run`` skip the
-# exact KKT stop test. An affine gradient ``G v + c`` evaluated at v, with G
-# and c rounded once when the objective was built (a least-squares ``M'M``
-# and ``-M'd``), is off by about n * eps * (2 L||v|| + ||grad f(v)||); this
-# covers that, for both gradients, and the norms' rounding, by many orders of
-# magnitude.
+# exact KKT stop test of an objective without ``data``. An affine gradient
+# ``G v + c`` evaluated at v, with G and c rounded once when the objective was
+# built (a least-squares ``M'M`` and ``-M'd``), is off by about
+# n * eps * (2 L||v|| + ||grad f(v)||); this covers that, for both gradients,
+# and the norms' rounding, by many orders of magnitude.
 STOP_MARGIN = 1e-6
 
 
@@ -244,8 +255,12 @@ class IterateState:
     :func:`step` forms them from products with the block. Each image row is
     bitwise equal to ``a_map.forward`` of its iterate. The n-column block
     ``adj`` holds the ``A*`` images of the five rows, row i bitwise equal to
-    ``a_map.adjoint(hist[i])``. A step builds fresh blocks and never writes
-    to its input's, so states passed to an observer stay as they were.
+    ``a_map.adjoint(hist[i])``. For an objective with ``data`` it holds two
+    rows more, ``grad f(x_k)`` and ``grad f(x_{k-1})``, each bitwise
+    ``objective.gradient`` of its iterate; ``grad_k`` reads the first, and is
+    None for the five-row block of an objective without ``data``. A step
+    builds fresh blocks and never writes to its input's, so states passed to
+    an observer stay as they were.
     """
 
     k: int
@@ -271,30 +286,39 @@ class IterateState:
     def ax_prev(self) -> Array:
         return self.hist[3]
 
+    @property
+    def grad_k(self) -> Array | None:
+        return self.adj[5] if len(self.adj) > 5 else None
+
 
 def initial_state(prob: Problem, rule: InertialRule, x_init: Array,
                   lam_init: Array) -> IterateState:
     """State at k=1; the two trailing iterates coincide with the initial point,
     whose image is one forward apply. The ``A*`` images of ``lam``, ``A x``
-    and ``b`` are three adjoint applies."""
+    and ``b`` are three adjoint applies; an objective with ``data`` adds one
+    gradient call, at the initial point."""
     x = np.array(x_init, dtype=float)
     lam = np.asarray(lam_init, dtype=float)
     a_map = prob.a_map
     ax = a_map.forward(x)
     at_lam, atax, atb = (a_map.adjoint(v) for v in (lam, ax, prob.b))
+    rows = [at_lam, atax, at_lam, atax, atb]
+    if prob.objective.data is not None:
+        rows += [prob.objective.gradient(x)] * 2
     return IterateState(k=1, x_k=x, x_prev=x.copy(), t_k=float(t_values(rule, 1)[0]),
-                        hist=np.stack((lam, ax, lam, ax, prob.b)),
-                        adj=np.stack((at_lam, atax, at_lam, atax, atb)))
+                        hist=np.stack((lam, ax, lam, ax, prob.b)), adj=np.stack(rows))
 
 
 @dataclass
 class StepTrace:
     """What :func:`run` reads of one iteration besides the new state: the
     extrapolated point ``y_k`` and ``grad f(y_k)`` for the stop test's lower
-    bound, and the inner solve's refinement corrections for the record."""
+    bound, and the inner solve's refinement corrections for the record.
+    ``grad_y`` is None for an objective with ``data``, whose step never
+    forms it as a vector and whose stop test is exact."""
 
     y_k: Array
-    grad_y: Array
+    grad_y: Array | None
     cg_iters: int
 
 
@@ -306,16 +330,21 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     ``cfg.spectral``; for a zero operator that is the accelerated gradient
     step ``y_k - sigma * grad f(y_k)`` up to rounding. The ``A*`` image of
     the dual argument is a product of five scalar weights with ``st.adj``;
-    ``lam_{k+1}`` is a product of five others with ``st.hist`` plus a
-    multiple of the image of ``x_{k+1}`` that the inner solve's residual
-    check computed. The new state's blocks carry that image, its ``A*``
-    image from the same check, and one adjoint apply to ``lam_{k+1}``.
-    ``mu``, ``nu``, ``eta``, ``A y_k``, ``A z_{k+1}`` and the dual argument
-    are never formed as vectors. A failed step raises :class:`StepError`
-    carrying the iteration index and a reason. It is "non-finite iterate" when
-    an iterate leaves the finite range, or when the inner solve fails with a
-    residual that is not finite, as for a right-hand side with a NaN entry
-    (a NaN gradient) or a closed form that overflows. A solve that misses its
+    for an objective with ``data`` the product takes seven weights, the last
+    two ``1 + m`` and ``-m`` on the gradient rows, and gives that image plus
+    ``grad f(y_k)``. Without ``data`` the step calls the gradient at
+    ``y_k``. ``lam_{k+1}`` is a product of five weights with ``st.hist``
+    plus a multiple of the image of ``x_{k+1}`` that the inner solve's
+    residual check computed. The new state's blocks carry that image, its
+    ``A*`` image from the same check, one adjoint apply to ``lam_{k+1}``
+    and, with ``data``, one gradient call at ``x_{k+1}``. ``mu``, ``nu``,
+    ``eta``, ``A y_k``, ``A z_{k+1}``, the dual argument and, with ``data``,
+    ``grad f(y_k)`` are never formed as vectors. A failed step raises
+    :class:`StepError` carrying the iteration index and a reason. It is
+    "non-finite iterate" when an iterate or the gradient at ``x_{k+1}``
+    leaves the finite range, or when the inner solve fails with a residual
+    that is not finite, as for a right-hand side with a NaN entry (a NaN
+    gradient) or a closed form that overflows. A solve that misses its
     target with a finite residual is "inner solve failure". A finite solve
     residual proves ``x_{k+1}`` finite (see :func:`~falm.linalg.solve_spd`);
     only an infinite one, which needs a right-hand side whose norm overflows,
@@ -327,8 +356,10 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     momentum = (t_k - 1.0) / t_k1
     y = st.x_k + momentum * (st.x_k - st.x_prev)
     s_next = (rho / g) * t_k1 * (t_k1 - 1.0 + g)
-    grad_y = prob.objective.gradient(y)
-    hist, adj = st.hist, st.adj  # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b
+    affine = prob.objective.data is not None
+    # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b; adj adds, when affine,
+    # grad f(x_k) and grad f(x_{k-1})
+    hist, adj = st.hist, st.adj
     # dual = beta (A y - b) + nu/gamma - (s/gamma) eta over the block's rows,
     # with c = (t_k - 1)/gamma and r = rho/gamma:
     #   A y           = (1 + momentum) A x_k - momentum A x_{k-1}
@@ -339,8 +370,13 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     r = rho / g
     w_ax = beta * (1.0 + momentum) - (r / g) * t_k1 * (t_k1 - 1.0)
     # and A* dual is the same weights over the rows of adj
-    adj_dual = np.dot(np.array((1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1)), adj)
-    rhs = y / cfg.sigma - grad_y - adj_dual
+    weights = (1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1)
+    if affine:  # grad f(y) = (1 + momentum) grad f(x_k) - momentum grad f(x_{k-1})
+        grad_y = None
+        rhs = y / cfg.sigma - np.dot(np.array(weights + (1.0 + momentum, -momentum)), adj)
+    else:
+        grad_y = prob.objective.gradient(y)
+        rhs = y / cfg.sigma - grad_y - np.dot(np.array(weights), adj)
     try:
         sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, s_next / g, rhs,
                         tol=cfg.cg_tol)
@@ -361,9 +397,13 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     if not (x_finite and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)", NON_FINITE)
     new[1] = sol.ax
-    new_adj = adj.take((0, 1, 0, 1, 4), axis=0)
+    new_adj = adj.take((0, 1, 0, 1, 4, 5, 5)[:len(adj)], axis=0)
     new_adj[0] = prob.a_map.adjoint(lam_next)
     new_adj[1] = sol.atax
+    if affine:
+        new_adj[5] = grad_next = prob.objective.gradient(x_next)
+        if not all_finite(grad_next):
+            raise StepError(st.k, "gradient at the new iterate is not finite", NON_FINITE)
 
     trace = StepTrace(y_k=y, grad_y=grad_y, cg_iters=sol.iterations)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1, hist=new,
@@ -378,25 +418,30 @@ def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
 
     ``residual`` is ``A x_{k+1} - b``; its norm is the feasibility value the
     exact test compares, so a larger one rules the stop out at no cost.
-    Otherwise the stationarity residual is bounded below from the step's
-    ``grad f(y_k)`` and the state's ``A* lam`` (``st.adj[0]``): ``||grad f(x)
-    + A* lam|| >= ||grad f(y) + A* lam|| - L||x - y||`` for a gradient with
-    Lipschitz constant L, less a ``STOP_MARGIN`` allowance for the rounding of
-    both gradients, the adjoint and the norms. The bound applies no map and
-    calls no gradient; the exact test calls one gradient.
+    A state that carries ``grad f(x)`` (``st.grad_k``, an objective with
+    ``data``) then takes the exact test, which applies no map and calls no
+    gradient. Otherwise the stationarity residual is bounded below from the
+    step's ``grad f(y_k)`` and the state's ``A* lam`` (``st.adj[0]``):
+    ``||grad f(x) + A* lam|| >= ||grad f(y) + A* lam|| - L||x - y||`` for a
+    gradient with Lipschitz constant L, less a ``STOP_MARGIN`` allowance for
+    the rounding of both gradients, the adjoint and the norms. The bound
+    applies no map and calls no gradient; the exact test then calls one
+    gradient.
     """
     tol = cfg.kkt_tol
     if norm(residual) > tol:
         return None
-    adj = st.adj[0]
-    grad_y = trace.grad_y
-    lip = cfg.lipschitz
-    margin = STOP_MARGIN * (norm(grad_y) + norm(adj)
-                            + lip * (norm(st.x_k) + norm(trace.y_k)))
-    lower = norm(grad_y + adj) - lip * norm(st.x_k - trace.y_k) - margin
-    if lower > tol:
-        return None
-    return kkt_residuals(prob, st.x_k, st.lam_k, residual=residual, adjoint=adj)
+    adj, grad = st.adj[0], st.grad_k
+    if grad is None:
+        grad_y = trace.grad_y
+        lip = cfg.lipschitz
+        margin = STOP_MARGIN * (norm(grad_y) + norm(adj)
+                                + lip * (norm(st.x_k) + norm(trace.y_k)))
+        lower = norm(grad_y + adj) - lip * norm(st.x_k - trace.y_k) - margin
+        if lower > tol:
+            return None
+    return kkt_residuals(prob, st.x_k, st.lam_k, residual=residual, adjoint=adj,
+                         gradient=grad)
 
 
 @dataclass
@@ -425,8 +470,9 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     computed from, for diagnostics that need the raw vectors.
 
     Every recorded state is measured one way, from the images it carries:
-    ``A x_k - b`` and :func:`kkt_residuals` with ``A* lam_k``, and with a
-    saddle point the gap, objective error and energy, which apply no map.
+    ``A x_k - b`` and :func:`kkt_residuals` with ``A* lam_k`` and, for an
+    objective with ``data``, ``grad f(x_k)``, and with a saddle point the
+    gap, objective error and energy, which apply no map.
     Two runs with identical configuration produce bit-identical records. A
     failed step returns a partial result with ``reason`` set to the
     :class:`StepError`'s, "non-finite iterate" or "inner solve failure" (see
@@ -445,7 +491,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     def measured(state: IterateState) -> tuple[Array, tuple[float, float]]:
         res = state.ax_k - prob.b
         return res, kkt_residuals(prob, state.x_k, state.lam_k, residual=res,
-                                  adjoint=state.adj[0])
+                                  adjoint=state.adj[0], gradient=state.grad_k)
 
     def emit(state: IterateState, cg_iters: int, res: Array,
              kkt: tuple[float, float]) -> None:

@@ -28,6 +28,15 @@ def _matrix_free(prob):
                    b=prob.b)
 
 
+def _without_data(prob):
+    """The same problem with an objective that keeps no quadratic ``data``:
+    the same value, gradient and Lipschitz constant."""
+    obj = prob.objective
+    return Problem(objective=Objective(value=obj.value, gradient=obj.gradient,
+                                       lipschitz=obj.lipschitz),
+                   a_map=prob.a_map, b=prob.b)
+
+
 def _counting(prob):
     """The same problem with a map that counts its forward and adjoint calls.
 
@@ -492,11 +501,11 @@ def test_run_inner_solve_failure_is_partial(small_instance):
 
 
 def test_trailing_record_after_a_failed_step_carries_its_corrections():
-    # The gradient turns NaN at its 251st call: the record at k = 1 takes one
-    # call and each step one, so the step to k = 251 fails and k = 250 is
-    # recorded after the loop, with the refinement corrections of the step
-    # to k = 250 (one here; the trailing record used to say 0). The NaN
-    # right-hand side names the run's end "non-finite iterate".
+    # The gradient turns NaN at its 251st call: initial_state takes one call
+    # and each step one, at its new iterate, so the step to k = 251 fails and
+    # k = 250 is recorded after the loop, with the refinement corrections of
+    # the step to k = 250 (one here; the trailing record used to say 0). The
+    # NaN gradient names the run's end "non-finite iterate".
     prob, _ = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
     obj = prob.objective
     calls = itertools.count(1)
@@ -722,7 +731,7 @@ def test_step_caches_exact_image(small_instance, state_at, kind):
     params = SolverParams(rule=chambolle_dossal(4.0),
                           cg_tol=1e-14 if kind == "refining" else 1e-12)
     cfg = validate(prob, params)
-    a = prob.a_map
+    a, obj = prob.a_map, prob.objective
     st = initial_state(prob, cfg.rule, np.ones(prob.n), np.zeros(prob.p))
     if kind == "refining":  # the closed form first misses 1e-14 on the step from k = 41
         while st.k < 41:
@@ -734,6 +743,10 @@ def test_step_caches_exact_image(small_instance, state_at, kind):
         assert state.hist[4].tobytes() == prob.b.tobytes()
         for row, image in zip(state.hist, state.adj):
             assert image.tobytes() == a.adjoint(row).tobytes()
+        # a quadratic objective's state carries the gradients at both iterates
+        assert len(state.adj) == 7
+        assert state.grad_k.tobytes() == obj.gradient(state.x_k).tobytes()
+        assert state.adj[6].tobytes() == obj.gradient(state.x_prev).tobytes()
 
     corrections = 0
     for _ in range(5):
@@ -857,19 +870,8 @@ _RULES = [constant(), nesterov(), chambolle_dossal(3.0), chambolle_dossal(4.0),
           attouch_cabot(4.0)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=hst.sampled_from(["random_qp", "constrained_least_squares", "unconstrained"]),
-       seed=hst.integers(0, 2**16), free=hst.booleans(), rule=hst.sampled_from(_RULES),
-       beta=hst.sampled_from([0.0, 0.5, 1.0]),
-       kkt_tol=hst.sampled_from([1e-2, 1e-3, 1e-4, 1e-6]),
-       record_every=hst.integers(1, 40), max_iter=hst.integers(1, 400))
-def test_run_stops_where_an_exhaustive_kkt_test_stops(kind, seed, free, rule, beta,
-                                                      kkt_tol, record_every, max_iter):
-    # run skips the exact stop test where a Lipschitz bound rules a stop out;
-    # that must change neither where it stops nor a single bit of its output
-    prob, _ = generate(GenSpec(kind, 12, 4, seed, 20.0))
-    if free:
-        prob = _matrix_free(prob)
+def _assert_stops_where_an_exhaustive_kkt_test_stops(prob, rule, beta, kkt_tol,
+                                                     record_every, max_iter):
     params = SolverParams(rule=rule, beta=beta, max_iter=max_iter, kkt_tol=kkt_tol,
                           record_every=record_every)
     cfg = validate(prob, params)
@@ -880,6 +882,42 @@ def test_run_stops_where_an_exhaustive_kkt_test_stops(kind, seed, free, rule, be
     assert all(rec.kkt_feas == rec.feas for rec in res.records)
     assert res.x.tobytes() == ref_st.x_k.tobytes()
     assert res.lam.tobytes() == ref_st.lam_k.tobytes()
+
+
+_STOP_CASES = dict(
+    kind=hst.sampled_from(["random_qp", "constrained_least_squares", "unconstrained"]),
+    seed=hst.integers(0, 2**16), free=hst.booleans(), rule=hst.sampled_from(_RULES),
+    beta=hst.sampled_from([0.0, 0.5, 1.0]),
+    kkt_tol=hst.sampled_from([1e-2, 1e-3, 1e-4, 1e-6]),
+    record_every=hst.integers(1, 40), max_iter=hst.integers(1, 400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_STOP_CASES)
+def test_run_stops_where_an_exhaustive_kkt_test_stops(kind, seed, free, rule, beta,
+                                                      kkt_tol, record_every, max_iter):
+    # run tests a stop on the gradient its state carries and skips the test
+    # where the feasibility residual rules a stop out; that must change
+    # neither where it stops nor a single bit of its output
+    prob, _ = generate(GenSpec(kind, 12, 4, seed, 20.0))
+    if free:
+        prob = _matrix_free(prob)
+    _assert_stops_where_an_exhaustive_kkt_test_stops(prob, rule, beta, kkt_tol,
+                                                     record_every, max_iter)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_STOP_CASES)
+def test_run_without_data_stops_where_an_exhaustive_kkt_test_stops(
+        kind, seed, free, rule, beta, kkt_tol, record_every, max_iter):
+    # without data, run skips the exact stop test where a Lipschitz bound
+    # rules a stop out; that must change neither where it stops nor a single
+    # bit of its output
+    prob, _ = generate(GenSpec(kind, 12, 4, seed, 20.0))
+    if free:
+        prob = _matrix_free(prob)
+    _assert_stops_where_an_exhaustive_kkt_test_stops(_without_data(prob), rule, beta,
+                                                     kkt_tol, record_every, max_iter)
 
 
 def test_kkt_tol_run_calls_the_gradient_about_once_per_iteration():
@@ -898,6 +936,45 @@ def test_kkt_tol_run_calls_the_gradient_about_once_per_iteration():
     assert res.reason == "kkt tolerance" and res.iterations > 100
     # one gradient per step; an exact stop test (a second one) only near the stop
     assert len(calls) <= 1.3 * res.iterations
+
+
+def test_kkt_tol_run_of_a_quadratic_objective_calls_the_gradient_once_per_step():
+    # one call in initial_state, then one per step at its new iterate; the
+    # stop test and the records read grad f(x_k) from the state
+    prob, _ = generate(GenSpec("constrained_least_squares", 200, 40, 3, 10.0))
+    obj = prob.objective
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        return obj.gradient(x)
+
+    counted = Problem(objective=Objective(obj.value, gradient, obj.lipschitz, obj.data),
+                      a_map=prob.a_map, b=prob.b)
+    res = run(counted, SolverParams(rule=chambolle_dossal(4.0), kkt_tol=1e-4,
+                                    max_iter=5000, record_every=100))
+    assert res.reason == "kkt tolerance" and res.iterations > 100
+    assert len(calls) == 1 + res.iterations
+
+
+@pytest.mark.parametrize("label, stop", [("nesterov", 327), ("cd4", 274)])
+def test_stop_tests_with_and_without_data_agree(label, stop):
+    # the instance of configs/cls_kkt.json as generated (the exact test on the
+    # gradient the state carries) and rebuilt without data (the gradient at
+    # y_k and the lower bound): the same stop, and residuals equal to rounding
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = load_experiment(os.path.join(here, "configs", "cls_kkt.json"))
+    params = {spec.label: spec.params for spec in config.runs}[label]
+    assert params.kkt_tol == 1e-4
+    got = run(config.problem, params)
+    want = run(_without_data(config.problem), params)
+    assert (got.reason, got.iterations) == (want.reason, want.iterations) == (
+        "kkt tolerance", stop)
+    assert [rec.k for rec in got.records] == [rec.k for rec in want.records]
+    for field in ("kkt_grad", "kkt_feas"):
+        np.testing.assert_allclose([getattr(rec, field) for rec in got.records],
+                                   [getattr(rec, field) for rec in want.records],
+                                   rtol=1e-10)
 
 
 def test_kkt_tol_run_applies_the_adjoint_only_in_its_steps(monkeypatch):
