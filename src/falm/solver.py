@@ -356,9 +356,10 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     momentum = (t_k - 1.0) / t_k1
     y = st.x_k + momentum * (st.x_k - st.x_prev)
     s_next = (rho / g) * t_k1 * (t_k1 - 1.0 + g)
-    affine = prob.objective.data is not None
-    # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b; adj adds, when affine,
-    # grad f(x_k) and grad f(x_{k-1})
+    # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b; adj adds, for an objective
+    # with data, grad f(x_k) and grad f(x_{k-1}), and its layout alone picks
+    # the path below
+    affine = st.grad_k is not None
     hist, adj = st.hist, st.adj
     # dual = beta (A y - b) + nu/gamma - (s/gamma) eta over the block's rows,
     # with c = (t_k - 1)/gamma and r = rho/gamma:

@@ -906,7 +906,7 @@ def test_run_stops_where_an_exhaustive_kkt_test_stops(kind, seed, free, rule, be
                                                      record_every, max_iter)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(**_STOP_CASES)
 def test_run_without_data_stops_where_an_exhaustive_kkt_test_stops(
         kind, seed, free, rule, beta, kkt_tol, record_every, max_iter):
