@@ -1,7 +1,7 @@
 """Inertial augmented Lagrangian solver with a rate-verification harness."""
 
 from .benchgen import GenSpec, SplitMix64, generate
-from .diagnostics import (RateFit, RunRecord, SaddleTerms, energy, gap, objective_error,
+from .diagnostics import (Gap, RateFit, RunRecord, SaddleTerms, energy, gap, objective_error,
                           q_norm_sq, rate_fit, saddle_terms)
 from .errors import (CertificationError, DimensionMismatch, FalmError,
                      NonFiniteError, SpdSolveError, StepError, ValidationError)

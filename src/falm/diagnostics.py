@@ -115,42 +115,57 @@ def saddle_terms(prob: Problem, x_star: Array, lam_star: Array) -> SaddleTerms:
                        adjoint, grad + adjoint, _bregman(prob, x_star, grad))
 
 
-def gap(prob: Problem, x: Array, lam: Array, star: SaddleTerms) -> float:
+class Gap(NamedTuple):
+    """The primal-dual gap of ``(x, lam)`` (``value``) and the terms of it
+    that :func:`objective_error` and :func:`energy` reuse: ``d = x - x*``,
+    ``dual = lam* - lam`` and ``dual_term = <lam* - lam, A x* - b>``."""
+
+    value: float
+    d: Array
+    dual: Array
+    dual_term: float
+
+
+def gap(prob: Problem, x: Array, lam: Array, star: SaddleTerms) -> Gap:
     """Primal-dual gap ``L(x, lam*) - L(x*, lam)``; nonnegative at saddle points.
 
     With ``d = x - x*`` it is ``D_f(x, x*) + <grad f(x*) + A* lam*, d> +
     <lam* - lam, A x* - b>`` for any f, the Bregman term ``D_f`` from
     ``star.bregman``. The two inner products are small near a saddle point,
-    where ``grad f(x*) + A* lam*`` and ``A x* - b`` vanish.
+    where ``grad f(x*) + A* lam*`` and ``A x* - b`` vanish. Returned as a
+    :class:`Gap` with the terms it formed.
     """
     _check_dims(prob, x, lam)
     d = x - star.x
-    return (star.bregman(x, d) + float(star.dual_grad.dot(d))
-            + float((star.lam - lam).dot(star.residual)))
+    dual = star.lam - lam
+    dual_term = float(dual.dot(star.residual))
+    value = star.bregman(x, d) + float(star.dual_grad.dot(d)) + dual_term
+    return Gap(value, d, dual, dual_term)
 
 
-def objective_error(prob: Problem, x: Array, lam: Array, star: SaddleTerms,
-                    gap_value: float) -> float:
-    """Objective error ``|f(x) - f(x*)|`` read off ``gap_value``, the
-    :func:`gap` of ``(x, lam)``.
+def objective_error(star: SaddleTerms, gap: Gap) -> float:
+    """Objective error ``|f(x) - f(x*)|`` read off the :func:`gap` of ``(x,
+    lam)``.
 
     With ``d = x - x*``, ``f(x) - f(x*) = gap - <A* lam*, d> - <lam* - lam, A
-    x* - b>``, so it needs no oracle call of its own; ``lam`` enters only
-    through rounding.
+    x* - b>``, so it needs no oracle call of its own and takes ``d`` and the
+    last inner product from ``gap``; ``lam`` enters only through rounding.
     """
-    return abs(gap_value - float(star.adjoint.dot(x - star.x))
-               - float((star.lam - lam).dot(star.residual)))
+    return abs(gap.value - float(star.adjoint.dot(gap.d)) - gap.dual_term)
 
 
-def energy(params, state, star: SaddleTerms, gap_value: float, residual: Array) -> float:
+def energy(params, state, star: SaddleTerms, gap: Gap, residual: Array,
+           residual_sq: float) -> float:
     """Energy of ``state`` at the reference point of ``star``.
 
     ``state`` exposes ``x_k``, ``x_prev``, ``lam_k``, ``lam_prev``, ``t_k``
     and the images ``ax_k`` and ``ax_prev``, as an
     :class:`~falm.solver.IterateState` does; ``params`` must expose
     ``gamma``, ``sigma``, ``rho`` and ``beta`` (a validated solver config
-    does). ``gap_value`` is the :func:`gap` of ``(x_k, lam_k)`` and
-    ``residual`` is ``A x_k - b``. No map is applied: ``A (x_k - x*)`` is
+    does). ``gap`` is the :func:`gap` of ``(x_k, lam_k)``, whose ``d`` and
+    ``dual`` the energy reuses, ``residual`` is ``A x_k - b`` and
+    ``residual_sq`` its squared norm (the dot :func:`~falm.problem.kkt_residuals`
+    takes for the feasibility). No map is applied: ``A (x_k - x*)`` is
     ``residual - star.residual`` and ``A (x_k - x_prev)`` is ``ax_k -
     ax_prev``. The reference point must be a saddle point for the
     monotonicity and bound properties to hold. The augmented gap is the gap
@@ -160,16 +175,14 @@ def energy(params, state, star: SaddleTerms, gap_value: float, residual: Array) 
     rho = params.rho
     t_k = state.t_k
     t1 = t_k - 1.0
-    gap_beta = gap_value + 0.5 * params.beta * (float(residual.dot(residual))
-                                                - star.residual_sq)
-    x_k, lam_k = state.x_k, state.lam_k
-    d_x = x_k - star.x
+    gap_beta = gap.value + 0.5 * params.beta * (residual_sq - star.residual_sq)
+    d_x = gap.d
     a_dx = residual - star.residual
-    d_z = g * d_x + t1 * (x_k - state.x_prev)  # z_k - gamma x*
+    d_z = g * d_x + t1 * (state.x_k - state.x_prev)  # z_k - gamma x*
     a_dz = g * a_dx + t1 * (state.ax_k - state.ax_prev)
-    d_lam = lam_k - star.lam
-    d_lam_prev = lam_k - state.lam_prev
-    d_nu = g * d_lam + t1 * d_lam_prev  # nu_k - gamma lam*
+    d_lam = gap.dual  # lam* - lam_k
+    d_lam_prev = state.lam_k - state.lam_prev
+    d_nu = t1 * d_lam_prev - g * d_lam  # nu_k - gamma lam*
     return (t_k * (t1 + g) * gap_beta
             + 0.5 * q_norm_sq(params, d_z, a_dz)
             + 0.5 / rho * float(d_nu.dot(d_nu))

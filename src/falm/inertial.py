@@ -15,8 +15,12 @@ constructor builds the rule:
 * ``constant``: ``t_k = 1``, the non-accelerated baseline; admits any margin
   in (0, 1], and ``m`` defaults to 1.
 
-:func:`next_t` takes any rule from ``t_k`` to ``t_{k+1}``; a run's steps and
-:func:`t_values` share it, and nothing is cached between calls.
+:func:`next_t` takes any rule from ``t_k`` to ``t_{k+1}``, and
+:func:`t_after` gives the next ``count`` values from it: Nesterov's by
+:func:`next_t` one after another, the other rules' from their closed form on
+an index array, which gives the values ``next_t`` gives. A run's step blocks
+and :func:`t_values` read :func:`t_after`, and nothing is cached between
+calls.
 
 ``SPEC_KEYS`` names the parameters each kind takes besides its name; the
 rule's document form is read by :func:`falm.cli.rule_from_spec`.
@@ -128,19 +132,28 @@ def next_t(rule: InertialRule, t: float, k: int) -> float:
     return _closed_form(rule.kind, float(k + 1), rule.alpha)
 
 
+def t_after(rule: InertialRule, t: float, k: int, count: int) -> np.ndarray:
+    """``t_{k+1}, ..., t_{k+count}`` of the rule as an array, from ``t = t_k``:
+    Nesterov's each from the one before by :func:`next_t`, the other rules'
+    from their closed form at the indices ``k+1, ..., k+count``, which ignores
+    ``t``."""
+    if rule.kind != "nesterov":
+        return _closed_form(rule.kind, np.arange(k + 1.0, k + count + 1.0), rule.alpha)
+    ts = []
+    for i in range(k, k + count):
+        t = next_t(rule, t, i)
+        ts.append(t)
+    return np.array(ts, dtype=float)
+
+
 def t_values(rule: InertialRule, count: int) -> np.ndarray:
     """The first ``count`` inertial parameters as an array, as a run's steps
-    take them: Nesterov's each from the one before by :func:`next_t`, the
-    other rules' from their closed form at k = 1, ..., count, which are the
-    values ``next_t`` gives."""
+    take them: ``t_1`` (1 for Nesterov, the closed form at k = 1 otherwise),
+    then :func:`t_after` from it."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if rule.kind != "nesterov":
-        return _closed_form(rule.kind, np.arange(1.0, count + 1.0), rule.alpha)
-    ts = [1.0]
-    for k in range(1, count):
-        ts.append(next_t(rule, ts[-1], k))
-    return np.array(ts)
+    t_1 = 1.0 if rule.kind == "nesterov" else _closed_form(rule.kind, 1.0, rule.alpha)
+    return np.concatenate(([t_1], t_after(rule, t_1, 1, count - 1)))
 
 
 def phi_m(m: float) -> float:

@@ -6,7 +6,8 @@ construction helpers are provided for the desk-scale problems this package
 targets. :func:`op_norm_sq` gives every map, dense or rebuilt from adjoint
 probes, its :class:`SpectralFactor`: one thin SVD that bounds ``||A||^2``,
 counts the probes it was built from, and solves the systems ``shift*Id +
-scale*A*A`` in closed form for every shift and scale. :func:`solve_spd`
+scale*A*A`` in closed form for every shift and scale, its gains from one
+formula vectorized over scales. :func:`solve_spd`
 checks that closed form's residual and corrects a miss by iterative
 refinement with the same factor.
 """
@@ -140,16 +141,22 @@ class SpectralFactor:
     def __post_init__(self):
         object.__setattr__(self, "v", self.vt.T)
 
-    def solve(self, shift: float, scale: float, rhs: Array) -> Array:
-        """Closed-form ``(shift*Id + scale*A*A)^{-1} rhs`` (Woodbury identity).
+    def gains(self, shift: float, scale) -> Array:
+        """``(shift + scale*S^2)^{-1} - 1/shift``, the Woodbury gains of the
+        system ``shift*Id + scale*A*A``: one row for a scalar ``scale``, one
+        row per entry for an array of scales, each bitwise the row of its
+        scalar."""
+        return 1.0 / (shift + np.multiply.outer(scale, self.s2)) - 1.0 / shift
+
+    def solve(self, shift: float, rhs: Array, gain: Array) -> Array:
+        """Closed-form ``(shift*Id + scale*A*A)^{-1} rhs`` (Woodbury identity),
+        ``gain`` the :meth:`gains` row of ``scale``.
 
         With ``A*A = V S^2 Vt``: ``x = rhs/shift + V[(shift + scale*S^2)^{-1}
         - 1/shift] Vt rhs``; directions outside the row space of ``vt`` see
         only the shift.
         """
-        inv_shift = 1.0 / shift
-        gain = 1.0 / (shift + scale * self.s2) - inv_shift
-        return inv_shift * rhs + self.v @ (gain * (self.vt @ rhs))
+        return (1.0 / shift) * rhs + self.v @ (gain * (self.vt @ rhs))
 
 
 def op_norm_sq(a_map: LinearMap, b: Array | None = None) -> SpectralFactor:
@@ -237,16 +244,19 @@ class SpdSolution(NamedTuple):
 
 
 def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: float,
-              rhs: Array, *, tol: float = 1e-12) -> SpdSolution:
+              rhs: Array, *, tol: float = 1e-12, gain: Array | None = None) -> SpdSolution:
     """Solve ``M x = rhs`` for ``M = shift*Id + scale*A*A``, returning once
     ``||M x - rhs|| <= tol * max(1, ||rhs||)``.
 
     ``shift`` must be positive and ``scale`` nonnegative; ``factor`` is the
-    :func:`op_norm_sq` of ``a_map``. The start point is the closed form
-    :meth:`SpectralFactor.solve`. Each residual check takes one forward and
-    one adjoint apply. While the true residual ``r`` misses the target,
-    iterative refinement corrects the start with the same factor, ``x +=
-    factor.solve(shift, scale, r)``; a factor of the map itself contracts the
+    :func:`op_norm_sq` of ``a_map``, and ``gain`` its
+    :meth:`SpectralFactor.gains` row of ``shift`` and ``scale`` when the caller
+    has it (a run's step blocks build them for many scales at once). The start
+    point is the closed form :meth:`SpectralFactor.solve`. Each residual check
+    takes one forward and one adjoint apply. While the true residual ``r``
+    misses the target, iterative refinement corrects the start with the same
+    factor and gains, ``x += factor.solve(shift, r, gain)``; a factor of the
+    map itself contracts the
     residual by about ``n * eps * cond(M)`` per correction. Raises
     :class:`SpdSolveError` when ``REFINE_STEPS`` corrections do not meet the
     target.
@@ -267,10 +277,12 @@ def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: flo
         raise SpdSolveError("right-hand side is not finite", residual=rhs_norm,
                             iterations=0)
     target = tol * max(1.0, rhs_norm)
-    x = factor.solve(shift, scale, rhs)
+    if gain is None:
+        gain = factor.gains(shift, scale)
+    x = factor.solve(shift, rhs, gain)
     for corrections in range(REFINE_STEPS + 1):
         if corrections:
-            x = x + factor.solve(shift, scale, r)
+            x = x + factor.solve(shift, r, gain)
         ax = a_map.forward(x)
         atax = a_map.adjoint(ax)
         r = rhs - (shift * x + scale * atax)

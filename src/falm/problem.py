@@ -22,6 +22,7 @@ primal-dual solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -187,22 +188,24 @@ def _check_dims(prob: Problem, x: Array, lam: Array) -> None:
 
 
 def kkt_residuals(prob: Problem, x: Array, lam: Array, *,
-                  residual: Array | None = None,
+                  residual_sq: float | None = None,
                   adjoint: Array | None = None,
                   gradient: Array | None = None) -> tuple[float, float]:
     """Norms of the stationarity and feasibility equations.
 
     Returns ``(||grad f(x) + A* lam||, ||A x - b||)``; both vanish exactly at
-    a primal-dual solution. ``residual`` may supply ``A x - b``, ``adjoint``
-    ``A* lam`` and ``gradient`` ``grad f(x)`` when the caller already has
-    them, as the solver's state does (``IterateState.ax_k``, ``adj[0]`` and,
-    for an objective with ``data``, ``grad_k``, each bitwise the apply or the
-    call); the result is the same to the bit. With all three given, it
-    applies no map and calls no oracle.
+    a primal-dual solution. ``residual_sq`` may supply ``||A x - b||^2`` (the
+    dot of the residual with itself), ``adjoint`` ``A* lam`` and ``gradient``
+    ``grad f(x)`` when the caller already has them, as the solver's run does
+    from its state (``IterateState.ax_k``, ``adj[0]`` and, for an objective
+    with ``data``, ``grad_k``, each bitwise the apply or the call); the result
+    is the same to the bit. With all three given, it applies no map and calls
+    no oracle.
     """
     _check_dims(prob, x, lam)
     adj = adjoint if adjoint is not None else prob.a_map.adjoint(lam)
     grad = gradient if gradient is not None else prob.objective.gradient(x)
-    grad_res = grad + adj
-    feas_res = residual if residual is not None else prob.a_map.forward(x) - prob.b
-    return norm(grad_res), norm(feas_res)
+    if residual_sq is None:
+        feas_res = prob.a_map.forward(x) - prob.b
+        residual_sq = feas_res.dot(feas_res)
+    return norm(grad + adj), math.sqrt(residual_sq)

@@ -43,6 +43,15 @@ exact on every step. An objective without ``data`` has no such identity: a
 step calls its gradient at ``y_k``, and the stop test bounds the
 stationarity residual from it before it calls the gradient at ``x_k``.
 
+Every rule fixes ``t_k`` in advance, so every scalar a step reads is known
+before any iterate: ``t_{k+1}``, the momentum ratio, the weights over
+``hist`` and ``adj``, the system scale ``s_{k+1}/gamma`` and the Woodbury
+gains of the inner solve. :func:`step_block` builds them for ``BLOCK`` steps
+at a time as arrays, with the operations of one step's scalar formulas in
+the same order, so each row is bitwise what those formulas give; :func:`run`
+builds one block per ``BLOCK`` steps and :func:`step` reads its row. A lone
+:func:`step` call builds the one-row block of its state.
+
 The README's "Oracle budget", "Diagnostics" and "Stop-test budget" paragraphs
 count the map applies, gradients and objective values of a step, a record and
 the ``kkt_tol`` stop test.
@@ -69,12 +78,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import diagnostics
 from .errors import SpdSolveError, StepError, ValidationError
-from .inertial import InertialRule, min_margin, next_t, t_values
+from .inertial import InertialRule, min_margin, t_after, t_values
 from .linalg import (Array, SpectralFactor, all_finite, as_vector, norm, op_norm_sq,
                      solve_spd)
 from .problem import Problem, kkt_residuals
@@ -89,6 +99,10 @@ NON_FINITE = "non-finite iterate"
 # n * eps * (2 L||v|| + ||grad f(v)||); this covers that, for both gradients,
 # and the norms' rounding, by many orders of magnitude.
 STOP_MARGIN = 1e-6
+
+# Steps whose scalars one step block holds: a run builds a block every BLOCK
+# steps, a shorter one when its budget ends sooner.
+BLOCK = 256
 
 
 @dataclass
@@ -322,26 +336,93 @@ class StepTrace:
     cg_iters: int
 
 
-def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[IterateState, StepTrace]:
+class StepBlock(NamedTuple):
+    """The scalars of the steps from index ``k`` on, one row per step, as
+    :func:`step_block` builds them.
+
+    Row i belongs to the step from index ``k + i`` and is the tuple
+    ``(t_{k+i+1}, momentum, scale, ax_weight, adj_weights, hist_weights,
+    gain)``: the momentum ratio ``(t - 1)/t_{k+i+1}`` of that step's ``t``,
+    the system scale ``s_{k+i+1}/gamma`` of its inner solve, the weight of
+    ``A x_{k+i+1}`` in ``lam_{k+i+1}``, the seven (five without ``data``)
+    weights over ``adj``, the five weights over ``hist``, and the
+    :meth:`~falm.linalg.SpectralFactor.gains` row of the scale. The scalars
+    are Python floats and the weight and gain rows are views of one array
+    each.
+    """
+
+    k: int
+    rows: list[tuple]
+
+
+def step_block(cfg: ValidatedConfig, st: IterateState, count: int) -> StepBlock:
+    """The :class:`StepBlock` of the ``count`` steps from ``st``.
+
+    The rules fix ``t`` in advance (:func:`~falm.inertial.t_after`, from
+    ``st.t_k``), so every scalar a step reads is known before any iterate.
+    Each column is built with the operations, in the order, that one step's
+    scalar formula takes, so a row is bitwise what that formula gives. ``st``
+    sets the layout: seven weights over ``adj`` for a state that carries
+    gradient rows, five otherwise.
+    """
+    g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
+    t_k1 = t_after(cfg.rule, st.t_k, st.k, count)
+    t_k = np.concatenate(([st.t_k], t_k1[:-1]))
+    momentum = (t_k - 1.0) / t_k1
+    # dual = beta (A y - b) + nu/gamma - (s/gamma) eta over the block's rows,
+    # with c = (t_k - 1)/gamma and r = rho/gamma:
+    #   A y           = (1 + momentum) A x_k - momentum A x_{k-1}
+    #   nu/gamma      = lam_k + c (lam_k - lam_{k-1})
+    #   (s/gamma) eta = (r/gamma) t_{k+1} (t_{k+1} - 1) A x_k + r t_{k+1} b
+    # since eta = A x_k + gamma/(t_{k+1} - 1 + gamma) (b - A x_k), and A* dual
+    # is the same weights over the rows of adj. With data, adj adds grad f(x_k)
+    # and grad f(x_{k-1}), and grad f(y) = (1 + momentum) grad f(x_k)
+    # - momentum grad f(x_{k-1}).
+    c = (t_k - 1.0) / g
+    r = rho / g
+    w_ax = beta * (1.0 + momentum) - (r / g) * t_k1 * (t_k1 - 1.0)
+    adj_weights = (1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1,
+                   1.0 + momentum, -momentum)[:len(st.adj)]
+    # lam_{k+1} = mu + r (A z - gamma b), with
+    #   mu  = lam_k + momentum (lam_k - lam_{k-1})
+    #   A z = (t_{k+1} - 1 + gamma) A x_{k+1} - (t_{k+1} - 1) A x_k
+    hist_weights = (1.0 + momentum, -r * (t_k1 - 1.0), -momentum, np.zeros(count),
+                    np.full(count, -rho))
+    scale = (rho / g) * t_k1 * (t_k1 - 1.0 + g) / g
+    gains = cfg.spectral.gains(1.0 / cfg.sigma, scale)
+    rows = list(zip(t_k1.tolist(), momentum.tolist(), scale.tolist(),
+                    (r * (t_k1 - 1.0 + g)).tolist(), np.column_stack(adj_weights),
+                    np.column_stack(hist_weights), gains))
+    return StepBlock(st.k, rows)
+
+
+def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
+         block: StepBlock | None = None) -> tuple[IterateState, StepTrace]:
     """Advance the recurrence from index k to k+1.
+
+    Every scalar of the step, ``t_{k+1}`` and its weights, comes from row
+    ``k - block.k`` of ``block``, a :func:`step_block` of an earlier state of
+    the same run that covers index k (a ``ValueError`` otherwise); :func:`run`
+    builds one every ``BLOCK`` steps. Without ``block`` the step builds the
+    one-row block of ``st``.
 
     The primal update solves the subproblem's stationarity system exactly (to
     the configured residual tolerance) by :func:`~falm.linalg.solve_spd` from
-    ``cfg.spectral``; for a zero operator that is the accelerated gradient
-    step ``y_k - sigma * grad f(y_k)`` up to rounding. The ``A*`` image of
-    the dual argument is a product of five scalar weights with ``st.adj``;
-    for an objective with ``data`` the product takes seven weights, the last
-    two ``1 + m`` and ``-m`` on the gradient rows, and gives that image plus
-    ``grad f(y_k)``. Without ``data`` the step calls the gradient at
-    ``y_k``. ``lam_{k+1}`` is a product of five weights with ``st.hist``
-    plus a multiple of the image of ``x_{k+1}`` that the inner solve's
-    residual check computed. The new state's blocks carry that image, its
-    ``A*`` image from the same check, one adjoint apply to ``lam_{k+1}``
-    and, with ``data``, one gradient call at ``x_{k+1}``. ``mu``, ``nu``,
-    ``eta``, ``A y_k``, ``A z_{k+1}``, the dual argument and, with ``data``,
-    ``grad f(y_k)`` are never formed as vectors. A failed step raises
-    :class:`StepError` carrying the iteration index and a reason. It is
-    "non-finite iterate" when an iterate or the gradient at ``x_{k+1}``
+    ``cfg.spectral`` and the row's gains; for a zero operator that is the
+    accelerated gradient step ``y_k - sigma * grad f(y_k)`` up to rounding.
+    The ``A*`` image of the dual argument is a product of the row's five
+    weights with ``st.adj``; for an objective with ``data`` the product takes
+    seven weights, the last two ``1 + m`` and ``-m`` on the gradient rows,
+    and gives that image plus ``grad f(y_k)``. Without ``data`` the step
+    calls the gradient at ``y_k``. ``lam_{k+1}`` is a product of five weights
+    with ``st.hist`` plus a multiple of the image of ``x_{k+1}`` that the
+    inner solve's residual check computed. The new state's blocks carry that
+    image, its ``A*`` image from the same check, one adjoint apply to
+    ``lam_{k+1}`` and, with ``data``, one gradient call at ``x_{k+1}``.
+    ``mu``, ``nu``, ``eta``, ``A y_k``, ``A z_{k+1}``, the dual argument and,
+    with ``data``, ``grad f(y_k)`` are never formed as vectors. A failed step
+    raises :class:`StepError` carrying the iteration index and a reason. It
+    is "non-finite iterate" when an iterate or the gradient at ``x_{k+1}``
     leaves the finite range, or when the inner solve fails with a residual
     that is not finite, as for a right-hand side with a NaN entry (a NaN
     gradient) or a closed form that overflows. A solve that misses its
@@ -350,50 +431,37 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
     only an infinite one, which needs a right-hand side whose norm overflows,
     leaves an entrywise test to run.
     """
-    g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
-    t_k = st.t_k
-    t_k1 = next_t(cfg.rule, t_k, st.k)
-    momentum = (t_k - 1.0) / t_k1
+    if block is None:
+        block = step_block(cfg, st, 1)
+    row = st.k - block.k
+    if not 0 <= row < len(block.rows):
+        raise ValueError(f"the step block of indices {block.k} to "
+                         f"{block.k + len(block.rows) - 1} does not cover k={st.k}")
+    t_k1, momentum, scale, ax_weight, adj_weights, hist_weights, gain = block.rows[row]
     y = st.x_k + momentum * (st.x_k - st.x_prev)
-    s_next = (rho / g) * t_k1 * (t_k1 - 1.0 + g)
     # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b; adj adds, for an objective
     # with data, grad f(x_k) and grad f(x_{k-1}), and its layout alone picks
     # the path below
     affine = st.grad_k is not None
     hist, adj = st.hist, st.adj
-    # dual = beta (A y - b) + nu/gamma - (s/gamma) eta over the block's rows,
-    # with c = (t_k - 1)/gamma and r = rho/gamma:
-    #   A y           = (1 + momentum) A x_k - momentum A x_{k-1}
-    #   nu/gamma      = lam_k + c (lam_k - lam_{k-1})
-    #   (s/gamma) eta = (r/gamma) t_{k+1} (t_{k+1} - 1) A x_k + r t_{k+1} b
-    # since eta = A x_k + gamma/(t_{k+1} - 1 + gamma) (b - A x_k).
-    c = (t_k - 1.0) / g
-    r = rho / g
-    w_ax = beta * (1.0 + momentum) - (r / g) * t_k1 * (t_k1 - 1.0)
-    # and A* dual is the same weights over the rows of adj
-    weights = (1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1)
-    if affine:  # grad f(y) = (1 + momentum) grad f(x_k) - momentum grad f(x_{k-1})
+    if affine:
         grad_y = None
-        rhs = y / cfg.sigma - np.dot(np.array(weights + (1.0 + momentum, -momentum)), adj)
+        rhs = y / cfg.sigma - np.dot(adj_weights, adj)
     else:
         grad_y = prob.objective.gradient(y)
-        rhs = y / cfg.sigma - grad_y - np.dot(np.array(weights), adj)
+        rhs = y / cfg.sigma - grad_y - np.dot(adj_weights, adj)
     try:
-        sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, s_next / g, rhs,
-                        tol=cfg.cg_tol)
+        sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, scale, rhs,
+                        tol=cfg.cg_tol, gain=gain)
     except SpdSolveError as exc:
         reason = "inner solve failure" if math.isfinite(exc.residual) else NON_FINITE
         raise StepError(st.k, f"primal subproblem solve failed: {exc}", reason) from exc
     x_next = sol.x
 
-    # lam_{k+1} = mu + r (A z - gamma b), with
-    #   mu  = lam_k + momentum (lam_k - lam_{k-1})
-    #   A z = (t_{k+1} - 1 + gamma) A x_{k+1} - (t_{k+1} - 1) A x_k
     new = hist.take((0, 1, 0, 1, 4), axis=0)
     lam_next = new[0]
-    np.dot(np.array((1.0 + momentum, -r * (t_k1 - 1.0), -momentum, 0.0, -rho)), hist,
-           out=lam_next)
-    lam_next += (r * (t_k1 - 1.0 + g)) * sol.ax
+    np.dot(hist_weights, hist, out=lam_next)
+    lam_next += ax_weight * sol.ax
     x_finite = math.isfinite(sol.residual) or all_finite(x_next)
     if not (x_finite and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)", NON_FINITE)
@@ -413,13 +481,13 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState) -> tuple[Iterate
 
 
 def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
-                          trace: StepTrace, residual: Array) -> tuple[float, float] | None:
+                          trace: StepTrace, residual_sq: float) -> tuple[float, float] | None:
     """:func:`kkt_residuals` of ``st``, or None when a bound rules out both
     being within ``kkt_tol``.
 
-    ``residual`` is ``A x_{k+1} - b``; its norm is the feasibility value the
-    exact test compares, so a larger one rules the stop out at no cost.
-    A state that carries ``grad f(x)`` (``st.grad_k``, an objective with
+    ``residual_sq`` is ``||A x_{k+1} - b||^2``; its root is the feasibility
+    value the exact test compares, so a larger one rules the stop out at no
+    cost. A state that carries ``grad f(x)`` (``st.grad_k``, an objective with
     ``data``) then takes the exact test, which applies no map and calls no
     gradient. Otherwise the stationarity residual is bounded below from the
     step's ``grad f(y_k)`` and the state's ``A* lam`` (``st.adj[0]``):
@@ -430,7 +498,7 @@ def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
     gradient.
     """
     tol = cfg.kkt_tol
-    if norm(residual) > tol:
+    if math.sqrt(residual_sq) > tol:
         return None
     adj, grad = st.adj[0], st.grad_k
     if grad is None:
@@ -441,7 +509,7 @@ def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
         lower = norm(grad_y + adj) - lip * norm(st.x_k - trace.y_k) - margin
         if lower > tol:
             return None
-    return kkt_residuals(prob, st.x_k, st.lam_k, residual=residual, adjoint=adj,
+    return kkt_residuals(prob, st.x_k, st.lam_k, residual_sq=residual_sq, adjoint=adj,
                          gradient=grad)
 
 
@@ -489,19 +557,20 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
                                         as_vector(saddle[1], prob.p, "lam_star"))
     records: list[diagnostics.RunRecord] = []
 
-    def measured(state: IterateState) -> tuple[Array, tuple[float, float]]:
+    def measured(state: IterateState) -> tuple[Array, float, tuple[float, float]]:
         res = state.ax_k - prob.b
-        return res, kkt_residuals(prob, state.x_k, state.lam_k, residual=res,
-                                  adjoint=state.adj[0], gradient=state.grad_k)
+        res_sq = float(res.dot(res))
+        return res, res_sq, kkt_residuals(prob, state.x_k, state.lam_k, residual_sq=res_sq,
+                                          adjoint=state.adj[0], gradient=state.grad_k)
 
-    def emit(state: IterateState, cg_iters: int, res: Array,
+    def emit(state: IterateState, cg_iters: int, res: Array, res_sq: float,
              kkt: tuple[float, float]) -> None:
         feas = kkt[1]
         if saddle is not None:
-            gap_val = diagnostics.gap(prob, state.x_k, state.lam_k, star)
-            obj_err = diagnostics.objective_error(prob, state.x_k, state.lam_k, star,
-                                                  gap_val)
-            energy_val = diagnostics.energy(cfg, state, star, gap_val, res)
+            gap = diagnostics.gap(prob, state.x_k, state.lam_k, star)
+            gap_val = gap.value
+            obj_err = diagnostics.objective_error(star, gap)
+            energy_val = diagnostics.energy(cfg, state, star, gap, res, res_sq)
         else:
             gap_val = obj_err = energy_val = None
         rec = diagnostics.RunRecord(k=state.k, t_k=state.t_k, gap=gap_val,
@@ -516,8 +585,10 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     reason = "iteration budget"
     error = None
     for i in range(cfg.max_iter):
+        if i % BLOCK == 0:
+            block = step_block(cfg, st, min(BLOCK, cfg.max_iter - i))
         try:
-            st, trace = step(prob, cfg, st)
+            st, trace = step(prob, cfg, st, block)
         except StepError as exc:
             reason = exc.reason
             error = str(exc)
@@ -525,14 +596,15 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         due = (st.k % cfg.record_every == 0) or i == cfg.max_iter - 1
         kkt = None
         if due:
-            res, kkt = measured(st)
+            res, res_sq, kkt = measured(st)
         elif cfg.kkt_tol is not None:
             res = st.ax_k - prob.b
-            kkt = _kkt_unless_ruled_out(prob, cfg, st, trace, res)
+            res_sq = float(res.dot(res))
+            kkt = _kkt_unless_ruled_out(prob, cfg, st, trace, res_sq)
         stop = (cfg.kkt_tol is not None and kkt is not None
                 and kkt[0] <= cfg.kkt_tol and kkt[1] <= cfg.kkt_tol)
         if due or stop:
-            emit(st, trace.cg_iters, res, kkt)
+            emit(st, trace.cg_iters, res, res_sq, kkt)
         if stop:
             reason = "kkt tolerance"
             break

@@ -55,8 +55,9 @@ def _cfg_and_saddle(small_instance, **kw):
 
 def _energy(prob, cfg, st, star):
     """:func:`energy` of ``st`` with its gap and residual evaluated here."""
-    return energy(cfg, st, star, gap(prob, st.x_k, st.lam_k, star),
-                  prob.a_map.forward(st.x_k) - prob.b)
+    residual = prob.a_map.forward(st.x_k) - prob.b
+    return energy(cfg, st, star, gap(prob, st.x_k, st.lam_k, star), residual,
+                  float(residual.dot(residual)))
 
 
 def test_energy_zero_at_saddle_start(small_instance, state_at):
@@ -134,9 +135,10 @@ def test_precomputed_evaluations_change_no_bit(small_instance):
     for _ in range(5):
         st, _ = step(prob, cfg, st)
         residual = prob.a_map.forward(st.x_k) - prob.b
-        assert (kkt_residuals(prob, st.x_k, st.lam_k, residual=residual,
+        residual_sq = residual.dot(residual)
+        assert (kkt_residuals(prob, st.x_k, st.lam_k, residual_sq=residual_sq,
                               adjoint=prob.a_map.adjoint(st.lam_k))
-                == kkt_residuals(prob, st.x_k, st.lam_k, residual=residual)
+                == kkt_residuals(prob, st.x_k, st.lam_k, residual_sq=residual_sq)
                 == kkt_residuals(prob, st.x_k, st.lam_k))
 
 
@@ -151,8 +153,8 @@ def test_both_forms_agree_with_the_lagrangian_definitions(small_instance, aug_la
                         - aug_lagrangian(prob, x_star, st.lam_k, 0.0))
             want_obj = abs(prob.objective.value(st.x_k) - prob.objective.value(x_star))
             got_gap = gap(prob, st.x_k, st.lam_k, star)
-            assert got_gap == pytest.approx(want_gap, rel=1e-9, abs=1e-15)
-            assert objective_error(prob, st.x_k, st.lam_k, star, got_gap) == pytest.approx(
+            assert got_gap.value == pytest.approx(want_gap, rel=1e-9, abs=1e-15)
+            assert objective_error(star, got_gap) == pytest.approx(
                 want_obj, rel=1e-9, abs=1e-15)
 
 
@@ -267,7 +269,7 @@ def test_record_diagnostics_match_exact_arithmetic(kind):
 def test_gap_zero_at_saddle(small_instance):
     prob, qp = small_instance
     x_star, lam_star = kkt_solve(qp)
-    assert abs(gap(prob, x_star, lam_star, saddle_terms(prob, x_star, lam_star))) <= 1e-12
+    assert abs(gap(prob, x_star, lam_star, saddle_terms(prob, x_star, lam_star)).value) <= 1e-12
 
 
 def test_gap_nonnegative_on_run_records(small_instance):
@@ -282,7 +284,7 @@ def test_gap_feasible_point_reduces_to_objective_excess(tiny_qp):
     x_star = np.array([1.0, 1.0])
     lam_star = np.array([-1.0])
     x = np.array([2.0, 0.0])  # feasible
-    val = gap(tiny_qp, x, np.array([5.0]), saddle_terms(tiny_qp, x_star, lam_star))
+    val = gap(tiny_qp, x, np.array([5.0]), saddle_terms(tiny_qp, x_star, lam_star)).value
     f_excess = tiny_qp.objective.value(x) - tiny_qp.objective.value(x_star)
     assert val == pytest.approx(f_excess, abs=1e-12)
     assert val >= 0.0

@@ -5,7 +5,9 @@ pass-through wrappers, so each name below must stay a module global that its
 callers look up at call time, and the shapes it reads must stay as they are.
 """
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,3 +67,46 @@ def test_the_shapes_a_harness_reads(documents):
     assert factor.iterations == 0
     sol = solver.solve_spd(prob.a_map, factor, 1.0, 1.0, np.ones(prob.n))
     assert sol.iterations == 0
+
+
+def test_run_calls_step_and_solve_spd_once_per_iteration(monkeypatch):
+    # through the module globals, over three step blocks
+    prob, _ = falm.generate(falm.GenSpec("random_qp", 50, 10, 7, 100.0))
+    calls = {"step": 0, "solve_spd": 0}
+    for name in calls:
+        monkeypatch.setattr(solver, name, _counting(calls, name, getattr(solver, name)))
+    params = falm.SolverParams(rule=falm.rule_from_spec({"rule": "nesterov"}),
+                               max_iter=2 * solver.BLOCK + 100, record_every=100)
+    assert solver.run(prob, params).iterations == 2 * solver.BLOCK + 100
+    assert calls == {"step": 2 * solver.BLOCK + 100, "solve_spd": 2 * solver.BLOCK + 100}
+
+
+def test_the_benchmark_samples_its_speed_and_divides_by_step_calls(monkeypatch):
+    # benchmarks/rep.py times its reference kernel before every 500th call of
+    # solver.step on ratecheck_qp50, and its traced per-step metrics divide by
+    # the number of those calls, which is the number of iterations
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    rep = importlib.import_module("rep")
+    for module, names in WRAPPED.items():  # rep sets these; monkeypatch restores them
+        for name in names:
+            monkeypatch.setattr(module, name, getattr(module, name))
+    tr = rep.Tracer()
+    seen = {"results": [], "qps": [], "bytes": (0, 0)}
+    rep.install_hooks(falm, tr, True, seen)
+    samples = []
+
+    class Reference:
+        def sample(self):
+            samples.append(1)
+
+    assert rep.SAMPLE_EVERY["ratecheck_qp50"] == 500
+    rep.sample_speed(falm, tr, Reference(), rep.SAMPLE_EVERY["ratecheck_qp50"])
+    prob, _ = falm.generate(falm.GenSpec("random_qp", 50, 10, 7, 100.0))
+    params = falm.SolverParams(rule=falm.rule_from_spec({"rule": "nesterov"}),
+                               max_iter=1200, record_every=100)
+    res = tr.call(rep.RUN_SPAN, solver.run, rep.counting_problem(falm, tr, prob), params)
+    layers = rep.layer_metrics(tr, [res], 0, (0, 0))
+    assert res.iterations == 1200 and len(samples) == 3  # before steps 1, 501 and 1001
+    assert layers["solver.iterations"] == 1200
+    assert layers["linalg.op_applies_per_iter"] == 3 + 2 * layers["linalg.cg_iters_per_step"]
+    assert layers["problem.grad_calls_per_iter"] == 1.0

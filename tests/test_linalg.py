@@ -209,10 +209,11 @@ def test_spd_system_symmetric_and_definite():
         factor = op_norm_sq(dense_map(a))
         for _ in range(10):
             u, v = rng.standard_normal((2, n))
-            lhs = float(np.dot(factor.solve(shift, scale, u), v))
-            rhs = float(np.dot(u, factor.solve(shift, scale, v)))
+            gain = factor.gains(shift, scale)
+            lhs = float(np.dot(factor.solve(shift, u, gain), v))
+            rhs = float(np.dot(u, factor.solve(shift, v, gain)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-            assert float(np.dot(factor.solve(shift, scale, u), u)) > 0.0
+            assert float(np.dot(factor.solve(shift, u, gain), u)) > 0.0
 
 
 def _unscaled_system(n):
@@ -353,7 +354,7 @@ def test_spectral_solve_matches_cholesky_oracle(p, n, rank):
         scale = float(10.0 ** rng.uniform(-2, 2))
         rhs = rng.standard_normal(n)
         x_ref = _cholesky_solve(shift * np.eye(n) + scale * (a.T @ a), rhs)
-        np.testing.assert_allclose(factor.solve(shift, scale, rhs), x_ref,
+        np.testing.assert_allclose(factor.solve(shift, rhs, factor.gains(shift, scale)), x_ref,
                                    rtol=0, atol=1e-12 * np.linalg.norm(x_ref))
         rng.standard_normal(n)  # keeps the drawn cases those of earlier versions
         sol = solve_spd(a_map, factor, shift, scale, rhs, tol=1e-12)

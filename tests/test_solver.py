@@ -1,5 +1,6 @@
 import itertools
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -528,8 +529,8 @@ def test_trailing_record_after_a_failed_step_carries_its_corrections():
 
 @pytest.mark.parametrize("rule", _FOUR_RULES, ids=lambda rule: rule.kind)
 def test_recorded_t_k_equals_t_values_bitwise(rule):
-    # a run carries t_k from step to step by next_t; t_values gives the same
-    # values, from that recurrence or from the closed form
+    # a run takes t_k from its step blocks, 256 values at a time from the
+    # state's t_k; t_values gives the same values
     prob, _ = generate(GenSpec("unconstrained", 3, 1, 5, 4.0))
     params = SolverParams(rule=rule, beta=1.0, max_iter=10_000, record_every=1)
     res = run(prob, params)
@@ -795,11 +796,12 @@ def _assert_records_are_public_diagnostics(prob, cfg, res, pairs, saddle):
         assert st.lam_prev.tobytes() == prev.lam_k.tobytes()
         grad_res, feas_res = kkt_residuals(prob, st.x_k, st.lam_k)
         assert (rec.kkt_grad, rec.kkt_feas, rec.feas) == (grad_res, feas_res, feas_res)
-        gap_value = gap(prob, st.x_k, st.lam_k, star)
-        assert rec.gap == gap_value
-        assert rec.obj_err == objective_error(prob, st.x_k, st.lam_k, star, gap_value)
-        assert rec.energy == energy(cfg, st, star, gap_value,
-                                    prob.a_map.forward(st.x_k) - prob.b)
+        gap_terms = gap(prob, st.x_k, st.lam_k, star)
+        assert rec.gap == gap_terms.value
+        assert rec.obj_err == objective_error(star, gap_terms)
+        residual = prob.a_map.forward(st.x_k) - prob.b
+        assert rec.energy == energy(cfg, st, star, gap_terms, residual,
+                                    float(residual.dot(residual)))
         prev = st
 
 
@@ -1005,3 +1007,134 @@ def test_kkt_tol_run_applies_the_adjoint_only_in_its_steps(monkeypatch):
     res = run(free, params, cfg=cfg)
     assert res.reason == "kkt tolerance" and res.iterations == len(corrections) > 100
     assert len(calls) == 3 + sum(2 + cg for cg in corrections)
+
+
+# the rules of configs/qp_cd.json, by their labels there
+_SHIPPED_RULES = {"nesterov": nesterov(), "cd3": chambolle_dossal(3.0),
+                  "cd4": chambolle_dossal(4.0), "ac4": attouch_cabot(4.0),
+                  "constant": constant()}
+
+
+def _scalar_row(cfg, k, t_k, n_adj):
+    """The scalars of the step from index k as one step's scalar formulas
+    give them: ``t_{k+1}`` by ``next_t``, then each weight, the system scale
+    and the Woodbury gains, in the layout of a :class:`solver.StepBlock` row."""
+    g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
+    t_k1 = next_t(cfg.rule, t_k, k)
+    momentum = (t_k - 1.0) / t_k1
+    c = (t_k - 1.0) / g
+    r = rho / g
+    w_ax = beta * (1.0 + momentum) - (r / g) * t_k1 * (t_k1 - 1.0)
+    adj_weights = (1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1,
+                   1.0 + momentum, -momentum)[:n_adj]
+    hist_weights = (1.0 + momentum, -r * (t_k1 - 1.0), -momentum, 0.0, -rho)
+    scale = (rho / g) * t_k1 * (t_k1 - 1.0 + g) / g
+    shift = 1.0 / cfg.sigma
+    gain = 1.0 / (shift + scale * cfg.spectral.s2) - 1.0 / shift
+    return (t_k1, momentum, scale, r * (t_k1 - 1.0 + g), np.array(adj_weights),
+            np.array(hist_weights), gain)
+
+
+def _bits(row):
+    return [np.asarray(value, dtype=float).tobytes() for value in row]
+
+
+def _assert_block_is_the_scalar_chain(cfg, st, block):
+    assert block.k == st.k
+    k, t_k = st.k, st.t_k
+    for row in block.rows:
+        want = _scalar_row(cfg, k, t_k, len(st.adj))
+        assert _bits(row) == _bits(want)
+        assert all(type(value) is float for value in row[:4])
+        k, t_k = k + 1, want[0]
+
+
+@pytest.mark.parametrize("rule", list(_SHIPPED_RULES.values()), ids=list(_SHIPPED_RULES))
+def test_step_block_rows_equal_the_scalar_formulas_bitwise(shipped_instance, rule):
+    # seven weights over adj with data, five without; three blocks' worth of
+    # rows, so a block longer than BLOCK is the same chain
+    prob = shipped_instance[0]
+    for problem in (prob, _without_data(prob)):
+        cfg = validate(problem, SolverParams(rule=rule, max_iter=10))
+        st = initial_state(problem, rule, np.zeros(problem.n), np.zeros(problem.p))
+        assert rule.kind != "attouch_cabot" or st.t_k == 0.0  # ac4 starts at t_1 = 0
+        block = solver.step_block(cfg, st, 2 * solver.BLOCK + 3)
+        assert len(block.rows) == 2 * solver.BLOCK + 3
+        assert {len(row[4]) for row in block.rows} == {len(st.adj)}
+        _assert_block_is_the_scalar_chain(cfg, st, block)
+
+
+def test_a_nesterov_block_from_a_state_mid_run_continues_its_t(shipped_instance):
+    # the recurrence restarts from the state's t_k, not from t_1
+    prob = shipped_instance[0]
+    params = SolverParams(rule=nesterov(), max_iter=300, record_every=100)
+    cfg = validate(prob, params)
+    states = {}
+    run(prob, params, cfg=cfg, observer=lambda rec, st: states.setdefault(st.k, st))
+    st = states[200]
+    block = solver.step_block(cfg, st, 100)
+    _assert_block_is_the_scalar_chain(cfg, st, block)
+    assert (np.array([row[0] for row in block.rows]).tobytes()
+            == t_values(nesterov(), 300)[200:].tobytes())
+
+
+def _state_bits(st):
+    return (st.k, np.float64(st.t_k).tobytes(), st.x_k.tobytes(), st.x_prev.tobytes(),
+            st.hist.tobytes(), st.adj.tobytes())
+
+
+@pytest.mark.parametrize("rule", list(_SHIPPED_RULES.values()), ids=list(_SHIPPED_RULES))
+def test_run_steps_equal_lone_steps_across_blocks_bitwise(shipped_instance, rule,
+                                                          monkeypatch):
+    # a run builds a block at its start and at k = BLOCK + 1, the last one cut
+    # to the 5 steps its budget leaves; a lone step builds its own one-row
+    # block, and every state is the same to the bit
+    prob = shipped_instance[0]
+    build = solver.step_block
+    for problem in (prob, _without_data(prob)):
+        params = SolverParams(rule=rule, max_iter=solver.BLOCK + 5, record_every=1)
+        cfg = validate(problem, params)
+        built = []
+        monkeypatch.setattr(solver, "step_block",
+                            lambda cfg, st, count: built.append((st.k, count))
+                            or build(cfg, st, count))
+        states = []
+        run(problem, params, cfg=cfg, observer=lambda rec, st: states.append(st))
+        assert built == [(1, solver.BLOCK), (solver.BLOCK + 1, 5)]
+        assert [st.k for st in states] == list(range(1, solver.BLOCK + 7))
+        st = initial_state(problem, rule, np.zeros(problem.n), np.zeros(problem.p))
+        assert _state_bits(st) == _state_bits(states[0])
+        for want in states[1:]:
+            st, _ = step(problem, cfg, st)
+            assert _state_bits(st) == _state_bits(want)
+        assert built[2:] == [(k, 1) for k in range(1, solver.BLOCK + 6)]  # one row each
+
+
+def test_step_refuses_a_block_that_does_not_cover_its_state(small_instance):
+    prob = small_instance[0]
+    cfg = validate(prob, SolverParams(rule=nesterov(), max_iter=10))
+    st = initial_state(prob, cfg.rule, np.zeros(prob.n), np.zeros(prob.p))
+    block = solver.step_block(cfg, st, 2)
+    st, _ = step(prob, cfg, st, block)
+    st, _ = step(prob, cfg, st, block)
+    with pytest.raises(ValueError, match="k=3"):
+        step(prob, cfg, st, block)
+    with pytest.raises(ValueError, match="k=3"):
+        step(prob, cfg, st, solver.step_block(cfg, st, 1)._replace(k=4))
+
+
+def test_an_unbounded_budget_allocates_no_more_than_one_block(shipped_instance):
+    # nothing is sized by max_iter: a run with a budget of 10^30 steps that
+    # meets its tolerance after 928 (four blocks) stays within 2 MB
+    prob = shipped_instance[0]
+    params = SolverParams(rule=chambolle_dossal(4.0), max_iter=10 ** 30, kkt_tol=1e-4,
+                          record_every=10 ** 30)
+    cfg = validate(prob, params)
+    tracemalloc.start()
+    try:
+        res = run(prob, params, cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.reason == "kkt tolerance" and res.iterations == 928
+    assert peak < 2 * 2 ** 20
