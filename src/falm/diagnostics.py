@@ -19,6 +19,15 @@ Only :func:`saddle_terms` applies the constraint map, once each way per run.
 The energy's seminorms take their images from the caller: ``A (x_k - x*)``
 is ``(A x_k - b) - (A x* - b)``, and ``A (x_k - x_{k-1})`` is the difference
 of the images an :class:`~falm.solver.IterateState` carries.
+
+:func:`gap`, :func:`objective_error` and :func:`energy` take one point or a
+stack of R points, one per row, and return one value per row; a 1-d call is
+the one-row case of the same code. :func:`~falm.solver.run` keeps the states
+due for a record and measures them in one call each per step block, at most
+``BLOCK`` states at a time. A row's value does not depend on the rows that
+share its stack: every inner product is one dot product per row
+(:func:`_dots`), and the Bregman term takes ``Q d`` with one matrix-vector
+product, or ``f(x)`` with one value call, per row.
 """
 
 from __future__ import annotations
@@ -32,16 +41,36 @@ from .linalg import Array
 from .problem import Problem, _check_dims
 
 
-def q_norm_sq(params, u: Array, au: Array) -> float:
+def _dots(u: Array, v: Array) -> Array:
+    """Inner products ``<u_r, v_r>`` of the rows of ``u`` and ``v``, one value
+    per row; either may be one vector that every row of the other meets.
+
+    A stack of (1 x n)(n x 1) products: ``np.matmul`` takes one dot product
+    per row, the one a lone pair of vectors takes, so a row's value does not
+    depend on the other rows. ``np.einsum`` does not guarantee that: it splits
+    rows longer than its 8192-element buffer depending on the stack.
+    """
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def _row_products(q: Array, d: Array) -> Array:
+    """``Q d_r`` for each row of ``d``: a stack of (n x n)(n x 1) products,
+    one matrix-vector product per row, as for a lone vector (a single matrix
+    product over all rows would change each row with the row count)."""
+    return np.matmul(q, d[..., :, None])[..., 0]
+
+
+def q_norm_sq(params, u: Array, au: Array) -> Array:
     """Squared seminorm ``<u,u>/sigma - beta ||A u||^2`` of a primal vector
-    ``u`` whose image ``au = A u`` the caller already holds.
+    ``u`` whose image ``au = A u`` the caller already holds, one value per row
+    of a stack of them.
 
     ``params`` must expose ``sigma`` and ``beta`` (a validated solver config
     does). The operator ``(1/sigma) Id - beta A*A`` is positive semidefinite
     whenever sigma satisfies its admissibility bound (then ``1/sigma >= L/gamma
     + beta ||A||^2``).
     """
-    return (1.0 / params.sigma) * float(u.dot(u)) - params.beta * float(au.dot(au))
+    return (1.0 / params.sigma) * _dots(u, u) - params.beta * _dots(au, au)
 
 
 @dataclass
@@ -73,8 +102,8 @@ class SaddleTerms(NamedTuple):
     ``x`` and ``lam`` are the point, ``residual`` is ``A x* - b`` and
     ``residual_sq`` its squared norm, ``adjoint`` is ``A* lam*`` and
     ``dual_grad`` is ``grad f(x*) + A* lam*``. ``bregman(x, d)`` is the
-    Bregman distance ``D_f(x, x*)`` with ``d = x - x*``; it holds ``f(x*)``
-    only for an objective without ``data``.
+    Bregman distance ``D_f(x, x*)`` with ``d = x - x*``, one value per row of
+    a stack; it holds ``f(x*)`` only for an objective without ``data``.
     """
 
     x: Array
@@ -83,25 +112,30 @@ class SaddleTerms(NamedTuple):
     residual_sq: float
     adjoint: Array
     dual_grad: Array
-    bregman: Callable[[Array, Array], float]
+    bregman: Callable[[Array, Array], Array]
 
 
 def _bregman(prob: Problem, x_star: Array,
-             grad_star: Array) -> Callable[[Array, Array], float]:
+             grad_star: Array) -> Callable[[Array, Array], Array]:
     """``D_f(x, x*) = f(x) - f(x*) - <grad f(x*), d>`` as a function of ``x``
-    and ``d = x - x*``; the only diagnostics code that reads
-    ``Objective.data``.
+    and ``d = x - x*``, one value per row; the only diagnostics code that
+    reads ``Objective.data``.
 
     With ``data = ("quadratic", Q, c)`` it is ``0.5 d'Qd``: one Hessian
-    product, no value call, and no cancellation. Without, it is a difference
-    of values: ``f(x*)`` is taken here, once, and each call takes ``f(x)``.
+    product per row, no value call, and no cancellation. Without, it is a
+    difference of values: ``f(x*)`` is taken here, once, and each row takes
+    one value call, ``f(x)``.
     """
     obj = prob.objective
     if obj.data is None:
         f_star = obj.value(x_star)
-        return lambda x, d: obj.value(x) - f_star - float(grad_star.dot(d))
+
+        def by_values(x: Array, d: Array) -> Array:
+            values = np.array([obj.value(row) for row in x.reshape(-1, prob.n)])
+            return values.reshape(x.shape[:-1]) - f_star - _dots(d, grad_star)
+        return by_values
     q = obj.data[1]
-    return lambda x, d: 0.5 * float(d.dot(q @ d))
+    return lambda x, d: 0.5 * _dots(d, _row_products(q, d))
 
 
 def saddle_terms(prob: Problem, x_star: Array, lam_star: Array) -> SaddleTerms:
@@ -118,77 +152,83 @@ def saddle_terms(prob: Problem, x_star: Array, lam_star: Array) -> SaddleTerms:
 class Gap(NamedTuple):
     """The primal-dual gap of ``(x, lam)`` (``value``) and the terms of it
     that :func:`objective_error` and :func:`energy` reuse: ``d = x - x*``,
-    ``dual = lam* - lam`` and ``dual_term = <lam* - lam, A x* - b>``."""
+    ``dual = lam* - lam`` and ``dual_term = <lam* - lam, A x* - b>``. For
+    stacks of points each holds one value or vector per row."""
 
-    value: float
+    value: Array
     d: Array
     dual: Array
-    dual_term: float
+    dual_term: Array
 
 
 def gap(prob: Problem, x: Array, lam: Array, star: SaddleTerms) -> Gap:
     """Primal-dual gap ``L(x, lam*) - L(x*, lam)``; nonnegative at saddle points.
 
-    With ``d = x - x*`` it is ``D_f(x, x*) + <grad f(x*) + A* lam*, d> +
-    <lam* - lam, A x* - b>`` for any f, the Bregman term ``D_f`` from
-    ``star.bregman``. The two inner products are small near a saddle point,
-    where ``grad f(x*) + A* lam*`` and ``A x* - b`` vanish. Returned as a
-    :class:`Gap` with the terms it formed.
+    ``x`` and ``lam`` are one point or stacks of R points, one per row, and
+    the gap has one value per row. With ``d = x - x*`` it is ``D_f(x, x*) +
+    <grad f(x*) + A* lam*, d> + <lam* - lam, A x* - b>`` for any f, the
+    Bregman term ``D_f`` from ``star.bregman``. The two inner products are
+    small near a saddle point, where ``grad f(x*) + A* lam*`` and ``A x* - b``
+    vanish. Returned as a :class:`Gap` with the terms it formed.
     """
     _check_dims(prob, x, lam)
     d = x - star.x
     dual = star.lam - lam
-    dual_term = float(dual.dot(star.residual))
-    value = star.bregman(x, d) + float(star.dual_grad.dot(d)) + dual_term
+    dual_term = _dots(dual, star.residual)
+    value = star.bregman(x, d) + _dots(d, star.dual_grad) + dual_term
     return Gap(value, d, dual, dual_term)
 
 
-def objective_error(star: SaddleTerms, gap: Gap) -> float:
+def objective_error(star: SaddleTerms, gap: Gap) -> Array:
     """Objective error ``|f(x) - f(x*)|`` read off the :func:`gap` of ``(x,
-    lam)``.
+    lam)``, one value per row of a stack.
 
     With ``d = x - x*``, ``f(x) - f(x*) = gap - <A* lam*, d> - <lam* - lam, A
     x* - b>``, so it needs no oracle call of its own and takes ``d`` and the
     last inner product from ``gap``; ``lam`` enters only through rounding.
     """
-    return abs(gap.value - float(star.adjoint.dot(gap.d)) - gap.dual_term)
+    return np.abs(gap.value - _dots(gap.d, star.adjoint) - gap.dual_term)
 
 
 def energy(params, state, star: SaddleTerms, gap: Gap, residual: Array,
-           residual_sq: float) -> float:
-    """Energy of ``state`` at the reference point of ``star``.
+           residual_sq: float | Array) -> Array:
+    """Energy of ``state`` at the reference point of ``star``, one value per
+    row of a stack of states.
 
     ``state`` exposes ``x_k``, ``x_prev``, ``lam_k``, ``lam_prev``, ``t_k``
     and the images ``ax_k`` and ``ax_prev``, as an
-    :class:`~falm.solver.IterateState` does; ``params`` must expose
+    :class:`~falm.solver.IterateState` does, or stacks of them with one state
+    per row (and an array ``t_k``); ``params`` must expose
     ``gamma``, ``sigma``, ``rho`` and ``beta`` (a validated solver config
     does). ``gap`` is the :func:`gap` of ``(x_k, lam_k)``, whose ``d`` and
     ``dual`` the energy reuses, ``residual`` is ``A x_k - b`` and
-    ``residual_sq`` its squared norm (the dot :func:`~falm.problem.kkt_residuals`
-    takes for the feasibility). No map is applied: ``A (x_k - x*)`` is
-    ``residual - star.residual`` and ``A (x_k - x_prev)`` is ``ax_k -
-    ax_prev``. The reference point must be a saddle point for the
-    monotonicity and bound properties to hold. The augmented gap is the gap
-    plus ``(beta/2)(||A x_k - b||^2 - ||A x* - b||^2)``.
+    ``residual_sq`` its squared norm (the dot
+    :func:`~falm.problem.kkt_residuals` takes for the feasibility), each per
+    row. No map is applied: ``A (x_k - x*)`` is ``residual - star.residual``
+    and ``A (x_k - x_prev)`` is ``ax_k - ax_prev``. The reference point must
+    be a saddle point for the monotonicity and bound properties to hold. The
+    augmented gap is the gap plus ``(beta/2)(||A x_k - b||^2 - ||A x* -
+    b||^2)``.
     """
     g = params.gamma
     rho = params.rho
-    t_k = state.t_k
+    t_k = np.asarray(state.t_k)
     t1 = t_k - 1.0
+    t1_rows = t1[..., None]  # t_k - 1 against each row's vectors
     gap_beta = gap.value + 0.5 * params.beta * (residual_sq - star.residual_sq)
     d_x = gap.d
     a_dx = residual - star.residual
-    d_z = g * d_x + t1 * (state.x_k - state.x_prev)  # z_k - gamma x*
-    a_dz = g * a_dx + t1 * (state.ax_k - state.ax_prev)
+    d_z = g * d_x + t1_rows * (state.x_k - state.x_prev)  # z_k - gamma x*
+    a_dz = g * a_dx + t1_rows * (state.ax_k - state.ax_prev)
     d_lam = gap.dual  # lam* - lam_k
     d_lam_prev = state.lam_k - state.lam_prev
-    d_nu = t1 * d_lam_prev - g * d_lam  # nu_k - gamma lam*
+    d_nu = t1_rows * d_lam_prev - g * d_lam  # nu_k - gamma lam*
     return (t_k * (t1 + g) * gap_beta
             + 0.5 * q_norm_sq(params, d_z, a_dz)
-            + 0.5 / rho * float(d_nu.dot(d_nu))
+            + 0.5 / rho * _dots(d_nu, d_nu)
             + 0.5 * g * (1.0 - g) * q_norm_sq(params, d_x, a_dx)
-            + 0.5 * g * (1.0 - g) / rho * float(d_lam.dot(d_lam))
-            + 0.5 * (1.0 - g) / rho * t1 * float(d_lam_prev.dot(d_lam_prev)))
+            + 0.5 * g * (1.0 - g) / rho * _dots(d_lam, d_lam)
+            + 0.5 * (1.0 - g) / rho * t1 * _dots(d_lam_prev, d_lam_prev))
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,13 @@ class Problem:
 
 
 def _check_dims(prob: Problem, x: Array, lam: Array) -> None:
-    if x.size != prob.n:
-        raise DimensionMismatch(f"x has dimension {x.size}, expected {prob.n}")
-    if lam.size != prob.p:
-        raise DimensionMismatch(f"multiplier has dimension {lam.size}, expected {prob.p}")
+    """``x`` and ``lam``, or every row of stacks of them, have the problem's
+    dimensions (their last axes)."""
+    if x.shape[-1:] != (prob.n,):
+        raise DimensionMismatch(f"x has shape {x.shape}, expected last axis {prob.n}")
+    if lam.shape[-1:] != (prob.p,):
+        raise DimensionMismatch(f"multiplier has shape {lam.shape}, expected last axis "
+                                f"{prob.p}")
 
 
 def kkt_residuals(prob: Problem, x: Array, lam: Array, *,

@@ -69,9 +69,9 @@ guarantee convergence of the iterates and are flagged in
 
 A run is single-threaded and owns its state; several runs may proceed
 concurrently on a shared immutable problem. The observer receives the live
-state each record was computed from; the run never changes a state after
-passing it on, and the observer must not change it either, nor block the
-iteration beyond record serialization.
+state each record was computed from, once per step block, in index order;
+the run never changes a state after passing it on, and the observer must
+not change it either, nor block the iteration beyond record serialization.
 """
 
 from __future__ import annotations
@@ -367,8 +367,13 @@ def step_block(cfg: ValidatedConfig, st: IterateState, count: int) -> StepBlock:
     """
     g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
     t_k1 = t_after(cfg.rule, st.t_k, st.k, count)
-    t_k = np.concatenate(([st.t_k], t_k1[:-1]))
-    momentum = (t_k - 1.0) / t_k1
+    # each subexpression that several columns share is formed once
+    t_k_m1 = np.concatenate(([st.t_k], t_k1[:-1])) - 1.0
+    t_k1_m1 = t_k1 - 1.0
+    t_k1_m1_g = t_k1_m1 + g
+    momentum = t_k_m1 / t_k1
+    one_plus_m = 1.0 + momentum
+    minus_m = -momentum
     # dual = beta (A y - b) + nu/gamma - (s/gamma) eta over the block's rows,
     # with c = (t_k - 1)/gamma and r = rho/gamma:
     #   A y           = (1 + momentum) A x_k - momentum A x_{k-1}
@@ -378,20 +383,20 @@ def step_block(cfg: ValidatedConfig, st: IterateState, count: int) -> StepBlock:
     # is the same weights over the rows of adj. With data, adj adds grad f(x_k)
     # and grad f(x_{k-1}), and grad f(y) = (1 + momentum) grad f(x_k)
     # - momentum grad f(x_{k-1}).
-    c = (t_k - 1.0) / g
+    c = t_k_m1 / g
     r = rho / g
-    w_ax = beta * (1.0 + momentum) - (r / g) * t_k1 * (t_k1 - 1.0)
-    adj_weights = (1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1,
-                   1.0 + momentum, -momentum)[:len(st.adj)]
+    w_ax = beta * one_plus_m - (r / g) * t_k1 * t_k1_m1
+    adj_weights = (1.0 + c, w_ax, -c, beta * minus_m, -beta - r * t_k1,
+                   one_plus_m, minus_m)[:len(st.adj)]
     # lam_{k+1} = mu + r (A z - gamma b), with
     #   mu  = lam_k + momentum (lam_k - lam_{k-1})
     #   A z = (t_{k+1} - 1 + gamma) A x_{k+1} - (t_{k+1} - 1) A x_k
-    hist_weights = (1.0 + momentum, -r * (t_k1 - 1.0), -momentum, np.zeros(count),
+    hist_weights = (one_plus_m, -r * t_k1_m1, minus_m, np.zeros(count),
                     np.full(count, -rho))
-    scale = (rho / g) * t_k1 * (t_k1 - 1.0 + g) / g
+    scale = r * t_k1 * t_k1_m1_g / g
     gains = cfg.spectral.gains(1.0 / cfg.sigma, scale)
     rows = list(zip(t_k1.tolist(), momentum.tolist(), scale.tolist(),
-                    (r * (t_k1 - 1.0 + g)).tolist(), np.column_stack(adj_weights),
+                    (r * t_k1_m1_g).tolist(), np.column_stack(adj_weights),
                     np.column_stack(hist_weights), gains))
     return StepBlock(st.k, rows)
 
@@ -513,6 +518,29 @@ def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
                          gradient=grad)
 
 
+class _StateRows(NamedTuple):
+    """The vectors of several states stacked one state per row, and their
+    ``t_k``: what :func:`~falm.diagnostics.energy` reads of a state."""
+
+    x_k: Array
+    x_prev: Array
+    t_k: Array
+    lam_k: Array
+    ax_k: Array
+    lam_prev: Array
+    ax_prev: Array
+
+    @classmethod
+    def of(cls, states: list[IterateState]) -> "_StateRows":
+        count = len(states)
+        # hist rows 0-3 are lam_k, A x_k, lam_{k-1} and A x_{k-1}, the last
+        # four fields in order
+        hist = np.concatenate([st.hist for st in states]).reshape(count, 5, -1)
+        return cls(np.concatenate([st.x_k for st in states]).reshape(count, -1),
+                   np.concatenate([st.x_prev for st in states]).reshape(count, -1),
+                   np.array([st.t_k for st in states]), *hist.transpose(1, 0, 2)[:4])
+
+
 @dataclass
 class RunResult:
     """Outcome of a solver run plus the recorded diagnostics stream."""
@@ -538,10 +566,18 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     state)`` when given, together with the :class:`IterateState` it was
     computed from, for diagnostics that need the raw vectors.
 
-    Every recorded state is measured one way, from the images it carries:
-    ``A x_k - b`` and :func:`kkt_residuals` with ``A* lam_k`` and, for an
-    objective with ``data``, ``grad f(x_k)``, and with a saddle point the
-    gap, objective error and energy, which apply no map.
+    Every recorded state is measured one way, from the images it carries.
+    When it is due, ``A x_k - b`` and :func:`kkt_residuals` with ``A* lam_k``
+    and, for an objective with ``data``, ``grad f(x_k)``: what the stop test
+    reads. The state then waits, with its KKT pair and refinement count, until
+    the next step block starts, the run stops or its trailing record is
+    taken, so at most ``BLOCK`` due states are held. There the waiting states
+    are stacked and, with a saddle point, their gap, objective error and
+    energy are computed in one call each, which apply no map; then their
+    records are built and passed to the observer in index order. So records
+    and observer calls come once per step block, at most ``BLOCK`` steps after
+    their state, and a row's values do not depend on the rows it was stacked
+    with (see :mod:`falm.diagnostics`).
     Two runs with identical configuration produce bit-identical records. A
     failed step returns a partial result with ``reason`` set to the
     :class:`StepError`'s, "non-finite iterate" or "inner solve failure" (see
@@ -556,36 +592,44 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         star = diagnostics.saddle_terms(prob, as_vector(saddle[0], prob.n, "x_star"),
                                         as_vector(saddle[1], prob.p, "lam_star"))
     records: list[diagnostics.RunRecord] = []
+    # states due for a record since the last flush, each with its refinement
+    # corrections, ||A x_k - b||^2 and KKT pair
+    pending: list[tuple[IterateState, int, float, tuple[float, float]]] = []
 
-    def measured(state: IterateState) -> tuple[Array, float, tuple[float, float]]:
+    def measured(state: IterateState) -> tuple[float, tuple[float, float]]:
         res = state.ax_k - prob.b
         res_sq = float(res.dot(res))
-        return res, res_sq, kkt_residuals(prob, state.x_k, state.lam_k, residual_sq=res_sq,
-                                          adjoint=state.adj[0], gradient=state.grad_k)
+        return res_sq, kkt_residuals(prob, state.x_k, state.lam_k, residual_sq=res_sq,
+                                     adjoint=state.adj[0], gradient=state.grad_k)
 
-    def emit(state: IterateState, cg_iters: int, res: Array, res_sq: float,
-             kkt: tuple[float, float]) -> None:
-        feas = kkt[1]
-        if saddle is not None:
-            gap = diagnostics.gap(prob, state.x_k, state.lam_k, star)
-            gap_val = gap.value
-            obj_err = diagnostics.objective_error(star, gap)
-            energy_val = diagnostics.energy(cfg, state, star, gap, res, res_sq)
+    def flush() -> None:
+        if saddle is not None and pending:
+            rows = _StateRows.of([entry[0] for entry in pending])
+            gap = diagnostics.gap(prob, rows.x_k, rows.lam_k, star)
+            energy = diagnostics.energy(cfg, rows, star, gap, rows.ax_k - prob.b,
+                                        np.array([entry[2] for entry in pending]))
+            measures = zip(gap.value.tolist(),
+                           diagnostics.objective_error(star, gap).tolist(), energy.tolist())
         else:
-            gap_val = obj_err = energy_val = None
-        rec = diagnostics.RunRecord(k=state.k, t_k=state.t_k, gap=gap_val,
-                                    feas=feas, obj_err=obj_err, kkt_grad=kkt[0],
-                                    kkt_feas=feas, energy=energy_val,
-                                    cg_iters=cg_iters)
-        records.append(rec)
-        if observer is not None:
-            observer(rec, state)
+            measures = [(None, None, None)] * len(pending)
+        for (state, cg_iters, _, (kkt_grad, feas)), (gap_val, obj_err, energy_val) in zip(
+                pending, measures):
+            rec = diagnostics.RunRecord(k=state.k, t_k=state.t_k, gap=gap_val,
+                                        feas=feas, obj_err=obj_err, kkt_grad=kkt_grad,
+                                        kkt_feas=feas, energy=energy_val,
+                                        cg_iters=cg_iters)
+            records.append(rec)
+            if observer is not None:
+                observer(rec, state)
+        pending.clear()
 
-    emit(st, 0, *measured(st))
+    pending.append((st, 0, *measured(st)))
+    recorded = st.k
     reason = "iteration budget"
     error = None
     for i in range(cfg.max_iter):
         if i % BLOCK == 0:
+            flush()
             block = step_block(cfg, st, min(BLOCK, cfg.max_iter - i))
         try:
             st, trace = step(prob, cfg, st, block)
@@ -596,7 +640,7 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         due = (st.k % cfg.record_every == 0) or i == cfg.max_iter - 1
         kkt = None
         if due:
-            res, res_sq, kkt = measured(st)
+            res_sq, kkt = measured(st)
         elif cfg.kkt_tol is not None:
             res = st.ax_k - prob.b
             res_sq = float(res.dot(res))
@@ -604,11 +648,13 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
         stop = (cfg.kkt_tol is not None and kkt is not None
                 and kkt[0] <= cfg.kkt_tol and kkt[1] <= cfg.kkt_tol)
         if due or stop:
-            emit(st, trace.cg_iters, res, res_sq, kkt)
+            pending.append((st, trace.cg_iters, res_sq, kkt))
+            recorded = st.k
         if stop:
             reason = "kkt tolerance"
             break
-    if records[-1].k != st.k:  # a failed step left the last good state unrecorded
-        emit(st, trace.cg_iters, *measured(st))
+    if recorded != st.k:  # a failed step left the last good state unrecorded
+        pending.append((st, trace.cg_iters, *measured(st)))
+    flush()
     return RunResult(x=st.x_k.copy(), lam=st.lam_k.copy(), iterations=st.k - 1,
                      reason=reason, records=records, error=error)

@@ -336,3 +336,50 @@ def test_rate_fit_too_few_records():
     ks = np.arange(1, 8)
     with pytest.raises(ValueError, match="too few"):
         rate_fit(_records_from(ks, 1.0 / ks), "gap", 1, 8)
+
+
+def _stacked(states):
+    """The states' vectors stacked one state per row, as ``energy`` reads them."""
+    return SimpleNamespace(**{name: np.stack([getattr(st, name) for st in states])
+                              for name in ("x_k", "x_prev", "lam_k", "lam_prev",
+                                           "ax_k", "ax_prev")},
+                           t_k=np.array([st.t_k for st in states]))
+
+
+@pytest.mark.parametrize("data", [True, False], ids=["data", "no_data"])
+def test_a_one_row_call_equals_its_row_of_a_256_row_call(data):
+    # gap, objective error and energy of each of 256 recorded states, alone
+    # and in one stack, to the bit
+    prob, qp = generate(GenSpec("random_qp", 50, 10, 7, 100.0))
+    problem = prob if data else _without_data(prob)
+    params = SolverParams(rule=chambolle_dossal(4.0), max_iter=300, record_every=1)
+    cfg = validate(problem, params)
+    states = []
+    run(problem, params, cfg=cfg, observer=lambda rec, st: states.append(st))
+    states = states[30:286]
+    star = saddle_terms(problem, *kkt_solve(qp))
+    rows = _stacked(states)
+    residual = rows.ax_k - problem.b
+    residual_sq = np.array([float(r.dot(r)) for r in residual])
+    stacked = gap(problem, rows.x_k, rows.lam_k, star)
+    values = (stacked.value, objective_error(star, stacked),
+              energy(cfg, rows, star, stacked, residual, residual_sq))
+    assert [v.shape for v in values] == [(256,)] * 3
+    for i, st in enumerate(states):
+        one = gap(problem, st.x_k, st.lam_k, star)
+        alone = (one.value, objective_error(star, one),
+                 energy(cfg, st, star, one, residual[i], float(residual_sq[i])))
+        assert [np.shape(v) for v in alone] == [()] * 3
+        assert [float(v) for v in alone] == [float(v[i]) for v in values]
+
+
+def test_q_norm_sq_rows_do_not_depend_on_their_stack():
+    # rows longer than np.einsum's 8192-element buffer too
+    rng = np.random.default_rng(9)
+    cfg = SimpleNamespace(sigma=0.5, beta=1.0)
+    for n in (3, 50, 8193, 20000):
+        u, au = rng.standard_normal((17, n)), rng.standard_normal((17, 5))
+        stacked = q_norm_sq(cfg, u, au)
+        assert stacked.shape == (17,)
+        assert [float(q_norm_sq(cfg, u[i], au[i])) for i in range(17)] == stacked.tolist()
+        assert q_norm_sq(cfg, u[3:9], au[3:9]).tolist() == stacked[3:9].tolist()

@@ -667,12 +667,13 @@ def test_run_dense_matches_matrix_free(small_instance):
     assert free.lam.tobytes() == dense.lam.tobytes()
 
 
-def test_run_refines_the_closed_form_on_a_generated_instance():
+def test_run_refines_the_closed_form_on_a_generated_instance(monkeypatch):
     # Refinement is not dead code: on this well-conditioned 20x19 instance the
     # closed form misses its residual target on 86 of 300 steps at cg_tol
     # 1e-12 (the first at k = 212) and on 259 at 1e-14. A correction from the
     # map's own factor is nearly exact, so no step needs more than 2.
     prob, qp = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
+    lone_step = solver.step
     for cg_tol in (1e-12, 1e-14):
         params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
                               record_every=1, cg_tol=cg_tol)
@@ -684,19 +685,31 @@ def test_run_refines_the_closed_form_on_a_generated_instance():
         assert free.records == res.records
         assert free.x.tobytes() == res.x.tobytes()
         assert free.lam.tobytes() == res.lam.tobytes()
-        # between two records: a step (1 forward, 2 adjoints, and one of each
-        # per correction); the record, with or without a saddle point, reads
-        # the images the state carries
+        # a step applies 1 forward and 2 adjoints, and one of each per
+        # correction; the records, with or without a saddle point, read the
+        # images the states carry, so nothing is applied between two steps or
+        # after the last one
         for saddle in (None, kkt_solve(qp)):
             counted, calls = _counting(prob)
-            seen = []
-            observed = run(counted, params, saddle=saddle,
-                           observer=lambda rec, _: seen.append(
-                               (rec.cg_iters, calls["forward"], calls["adjoint"])))
+            counts = []  # (corrections, applies before the step, applies after it)
+
+            def counting_step(*args, **kwargs):
+                before = (calls["forward"], calls["adjoint"])
+                new, trace = lone_step(*args, **kwargs)
+                counts.append((trace.cg_iters, before, (calls["forward"], calls["adjoint"])))
+                return new, trace
+
+            monkeypatch.setattr(solver, "step", counting_step)
+            observed = run(counted, params, saddle=saddle)
+            monkeypatch.setattr(solver, "step", lone_step)
             assert [replace(rec, gap=None, obj_err=None, energy=None)
                     for rec in observed.records] == res.records
-            for (_, fwd0, adj0), (cg, fwd1, adj1) in zip(seen, seen[1:]):
+            assert len(counts) == 300
+            for cg, (fwd0, adj0), (fwd1, adj1) in counts:
                 assert (fwd1 - fwd0, adj1 - adj0) == (1 + cg, 2 + cg)
+            afters = [after for _, _, after in counts]
+            befores = [before for _, before, _ in counts[1:]]
+            assert befores + [(calls["forward"], calls["adjoint"])] == afters
 
 
 def test_dense_step_applies_the_map_three_times():
@@ -1138,3 +1151,91 @@ def test_an_unbounded_budget_allocates_no_more_than_one_block(shipped_instance):
         tracemalloc.stop()
     assert res.reason == "kkt tolerance" and res.iterations == 928
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("data", [True, False], ids=["data", "no_data"])
+def test_records_do_not_depend_on_their_step_block(shipped_instance, data):
+    # a 300-step run measures its records 258..301 in a 44-row stack, a
+    # 700-step run in a 256-row one; the records are the same to the bit
+    prob, saddle = shipped_instance
+    problem = prob if data else _without_data(prob)
+    short, long_ = (run(problem, SolverParams(rule=chambolle_dossal(4.0), max_iter=n,
+                                              record_every=1), saddle=saddle)
+                    for n in (300, 700))
+    assert len(short.records) == 301 and len(long_.records) == 701
+    assert short.records == long_.records[:301]
+
+
+def _observed_run(monkeypatch, prob, params, saddle):
+    """``run`` and, for each observer call, the record, its state and the
+    number of steps taken so far."""
+    lone_step = solver.step
+    steps = itertools.count(1)
+    taken = [0]
+
+    def counting_step(*args, **kwargs):
+        taken[0] = next(steps)
+        return lone_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counting_step)
+    seen = []
+    res = run(prob, params, saddle=saddle,
+              observer=lambda rec, st: seen.append((rec, st, taken[0])))
+    monkeypatch.setattr(solver, "step", lone_step)
+    return res, seen
+
+
+def _assert_observed_in_order_from_their_states(prob, res, seen, saddle):
+    star = saddle_terms(prob, *saddle)
+    assert [rec for rec, _, _ in seen] == res.records
+    ks = [rec.k for rec in res.records]
+    assert ks == sorted(set(ks))
+    for rec, st, taken in seen:
+        assert (rec.k, rec.t_k) == (st.k, st.t_k)
+        assert rec.gap == gap(prob, st.x_k, st.lam_k, star).value
+        # the state k is made by step k - 1, in block (k - 2) // BLOCK, whose
+        # records are measured when the next block starts or the run ends
+        assert taken <= ((rec.k - 2) // solver.BLOCK + 1) * solver.BLOCK
+
+
+def test_the_observer_sees_each_record_with_its_state_by_the_next_block(shipped_instance,
+                                                                         monkeypatch):
+    prob, saddle = shipped_instance
+    params = SolverParams(rule=chambolle_dossal(4.0), max_iter=600, record_every=1)
+    res, seen = _observed_run(monkeypatch, prob, params, saddle)
+    assert len(res.records) == 601
+    _assert_observed_in_order_from_their_states(prob, res, seen, saddle)
+    # the records of a block come at the start of the next one, and the last
+    # block's at the end of the run
+    assert {taken for _, _, taken in seen} == {0, solver.BLOCK, 2 * solver.BLOCK, 600}
+
+    # a stop at the KKT tolerance in the third block is observed at the stop
+    params = SolverParams(rule=nesterov(), max_iter=5000, kkt_tol=1e-4, record_every=7)
+    res, seen = _observed_run(monkeypatch, prob, params, saddle)
+    assert res.reason == "kkt tolerance" and res.iterations > 2 * solver.BLOCK
+    assert res.records[-1].k % 7 != 0 and seen[-1][2] == res.iterations
+    _assert_observed_in_order_from_their_states(prob, res, seen, saddle)
+
+
+def test_the_observer_sees_the_trailing_record_of_a_failed_step(monkeypatch):
+    # the gradient turns NaN at its 252nd call (the saddle point's terms take
+    # one), so the step to k = 251 fails and k = 250 is recorded after the loop
+    # (see test_trailing_record_after_a_failed_step_carries_its_corrections)
+    prob, qp = generate(GenSpec("random_qp", 20, 19, 7, 1.0))
+    obj = prob.objective
+    calls = itertools.count(1)
+
+    def gradient(x):
+        g = obj.gradient(x)
+        return g if next(calls) <= 251 else np.full_like(g, np.nan)
+
+    bad = Problem(objective=Objective(obj.value, gradient, obj.lipschitz, obj.data),
+                  a_map=prob.a_map, b=prob.b)
+    params = SolverParams(rule=chambolle_dossal(4.0), cg_tol=1e-14, max_iter=300,
+                          record_every=100)
+    saddle = kkt_solve(qp)
+    res, seen = _observed_run(monkeypatch, bad, params, saddle)
+    assert res.reason == "non-finite iterate"
+    assert [rec.k for rec in res.records] == [1, 100, 200, 250]
+    assert [taken for _, _, taken in seen] == [0, 250, 250, 250]
+    _assert_observed_in_order_from_their_states(prob, res, seen, saddle)
