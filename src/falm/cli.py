@@ -54,8 +54,10 @@ against at least one of "max_slope", "min_slope" and "min_r2". A "monotone"
 check allows per-step increases up to ``tol * |first value|``, starting at
 the optional index "from_k"; the allowance scales with the data, so the
 verdict does not depend on the data's scale. Floating-point noise means a
-strict ``tol = 0`` will fail on any real run, so keep the 1e-9 scale. Every
-bound and "tol" is a finite number.
+strict ``tol = 0`` will fail on any real run, so keep the 1e-9 scale. It
+fails when fewer than two records lie at "from_k" or later, and reports the
+records it compared (``n_used``, ``k_first``, ``k_last``). Every bound and
+"tol" is a finite number.
 
 This module is the one reader of both documents. Each object of either
 goes through :func:`_read`: a key that nothing reads is refused, then each
@@ -536,13 +538,17 @@ def _check_monotone(check: dict, records) -> dict:
     values = [(r.k, getattr(r, field)) for r in records
               if getattr(r, field) is not None]
     if not values:
-        return {"ok": False, "error": f"metric {field!r} not recorded"}
+        raise ValueError(f"metric {field!r} not recorded")
     allowance = check["tol"] * abs(values[0][1])
     scoped = [(k, v) for k, v in values if k >= check["from_k"]]
+    if len(scoped) < 2:  # nothing to compare
+        raise ValueError(f"too few records of {field!r} at k >= {check['from_k']}: "
+                         f"{len(scoped)}, need 2")
+    span = {"n_used": len(scoped), "k_first": scoped[0][0], "k_last": scoped[-1][0]}
     for (_, prev), (k, cur) in zip(scoped, scoped[1:]):
         if cur > prev + allowance:
-            return {"ok": False, "violation_k": k, "increase": cur - prev}
-    return {"ok": True}
+            return {"ok": False, "violation_k": k, "increase": cur - prev, **span}
+    return {"ok": True, **span}
 
 
 _CHECKS = {"slope": _check_slope, "monotone": _check_monotone}

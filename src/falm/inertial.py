@@ -50,6 +50,15 @@ SPEC_KEYS = {"nesterov": (), "chambolle_dossal": ("alpha",),
              "attouch_cabot": ("alpha",), "constant": ("m",)}
 RULE_KINDS = tuple(SPEC_KEYS)
 
+# Largest alpha of the alpha rules. With d = 1/(alpha - 1), their float margin
+# m = fl(2/fl(alpha - 1)) takes two roundings, so it can lie below the exact 2d
+# by up to 2^-51 d, and the exact slack that certify measures is then
+# -d^2 + (2d - m) t_{k+1}, below d (2^-51 t_{k+1} - d). Up to 2^50, d > 2^-50,
+# and t_{K+1} is 1 + K d (chambolle_dossal) or K d (attouch_cabot), so the slack
+# stays negative for every K < 2^50. Above it the slack can be positive: alpha
+# = 1e16 fails certify at K = 10^4.
+ALPHA_MAX = 2.0 ** 50
+
 
 @dataclass(frozen=True)
 class InertialRule:
@@ -57,8 +66,9 @@ class InertialRule:
 
     ``m`` defaults to the margin of the kind (:func:`min_margin`), or to 1
     for ``constant``, which admits any margin in (0, 1]. An ``alpha`` on a
-    kind that does not read it (``nesterov``, ``constant``) and a boolean
-    ``m`` raise ``ValueError`` naming the field.
+    kind that does not read it (``nesterov``, ``constant``), an ``alpha``
+    outside ``[3, ALPHA_MAX]`` and a boolean ``m`` raise ``ValueError`` naming
+    the field.
     """
 
     kind: str
@@ -71,6 +81,9 @@ class InertialRule:
         if "alpha" in SPEC_KEYS[self.kind]:
             if self.alpha is None or not 3.0 <= self.alpha < math.inf:  # refuses NaN too
                 raise ValueError(f"{self.kind} requires a finite alpha >= 3, got {self.alpha}")
+            if self.alpha > ALPHA_MAX:
+                raise ValueError(f"{self.kind} requires alpha <= ALPHA_MAX = 2**50, whose "
+                                 f"float margin certifies, got {self.alpha}")
         elif self.alpha is not None:
             raise ValueError(f"{self.kind} does not read alpha, got {self.alpha!r}")
         if isinstance(self.m, (bool, np.bool_)):

@@ -85,7 +85,9 @@ class LinearMap:
 
 
 def dense_map(a) -> LinearMap:
-    """Wrap a dense p-by-n matrix as a LinearMap (forward is ``a @ x``)."""
+    """Wrap a dense p-by-n matrix as a LinearMap: forward is ``a.dot(x)`` and
+    adjoint ``a.T.dot(y)``, bitwise ``a @ x`` and ``a.T @ y`` for a 1-d vector
+    (the same gemv) at about half the call cost."""
     a = np.array(a, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"dense operator must be 2-d, got shape {a.shape}")
@@ -93,9 +95,7 @@ def dense_map(a) -> LinearMap:
         raise NonFiniteError("dense operator contains NaN or infinite entries")
     a.flags.writeable = False
     p, n = a.shape
-    at = a.T  # one view for every adjoint
-    return LinearMap(forward=lambda x: a @ x, adjoint=lambda y: at @ y,
-                     dims=(n, p), matrix=a)
+    return LinearMap(forward=a.dot, adjoint=a.T.dot, dims=(n, p), matrix=a)
 
 
 def zero_map(n: int, p: int) -> LinearMap:
@@ -154,9 +154,10 @@ class SpectralFactor:
 
         With ``A*A = V S^2 Vt``: ``x = rhs/shift + V[(shift + scale*S^2)^{-1}
         - 1/shift] Vt rhs``; directions outside the row space of ``vt`` see
-        only the shift.
+        only the shift. The two products are ``vt.dot`` and ``v.dot``,
+        bitwise ``vt @ rhs`` and ``v @ (...)``.
         """
-        return (1.0 / shift) * rhs + self.v @ (gain * (self.vt @ rhs))
+        return (1.0 / shift) * rhs + self.v.dot(gain * self.vt.dot(rhs))
 
 
 def op_norm_sq(a_map: LinearMap, b: Array | None = None) -> SpectralFactor:

@@ -106,7 +106,7 @@ def _quadratic(q, c, lipschitz: float | None,
     """The objective whose gradient is ``q x + c``: the one gradient path.
     Without ``value``, f is ``0.5 x'qx + c'x``."""
     obj = Objective(value=value or (lambda x: float(0.5 * np.dot(x, q @ x) + np.dot(c, x))),
-                    gradient=lambda x: q @ x + c, lipschitz=lipschitz,
+                    gradient=lambda x: q.dot(x) + c, lipschitz=lipschitz,
                     data=("quadratic", q, c))
     _, q, c = obj.data  # the oracles read the checked arrays Objective keeps
     return obj

@@ -104,6 +104,13 @@ STOP_MARGIN = 1e-6
 # steps, a shorter one when its budget ends sooner.
 BLOCK = 256
 
+# The rows that a step's new hist and adj blocks copy from the old ones, by
+# row count: lam, A x and grad f move back one index and b stays, then the new
+# iterate's rows overwrite rows 0, 1 and 5. take reads an index array faster
+# than a tuple.
+_NEXT_ROWS = {5: np.array((0, 1, 0, 1, 4), dtype=np.intp),
+              7: np.array((0, 1, 0, 1, 4, 5, 5), dtype=np.intp)}
+
 
 @dataclass
 class SolverParams:
@@ -451,10 +458,10 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
     hist, adj = st.hist, st.adj
     if affine:
         grad_y = None
-        rhs = y / cfg.sigma - np.dot(adj_weights, adj)
+        rhs = y / cfg.sigma - adj_weights.dot(adj)
     else:
         grad_y = prob.objective.gradient(y)
-        rhs = y / cfg.sigma - grad_y - np.dot(adj_weights, adj)
+        rhs = y / cfg.sigma - grad_y - adj_weights.dot(adj)
     try:
         sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, scale, rhs,
                         tol=cfg.cg_tol, gain=gain)
@@ -463,15 +470,15 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
         raise StepError(st.k, f"primal subproblem solve failed: {exc}", reason) from exc
     x_next = sol.x
 
-    new = hist.take((0, 1, 0, 1, 4), axis=0)
+    new = hist.take(_NEXT_ROWS[5], axis=0)
     lam_next = new[0]
-    np.dot(hist_weights, hist, out=lam_next)
+    hist_weights.dot(hist, out=lam_next)
     lam_next += ax_weight * sol.ax
     x_finite = math.isfinite(sol.residual) or all_finite(x_next)
     if not (x_finite and all_finite(lam_next)):
         raise StepError(st.k, "iterate left the finite range (NaN or overflow)", NON_FINITE)
     new[1] = sol.ax
-    new_adj = adj.take((0, 1, 0, 1, 4, 5, 5)[:len(adj)], axis=0)
+    new_adj = adj.take(_NEXT_ROWS[len(adj)], axis=0)
     new_adj[0] = prob.a_map.adjoint(lam_next)
     new_adj[1] = sol.atax
     if affine:

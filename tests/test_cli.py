@@ -276,7 +276,24 @@ def test_monotone_check_from_k():
                          kkt_grad=0.0, kkt_feas=0.0, energy=e, cg_iters=0)
                for k, e in [(1, 1.0), (2, 5.0), (3, 4.0), (4, 3.0)]]
     assert not _check_monotone(_monotone(tol=1e-9), records)["ok"]
-    assert _check_monotone(_monotone(tol=1e-9, from_k=2), records)["ok"]
+    assert _check_monotone(_monotone(tol=1e-9, from_k=2), records) == {
+        "ok": True, "n_used": 3, "k_first": 2, "k_last": 4}
+    # fewer than two records in scope passed without comparing anything
+    for from_k in (4, 5, 1000):
+        with pytest.raises(ValueError, match=f"too few records of 'energy' at k >= {from_k}"):
+            _check_monotone(_monotone(tol=1e-9, from_k=from_k), records)
+
+
+def test_ratecheck_fails_a_monotone_check_past_the_last_record(tmp_path, capsys):
+    cfg = _small_config(tmp_path, max_iter=50)
+    thresholds = _write(tmp_path / "t.json", {"window": [1, 50], "checks": [
+        {"kind": "monotone", "metric": "gap", "label": "cd4", "tol": 1e-9,
+         "from_k": 1000}]})
+    assert execute("ratecheck", cfg, thresholds_path=thresholds) == 1
+    entry, = json.loads((tmp_path / "out" / "ratecheck.json").read_text())["results"]
+    assert entry["ok"] is False
+    assert entry["error"] == "too few records of 'gap' at k >= 1000: 0, need 2"
+    assert "ratecheck FAILED: metric 'gap' on run 'cd4'" in capsys.readouterr().err
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -500,6 +517,20 @@ def test_infinite_alpha_exits_2_naming_alpha(tmp_path, capsys):
     assert "Infinity" in Path(cfg).read_text()
     assert execute("run", cfg) == 2
     assert "requires a finite alpha >= 3, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [1e16, 1e20])
+def test_an_alpha_above_alpha_max_exits_2_before_any_run(tmp_path, capsys, alpha):
+    # its float margin 2/(alpha - 1) rounded below the rule's slack: the runs
+    # went through, then certify raised in the summary, exit 1 with a traceback
+    cfg = _small_config(tmp_path, runs=_tiny_runs())
+    doc = json.loads(Path(cfg).read_text())
+    doc["runs"][0]["rule"] = {"rule": "chambolle_dossal", "alpha": alpha}
+    _write(tmp_path / "config.json", doc)
+    assert execute("run", cfg) == 2
+    assert (f"chambolle_dossal requires alpha <= ALPHA_MAX = 2**50, whose float margin "
+            f"certifies, got {alpha}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_inline_least_squares_with_nan_m_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from falm.errors import CertificationError
 from falm.cli import rule_from_spec
-from falm.inertial import (InertialRule, attouch_cabot, certify,
+from falm.inertial import (ALPHA_MAX, InertialRule, attouch_cabot, certify,
                            chambolle_dossal, constant, nesterov, next_t, phi_m,
                            t_values)
 
@@ -61,6 +62,19 @@ def test_rule_constructor_validation():
         constant(0.0)
     with pytest.raises(ValueError):
         constant(1.5)
+
+
+@pytest.mark.parametrize("factory", [chambolle_dossal, attouch_cabot])
+def test_the_largest_accepted_alpha_certifies(factory):
+    # above ALPHA_MAX the float margin can round below the exact slack:
+    # chambolle_dossal(1e16) failed certify at K = 10^4
+    for K in (2, 10_000):
+        assert certify(factory(ALPHA_MAX), K).ok
+    for alpha in (np.nextafter(ALPHA_MAX, np.inf), 1e16, 3e17, 1e20):
+        with pytest.raises(ValueError, match=re.escape(
+                f"requires alpha <= ALPHA_MAX = 2**50, whose float margin certifies, "
+                f"got {alpha}")):
+            factory(alpha)
 
 
 @pytest.mark.parametrize("alpha", [3.0, 4.0, 7.3])

@@ -57,6 +57,34 @@ def test_adjoint_consistency(a_map):
         assert abs(lhs - rhs) <= 1e-10 * scale
 
 
+# The dense maps' and the spectral solve's products are ndarray.dot, a cheaper
+# dispatch of the gemv that @ calls: bitwise the same for a 2-d matrix and a
+# 1-d vector, C- or F-ordered, at the shapes of the benchmark's instances.
+@pytest.mark.parametrize("p, n", [(10, 50), (50, 10), (200, 1000)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dense_map_applies_bitwise_as_matmul(p, n, order):
+    rng = np.random.default_rng(p * n)
+    a = np.asarray(rng.standard_normal((p, n)), order=order)
+    a_map = dense_map(a)
+    assert a_map.matrix.flags[f"{order}_CONTIGUOUS"]
+    for _ in range(3):
+        x, y = rng.standard_normal(n), rng.standard_normal(p)
+        assert a_map.forward(x).tobytes() == (a @ x).tobytes()
+        assert a_map.adjoint(y).tobytes() == (a.T @ y).tobytes()
+
+
+@pytest.mark.parametrize("p, n", [(10, 50), (200, 1000)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_spectral_solve_is_bitwise_its_matmul_formula(p, n, order):
+    rng = np.random.default_rng(p + n)
+    factor = op_norm_sq(dense_map(np.asarray(rng.standard_normal((p, n)), order=order)))
+    for shift, scale in [(1.7, 0.3), (101.0, 1e-4)]:
+        gain = factor.gains(shift, scale)
+        rhs = rng.standard_normal(n)
+        want = (1.0 / shift) * rhs + factor.v @ (gain * (factor.vt @ rhs))
+        assert factor.solve(shift, rhs, gain).tobytes() == want.tobytes()
+
+
 def test_op_norm_sq_scaled_identity():
     est = op_norm_sq(_scaled_identity(2.0, 3))
     assert est.iterations == 3  # one adjoint probe per row

@@ -313,6 +313,19 @@ def test_least_squares_gradient_reads_its_quadratic_form():
     assert np.array_equal(quad.data[1], q) and np.array_equal(quad.data[2], np.ones(2))
 
 
+@pytest.mark.parametrize("n", [50, 1000])
+def test_quadratic_gradient_is_bitwise_q_matmul_x_plus_c(n):
+    # the gradient is q.dot(x) + c, a cheaper dispatch of the same gemv as @
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    for obj in (quadratic_objective(m + m.T, rng.standard_normal(n), lipschitz=1.0),
+                least_squares_objective(m, rng.standard_normal(n), lipschitz=1.0)):
+        _, q, c = obj.data
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            assert obj.gradient(x).tobytes() == (q @ x + c).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_least_squares_rejects_non_finite_m(bad):
     m = np.eye(3)
