@@ -11,7 +11,11 @@ of 7 repetitions each:
 - ``lone_step_us``: a lone ``step(prob, cfg, st)``, which builds the one-row
   step block of its state, on the state after 100 steps;
 - ``lone_records_us``: one 1-d call each of ``gap``, ``objective_error`` and
-  ``energy`` on that state, against the config's KKT saddle point.
+  ``energy`` on that state, against the config's KKT saddle point;
+- ``cls1000_step_us``: the cd4 run of the seed-7 1000x200
+  ``constrained_least_squares`` instance (``cond`` 100), its map wrapped
+  matrix-free, to ``kkt_tol`` 1e-3, per step, best of 3: the step whose
+  gradient goes to the run's worker thread.
 
 A report, not a gate: the end-to-end benchmark times hide these costs.
 """
@@ -32,17 +36,31 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
-from falm import cli, diagnostics, kkt_solve, solver  # noqa: E402
+from falm import (GenSpec, LinearMap, Problem, SolverParams, chambolle_dossal,  # noqa: E402
+                  cli, diagnostics, generate, kkt_solve, solver)
 
 REPEATS = 7
 RUN_STEPS = 2000
 LONE_CALLS = 2000
 WARM_STEPS = 100
+CLS_REPEATS = 3
 
 
-def best_us(fn, calls: int, per: int) -> float:
-    """Best of ``REPEATS`` timings of ``calls`` calls of ``fn``, in µs per ``per``."""
-    return round(min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / per * 1e6, 1)
+def best_us(fn, calls: int, per: int, repeats: int = REPEATS) -> float:
+    """Best of ``repeats`` timings of ``calls`` calls of ``fn``, in µs per ``per``."""
+    return round(min(timeit.repeat(fn, number=calls, repeat=repeats)) / per * 1e6, 1)
+
+
+def cls1000_step_us() -> float:
+    """Best of ``CLS_REPEATS`` in-run µs per step of the 1000x200 run to ``kkt_tol``."""
+    prob, _ = generate(GenSpec("constrained_least_squares", 1000, 200, 7, 100.0))
+    a = prob.a_map
+    prob = Problem(prob.objective, LinearMap(a.forward, a.adjoint, a.dims), prob.b)
+    params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=20_000,
+                          kkt_tol=1e-3, record_every=100)
+    cfg = solver.validate(prob, params)
+    steps = solver.run(prob, params, cfg=cfg).iterations
+    return best_us(lambda: solver.run(prob, params, cfg=cfg), 1, steps, CLS_REPEATS)
 
 
 def main() -> None:
@@ -68,6 +86,7 @@ def main() -> None:
         "in_run_step_us": best_us(lambda: solver.run(prob, params, cfg=cfg), 1, RUN_STEPS),
         "lone_step_us": best_us(lambda: solver.step(prob, cfg, st), LONE_CALLS, LONE_CALLS),
         "lone_records_us": best_us(records, LONE_CALLS, LONE_CALLS),
+        "cls1000_step_us": cls1000_step_us(),
         "src": str(SRC), "config": "configs/qp_cd.json cd4", "blas_threads": 1,
         "best_of": REPEATS,
     }))

@@ -573,9 +573,14 @@ def _write_ratecheck(config: ExperimentConfig, results: dict[str, RunResult],
                   json.dumps({"ok": first_violation is None, "results": report},
                              indent=2, sort_keys=True) + "\n")
     if first_violation is not None:
-        where = first_violation.get("violation_k", "window")
+        if "error" in first_violation:
+            detail = f": {first_violation['error']}"
+        elif "violation_k" in first_violation:
+            detail = f" at k={first_violation['violation_k']}"
+        else:
+            detail = f" over the window {first_violation['window']}"
         print(f"ratecheck FAILED: metric {first_violation['check']['metric']!r} "
-              f"on run {first_violation['label']!r} at k={where}", file=sys.stderr)
+              f"on run {first_violation['label']!r}{detail}", file=sys.stderr)
         return 1
     print(f"ratecheck passed ({len(report)} checks)")
     return 0

@@ -75,7 +75,11 @@ class LinearMap:
     ``forward`` maps dimension ``dims[0]`` to ``dims[1]``; ``adjoint`` goes the
     other way and must satisfy <forward(x), y> == <x, adjoint(y)>. ``matrix``
     optionally keeps the dense representation for factoring and oracles.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads. Both procedures
+    must be safe to call while another thread runs the objective's gradient:
+    :func:`~falm.solver.run` applies the map while a worker thread computes
+    the gradient of a quadratic objective whose ``Q`` holds at least
+    :data:`~falm.solver.OVERLAP_BYTES`.
     """
 
     forward: Callable[[Array], Array]
@@ -245,7 +249,8 @@ class SpdSolution(NamedTuple):
 
 
 def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: float,
-              rhs: Array, *, tol: float = 1e-12, gain: Array | None = None) -> SpdSolution:
+              rhs: Array, *, tol: float = 1e-12, gain: Array | None = None,
+              started: Callable[[Array], object] | None = None) -> SpdSolution:
     """Solve ``M x = rhs`` for ``M = shift*Id + scale*A*A``, returning once
     ``||M x - rhs|| <= tol * max(1, ||rhs||)``.
 
@@ -253,7 +258,10 @@ def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: flo
     :func:`op_norm_sq` of ``a_map``, and ``gain`` its
     :meth:`SpectralFactor.gains` row of ``shift`` and ``scale`` when the caller
     has it (a run's step blocks build them for many scales at once). The start
-    point is the closed form :meth:`SpectralFactor.solve`. Each residual check
+    point is the closed form :meth:`SpectralFactor.solve`; ``started``, when
+    given, is called with it before the first residual check, so that a caller
+    can start work on it elsewhere (a correction builds a new array, so that
+    one is never written after the call). Each residual check
     takes one forward and one adjoint apply. While the true residual ``r``
     misses the target, iterative refinement corrects the start with the same
     factor and gains, ``x += factor.solve(shift, r, gain)``; a factor of the
@@ -281,6 +289,8 @@ def solve_spd(a_map: LinearMap, factor: SpectralFactor, shift: float, scale: flo
     if gain is None:
         gain = factor.gains(shift, scale)
     x = factor.solve(shift, rhs, gain)
+    if started is not None:
+        started(x)
     for corrections in range(REFINE_STEPS + 1):
         if corrections:
             x = x + factor.solve(shift, r, gain)

@@ -69,7 +69,10 @@ class Objective:
     Both arrays go through :func:`~falm.linalg.read_only`. With ``data``, a
     ``lipschitz`` of None takes the largest eigenvalue of ``Q``; its smallest
     must then not be below minus the symmetry allowance, or f is not convex.
-    Oracles must be reentrant: callers may share a Problem across threads.
+    Oracles must be reentrant: callers may share a Problem across threads,
+    and :func:`~falm.solver.run` itself calls ``gradient`` on a worker
+    thread while it applies the map on its own when ``Q`` holds at least
+    :data:`~falm.solver.OVERLAP_BYTES`.
     """
 
     value: Callable[[Array], float]

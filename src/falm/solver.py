@@ -67,8 +67,22 @@ versions (``m < gamma < 1``, strict sigma, ``beta > 0``) additionally
 guarantee convergence of the iterates and are flagged in
 ``ValidatedConfig.convergence_certified``.
 
-A run is single-threaded and owns its state; several runs may proceed
-concurrently on a shared immutable problem. The observer receives the live
+A run owns its state; several runs may proceed concurrently on a shared
+immutable problem. A run whose objective keeps quadratic ``data`` with a
+``Q`` of at least ``OVERLAP_BYTES`` starts one worker thread and joins it
+before it returns or raises. Each step hands the worker its gradient call at
+``x_{k+1}`` as soon as the inner solve's closed form gives that point, then
+applies ``A`` and ``A*`` in the residual check and forms ``lam_{k+1}`` and
+``A* lam_{k+1}`` while the gradient runs: ``lam_{k+1}`` needs only ``A
+x_{k+1}``, the gradient feeds only the next step and the stop test, and BLAS
+releases the interpreter lock, so the two gemv chains run at once. Outputs
+cannot change: the worker calls the same gradient on the same array, which
+nothing writes after the hand-over, and the step stores that result where
+the inline call's went. A step whose refinement replaced the closed form
+drops the worker's result and calls the gradient again at the final
+``x_{k+1}``; every exit of the step waits for the worker first. Below the
+threshold, without ``data`` and in a lone :func:`step`, the call is inline.
+The observer receives the live
 state each record was computed from, once per step block, in index order;
 the run never changes a state after passing it on, and the observer must
 not change it either, nor block the iteration beyond record serialization.
@@ -77,8 +91,10 @@ not change it either, nor block the iteration beyond record serialization.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -103,6 +119,15 @@ STOP_MARGIN = 1e-6
 # Steps whose scalars one step block holds: a run builds a block every BLOCK
 # steps, a shorter one when its budget ends sooner.
 BLOCK = 256
+
+# Smallest quadratic-form matrix Q, in bytes, for which run computes each
+# step's grad f(x_{k+1}) on a worker thread while the step's own thread checks
+# the inner solve and forms lam_{k+1}. The hand-over costs about 12 us a step,
+# which a gradient pass over a smaller Q does not repay: per in-run cd4 step
+# of constrained least-squares instances with p = n/5 (2 cores, BLAS on one
+# thread), the worker loses at n = 400 (1.28 MB) and gains from n = 430
+# (1.48 MB) on. 1.5 MiB: n >= 444 for an n-by-n float64 Q.
+OVERLAP_BYTES = 3 * 2 ** 19
 
 # The rows that a step's new hist and adj blocks copy from the old ones, by
 # row count: lam, A x and grad f move back one index and b stays, then the new
@@ -343,6 +368,80 @@ class StepTrace:
     cg_iters: int
 
 
+class _Overlap:
+    """One run's worker thread for ``grad f(x_{k+1})``, which :func:`step`
+    hands to :func:`~falm.linalg.solve_spd` as its ``started`` hook.
+
+    A call hands the worker the inner solve's closed form. :meth:`result`
+    returns the gradient at the step's final ``x_{k+1}``: the worker's, or,
+    when refinement replaced the closed form, one called on the caller's
+    thread after the worker's is dropped. :meth:`wait` waits for a handed-over
+    call. The two locks pass the work and the outcome across, each held while
+    its waiter has nothing to take; a round trip costs about half of one
+    through a ``concurrent.futures`` executor. On exit from a ``with`` block
+    the thread stops and is joined.
+    """
+
+    def __init__(self, gradient: Callable[[Array], Array]):
+        self.gradient = gradient
+        self.x = self.out = None
+        self.busy = False
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.thread = threading.Thread(target=self._serve, name="falm-gradient")
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.go.acquire()
+            if self.x is None:  # set by __exit__
+                return
+            try:
+                self.out = (self.gradient(self.x), None)
+            except BaseException as exc:  # raised on the caller's thread by result
+                self.out = (None, exc)
+            self.done.release()
+
+    def __call__(self, x: Array) -> None:
+        self.x, self.busy = x, True
+        self.go.release()
+
+    def wait(self) -> tuple:
+        """The ``(gradient, exception)`` of the handed-over call, once it ended."""
+        if self.busy:
+            self.done.acquire()
+            self.busy = False
+        return self.out
+
+    def result(self, x: Array) -> Array:
+        grad, exc = self.wait()
+        if x is not self.x:
+            return self.gradient(x)
+        if exc is not None:
+            raise exc
+        return grad
+
+    def __enter__(self) -> "_Overlap":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.wait()
+        self.x = None
+        self.go.release()
+        self.thread.join()
+
+
+def _overlap(prob: Problem):
+    """The context of a run's steps: an :class:`_Overlap` when the objective's
+    quadratic ``data`` holds a ``Q`` of at least ``OVERLAP_BYTES``, else one
+    that gives None."""
+    data = prob.objective.data
+    if data is None or data[1].nbytes < OVERLAP_BYTES:
+        return nullcontext()
+    return _Overlap(prob.objective.gradient)
+
+
 class StepBlock(NamedTuple):
     """The scalars of the steps from index ``k`` on, one row per step, as
     :func:`step_block` builds them.
@@ -409,7 +508,8 @@ def step_block(cfg: ValidatedConfig, st: IterateState, count: int) -> StepBlock:
 
 
 def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
-         block: StepBlock | None = None) -> tuple[IterateState, StepTrace]:
+         block: StepBlock | None = None,
+         overlap: _Overlap | None = None) -> tuple[IterateState, StepTrace]:
     """Advance the recurrence from index k to k+1.
 
     Every scalar of the step, ``t_{k+1}`` and its weights, comes from row
@@ -432,7 +532,10 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
     image, its ``A*`` image from the same check, one adjoint apply to
     ``lam_{k+1}`` and, with ``data``, one gradient call at ``x_{k+1}``.
     ``mu``, ``nu``, ``eta``, ``A y_k``, ``A z_{k+1}``, the dual argument and,
-    with ``data``, ``grad f(y_k)`` are never formed as vectors. A failed step
+    with ``data``, ``grad f(y_k)`` are never formed as vectors. ``overlap``
+    is the run's worker thread for that gradient call, which :func:`run`
+    passes for an objective whose ``Q`` holds at least ``OVERLAP_BYTES``;
+    without it the call is inline. A failed step
     raises :class:`StepError` carrying the iteration index and a reason. It
     is "non-finite iterate" when an iterate or the gradient at ``x_{k+1}``
     leaves the finite range, or when the inner solve fails with a residual
@@ -459,32 +562,43 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
     if affine:
         grad_y = None
         rhs = y / cfg.sigma - adj_weights.dot(adj)
+        started = overlap
     else:
         grad_y = prob.objective.gradient(y)
         rhs = y / cfg.sigma - grad_y - adj_weights.dot(adj)
+        started = None
     try:
-        sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, scale, rhs,
-                        tol=cfg.cg_tol, gain=gain)
-    except SpdSolveError as exc:
-        reason = "inner solve failure" if math.isfinite(exc.residual) else NON_FINITE
-        raise StepError(st.k, f"primal subproblem solve failed: {exc}", reason) from exc
-    x_next = sol.x
+        try:
+            sol = solve_spd(prob.a_map, cfg.spectral, 1.0 / cfg.sigma, scale, rhs,
+                            tol=cfg.cg_tol, gain=gain, started=started)
+        except SpdSolveError as exc:
+            reason = "inner solve failure" if math.isfinite(exc.residual) else NON_FINITE
+            raise StepError(st.k, f"primal subproblem solve failed: {exc}", reason) from exc
+        x_next = sol.x
 
-    new = hist.take(_NEXT_ROWS[5], axis=0)
-    lam_next = new[0]
-    hist_weights.dot(hist, out=lam_next)
-    lam_next += ax_weight * sol.ax
-    x_finite = math.isfinite(sol.residual) or all_finite(x_next)
-    if not (x_finite and all_finite(lam_next)):
-        raise StepError(st.k, "iterate left the finite range (NaN or overflow)", NON_FINITE)
-    new[1] = sol.ax
-    new_adj = adj.take(_NEXT_ROWS[len(adj)], axis=0)
-    new_adj[0] = prob.a_map.adjoint(lam_next)
-    new_adj[1] = sol.atax
-    if affine:
-        new_adj[5] = grad_next = prob.objective.gradient(x_next)
-        if not all_finite(grad_next):
-            raise StepError(st.k, "gradient at the new iterate is not finite", NON_FINITE)
+        new = hist.take(_NEXT_ROWS[5], axis=0)
+        lam_next = new[0]
+        hist_weights.dot(hist, out=lam_next)
+        lam_next += ax_weight * sol.ax
+        x_finite = math.isfinite(sol.residual) or all_finite(x_next)
+        if not (x_finite and all_finite(lam_next)):
+            raise StepError(st.k, "iterate left the finite range (NaN or overflow)",
+                            NON_FINITE)
+        new[1] = sol.ax
+        new_adj = adj.take(_NEXT_ROWS[len(adj)], axis=0)
+        new_adj[0] = prob.a_map.adjoint(lam_next)
+        new_adj[1] = sol.atax
+        if affine:
+            new_adj[5] = grad_next = (prob.objective.gradient(x_next) if started is None
+                                      else started.result(x_next))
+            if not all_finite(grad_next):
+                raise StepError(st.k, "gradient at the new iterate is not finite",
+                                NON_FINITE)
+    except BaseException:
+        # the worker may still read x_{k+1}: every exit waits for it
+        if started is not None:
+            started.wait()
+        raise
 
     trace = StepTrace(y_k=y, grad_y=grad_y, cg_iters=sol.iterations)
     new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1, hist=new,
@@ -634,32 +748,33 @@ def run(prob: Problem, params: SolverParams, observer=None, saddle=None,
     recorded = st.k
     reason = "iteration budget"
     error = None
-    for i in range(cfg.max_iter):
-        if i % BLOCK == 0:
-            flush()
-            block = step_block(cfg, st, min(BLOCK, cfg.max_iter - i))
-        try:
-            st, trace = step(prob, cfg, st, block)
-        except StepError as exc:
-            reason = exc.reason
-            error = str(exc)
-            break
-        due = (st.k % cfg.record_every == 0) or i == cfg.max_iter - 1
-        kkt = None
-        if due:
-            res_sq, kkt = measured(st)
-        elif cfg.kkt_tol is not None:
-            res = st.ax_k - prob.b
-            res_sq = float(res.dot(res))
-            kkt = _kkt_unless_ruled_out(prob, cfg, st, trace, res_sq)
-        stop = (cfg.kkt_tol is not None and kkt is not None
-                and kkt[0] <= cfg.kkt_tol and kkt[1] <= cfg.kkt_tol)
-        if due or stop:
-            pending.append((st, trace.cg_iters, res_sq, kkt))
-            recorded = st.k
-        if stop:
-            reason = "kkt tolerance"
-            break
+    with _overlap(prob) as overlap:
+        for i in range(cfg.max_iter):
+            if i % BLOCK == 0:
+                flush()
+                block = step_block(cfg, st, min(BLOCK, cfg.max_iter - i))
+            try:
+                st, trace = step(prob, cfg, st, block, overlap)
+            except StepError as exc:
+                reason = exc.reason
+                error = str(exc)
+                break
+            due = (st.k % cfg.record_every == 0) or i == cfg.max_iter - 1
+            kkt = None
+            if due:
+                res_sq, kkt = measured(st)
+            elif cfg.kkt_tol is not None:
+                res = st.ax_k - prob.b
+                res_sq = float(res.dot(res))
+                kkt = _kkt_unless_ruled_out(prob, cfg, st, trace, res_sq)
+            stop = (cfg.kkt_tol is not None and kkt is not None
+                    and kkt[0] <= cfg.kkt_tol and kkt[1] <= cfg.kkt_tol)
+            if due or stop:
+                pending.append((st, trace.cg_iters, res_sq, kkt))
+                recorded = st.k
+            if stop:
+                reason = "kkt tolerance"
+                break
     if recorded != st.k:  # a failed step left the last good state unrecorded
         pending.append((st, trace.cg_iters, *measured(st)))
     flush()

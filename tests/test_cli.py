@@ -296,6 +296,16 @@ def test_ratecheck_fails_a_monotone_check_past_the_last_record(tmp_path, capsys)
     assert "ratecheck FAILED: metric 'gap' on run 'cd4'" in capsys.readouterr().err
 
 
+def test_ratecheck_prints_the_error_of_the_first_failing_entry(tmp_path, capsys):
+    cfg = _small_config(tmp_path, max_iter=50)
+    thresholds = _write(tmp_path / "t.json", {"window": [1, 50], "checks": [
+        {"kind": "monotone", "metric": "gap", "from_k": 1000}]})
+    assert execute("ratecheck", cfg, thresholds_path=thresholds) == 1
+    err = capsys.readouterr().err
+    assert err == ("ratecheck FAILED: metric 'gap' on run 'cd4': too few records of "
+                   "'gap' at k >= 1000: 0, need 2\n")
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_csv_cells_round_trip_doubles(value):
     assert float(_fmt(value)) == value
@@ -438,6 +448,18 @@ def test_help_runs_without_warnings():
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("usage: falm")
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    # its import would take about 4.5 ms of every CLI call; a run's worker
+    # thread for the gradient needs only threading, which numpy loads
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, falm.cli; "
+                           "print('concurrent.futures' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
 
 
 _INLINE_PROBLEM = {"n": 2, "p": 1, "A": [1.0, 1.0], "b": [1.0],

@@ -438,6 +438,17 @@ def test_solve_spd_returns_exact_image(path, make, refined):
     assert (sol.iterations > 0) == refined, path
     assert sol.ax.tobytes() == system[0].forward(sol.x).tobytes()
     assert sol.atax.tobytes() == system[0].adjoint(sol.ax).tobytes()
+    # started gets the closed form before any apply, and no correction
+    # writes to the array it was handed
+    calls, handed = [], []
+    again = solve_spd(_counted(system[0], calls), *system[1:], rhs, tol=1e-12,
+                      started=lambda x: handed.append((x, x.copy(), len(calls))))
+    (x0, at_hand_over, applied), = handed
+    factor, shift, scale = system[1:]
+    assert applied == 0
+    assert x0.tobytes() == at_hand_over.tobytes()
+    assert x0.tobytes() == factor.solve(shift, rhs, factor.gains(shift, scale)).tobytes()
+    assert again.x.tobytes() == sol.x.tobytes() and (again.x is x0) == (not refined)
 
 
 def test_all_finite_keeps_its_meaning():

@@ -1,5 +1,7 @@
 import itertools
 import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -1239,3 +1241,161 @@ def test_the_observer_sees_the_trailing_record_of_a_failed_step(monkeypatch):
     assert [rec.k for rec in res.records] == [1, 100, 200, 250]
     assert [taken for _, _, taken in seen] == [0, 250, 250, 250]
     _assert_observed_in_order_from_their_states(prob, res, seen, saddle)
+
+
+def _with_and_without_the_worker(monkeypatch, attempt):
+    """``attempt()`` with the shipped ``OVERLAP_BYTES``, then with it at 0, so
+    that every objective with ``data`` gets its run's worker thread; no thread
+    outlives either call."""
+    outcomes = []
+    for forced in (False, True):
+        with monkeypatch.context() as patch:
+            if forced:
+                patch.setattr(solver, "OVERLAP_BYTES", 0)
+            before = threading.active_count()
+            outcomes.append(attempt())
+            assert threading.active_count() == before
+    return outcomes
+
+
+def _noting_threads(prob):
+    """The same problem with a gradient that notes, per call, whether it ran
+    on the main thread."""
+    obj = prob.objective
+    on_main = []
+
+    def gradient(x):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return obj.gradient(x)
+
+    return Problem(objective=Objective(obj.value, gradient, obj.lipschitz, obj.data),
+                   a_map=prob.a_map, b=prob.b), on_main
+
+
+@pytest.mark.parametrize("case", ["qp_cd_cd4", "refining"])
+def test_the_worker_thread_changes_no_bit(monkeypatch, case):
+    # the worker computes grad f(x_{k+1}) at the closed form while the step
+    # checks it; a step whose refinement replaced the closed form drops that
+    # gradient and calls it again at the final x_{k+1} on the main thread
+    if case == "qp_cd_cd4":
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        config = load_experiment(os.path.join(here, "configs", "qp_cd.json"))
+        spec = next(spec for spec in config.runs if spec.label == "cd4")
+        prob = config.problem
+        cases = [replace(spec.params, max_iter=1000, record_every=1)]
+    else:  # the instance of test_run_refines_the_closed_form_on_a_generated_instance
+        prob = generate(GenSpec("random_qp", 20, 19, 7, 1.0))[0]
+        cases = [SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
+                              record_every=1, cg_tol=cg_tol) for cg_tol in (1e-12, 1e-14)]
+    assert prob.objective.data[1].nbytes < solver.OVERLAP_BYTES
+    for params in cases:
+        def observed():
+            noting, on_main = _noting_threads(prob)
+            seen = []
+            res = run(noting, params, observer=lambda rec, state: seen.append(
+                (state, threading.active_count())))
+            return res, seen, on_main
+
+        before = threading.active_count()
+        (inline, inline_seen, inline_main), (over, over_seen, over_main) = \
+            _with_and_without_the_worker(monkeypatch, observed)
+        assert over.records == inline.records
+        assert (over.x.tobytes(), over.lam.tobytes()) == (inline.x.tobytes(),
+                                                        inline.lam.tobytes())
+        assert len(over_seen) == len(inline_seen) == params.max_iter + 1
+        for (got, _), (want, _) in zip(over_seen, inline_seen):
+            assert got.hist.tobytes() == want.hist.tobytes()
+            assert got.adj.tobytes() == want.adj.tobytes()
+        # the worker lives while the overlapped run goes on, and only then
+        assert {count for _, count in inline_seen} == {before}
+        assert max(count for _, count in over_seen) == before + 1
+        steps = params.max_iter
+        refined = sum(rec.cg_iters > 0 for rec in inline.records)
+        assert (refined > 0) == (case == "refining")
+        assert inline_main == [True] * (1 + steps)
+        assert len(over_main) == 1 + steps + refined
+        assert over_main.count(False) == steps and over_main.count(True) == 1 + refined
+
+
+@pytest.mark.parametrize("failure", ["nan_gradient", "inner_solve", "raising_gradient",
+                                     "raising_observer"])
+def test_a_failing_run_with_the_worker_ends_as_without_it(monkeypatch, shipped_instance,
+                                                          failure):
+    # the same reason and partial records, or the same exception after the
+    # same observed records; cd4 on this instance never refines, so the
+    # gradient's calls are counted alike on both paths
+    prob, saddle = shipped_instance
+    obj = prob.objective
+    params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=600,
+                          record_every=50,
+                          cg_tol=1e-300 if failure == "inner_solve" else 1e-12)
+
+    def attempt():
+        calls = itertools.count(1)
+
+        def gradient(x):
+            g = obj.gradient(x)
+            if next(calls) <= 400 or failure not in ("nan_gradient", "raising_gradient"):
+                return g
+            if failure == "raising_gradient":
+                raise FloatingPointError("no gradient after 400 calls")
+            return np.full_like(g, np.nan)
+
+        observed = []
+
+        def observer(rec, state):
+            observed.append(rec)
+            if failure == "raising_observer" and len(observed) == 5:
+                raise KeyError("observer")
+
+        failing = Problem(objective=Objective(obj.value, gradient, obj.lipschitz, obj.data),
+                          a_map=prob.a_map, b=prob.b)
+        try:
+            return run(failing, params, observer=observer, saddle=saddle), observed
+        except (FloatingPointError, KeyError) as exc:
+            return exc, observed
+
+    (inline, inline_seen), (over, over_seen) = _with_and_without_the_worker(monkeypatch,
+                                                                            attempt)
+    assert over_seen == inline_seen
+    expected = {"nan_gradient": "non-finite iterate", "inner_solve": "inner solve failure",
+                "raising_gradient": FloatingPointError, "raising_observer": KeyError}[failure]
+    if isinstance(expected, str):
+        assert (inline.reason, over.reason) == (expected, expected)
+        assert over.error == inline.error and over.records == inline.records
+        assert (over.x.tobytes(), over.lam.tobytes()) == (inline.x.tobytes(),
+                                                        inline.lam.tobytes())
+    else:
+        assert type(inline) is type(over) is expected
+        assert str(over) == str(inline)
+
+
+def test_concurrent_runs_with_their_workers_change_no_bit(monkeypatch):
+    # four runs at once on one shared problem, each with its own worker (eight
+    # threads on two cores), with the interpreter switching threads as often
+    # as it can; the instance refines on 259 of 300 steps, so both hand-over
+    # outcomes run. Every run's records and iterates equal the inline run's.
+    prob = generate(GenSpec("random_qp", 20, 19, 7, 1.0))[0]
+    params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
+                          record_every=1, cg_tol=1e-14)
+    want = run(prob, params)
+    monkeypatch.setattr(solver, "OVERLAP_BYTES", 0)
+    results = [None] * 4
+
+    def target(i):
+        results[i] = run(prob, params)
+
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for res in results:
+        assert res.records == want.records
+        assert (res.x.tobytes(), res.lam.tobytes()) == (want.x.tobytes(), want.lam.tobytes())
