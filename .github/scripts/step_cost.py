@@ -15,7 +15,10 @@ of 7 repetitions each:
 - ``cls1000_step_us``: the cd4 run of the seed-7 1000x200
   ``constrained_least_squares`` instance (``cond`` 100), its map wrapped
   matrix-free, to ``kkt_tol`` 1e-3, per step, best of 3: the step whose
-  gradient goes to the run's worker thread.
+  gradient goes to the run's worker thread;
+- ``cls1000_inline_step_us``: the same run with ``solver.OVERLAP_BYTES`` set
+  above the size of its ``Q``, so that the gradient runs inline: whether the
+  worker pays on this machine.
 
 A report, not a gate: the end-to-end benchmark times hide these costs.
 """
@@ -51,8 +54,9 @@ def best_us(fn, calls: int, per: int, repeats: int = REPEATS) -> float:
     return round(min(timeit.repeat(fn, number=calls, repeat=repeats)) / per * 1e6, 1)
 
 
-def cls1000_step_us() -> float:
-    """Best of ``CLS_REPEATS`` in-run µs per step of the 1000x200 run to ``kkt_tol``."""
+def cls1000_step_us() -> tuple[float, float]:
+    """Best of ``CLS_REPEATS`` in-run µs per step of the 1000x200 run to
+    ``kkt_tol``, with the shipped ``OVERLAP_BYTES`` and with the gate shut."""
     prob, _ = generate(GenSpec("constrained_least_squares", 1000, 200, 7, 100.0))
     a = prob.a_map
     prob = Problem(prob.objective, LinearMap(a.forward, a.adjoint, a.dims), prob.b)
@@ -60,7 +64,14 @@ def cls1000_step_us() -> float:
                           kkt_tol=1e-3, record_every=100)
     cfg = solver.validate(prob, params)
     steps = solver.run(prob, params, cfg=cfg).iterations
-    return best_us(lambda: solver.run(prob, params, cfg=cfg), 1, steps, CLS_REPEATS)
+    shipped = best_us(lambda: solver.run(prob, params, cfg=cfg), 1, steps, CLS_REPEATS)
+    gate = solver.OVERLAP_BYTES
+    solver.OVERLAP_BYTES = prob.objective.data[1].nbytes + 1
+    try:
+        inline = best_us(lambda: solver.run(prob, params, cfg=cfg), 1, steps, CLS_REPEATS)
+    finally:
+        solver.OVERLAP_BYTES = gate
+    return shipped, inline
 
 
 def main() -> None:
@@ -82,11 +93,12 @@ def main() -> None:
         diagnostics.objective_error(star, g)
         diagnostics.energy(cfg, st, star, g, res, res_sq)
 
+    cls1000, cls1000_inline = cls1000_step_us()
     print(json.dumps({
         "in_run_step_us": best_us(lambda: solver.run(prob, params, cfg=cfg), 1, RUN_STEPS),
         "lone_step_us": best_us(lambda: solver.step(prob, cfg, st), LONE_CALLS, LONE_CALLS),
         "lone_records_us": best_us(records, LONE_CALLS, LONE_CALLS),
-        "cls1000_step_us": cls1000_step_us(),
+        "cls1000_step_us": cls1000, "cls1000_inline_step_us": cls1000_inline,
         "src": str(SRC), "config": "configs/qp_cd.json cd4", "blas_threads": 1,
         "best_of": REPEATS,
     }))

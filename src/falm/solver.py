@@ -26,21 +26,27 @@ linear combination, with scalar weights, of the five rows of
 ``b``), so a step forms ``lam_{k+1}`` as a product with that block.
 ``IterateState.adj`` carries the ``A*`` image of every row, each from one
 apply (by linearity the images' rounding would drift with k), so the ``A*``
-image of the step's dual argument is the same weights times that block. A
-step applies ``A*`` twice: to ``A x_{k+1}`` in the inner solve's residual
-check, and to ``lam_{k+1}``. After :func:`initial_state`, only :func:`step`
-applies the map: the stop test and every record, its energy included, read
-``A x_k``, ``A x_{k-1}`` and ``A* lam_k`` from the state.
+image of the step's dual argument is the same weights times those rows.
+``adj`` then carries the iterates ``x_k`` and ``x_{k-1}``, whose weights
+``(1 + m_k)/sigma`` and ``-m_k/sigma`` give ``y_k/sigma`` for the momentum
+ratio ``m_k``: seven rows, and the system's right-hand side
+``y_k/sigma - A* dual`` is one product of weights with the block. A step
+applies ``A*`` twice: to ``A x_{k+1}`` in the inner solve's residual check,
+and to ``lam_{k+1}``. After :func:`initial_state`, only :func:`step` applies
+the map: the stop test and every record, its energy included, read ``A
+x_k``, ``A x_{k-1}`` and ``A* lam_k`` from the state.
 
 For an objective with quadratic ``data`` the gradient is affine, so
-``grad f(y_k) = (1 + m_k) grad f(x_k) - m_k grad f(x_{k-1})`` for the
-momentum ratio ``m_k``. ``adj`` then carries two more rows, ``grad f(x_k)``
-and ``grad f(x_{k-1})``, each one call at the iterate it belongs to, and the
-same product with the block gives ``A*`` of the dual argument plus ``grad
-f(y_k)``. A step calls the gradient once, at ``x_{k+1}``, and the stop test
-and every record read ``grad f(x_k)`` from the state, so the stop test is
-exact on every step. An objective without ``data`` has no such identity: a
-step calls its gradient at ``y_k``, and the stop test bounds the
+``grad f(y_k) = (1 + m_k) grad f(x_k) - m_k grad f(x_{k-1})``. ``adj`` then
+carries two more rows, ``grad f(x_k)`` and ``grad f(x_{k-1})``, each one
+call at the iterate it belongs to: nine rows, and the same product, with
+weights ``-(1 + m_k)`` and ``m_k`` on those rows, is the whole right-hand
+side, so the step never forms ``y_k``: its :class:`StepTrace` computes
+``y_k`` only when read. A step calls the gradient once, at
+``x_{k+1}``, and the stop test and every record read ``grad f(x_k)`` from
+the state, so the stop test is exact on every step. An objective without
+``data`` has no such identity: a step forms ``y_k``, calls its gradient
+there and subtracts it from the product, and the stop test bounds the
 stationarity residual from it before it calls the gradient at ``x_k``.
 
 Every rule fixes ``t_k`` in advance, so every scalar a step reads is known
@@ -91,6 +97,7 @@ not change it either, nor block the iteration beyond record serialization.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -130,11 +137,12 @@ BLOCK = 256
 OVERLAP_BYTES = 3 * 2 ** 19
 
 # The rows that a step's new hist and adj blocks copy from the old ones, by
-# row count: lam, A x and grad f move back one index and b stays, then the new
-# iterate's rows overwrite rows 0, 1 and 5. take reads an index array faster
-# than a tuple.
+# row count: lam, A x, x and grad f move back one index and b stays, then the
+# new iterate's rows overwrite rows 0, 1, 5 and 7. take reads an index array
+# faster than a tuple.
 _NEXT_ROWS = {5: np.array((0, 1, 0, 1, 4), dtype=np.intp),
-              7: np.array((0, 1, 0, 1, 4, 5, 5), dtype=np.intp)}
+              7: np.array((0, 1, 0, 1, 4, 5, 5), dtype=np.intp),
+              9: np.array((0, 1, 0, 1, 4, 5, 5, 7, 7), dtype=np.intp)}
 
 
 @dataclass
@@ -300,21 +308,31 @@ class IterateState:
     a step is a combination of these five rows with scalar weights, so
     :func:`step` forms them from products with the block. Each image row is
     bitwise equal to ``a_map.forward`` of its iterate. The n-column block
-    ``adj`` holds the ``A*`` images of the five rows, row i bitwise equal to
-    ``a_map.adjoint(hist[i])``. For an objective with ``data`` it holds two
-    rows more, ``grad f(x_k)`` and ``grad f(x_{k-1})``, each bitwise
-    ``objective.gradient`` of its iterate; ``grad_k`` reads the first, and is
-    None for the five-row block of an objective without ``data``. A step
-    builds fresh blocks and never writes to its input's, so states passed to
-    an observer stay as they were.
+    ``adj`` holds, in this order, the ``A*`` images of the five rows (``A*
+    lam_k``, ``A*A x_k``, ``A* lam_{k-1}``, ``A*A x_{k-1}``, ``A* b``), row i
+    bitwise equal to ``a_map.adjoint(hist[i])``, then the iterates ``x_k``
+    and ``x_{k-1}``, which ``x_k`` and ``x_prev`` read as views: seven rows.
+    For an objective with ``data`` it holds two rows more, ``grad f(x_k)``
+    and ``grad f(x_{k-1})``, each bitwise ``objective.gradient`` of its
+    iterate: nine rows. ``grad_k`` reads the first, and is None for the
+    seven-row block of an objective without ``data``. So the right-hand side
+    of a step's system is one product of weights with ``adj``. A step builds
+    fresh blocks and never writes to its input's, so states passed to an
+    observer stay as they were.
     """
 
     k: int
-    x_k: Array
-    x_prev: Array
     t_k: float
     hist: Array
     adj: Array
+
+    @property
+    def x_k(self) -> Array:
+        return self.adj[5]
+
+    @property
+    def x_prev(self) -> Array:
+        return self.adj[6]
 
     @property
     def lam_k(self) -> Array:
@@ -334,7 +352,7 @@ class IterateState:
 
     @property
     def grad_k(self) -> Array | None:
-        return self.adj[5] if len(self.adj) > 5 else None
+        return self.adj[7] if len(self.adj) > 7 else None
 
 
 def initial_state(prob: Problem, rule: InertialRule, x_init: Array,
@@ -343,15 +361,15 @@ def initial_state(prob: Problem, rule: InertialRule, x_init: Array,
     whose image is one forward apply. The ``A*`` images of ``lam``, ``A x``
     and ``b`` are three adjoint applies; an objective with ``data`` adds one
     gradient call, at the initial point."""
-    x = np.array(x_init, dtype=float)
+    x = np.asarray(x_init, dtype=float)
     lam = np.asarray(lam_init, dtype=float)
     a_map = prob.a_map
     ax = a_map.forward(x)
     at_lam, atax, atb = (a_map.adjoint(v) for v in (lam, ax, prob.b))
-    rows = [at_lam, atax, at_lam, atax, atb]
+    rows = [at_lam, atax, at_lam, atax, atb, x, x]
     if prob.objective.data is not None:
         rows += [prob.objective.gradient(x)] * 2
-    return IterateState(k=1, x_k=x, x_prev=x.copy(), t_k=float(t_values(rule, 1)[0]),
+    return IterateState(k=1, t_k=float(t_values(rule, 1)[0]),
                         hist=np.stack((lam, ax, lam, ax, prob.b)), adj=np.stack(rows))
 
 
@@ -360,12 +378,20 @@ class StepTrace:
     """What :func:`run` reads of one iteration besides the new state: the
     extrapolated point ``y_k`` and ``grad f(y_k)`` for the stop test's lower
     bound, and the inner solve's refinement corrections for the record.
-    ``grad_y`` is None for an objective with ``data``, whose step never
-    forms it as a vector and whose stop test is exact."""
+    ``y_k`` is computed from the step's input ``state`` and ``momentum`` only
+    when read, as ``x_k + momentum (x_k - x_{k-1})``: a step with ``data``
+    never forms it. ``grad_y`` is None for an objective with ``data``, whose
+    step never forms it as a vector and whose stop test is exact."""
 
-    y_k: Array
+    state: IterateState
+    momentum: float
     grad_y: Array | None
     cg_iters: int
+
+    @property
+    def y_k(self) -> Array:
+        x = self.state.x_k
+        return x + self.momentum * (x - self.state.x_prev)
 
 
 class _Overlap:
@@ -434,11 +460,15 @@ class _Overlap:
 
 def _overlap(prob: Problem):
     """The context of a run's steps: an :class:`_Overlap` when the objective's
-    quadratic ``data`` holds a ``Q`` of at least ``OVERLAP_BYTES``, else one
-    that gives None."""
+    quadratic ``data`` holds a ``Q`` of at least ``OVERLAP_BYTES`` and the
+    process may run on at least two CPUs (``os.sched_getaffinity`` where the
+    platform has it, else ``os.cpu_count``), else one that gives None."""
     data = prob.objective.data
     if data is None or data[1].nbytes < OVERLAP_BYTES:
         return nullcontext()
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
+        return nullcontext()  # the worker would only take turns with this thread
     return _Overlap(prob.objective.gradient)
 
 
@@ -450,11 +480,18 @@ class StepBlock(NamedTuple):
     ``(t_{k+i+1}, momentum, scale, ax_weight, adj_weights, hist_weights,
     gain)``: the momentum ratio ``(t - 1)/t_{k+i+1}`` of that step's ``t``,
     the system scale ``s_{k+i+1}/gamma`` of its inner solve, the weight of
-    ``A x_{k+i+1}`` in ``lam_{k+i+1}``, the seven (five without ``data``)
-    weights over ``adj``, the five weights over ``hist``, and the
+    ``A x_{k+i+1}`` in ``lam_{k+i+1}``, the weights over ``adj`` whose
+    product with it is the right-hand side of the step's system, the five
+    weights over ``hist``, and the
     :meth:`~falm.linalg.SpectralFactor.gains` row of the scale. The scalars
     are Python floats and the weight and gain rows are views of one array
-    each.
+    each. The ``adj`` weights take the block's rows in order: the negated
+    weights of the dual argument over the ``A*`` images of ``lam_k``, ``A
+    x_k``, ``lam_{k-1}``, ``A x_{k-1}`` and ``b``; ``(1 + m)/sigma`` and
+    ``-m/sigma`` over ``x_k`` and ``x_{k-1}``, which give ``y_k/sigma``; and,
+    with ``data``, ``-(1 + m)`` and ``m`` over ``grad f(x_k)`` and ``grad
+    f(x_{k-1})``, which give ``-grad f(y_k)``: nine weights, seven without
+    ``data``.
     """
 
     k: int
@@ -468,10 +505,10 @@ def step_block(cfg: ValidatedConfig, st: IterateState, count: int) -> StepBlock:
     ``st.t_k``), so every scalar a step reads is known before any iterate.
     Each column is built with the operations, in the order, that one step's
     scalar formula takes, so a row is bitwise what that formula gives. ``st``
-    sets the layout: seven weights over ``adj`` for a state that carries
-    gradient rows, five otherwise.
+    sets the layout: nine weights over ``adj`` for a state that carries
+    gradient rows, seven otherwise.
     """
-    g, rho, beta = cfg.gamma, cfg.rho, cfg.beta
+    g, rho, beta, sigma = cfg.gamma, cfg.rho, cfg.beta, cfg.sigma
     t_k1 = t_after(cfg.rule, st.t_k, st.k, count)
     # each subexpression that several columns share is formed once
     t_k_m1 = np.concatenate(([st.t_k], t_k1[:-1])) - 1.0
@@ -480,27 +517,30 @@ def step_block(cfg: ValidatedConfig, st: IterateState, count: int) -> StepBlock:
     momentum = t_k_m1 / t_k1
     one_plus_m = 1.0 + momentum
     minus_m = -momentum
-    # dual = beta (A y - b) + nu/gamma - (s/gamma) eta over the block's rows,
-    # with c = (t_k - 1)/gamma and r = rho/gamma:
+    # The step's right-hand side is y/sigma - A* dual - grad f(y), with
+    # y = (1 + momentum) x_k - momentum x_{k-1} and dual = beta (A y - b)
+    # + nu/gamma - (s/gamma) eta over hist's rows, for c = (t_k - 1)/gamma and
+    # r = rho/gamma:
     #   A y           = (1 + momentum) A x_k - momentum A x_{k-1}
     #   nu/gamma      = lam_k + c (lam_k - lam_{k-1})
     #   (s/gamma) eta = (r/gamma) t_{k+1} (t_{k+1} - 1) A x_k + r t_{k+1} b
-    # since eta = A x_k + gamma/(t_{k+1} - 1 + gamma) (b - A x_k), and A* dual
-    # is the same weights over the rows of adj. With data, adj adds grad f(x_k)
-    # and grad f(x_{k-1}), and grad f(y) = (1 + momentum) grad f(x_k)
-    # - momentum grad f(x_{k-1}).
+    # since eta = A x_k + gamma/(t_{k+1} - 1 + gamma) (b - A x_k). A* dual is
+    # the same weights over adj's image rows, negated here; the x rows follow.
+    # With data, adj adds grad f(x_k) and grad f(x_{k-1}), and grad f(y)
+    # = (1 + momentum) grad f(x_k) - momentum grad f(x_{k-1}).
     c = t_k_m1 / g
     r = rho / g
     w_ax = beta * one_plus_m - (r / g) * t_k1 * t_k1_m1
-    adj_weights = (1.0 + c, w_ax, -c, beta * minus_m, -beta - r * t_k1,
-                   one_plus_m, minus_m)[:len(st.adj)]
+    adj_weights = (-(1.0 + c), -w_ax, c, beta * momentum, beta + r * t_k1,
+                   one_plus_m / sigma, minus_m / sigma, -one_plus_m,
+                   momentum)[:len(st.adj)]
     # lam_{k+1} = mu + r (A z - gamma b), with
     #   mu  = lam_k + momentum (lam_k - lam_{k-1})
     #   A z = (t_{k+1} - 1 + gamma) A x_{k+1} - (t_{k+1} - 1) A x_k
     hist_weights = (one_plus_m, -r * t_k1_m1, minus_m, np.zeros(count),
                     np.full(count, -rho))
     scale = r * t_k1 * t_k1_m1_g / g
-    gains = cfg.spectral.gains(1.0 / cfg.sigma, scale)
+    gains = cfg.spectral.gains(1.0 / sigma, scale)
     rows = list(zip(t_k1.tolist(), momentum.tolist(), scale.tolist(),
                     (r * t_k1_m1_g).tolist(), np.column_stack(adj_weights),
                     np.column_stack(hist_weights), gains))
@@ -522,17 +562,21 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
     the configured residual tolerance) by :func:`~falm.linalg.solve_spd` from
     ``cfg.spectral`` and the row's gains; for a zero operator that is the
     accelerated gradient step ``y_k - sigma * grad f(y_k)`` up to rounding.
-    The ``A*`` image of the dual argument is a product of the row's five
-    weights with ``st.adj``; for an objective with ``data`` the product takes
-    seven weights, the last two ``1 + m`` and ``-m`` on the gradient rows,
-    and gives that image plus ``grad f(y_k)``. Without ``data`` the step
-    calls the gradient at ``y_k``. ``lam_{k+1}`` is a product of five weights
-    with ``st.hist`` plus a multiple of the image of ``x_{k+1}`` that the
-    inner solve's residual check computed. The new state's blocks carry that
-    image, its ``A*`` image from the same check, one adjoint apply to
-    ``lam_{k+1}`` and, with ``data``, one gradient call at ``x_{k+1}``.
+    The system's right-hand side ``y_k/sigma - A* dual - grad f(y_k)`` is one
+    product of the row's weights with ``st.adj`` (see :class:`StepBlock`):
+    over the ``A*`` images it gives minus the image of the dual argument,
+    over the rows ``x_k`` and ``x_{k-1}`` it gives ``y_k/sigma``, and over the
+    gradient rows of an objective with ``data`` it gives ``-grad f(y_k)``.
+    Without ``data`` the step forms ``y_k``, calls the gradient there and
+    subtracts it. ``lam_{k+1}`` is a product of five weights with ``st.hist``
+    plus a multiple of the image of ``x_{k+1}`` that the inner solve's
+    residual check computed. The new state's blocks carry that image, its
+    ``A*`` image from the same check, one adjoint apply to ``lam_{k+1}``,
+    ``x_{k+1}`` and, with ``data``, one gradient call at ``x_{k+1}``; each
+    block is one ``take`` of the old one's rows with the new rows written in.
     ``mu``, ``nu``, ``eta``, ``A y_k``, ``A z_{k+1}``, the dual argument and,
-    with ``data``, ``grad f(y_k)`` are never formed as vectors. ``overlap``
+    with ``data``, ``y_k`` and ``grad f(y_k)`` are never formed as vectors:
+    the trace computes ``y_k`` when it is read. ``overlap``
     is the run's worker thread for that gradient call, which :func:`run`
     passes for an objective whose ``Q`` holds at least ``OVERLAP_BYTES``;
     without it the call is inline. A failed step
@@ -553,19 +597,18 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
         raise ValueError(f"the step block of indices {block.k} to "
                          f"{block.k + len(block.rows) - 1} does not cover k={st.k}")
     t_k1, momentum, scale, ax_weight, adj_weights, hist_weights, gain = block.rows[row]
-    y = st.x_k + momentum * (st.x_k - st.x_prev)
-    # rows lam_k, A x_k, lam_{k-1}, A x_{k-1}, b; adj adds, for an objective
-    # with data, grad f(x_k) and grad f(x_{k-1}), and its layout alone picks
-    # the path below
-    affine = st.grad_k is not None
+    # hist: lam_k, A x_k, lam_{k-1}, A x_{k-1}, b; adj: their A* images, x_k,
+    # x_{k-1} and, for an objective with data, grad f(x_k) and grad f(x_{k-1}),
+    # and its layout alone picks the path below
     hist, adj = st.hist, st.adj
+    affine = st.grad_k is not None
+    rhs = adj_weights.dot(adj)
     if affine:
         grad_y = None
-        rhs = y / cfg.sigma - adj_weights.dot(adj)
         started = overlap
     else:
-        grad_y = prob.objective.gradient(y)
-        rhs = y / cfg.sigma - grad_y - adj_weights.dot(adj)
+        grad_y = prob.objective.gradient(st.x_k + momentum * (st.x_k - st.x_prev))
+        rhs -= grad_y
         started = None
     try:
         try:
@@ -588,8 +631,9 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
         new_adj = adj.take(_NEXT_ROWS[len(adj)], axis=0)
         new_adj[0] = prob.a_map.adjoint(lam_next)
         new_adj[1] = sol.atax
+        new_adj[5] = x_next
         if affine:
-            new_adj[5] = grad_next = (prob.objective.gradient(x_next) if started is None
+            new_adj[7] = grad_next = (prob.objective.gradient(x_next) if started is None
                                       else started.result(x_next))
             if not all_finite(grad_next):
                 raise StepError(st.k, "gradient at the new iterate is not finite",
@@ -600,10 +644,8 @@ def step(prob: Problem, cfg: ValidatedConfig, st: IterateState,
             started.wait()
         raise
 
-    trace = StepTrace(y_k=y, grad_y=grad_y, cg_iters=sol.iterations)
-    new_state = IterateState(k=st.k + 1, x_k=x_next, x_prev=st.x_k, t_k=t_k1, hist=new,
-                             adj=new_adj)
-    return new_state, trace
+    return (IterateState(k=st.k + 1, t_k=t_k1, hist=new, adj=new_adj),
+            StepTrace(st, momentum, grad_y, sol.iterations))
 
 
 def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
@@ -630,9 +672,9 @@ def _kkt_unless_ruled_out(prob: Problem, cfg: ValidatedConfig, st: IterateState,
     if grad is None:
         grad_y = trace.grad_y
         lip = cfg.lipschitz
-        margin = STOP_MARGIN * (norm(grad_y) + norm(adj)
-                                + lip * (norm(st.x_k) + norm(trace.y_k)))
-        lower = norm(grad_y + adj) - lip * norm(st.x_k - trace.y_k) - margin
+        y = trace.y_k
+        margin = STOP_MARGIN * (norm(grad_y) + norm(adj) + lip * (norm(st.x_k) + norm(y)))
+        lower = norm(grad_y + adj) - lip * norm(st.x_k - y) - margin
         if lower > tol:
             return None
     return kkt_residuals(prob, st.x_k, st.lam_k, residual_sq=residual_sq, adjoint=adj,

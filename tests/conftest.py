@@ -38,15 +38,16 @@ def small_instance():
 def _state_at(prob, rule, k, x, x_prev, lam, lam_prev):
     """The state at index k of two primal and two dual iterates, with the
     blocks of ``IterateState``: the map's images of ``x`` and ``x_prev``, and
-    b, then the adjoint of each of those five rows, one apply each, and for
-    an objective with ``data`` the gradients at ``x`` and ``x_prev``."""
+    b, then the adjoint of each of those five rows, one apply each, ``x`` and
+    ``x_prev``, and for an objective with ``data`` the gradients at ``x`` and
+    ``x_prev``."""
     a, obj = prob.a_map, prob.objective
     hist = np.stack((lam, a.forward(x), lam_prev, a.forward(x_prev), prob.b))
-    rows = [a.adjoint(row) for row in hist]
+    rows = [a.adjoint(row) for row in hist] + [x, x_prev]
     if obj.data is not None:
         rows += [obj.gradient(x), obj.gradient(x_prev)]
-    return IterateState(k=k, x_k=x, x_prev=x_prev, t_k=float(t_values(rule, k)[-1]),
-                        hist=hist, adj=np.stack(rows))
+    return IterateState(k=k, t_k=float(t_values(rule, k)[-1]), hist=hist,
+                        adj=np.stack(rows))
 
 
 @pytest.fixture(scope="session")

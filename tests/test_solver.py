@@ -285,17 +285,21 @@ def test_validate_defaults(small_instance):
 
 
 def test_step_unconstrained_is_exact_gradient_step():
-    # The zero map's closed form is exactly (y/sigma - grad f(y)) / (1/sigma):
-    # the gradient step up to rounding, accepted without refinement.
+    # The zero map's closed form is exactly rhs / (1/sigma), for the step's
+    # right-hand side rhs: one product of its weights with adj, whose rows
+    # give x0/sigma - grad f(x0) at the first step (no momentum). That is the
+    # gradient step up to rounding, accepted without refinement.
     prob, _ = generate(GenSpec("unconstrained", 6, 2, 1, 5.0))
     params = SolverParams(rule=nesterov(), beta=1.0, max_iter=10)
     cfg = validate(prob, params)
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal(6)
     st = initial_state(prob, cfg.rule, x0, np.zeros(2))
+    weights = solver.step_block(cfg, st, 1).rows[0][4]
+    rhs = weights.dot(st.adj)
     st, trace = step(prob, cfg, st)
     grad = prob.objective.gradient(x0)
-    assert np.array_equal(st.x_k, (1.0 / (1.0 / cfg.sigma)) * (x0 / cfg.sigma - grad))
+    assert np.array_equal(st.x_k, (1.0 / (1.0 / cfg.sigma)) * rhs)
     expected = x0 - cfg.sigma * grad
     np.testing.assert_allclose(st.x_k, expected, rtol=0,
                                atol=1e-14 * np.linalg.norm(expected))
@@ -739,8 +743,10 @@ def test_run_shipped_cd4_needs_no_cg_iterations():
 @pytest.mark.parametrize("kind", ["dense", "matrix_free", "zero", "refining"])
 def test_step_caches_exact_image(small_instance, state_at, kind):
     # the blocks' image rows are the map's images of their rows, bit for bit,
-    # also after steps that refine their inner solve; a state rebuilt from its
-    # four iterates steps to the same bits, and a step builds fresh blocks
+    # also after steps that refine their inner solve; adj's iterate rows are
+    # the state's x_k and x_{k-1}, which read them as views; a state rebuilt
+    # from its four iterates steps to the same bits, and a step builds fresh
+    # blocks
     prob = {"dense": small_instance[0], "matrix_free": _matrix_free(small_instance[0]),
             "zero": generate(GenSpec("unconstrained", 6, 2, 1, 5.0))[0],
             "refining": generate(GenSpec("random_qp", 20, 19, 7, 1.0))[0]}[kind]
@@ -759,10 +765,15 @@ def test_step_caches_exact_image(small_instance, state_at, kind):
         assert state.hist[4].tobytes() == prob.b.tobytes()
         for row, image in zip(state.hist, state.adj):
             assert image.tobytes() == a.adjoint(row).tobytes()
+        # then the iterate rows x_k and x_{k-1}, the very memory of the views
+        assert state.adj[5].tobytes() == state.x_k.tobytes()
+        assert state.adj[6].tobytes() == state.x_prev.tobytes()
+        assert np.shares_memory(state.x_k, state.adj[5])
+        assert np.shares_memory(state.x_prev, state.adj[6])
         # a quadratic objective's state carries the gradients at both iterates
-        assert len(state.adj) == 7
+        assert len(state.adj) == 9
         assert state.grad_k.tobytes() == obj.gradient(state.x_k).tobytes()
-        assert state.adj[6].tobytes() == obj.gradient(state.x_prev).tobytes()
+        assert state.adj[8].tobytes() == obj.gradient(state.x_prev).tobytes()
 
     corrections = 0
     for _ in range(5):
@@ -1040,8 +1051,10 @@ def _scalar_row(cfg, k, t_k, n_adj):
     c = (t_k - 1.0) / g
     r = rho / g
     w_ax = beta * (1.0 + momentum) - (r / g) * t_k1 * (t_k1 - 1.0)
-    adj_weights = (1.0 + c, w_ax, -c, -beta * momentum, -beta - r * t_k1,
-                   1.0 + momentum, -momentum)[:n_adj]
+    # minus the dual argument's weights, then y/sigma's and -grad f(y)'s
+    adj_weights = (-(1.0 + c), -w_ax, c, beta * momentum, beta + r * t_k1,
+                   (1.0 + momentum) / cfg.sigma, -momentum / cfg.sigma,
+                   -(1.0 + momentum), momentum)[:n_adj]
     hist_weights = (1.0 + momentum, -r * (t_k1 - 1.0), -momentum, 0.0, -rho)
     scale = (rho / g) * t_k1 * (t_k1 - 1.0 + g) / g
     shift = 1.0 / cfg.sigma
@@ -1066,8 +1079,9 @@ def _assert_block_is_the_scalar_chain(cfg, st, block):
 
 @pytest.mark.parametrize("rule", list(_SHIPPED_RULES.values()), ids=list(_SHIPPED_RULES))
 def test_step_block_rows_equal_the_scalar_formulas_bitwise(shipped_instance, rule):
-    # seven weights over adj with data, five without; three blocks' worth of
-    # rows, so a block longer than BLOCK is the same chain
+    # nine weights over adj with data, seven without, the iterate rows' two
+    # (1 + m)/sigma and -m/sigma among them; three blocks' worth of rows, so a
+    # block longer than BLOCK is the same chain
     prob = shipped_instance[0]
     for problem in (prob, _without_data(prob)):
         cfg = validate(problem, SolverParams(rule=rule, max_iter=10))
@@ -1075,7 +1089,8 @@ def test_step_block_rows_equal_the_scalar_formulas_bitwise(shipped_instance, rul
         assert rule.kind != "attouch_cabot" or st.t_k == 0.0  # ac4 starts at t_1 = 0
         block = solver.step_block(cfg, st, 2 * solver.BLOCK + 3)
         assert len(block.rows) == 2 * solver.BLOCK + 3
-        assert {len(row[4]) for row in block.rows} == {len(st.adj)}
+        assert {len(row[4]) for row in block.rows} == {len(st.adj)} == {
+            9 if problem is prob else 7}
         _assert_block_is_the_scalar_chain(cfg, st, block)
 
 
@@ -1243,15 +1258,27 @@ def test_the_observer_sees_the_trailing_record_of_a_failed_step(monkeypatch):
     _assert_observed_in_order_from_their_states(prob, res, seen, saddle)
 
 
+def _on_cpus(patch, cpus, affinity=True):
+    """Let the process look as if it may run on ``cpus`` CPUs, read from
+    ``os.sched_getaffinity``, or with ``affinity`` false from ``os.cpu_count``
+    on a platform without it."""
+    if affinity:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        patch.delattr(os, "sched_getaffinity", raising=False)
+        patch.setattr(os, "cpu_count", lambda: cpus)
+
+
 def _with_and_without_the_worker(monkeypatch, attempt):
-    """``attempt()`` with the shipped ``OVERLAP_BYTES``, then with it at 0, so
-    that every objective with ``data`` gets its run's worker thread; no thread
-    outlives either call."""
+    """``attempt()`` with the shipped ``OVERLAP_BYTES``, then with it at 0 on
+    two CPUs, so that every objective with ``data`` gets its run's worker
+    thread; no thread outlives either call."""
     outcomes = []
     for forced in (False, True):
         with monkeypatch.context() as patch:
             if forced:
                 patch.setattr(solver, "OVERLAP_BYTES", 0)
+                _on_cpus(patch, 2)
             before = threading.active_count()
             outcomes.append(attempt())
             assert threading.active_count() == before
@@ -1380,6 +1407,7 @@ def test_concurrent_runs_with_their_workers_change_no_bit(monkeypatch):
                           record_every=1, cg_tol=1e-14)
     want = run(prob, params)
     monkeypatch.setattr(solver, "OVERLAP_BYTES", 0)
+    _on_cpus(monkeypatch, 2)
     results = [None] * 4
 
     def target(i):
@@ -1399,3 +1427,29 @@ def test_concurrent_runs_with_their_workers_change_no_bit(monkeypatch):
     for res in results:
         assert res.records == want.records
         assert (res.x.tobytes(), res.lam.tobytes()) == (want.x.tobytes(), want.lam.tobytes())
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["sched_getaffinity", "cpu_count"])
+def test_a_process_on_one_cpu_runs_the_gradient_inline(monkeypatch, affinity):
+    # on one CPU the worker would only take turns with the run's own thread,
+    # so the gate stays shut whatever the size of Q, and the run's records
+    # and iterates are bitwise the worker run's; the instance refines, so
+    # both of the worker's hand-over outcomes are compared
+    prob = generate(GenSpec("random_qp", 20, 19, 7, 1.0))[0]
+    params = SolverParams(rule=chambolle_dossal(4.0), beta=1.0, max_iter=300,
+                          record_every=1, cg_tol=1e-14)
+    monkeypatch.setattr(solver, "OVERLAP_BYTES", 0)
+    outcomes = []
+    for cpus in (2, 1):
+        with monkeypatch.context() as patch:
+            _on_cpus(patch, cpus, affinity)
+            with solver._overlap(prob) as overlap:
+                assert isinstance(overlap, solver._Overlap) == (cpus == 2)
+            noting, on_main = _noting_threads(prob)
+            outcomes.append((run(noting, params), on_main))
+    (worker, worker_main), (inline, inline_main) = outcomes
+    assert worker_main.count(False) == params.max_iter
+    assert inline_main == [True] * (1 + params.max_iter)
+    assert inline.records == worker.records
+    assert (inline.x.tobytes(), inline.lam.tobytes()) == (worker.x.tobytes(),
+                                                        worker.lam.tobytes())
